@@ -19,10 +19,9 @@ from .metrics import (CSV_HEADER, RunRecord, TrafficLedger, aggregate, run_id,
                       summarize, write_aggregate_csv, write_csv, write_summary)
 from .numerics import RandomStream, require_finite, sym_eigenvalues
 from .optim import (ALGORITHMS, OptimizerConfig, Streams, Workers,
-                    choco_errorfeedback_step, choco_momentum_step,
-                    choco_sgd_step, choco_step, centralized_step,
-                    consensus_bound, decentralized_exact_step, run,
-                    theoretical_stepsize, tune_stepsize)
+                    choco_step, centralized_step, consensus_bound,
+                    decentralized_exact_step, run, theoretical_stepsize,
+                    tune_stepsize)
 from .problems import (ConstantEstimates, LogisticProblem, MlpProblem,
                        Partition, QuadraticProblem, estimate_constants,
                        load_csv_dataset, make_blob_dataset, make_logistic,
@@ -40,8 +39,7 @@ __all__ = [
     "OptimizerConfig", "Partition", "QuadraticProblem", "RandomStream",
     "RunRecord", "Streams", "TrafficLedger", "Workers", "aggregate",
     "bit_cost", "build_problem", "build_topology", "centralized_step",
-    "choco_errorfeedback_step", "choco_gossip_round", "choco_momentum_step",
-    "choco_sgd_step", "choco_step", "compress", "compress_blocks",
+    "choco_gossip_round", "choco_step", "compress", "compress_blocks",
     "consensus_bound", "consensus_distance", "consensus_stepsize",
     "contraction_factor", "decentralized_exact_step", "estimate_constants",
     "execute_config", "execute_single", "from_edge_list", "fully_connected",

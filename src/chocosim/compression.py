@@ -13,6 +13,7 @@ import numpy as np
 
 FLOAT_BITS = 32  # accounted wire width of one scalar / one norm
 _KINDS = ("identity", "gsgd", "random", "topk", "sign")
+_STOCHASTIC_KINDS = ("gsgd", "random")
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,11 @@ class Compressor:
             raise ValueError("sparsifier fraction must be in (0, 1]")
         if self.unbiased and self.kind not in ("gsgd", "random"):
             raise ValueError(f"{self.kind} has no unbiased variant")
+
+    @property
+    def stochastic(self):
+        """Whether :func:`compress` draws from its ``rng``."""
+        return self.kind in _STOCHASTIC_KINDS
 
     def spec(self):
         """Canonical spec string, parseable by :func:`parse_compressor`."""
@@ -137,7 +143,8 @@ def compress(comp, x, rng=None):
     """Apply ``comp`` to a 1-D vector; returns a :class:`CompressedMessage`.
 
     ``rng`` (a ``numpy.random.Generator``) is required for the stochastic
-    kinds (``gsgd``, ``random``) and ignored by the deterministic ones.
+    kinds (``gsgd``, ``random``; see :attr:`Compressor.stochastic`) and
+    ignored by the deterministic ones.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:

@@ -79,6 +79,8 @@ class ExperimentConfig:
             isinstance(s, int) and not isinstance(s, bool) for s in self.seeds
         ):
             raise ConfigError("seeds must be a non-empty list of integers")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError("seeds must be non-negative integers")
         if self.x0_mode not in X0_MODES:
             raise ConfigError(f"x0_mode must be one of {X0_MODES}")
         if not isinstance(self.problem, dict) or "kind" not in self.problem:
@@ -92,6 +94,9 @@ class ExperimentConfig:
         merged = dict(_PROBLEM_DEFAULTS[kind])
         merged.update(self.problem)
         self.problem = merged
+        seed = merged["seed"]
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ConfigError("problem.seed must be a non-negative integer")
         if self.x0_mode == "optimum" and kind != "quadratic":
             raise ConfigError("x0_mode 'optimum' needs the quadratic problem")
         # reuse the optimizer-side validation for the numeric fields

@@ -139,7 +139,8 @@ def choco_step(workers, problem, mixing, comp, gamma, eta, streams, t,
     ``cfg.algorithm`` (``cfg=None`` means plain).
     """
     algorithm = cfg.algorithm if cfg is not None else "choco"
-    comp_rngs = streams.comp_at(t)
+    # deterministic compressors draw nothing, so their streams are never derived
+    comp_rngs = streams.comp_at(t) if comp.stochastic else [None] * workers.x.shape[0]
     if algorithm == "choco-errorfeedback":
         v = (workers.x - workers.x_prev) + workers.memory
         q = np.empty_like(v)
@@ -160,28 +161,6 @@ def choco_step(workers, problem, mixing, comp, gamma, eta, streams, t,
     workers.x = mix_with_public(workers.x, xhat_next, mixing.w, gamma) - eta * direction
     workers.xhat = xhat_next
     return bits
-
-
-def choco_sgd_step(workers, problem, mixing, comp, gamma, eta, streams, t,
-                   boundaries=None, record=None):
-    """Plain compressed-gossip SGD iteration."""
-    return choco_step(workers, problem, mixing, comp, gamma, eta, streams, t,
-                      cfg=None, boundaries=boundaries, record=record)
-
-
-def choco_momentum_step(workers, problem, mixing, comp, gamma, eta, streams, t, cfg,
-                        boundaries=None, record=None):
-    """Compressed-gossip SGD with heavy-ball (optionally Nesterov) momentum."""
-    return choco_step(workers, problem, mixing, comp, gamma, eta, streams, t,
-                      cfg=cfg, boundaries=boundaries, record=record)
-
-
-def choco_errorfeedback_step(workers, problem, mixing, comp, gamma, eta, streams, t, cfg,
-                             boundaries=None, record=None):
-    """Error-feedback formulation: compresses iterate increments plus carried
-    memory; keeps explicit ``memory`` and ``x_prev`` buffers."""
-    return choco_step(workers, problem, mixing, comp, gamma, eta, streams, t,
-                      cfg=cfg, boundaries=boundaries, record=record)
 
 
 def decentralized_exact_step(workers, problem, mixing, eta, streams, t, record=None):

@@ -69,6 +69,11 @@ def test_field_validation():
         ExperimentConfig.from_dict({"seeds": []})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"seeds": [True]})
+    with pytest.raises(ConfigError, match="seeds must be non-negative"):
+        ExperimentConfig.from_dict({"seeds": [2, -1]})
+    for seed in (-1, 1.5, True):
+        with pytest.raises(ConfigError, match="problem.seed"):
+            ExperimentConfig.from_dict({"problem": {"kind": "quadratic", "seed": seed}})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"log_every": 0})
     with pytest.raises(ConfigError):
@@ -179,6 +184,21 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert cli.main(["run", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "error" in err
+
+
+@pytest.mark.parametrize("overrides, argv, field", [
+    ({"seeds": [-1]}, [], "seeds"),
+    ({}, ["--seed", "-3"], "seeds"),
+    ({"problem": {"kind": "quadratic", "n": 4, "dim": 4, "seed": -1}}, [], "problem.seed"),
+])
+def test_negative_seeds_exit_one_naming_the_field(tmp_path, capsys, overrides, argv, field):
+    path = _write_config(tmp_path, **overrides)
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o"), *argv]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith(f"error: {field} must be") and "non-negative" in lines[0]
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_end_to_end_and_replay(tmp_path, monkeypatch, capsys):

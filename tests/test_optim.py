@@ -1,14 +1,16 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 from chocosim.compression import parse_compressor
 from chocosim.consensus import consensus_stepsize
-from chocosim.optim import (OptimizerConfig, Workers, consensus_bound,
+from chocosim.numerics import RandomStream
+from chocosim.optim import (ALGORITHMS, OptimizerConfig, Workers, consensus_bound,
                             effective_contraction, resolve_gamma, run,
                             theoretical_stepsize, tune_stepsize)
-from chocosim.problems import make_quadratic
+from chocosim.problems import make_logistic, make_quadratic
 from chocosim.topology import Graph, fully_connected, mixing_matrix, ring
 
 
@@ -262,3 +264,36 @@ def test_broadcast_mode_charges_less_traffic_on_a_ring():
     bcast = run(problem, cfg, mixing, comp, seed=0, broadcast=True)
     assert pair.ledger.busiest() == 2 * bcast.ledger.busiest()
     np.testing.assert_array_equal(pair.final_x_mean, bcast.final_x_mean)
+
+
+# --------------------------------------------------- random-stream contract
+
+def _seed_commit_at(self, iteration):
+    # RandomStream.at as first released: one SeedSequence and Philox per call
+    if iteration < 0:
+        raise ValueError("iteration must be >= 0")
+    spawn = (self.worker, zlib.crc32(self.purpose.encode("utf-8")), int(iteration) + 1)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=spawn)))
+
+
+def _run_fingerprint(problem, algorithm, spec):
+    cfg = OptimizerConfig(algorithm=algorithm, eta=0.05, iterations=70,
+                          momentum_factor=0.5 if algorithm == "choco-momentum" else 0.0)
+    rec = run(problem, cfg, mixing_matrix(ring(4)), parse_compressor(spec), seed=11)
+    return (rec.t, rec.f_avg, rec.grad_sq, rec.consensus, rec.psi, rec.bits_busiest,
+            rec.diverged, rec.max_grad_norm, rec.final_x_mean.tobytes())
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_runs_replay_the_original_stream_construction(kind, monkeypatch):
+    # pins every trajectory to the per-call SeedSequence definition of the
+    # substreams; 70 iterations cross a key-block boundary
+    if kind == "quadratic":
+        problem = make_quadratic(4, 5, heterogeneity=1.0, noise_std=0.5, seed=2)
+    else:
+        problem = make_logistic(4, dim=5, samples=200, batch=8, seed=3)
+    specs = ["identity", "sign", "topk:0.2", "gsgd:4", "random:0.3"]
+    current = {(a, c): _run_fingerprint(problem, a, c) for a in ALGORITHMS for c in specs}
+    monkeypatch.setattr(RandomStream, "at", _seed_commit_at)
+    for (algorithm, spec), fingerprint in current.items():
+        assert _run_fingerprint(problem, algorithm, spec) == fingerprint, (algorithm, spec)
