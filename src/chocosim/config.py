@@ -17,7 +17,7 @@ import numpy as np
 from .compression import parse_compressor
 from .metrics import run_id, write_aggregate_csv, write_csv, write_summary
 from .numerics import RandomStream
-from .optim import ALGORITHMS, OptimizerConfig, run
+from .optim import ALGORITHMS, OptimizerConfig, _is_number, run
 from .problems import make_logistic, make_mlp, make_quadratic, load_csv_dataset
 from .topology import fully_connected, load_edge_list, mixing_matrix, ring, torus
 
@@ -105,25 +105,25 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         for name, value in (("log_every", self.log_every),):
-            if not isinstance(value, int) or value < 1:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer")
         for name in ("eta_grid", "gamma_grid"):
             grid = getattr(self, name)
             if grid is not None:
                 if not isinstance(grid, list) or not grid or not all(
-                    isinstance(v, (int, float)) and v >= 0 for v in grid
+                    _is_number(v) and v >= 0 for v in grid
                 ):
                     raise ConfigError(f"{name} must be a non-empty list of numbers >= 0")
 
     def optimizer(self):
         return OptimizerConfig(
             algorithm=self.algorithm,
-            eta=float(self.eta),
+            eta=self.eta,
             gamma=self.gamma,
-            momentum_factor=float(self.momentum_factor),
-            weight_decay=float(self.weight_decay),
+            momentum_factor=self.momentum_factor,
+            weight_decay=self.weight_decay,
             nesterov=bool(self.nesterov),
-            iterations=int(self.iterations),
+            iterations=self.iterations,
             delta_override=self.delta_override,
         )
 

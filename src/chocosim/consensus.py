@@ -95,22 +95,28 @@ def mix_with_public(x, xhat, w, gamma):
     return (x - gamma * xhat) + gamma * (w @ xhat)
 
 
-def sync_public(x, xhat, comp, rngs, boundaries=None):
-    """Compress ``x - xhat`` per node and advance the public copies.
-
-    Returns ``(xhat_new, bits)`` where ``bits[i]`` is the wire size of node
-    i's message. The new copy is computed as ``x - (v - q)``, i.e. the
-    private value minus the compression error; algebraically identical to
-    ``xhat + q``, but it makes lossless compression exactly lossless in
-    floating point as well.
-    """
-    v = x - xhat
+def compress_rows(v, comp, rngs, boundaries=None):
+    """Compress each node's row of ``v``; returns ``(q, bits)``, where
+    ``bits[i]`` is the wire size of node i's message."""
     q = np.empty_like(v)
-    bits = np.zeros(x.shape[0], dtype=np.int64)
-    for i in range(x.shape[0]):
+    bits = np.zeros(v.shape[0], dtype=np.int64)
+    for i in range(v.shape[0]):
         msg = compress_blocks(comp, v[i], rngs[i], boundaries)
         q[i] = msg.payload
         bits[i] = msg.bits
+    return q, bits
+
+
+def sync_public(x, xhat, comp, rngs, boundaries=None):
+    """Compress ``x - xhat`` per node and advance the public copies.
+
+    Returns ``(xhat_new, bits)`` as in :func:`compress_rows`. The new copy
+    is computed as ``x - (v - q)``, i.e. the private value minus the
+    compression error; algebraically identical to ``xhat + q``, but it makes
+    lossless compression exactly lossless in floating point as well.
+    """
+    v = x - xhat
+    q, bits = compress_rows(v, comp, rngs, boundaries)
     return x - (v - q), bits
 
 
@@ -134,10 +140,15 @@ def lyapunov(state):
     """Total squared disagreement plus public-copy lag.
 
     ``sum_i ||x_i - xbar||^2 + sum_i ||x_i - xhat_i||^2``; this is the
-    quantity that contracts by ``(1 - c)`` per round in expectation.
+    quantity that contracts by ``(1 - c)`` per round in expectation. A
+    ``state`` without public copies (``xhat is None``, exact gossip) has no
+    lag term.
     """
     xbar = state.x.mean(axis=0)
-    return float(((state.x - xbar) ** 2).sum() + ((state.x - state.xhat) ** 2).sum())
+    psi = ((state.x - xbar) ** 2).sum()
+    if state.xhat is not None:
+        psi = psi + ((state.x - state.xhat) ** 2).sum()
+    return float(psi)
 
 
 def consensus_distance(x):

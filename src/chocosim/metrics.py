@@ -26,21 +26,18 @@ CSV_HEADER = "t,f_avg,grad_sq,consensus,psi,bits_busiest,wall_ms"
 
 
 class TrafficLedger:
-    """Cumulative per-node and per-edge bit counts."""
+    """Cumulative per-node bit counts."""
 
     def __init__(self, n_nodes):
         if n_nodes < 1:
             raise ValueError("need at least one node")
         self.n_nodes = int(n_nodes)
         self.per_node = np.zeros(self.n_nodes, dtype=np.int64)
-        self.per_edge = {}
 
     def add_message(self, src, dst, bits):
         """One point-to-point payload; charged to the sender."""
         self._check(src, dst, bits)
         self.per_node[src] += int(bits)
-        key = (int(src), int(dst))
-        self.per_edge[key] = self.per_edge.get(key, 0) + int(bits)
 
     def add_broadcast(self, src, bits):
         """One payload transmitted once, regardless of neighbor count."""
@@ -53,8 +50,6 @@ class TrafficLedger:
         self.per_node[src] += int(bits)
         if hub != src:
             self.per_node[hub] += int(bits)
-        key = (int(src), int(hub))
-        self.per_edge[key] = self.per_edge.get(key, 0) + int(bits)
 
     def _check(self, src, dst, bits):
         if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):

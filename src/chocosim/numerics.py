@@ -1,5 +1,5 @@
-"""Shared numerical kernel: deterministic random streams and a symmetric
-eigensolver.
+"""Shared numerical kernel: deterministic random streams and the symmetric
+eigenvalues of LAPACK's ``eigvalsh``, with no cap on the matrix size.
 
 Conventions used across the package: vectors are 1-D ``float64`` arrays,
 per-node iterate blocks are ``(n_nodes, dim)`` ``float64`` arrays, square
@@ -24,9 +24,6 @@ import zlib
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-
-_MAX_EIG_SIZE = 256
-_DEFAULT_SWEEPS = 60
 
 MAX_ITERATION = 2**32 - 2  # t + 1 is one uint32 word of the spawn key
 KEY_BLOCK = 64  # iterations whose keys RandomStream.at derives together
@@ -258,11 +255,6 @@ class RandomStream:
         )
 
 
-def gaussian(stream, dim, std=1.0):
-    """Standard-normal vector of length ``dim`` scaled by ``std``."""
-    return stream.normal(dim, std)
-
-
 def require_finite(arr, context="array"):
     """Raise ``FloatingPointError`` if ``arr`` contains NaN or Inf."""
     if not np.all(np.isfinite(arr)):
@@ -270,22 +262,17 @@ def require_finite(arr, context="array"):
     return arr
 
 
-def sym_eigenvalues(a, tol=1e-12, max_sweeps=_DEFAULT_SWEEPS):
+def sym_eigenvalues(a):
     """Eigenvalues of a real symmetric matrix, descending order.
 
-    Classic cyclic Jacobi rotations; chosen for robustness on the small
-    (n <= 256) mixing matrices this package works with.
+    LAPACK's symmetric solver (``numpy.linalg.eigvalsh``), with no cap on
+    the matrix size.
 
     Parameters
     ----------
     a : (n, n) array_like
         Symmetric matrix. Asymmetry beyond ``1e-12`` (relative to the
         largest entry) is rejected.
-    tol : float, optional
-        Sweep termination threshold on the largest off-diagonal entry,
-        relative to the Frobenius norm.
-    max_sweeps : int, optional
-        Hard cap on full sweeps before raising ``RuntimeError``.
 
     Returns
     -------
@@ -295,45 +282,8 @@ def sym_eigenvalues(a, tol=1e-12, max_sweeps=_DEFAULT_SWEEPS):
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    n = a.shape[0]
-    if n > _MAX_EIG_SIZE:
-        raise ValueError(f"matrix size {n} exceeds supported maximum {_MAX_EIG_SIZE}")
     require_finite(a, "eigensolver input")
-    scale = np.max(np.abs(a)) if n else 0.0
+    scale = np.max(np.abs(a)) if a.size else 0.0
     if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, scale):
         raise ValueError("matrix is not symmetric")
-    if n == 1:
-        return a.reshape(1).copy()
-
-    fro = np.linalg.norm(a)
-    if fro == 0.0:
-        return np.zeros(n)
-    stop = tol * fro
-    for _ in range(max_sweeps):
-        off = np.max(np.abs(np.triu(a, 1)))
-        if off <= stop:
-            return np.sort(np.diagonal(a))[::-1].copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= stop / n:
-                    continue
-                # rotation angle that annihilates a[p, q]
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    raise RuntimeError(f"Jacobi sweep did not converge in {max_sweeps} sweeps")
+    return np.linalg.eigvalsh(a)[::-1]

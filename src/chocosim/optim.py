@@ -20,13 +20,15 @@ all workers upload full-precision gradients to a coordinator hub).
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compression import Compressor, bit_cost, compress_blocks, contraction_factor
-from .consensus import consensus_distance, consensus_stepsize, mix_with_public, sync_public
+from .compression import Compressor, bit_cost, contraction_factor
+from .consensus import (compress_rows, consensus_distance, consensus_stepsize, lyapunov,
+                        mix_with_public, sync_public)
 from .metrics import RunRecord, TrafficLedger
 from .numerics import RandomStream
 
@@ -38,6 +40,12 @@ ALGORITHMS = (
     "centralized",
 )
 DIVERGENCE_LIMIT = 1e12
+
+
+def _is_number(value):
+    # a finite real; Python counts booleans as ints, a config must not
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass
@@ -54,19 +62,20 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.eta < 0.0:
-            raise ValueError("eta must be >= 0")
-        if not (0.0 <= self.momentum_factor < 1.0):
-            raise ValueError("momentum_factor must be in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be >= 0")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.gamma != "auto":
-            if not isinstance(self.gamma, (int, float)) or not 0.0 < float(self.gamma):
-                raise ValueError("gamma must be 'auto' or a positive number")
-        if self.delta_override is not None and not (0.0 < self.delta_override <= 1.0):
-            raise ValueError("delta_override must be in (0, 1]")
+        if not (_is_number(self.eta) and self.eta >= 0.0):
+            raise ValueError("eta must be a number >= 0")
+        if not (_is_number(self.momentum_factor) and 0.0 <= self.momentum_factor < 1.0):
+            raise ValueError("momentum_factor must be a number in [0, 1)")
+        if not (_is_number(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ValueError("weight_decay must be a number >= 0")
+        if not (isinstance(self.iterations, numbers.Integral) and _is_number(self.iterations)
+                and self.iterations >= 1):
+            raise ValueError("iterations must be an integer >= 1")
+        if self.gamma != "auto" and not (_is_number(self.gamma) and self.gamma > 0.0):
+            raise ValueError("gamma must be 'auto' or a positive number")
+        if self.delta_override is not None and not (
+                _is_number(self.delta_override) and 0.0 < self.delta_override <= 1.0):
+            raise ValueError("delta_override must be a number in (0, 1]")
 
 
 @dataclass
@@ -143,12 +152,7 @@ def choco_step(workers, problem, mixing, comp, gamma, eta, streams, t,
     comp_rngs = streams.comp_at(t) if comp.stochastic else [None] * workers.x.shape[0]
     if algorithm == "choco-errorfeedback":
         v = (workers.x - workers.x_prev) + workers.memory
-        q = np.empty_like(v)
-        bits = np.zeros(v.shape[0], dtype=np.int64)
-        for i in range(v.shape[0]):
-            msg = compress_blocks(comp, v[i], comp_rngs[i], boundaries)
-            q[i] = msg.payload
-            bits[i] = msg.bits
+        q, bits = compress_rows(v, comp, comp_rngs, boundaries)
         workers.memory = v - q
         xhat_next = workers.xhat + q  # literal receiver-side reconstruction
     else:
@@ -174,13 +178,9 @@ def decentralized_exact_step(workers, problem, mixing, eta, streams, t, record=N
 def centralized_step(x, problem, eta, streams, t, record=None):
     """Coordinator baseline: one shared iterate, n full-precision uploads."""
     n = problem.n
-    g = np.empty((n, x.shape[0]))
-    for i in range(n):
-        g[i] = problem.stochastic_gradient(i, x, streams.grad_at(i, t), t)
-    if record is not None:
-        record.max_grad_norm = max(
-            record.max_grad_norm, float(np.sqrt((g * g).sum(axis=1).max()))
-        )
+    # C-ordered copies: a broadcast view would make g F-ordered, and g.mean
+    # would sum in another order
+    g = _gradients(problem, np.tile(x, (n, 1)), streams, t, record)
     return x - eta * g.mean(axis=0), np.full(n, 32 * x.shape[0], dtype=np.int64)
 
 
@@ -204,14 +204,6 @@ def resolve_gamma(cfg, mixing, comp, dim, boundaries=None):
     if delta is None:
         delta = effective_contraction(comp, dim, boundaries)
     return consensus_stepsize(mixing, delta)
-
-
-def _psi(workers):
-    xbar = workers.x.mean(axis=0)
-    psi = float(((workers.x - xbar) ** 2).sum())
-    if workers.xhat is not None:
-        psi += float(((workers.x - workers.xhat) ** 2).sum())
-    return psi
 
 
 def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
@@ -304,7 +296,7 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
                 f_avg=problem.loss(xbar),
                 grad_sq=float(grad @ grad),
                 consensus=0.0 if centralized else consensus_distance(state_rows),
-                psi=0.0 if centralized else _psi(workers),
+                psi=0.0 if centralized else lyapunov(workers),
                 bits_busiest=ledger.busiest(),
             )
 

@@ -43,15 +43,6 @@ class Graph:
             deg[j] += 1
         return deg
 
-    def neighbors(self, i):
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
-
     def is_connected(self):
         if self.n == 1:
             return True
@@ -201,13 +192,3 @@ def mixing_matrix(graph):
     if rho <= 0.0:
         raise ValueError("zero spectral gap; graph does not mix")
     return MixingMatrix(w=w, rho=float(rho), beta=float(beta))
-
-
-def spectral_gap(m):
-    """Spectral gap of a mixing matrix (accessor)."""
-    return m.rho
-
-
-def operator_gap(m):
-    """Operator-norm distance of the mixing matrix from the identity."""
-    return m.beta

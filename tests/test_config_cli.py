@@ -76,6 +76,16 @@ def test_field_validation():
             ExperimentConfig.from_dict({"problem": {"kind": "quadratic", "seed": seed}})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"log_every": 0})
+    with pytest.raises(ConfigError, match="log_every"):
+        ExperimentConfig.from_dict({"log_every": True})
+    # booleans and non-numbers are rejected, never coerced
+    for key, value in (("delta_override", "x"), ("gamma", True), ("eta", True),
+                       ("eta", "0.05"), ("eta", float("nan")), ("momentum_factor", "0.5"),
+                       ("weight_decay", None), ("iterations", 2.5), ("iterations", True)):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict({key: value})
+    with pytest.raises(ConfigError, match="eta_grid"):
+        ExperimentConfig.from_dict({"eta_grid": [True]})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"eta_grid": []})
     with pytest.raises(ConfigError):
@@ -190,6 +200,8 @@ def test_bad_config_exits_one(tmp_path, capsys):
     ({"seeds": [-1]}, [], "seeds"),
     ({}, ["--seed", "-3"], "seeds"),
     ({"problem": {"kind": "quadratic", "n": 4, "dim": 4, "seed": -1}}, [], "problem.seed"),
+    ({"delta_override": "x"}, [], "delta_override"),
+    ({"gamma": True}, [], "gamma"),
 ])
 def test_negative_seeds_exit_one_naming_the_field(tmp_path, capsys, overrides, argv, field):
     path = _write_config(tmp_path, **overrides)
@@ -197,7 +209,9 @@ def test_negative_seeds_exit_one_naming_the_field(tmp_path, capsys, overrides, a
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1, captured.err
-    assert lines[0].startswith(f"error: {field} must be") and "non-negative" in lines[0]
+    assert lines[0].startswith(f"error: {field} must be")
+    # seeds are integers; the other fields here are numbers
+    assert ("non-negative" if "seed" in field else "number") in lines[0]
     assert not (tmp_path / "o").exists()
 
 
@@ -257,6 +271,10 @@ def test_topology_report(tmp_path, capsys):
 
     assert cli.main(["topology", "--spec", "ring:1"]) == 1
     capsys.readouterr()
+
+    # no node ceiling on the spectrum
+    assert cli.main(["topology", "--spec", "torus:324"]) == 0
+    assert "nodes: 324" in capsys.readouterr().out
 
 
 def _sweep_config(tmp_path, **overrides):

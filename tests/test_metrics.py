@@ -30,7 +30,6 @@ def test_message_charged_to_sender_only():
     np.testing.assert_array_equal(led.per_node, [80, 10, 0])
     assert led.busiest() == 80
     assert led.total() == 90
-    assert led.per_edge[(0, 1)] == 40
 
 
 def test_broadcast_charged_once():

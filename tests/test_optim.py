@@ -85,6 +85,27 @@ def test_centralized_single_step_hand_example():
     np.testing.assert_array_equal(rec.final_x_mean, [0.0])
 
 
+def test_centralized_matches_the_literal_gradient_loop():
+    # bitwise: the n gradients sit in C-ordered (n, d) rows, and their mean
+    # sums in that order (n >= 8 takes NumPy's unrolled summation path)
+    n, d, eta, steps = 16, 7, 0.1, 5
+    problem = make_quadratic(n, d, heterogeneity=1.0, noise_std=0.5, seed=3)
+    x0 = np.linspace(-1.0, 1.0, d)
+    rec = run(problem, OptimizerConfig(algorithm="centralized", eta=eta, iterations=steps),
+              seed=2, x0=x0, record_iterates=True)
+
+    from chocosim.optim import Streams
+    streams = Streams(2, n)
+    x = x0.copy()
+    for t in range(steps):
+        g = np.empty((n, d))
+        for i in range(n):
+            g[i] = problem.stochastic_gradient(i, x, streams.grad_at(i, t), t)
+        x = x - eta * g.mean(axis=0)
+        np.testing.assert_array_equal(rec.iterates[t + 1], x[None, :])
+    np.testing.assert_array_equal(rec.final_x_mean, x)
+
+
 def test_lossless_gossip_matches_matrix_recursion():
     # identity compression, gamma=1: from the second iteration onward the
     # iterate matrix follows x <- W x - eta * g for the same gradient draws
