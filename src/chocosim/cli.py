@@ -21,7 +21,7 @@ from .compression import contraction_factor, parse_compressor
 from .config import (ConfigError, ExperimentConfig, build_topology,
                      execute_config, run_cells)
 from .consensus import consensus_stepsize
-from .metrics import run_id
+from .metrics import _atomic_write, run_id
 from .topology import load_edge_list, mixing_matrix
 from .verify import format_report, run_suite
 
@@ -131,13 +131,9 @@ def cmd_sweep(args):
     numeric_gammas = [g for g in gammas if g is not None]
     if len(numeric_gammas) > 1 and best["gamma"] in (min(numeric_gammas), max(numeric_gammas)):
         print("warning: best consensus stepsize lies on the grid boundary; widen gamma_grid")
-    out_dir = config.out
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"sweep_{run_id(cfg_dict, config.seeds[0])}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"config": cfg_dict, "cells": results, "best": best},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = os.path.join(config.out, f"sweep_{run_id(cfg_dict, config.seeds[0])}.json")
+    _atomic_write(path, json.dumps({"config": cfg_dict, "cells": results, "best": best},
+                                   indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -5,6 +5,11 @@ uniform-random sparsification (``random``), largest-magnitude sparsification
 (``topk``), and 1-bit sign with an L1 magnitude (``sign``). Payloads stay
 dense float64 arrays; wire size is accounted analytically through
 ``bit_cost`` instead of being serialized.
+
+Every operator runs on ``(n, d)`` rows at once, one message per row, with
+a separate random generator per row for the stochastic kinds; a single
+vector is the one-row case. :func:`compress_blocks` takes either form, and
+each row's payload is bit for bit the payload of that row compressed alone.
 """
 
 from dataclasses import dataclass
@@ -98,16 +103,21 @@ def _kept_count(fraction, dim):
     return max(1, int(np.floor(fraction * dim)))
 
 
-def _gsgd(x, bits, unbiased, rng):
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        return np.zeros_like(x)
+def _gsgd(v, bits, unbiased, rngs):
+    # sqrt(row @ row), the 1-D np.linalg.norm; np.linalg.norm(v, axis=1) and
+    # einsum round differently
+    norm = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+    zero = norm == 0.0
+    uniforms = np.zeros_like(v)
+    for i in np.flatnonzero(~zero):  # a zero row draws nothing
+        uniforms[i] = rngs[i].random(v.shape[1])
+    norm = np.where(zero, 1.0, norm)[:, None]  # zero rows then quantize to zeros
     levels = 2.0 ** (bits - 1)
-    sig = np.where(x >= 0.0, 1.0, -1.0)  # sig(0) = +1
-    quantized = np.floor(levels * np.abs(x) / norm + rng.random(x.shape[0]))
+    sig = np.where(v >= 0.0, 1.0, -1.0)  # sig(0) = +1
+    quantized = np.floor(levels * np.abs(v) / norm + uniforms)
     out = norm * sig * quantized / levels
     if not unbiased:
-        out = out / _gsgd_tau(bits, x.shape[0])
+        out = out / _gsgd_tau(bits, v.shape[1])
     return out
 
 
@@ -116,27 +126,45 @@ def _gsgd_tau(bits, dim):
     return 1.0 + min(dim / levels**2, np.sqrt(dim) / levels)
 
 
-def _random_sparsify(x, fraction, unbiased, rng):
-    k = _kept_count(fraction, x.shape[0])
-    idx = rng.choice(x.shape[0], size=k, replace=False)
-    out = np.zeros_like(x)
-    out[idx] = x[idx]
+def _random_sparsify(v, fraction, unbiased, rngs):
+    n, d = v.shape
+    k = _kept_count(fraction, d)
+    out = np.zeros_like(v)
+    for i in range(n):  # Generator.choice has no batched form
+        idx = rngs[i].choice(d, size=k, replace=False)
+        out[i, idx] = v[i, idx]
     if unbiased:
-        out *= x.shape[0] / k
+        out *= d / k
     return out
 
 
-def _topk(x, fraction):
-    k = _kept_count(fraction, x.shape[0])
-    # stable sort on -|x|: ties at the threshold keep the lowest index
-    order = np.argsort(-np.abs(x), kind="stable")[:k]
-    out = np.zeros_like(x)
-    out[order] = x[order]
+def _topk(v, fraction):
+    k = _kept_count(fraction, v.shape[1])
+    # stable sort on -|v|: ties at the threshold keep the lowest index
+    order = np.argsort(-np.abs(v), axis=1, kind="stable")[:, :k]
+    out = np.zeros_like(v)
+    np.put_along_axis(out, order, np.take_along_axis(v, order, axis=1), axis=1)
     return out
 
 
-def _sign(x):
-    return (np.abs(x).sum() / x.shape[0]) * np.sign(x)
+def _sign(v):
+    return (np.abs(v).sum(axis=1) / v.shape[1])[:, None] * np.sign(v)
+
+
+def _row_payloads(comp, v, rngs):
+    """Payload of ``comp`` applied to each row of the 2-D ``v``, row i
+    drawing from ``rngs[i]``."""
+    if comp.kind == "identity":
+        return v.copy()
+    if comp.kind == "topk":
+        return _topk(v, comp.fraction)
+    if comp.kind == "sign":
+        return _sign(v)
+    if rngs is None or len(rngs) != v.shape[0] or any(r is None for r in rngs):
+        raise ValueError(f"{comp.kind} compression needs one random generator per row")
+    if comp.kind == "gsgd":
+        return _gsgd(v, comp.bits, comp.unbiased, rngs)
+    return _random_sparsify(v, comp.fraction, comp.unbiased, rngs)
 
 
 def compress(comp, x, rng=None):
@@ -144,54 +172,50 @@ def compress(comp, x, rng=None):
 
     ``rng`` (a ``numpy.random.Generator``) is required for the stochastic
     kinds (``gsgd``, ``random``; see :attr:`Compressor.stochastic`) and
-    ignored by the deterministic ones.
+    ignored by the deterministic ones. Rows of a matrix go through
+    :func:`compress_blocks`.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("compress expects a 1-D vector")
-    d = x.shape[0]
-    if comp.kind == "identity":
-        payload = x.copy()
-    elif comp.kind == "gsgd":
-        payload = _gsgd(x, comp.bits, comp.unbiased, _require_rng(rng, comp))
-    elif comp.kind == "random":
-        payload = _random_sparsify(x, comp.fraction, comp.unbiased, _require_rng(rng, comp))
-    elif comp.kind == "topk":
-        payload = _topk(x, comp.fraction)
-    else:
-        payload = _sign(x)
-    return CompressedMessage(payload=payload, bits=bit_cost(comp, d))
-
-
-def _require_rng(rng, comp):
-    if rng is None:
-        raise ValueError(f"{comp.kind} compression needs a random generator")
-    return rng
+    bits = bit_cost(comp, x.shape[0])
+    return CompressedMessage(payload=_row_payloads(comp, x[None, :], [rng])[0], bits=bits)
 
 
 def compress_blocks(comp, x, rng=None, boundaries=None):
     """Compress each block of ``x`` separately, summing bit costs.
 
-    ``boundaries`` is an increasing index sequence ``[0, ..., d]``; ``None``
-    means a single block. Model parameters are compressed per layer this
-    way, each block carrying its own norms/percentiles.
+    ``x`` is one vector, with ``rng`` as in :func:`compress`, or ``(n, d)``
+    rows, with ``rng`` a sequence of one generator per row (``None`` for
+    the deterministic kinds). Each row is compressed on its own, bit for bit
+    as :func:`compress_blocks` of that row alone, and ``bits`` is the total
+    over rows. ``boundaries`` is an increasing index sequence ``[0, ..., d]``
+    along the last axis; ``None`` means a single block. Model parameters are
+    compressed per layer this way, each block carrying its own
+    norms/percentiles.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError("compress_blocks expects a vector or (n, d) rows")
+    rows, rngs = (x, rng) if x.ndim == 2 else (x[None, :], [rng])
+    d = rows.shape[1]
     if boundaries is None:
-        return compress(comp, x, rng)
-    if boundaries[0] != 0 or boundaries[-1] != x.shape[0]:
-        raise ValueError("block boundaries must start at 0 and end at len(x)")
-    if len(boundaries) == 2:
-        return compress(comp, x, rng)
-    payload = np.empty_like(x)
-    bits = 0
-    for start, stop in zip(boundaries[:-1], boundaries[1:]):
-        if stop <= start:
-            raise ValueError("block boundaries must be strictly increasing")
-        msg = compress(comp, x[start:stop], rng)
-        payload[start:stop] = msg.payload
-        bits += msg.bits
-    return CompressedMessage(payload=payload, bits=bits)
+        boundaries = (0, d)
+    if boundaries[0] != 0 or boundaries[-1] != d:
+        raise ValueError("block boundaries must start at 0 and end at the row length")
+    blocks = list(zip(boundaries[:-1], boundaries[1:]))
+    if any(stop <= start for start, stop in blocks):
+        raise ValueError("block boundaries must be strictly increasing")
+    bits = sum(bit_cost(comp, int(stop - start)) for start, stop in blocks) * rows.shape[0]
+    if len(blocks) == 1:
+        payload = _row_payloads(comp, rows, rngs)
+    else:
+        payload = np.empty_like(rows)
+        # block by block: each row's generator draws in block order, as in
+        # a per-row call
+        for start, stop in blocks:
+            payload[:, start:stop] = _row_payloads(comp, rows[:, start:stop], rngs)
+    return CompressedMessage(payload=payload if x.ndim == 2 else payload[0], bits=bits)
 
 
 def bit_cost(comp, dim):

@@ -83,6 +83,9 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-negative integers")
         if self.x0_mode not in X0_MODES:
             raise ConfigError(f"x0_mode must be one of {X0_MODES}")
+        for name in ("broadcast", "per_layer"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false")
         if not isinstance(self.problem, dict) or "kind" not in self.problem:
             raise ConfigError("problem must be an object with a 'kind' key")
         kind = self.problem["kind"]
@@ -122,7 +125,7 @@ class ExperimentConfig:
             gamma=self.gamma,
             momentum_factor=self.momentum_factor,
             weight_decay=self.weight_decay,
-            nesterov=bool(self.nesterov),
+            nesterov=self.nesterov,
             iterations=self.iterations,
             delta_override=self.delta_override,
         )

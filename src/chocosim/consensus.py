@@ -7,6 +7,10 @@ xhat_i)`` to every private value, then transmits ``q_i = Q(x_i - xhat_i)``
 and advances every replica ``xhat_i += q_i``. With the theory stepsize from
 :func:`consensus_stepsize` the squared consensus error contracts linearly at
 the rate given by :func:`rate_constant`.
+
+All nodes move together: values are ``(n, dim)`` rows, and one call
+compresses every node's row (:func:`compress_rows`), with node i drawing
+from its own generator, so the result equals compressing node by node.
 """
 
 from dataclasses import dataclass
@@ -96,15 +100,15 @@ def mix_with_public(x, xhat, w, gamma):
 
 
 def compress_rows(v, comp, rngs, boundaries=None):
-    """Compress each node's row of ``v``; returns ``(q, bits)``, where
-    ``bits[i]`` is the wire size of node i's message."""
-    q = np.empty_like(v)
-    bits = np.zeros(v.shape[0], dtype=np.int64)
-    for i in range(v.shape[0]):
-        msg = compress_blocks(comp, v[i], rngs[i], boundaries)
-        q[i] = msg.payload
-        bits[i] = msg.bits
-    return q, bits
+    """Compress each node's row of ``v`` in one call; returns ``(q, bits)``,
+    where ``bits[i]`` is the wire size of node i's message.
+
+    ``rngs`` holds one generator per node, or is ``None`` for the
+    deterministic compressors.
+    """
+    msg = compress_blocks(comp, v, rngs, boundaries)
+    # every row has the same length, so the same analytic cost
+    return msg.payload, np.full(v.shape[0], msg.bits // v.shape[0], dtype=np.int64)
 
 
 def sync_public(x, xhat, comp, rngs, boundaries=None):

@@ -26,7 +26,12 @@ CSV_HEADER = "t,f_avg,grad_sq,consensus,psi,bits_busiest,wall_ms"
 
 
 class TrafficLedger:
-    """Cumulative per-node bit counts."""
+    """Cumulative per-node bit counts.
+
+    Each ``add_*`` method charges one message or many: node indices and
+    bits are integers or equal-length arrays, one entry per message, and a
+    node may appear more than once.
+    """
 
     def __init__(self, n_nodes):
         if n_nodes < 1:
@@ -35,27 +40,31 @@ class TrafficLedger:
         self.per_node = np.zeros(self.n_nodes, dtype=np.int64)
 
     def add_message(self, src, dst, bits):
-        """One point-to-point payload; charged to the sender."""
-        self._check(src, dst, bits)
-        self.per_node[src] += int(bits)
+        """Point-to-point payloads; each charged to its sender."""
+        src, _, bits = self._check(src, dst, bits)
+        # unbuffered: a repeated sender is charged once per message
+        np.add.at(self.per_node, src, bits)
 
     def add_broadcast(self, src, bits):
-        """One payload transmitted once, regardless of neighbor count."""
-        self._check(src, src, bits)
-        self.per_node[src] += int(bits)
+        """Payloads transmitted once each, regardless of neighbor count."""
+        src, _, bits = self._check(src, src, bits)
+        np.add.at(self.per_node, src, bits)
 
     def add_upload(self, src, hub, bits):
-        """Hub upload: charged to the sender and to the hub's line."""
-        self._check(src, hub, bits)
-        self.per_node[src] += int(bits)
-        if hub != src:
-            self.per_node[hub] += int(bits)
+        """Hub uploads: each charged to its sender and to the hub's line."""
+        src, hub, bits = np.broadcast_arrays(*self._check(src, hub, bits))
+        np.add.at(self.per_node, src, bits)
+        np.add.at(self.per_node, hub, np.where(hub != src, bits, 0))
 
     def _check(self, src, dst, bits):
-        if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):
+        src, dst, bits = np.asarray(src), np.asarray(dst), np.asarray(bits)
+        # initial=0 keeps the reductions defined when no message is sent
+        if (min(src.min(initial=0), dst.min(initial=0)) < 0
+                or max(src.max(initial=0), dst.max(initial=0)) >= self.n_nodes):
             raise ValueError("node index out of range")
-        if bits < 0:
+        if bits.min(initial=0) < 0:
             raise ValueError("bits must be >= 0")
+        return src, dst, bits.astype(np.int64)
 
     def busiest(self):
         """Largest cumulative per-node bit count."""

@@ -68,6 +68,8 @@ class OptimizerConfig:
             raise ValueError("momentum_factor must be a number in [0, 1)")
         if not (_is_number(self.weight_decay) and self.weight_decay >= 0.0):
             raise ValueError("weight_decay must be a number >= 0")
+        if not isinstance(self.nesterov, bool):
+            raise ValueError("nesterov must be true or false")
         if not (isinstance(self.iterations, numbers.Integral) and _is_number(self.iterations)
                 and self.iterations >= 1):
             raise ValueError("iterations must be an integer >= 1")
@@ -119,10 +121,8 @@ class Streams:
 
 
 def _gradients(problem, x_rows, streams, t, record=None):
-    n = x_rows.shape[0]
-    g = np.empty_like(x_rows)
-    for i in range(n):
-        g[i] = problem.stochastic_gradient(i, x_rows[i], streams.grad_at(i, t), t)
+    rngs = [streams.grad_at(i, t) for i in range(x_rows.shape[0])]
+    g = problem.stochastic_gradients(x_rows, rngs, t)
     if record is not None:
         record.max_grad_norm = max(
             record.max_grad_norm, float(np.sqrt((g * g).sum(axis=1).max()))
@@ -149,7 +149,7 @@ def choco_step(workers, problem, mixing, comp, gamma, eta, streams, t,
     """
     algorithm = cfg.algorithm if cfg is not None else "choco"
     # deterministic compressors draw nothing, so their streams are never derived
-    comp_rngs = streams.comp_at(t) if comp.stochastic else [None] * workers.x.shape[0]
+    comp_rngs = streams.comp_at(t) if comp.stochastic else None
     if algorithm == "choco-errorfeedback":
         v = (workers.x - workers.x_prev) + workers.memory
         q, bits = compress_rows(v, comp, comp_rngs, boundaries)
@@ -247,26 +247,25 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
     else:
         ledger = TrafficLedger(n)
         workers = Workers.start(x0, n, cfg.algorithm)
-        edges = None
         if not broadcast:
             # pairwise accounting sends one copy per neighbor (nonzero off-diagonal weight)
-            edges = [(i, j) for i in range(n) for j in range(n)
-                     if j != i and mixing.w[i, j] != 0.0]
+            links = mixing.w != 0.0
+            np.fill_diagonal(links, False)
+            src, dst = np.nonzero(links)
 
     history = []
     if record_iterates:
         history.append(x.copy() if centralized else workers.x.copy())
 
+    nodes = np.arange(n)
+
     def commit(bits_per_node):
         if centralized:
-            for i in range(n):
-                ledger.add_upload(i, hub, int(bits_per_node[i]))
+            ledger.add_upload(nodes, hub, bits_per_node)
         elif broadcast:
-            for i in range(n):
-                ledger.add_broadcast(i, int(bits_per_node[i]))
+            ledger.add_broadcast(nodes, bits_per_node)
         else:
-            for i, j in edges:
-                ledger.add_message(i, j, int(bits_per_node[i]))
+            ledger.add_message(src, dst, bits_per_node[src])
 
     for t in range(cfg.iterations):
         if centralized:

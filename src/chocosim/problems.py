@@ -5,7 +5,9 @@ additive Gaussian gradient noise, L2-regularized logistic regression on a
 two-blob dataset (minibatch noise), and a one-hidden-layer tanh network
 (non-convex, minibatch noise, per-layer parameter blocks). All expose the
 same oracle interface, so the optimizers never need to know which one they
-are running on.
+are running on: ``stochastic_gradient`` for one node, and
+``stochastic_gradients`` for all nodes' rows at once, one generator per
+row, equal row for row to the per-node oracle.
 """
 
 from dataclasses import dataclass
@@ -144,7 +146,11 @@ class QuadraticProblem:
         return 0.5 * float(r @ self.hessian @ r)
 
     def loss(self, x):
-        return sum(self.node_loss(i, x) for i in range(self.n)) / self.n
+        # every node_loss at once: stacked products evaluate r_i @ H @ r_i
+        # as the 1-D expression does, and the sum runs in node order
+        r = x - self.node_optima
+        quad = np.matmul(np.matmul(r[:, None, :], self.hessian), r[:, :, None])
+        return sum((0.5 * quad[:, 0, 0]).tolist()) / self.n
 
     def node_gradient(self, i, x):
         return self.hessian @ (x - self.node_optima[i])
@@ -155,6 +161,13 @@ class QuadraticProblem:
     def stochastic_gradient(self, i, x, rng, t=0):
         noise = self._noise_coord_std * rng.standard_normal(self.dim)
         return self.node_gradient(i, x) + noise
+
+    def stochastic_gradients(self, x_rows, rngs, t=0):
+        """Row i is ``stochastic_gradient(i, x_rows[i], rngs[i], t)``, bit for bit."""
+        noise = self._noise_coord_std * np.stack([rng.standard_normal(self.dim) for rng in rngs])
+        r = np.ascontiguousarray(x_rows - self.node_optima)
+        # one gemv per row, as in node_gradient; r @ hessian.T (gemm) rounds differently
+        return np.matmul(self.hessian, r[:, :, None])[:, :, 0] + noise
 
     def smoothness(self):
         return self.l_smooth
@@ -197,6 +210,13 @@ class _DatasetProblem:
 
     def loss(self, x):
         return sum(self.node_loss(i, x) for i in range(self.n)) / self.n
+
+    def stochastic_gradients(self, x_rows, rngs, t=0):
+        """Row i is ``stochastic_gradient(i, x_rows[i], rngs[i], t)``."""
+        g = np.empty_like(x_rows)
+        for i, rng in enumerate(rngs):
+            g[i] = self.stochastic_gradient(i, x_rows[i], rng, t)
+        return g
 
     def full_gradient(self, x):
         g = self.node_gradient(0, x)

@@ -1,0 +1,288 @@
+"""One iteration runs on all nodes' rows at once; every batched layer must
+equal, bit for bit, the per-node loop it replaced. The references below are
+those loops, written out literally."""
+
+import numpy as np
+import pytest
+
+from chocosim.compression import bit_cost, compress, compress_blocks, parse_compressor
+from chocosim.consensus import consensus_distance
+from chocosim.metrics import TrafficLedger
+from chocosim.numerics import RandomStream
+from chocosim.optim import ALGORITHMS, OptimizerConfig, Streams, resolve_gamma, run
+from chocosim.problems import make_logistic, make_mlp, make_quadratic
+from chocosim.topology import mixing_matrix, ring
+
+SPECS = ("identity", "sign", "topk:0.2", "topk:0.5", "gsgd:2", "gsgd:4",
+         "gsgd:4:unbiased", "random:0.3", "random:0.3:unbiased")
+
+
+def _rngs(n, seed=0):
+    # a fresh generator per row; calling again gives the same streams
+    return [RandomStream(seed, i, "compress").at(3) for i in range(n)]
+
+
+def _reference_compress(comp, x, rng):
+    # the operators as first written, on one 1-D vector
+    d = x.shape[0]
+    if comp.kind == "identity":
+        return x.copy()
+    if comp.kind == "sign":
+        return (np.abs(x).sum() / d) * np.sign(x)
+    if comp.kind == "gsgd":
+        norm = np.linalg.norm(x)
+        if norm == 0.0:
+            return np.zeros_like(x)
+        levels = 2.0 ** (comp.bits - 1)
+        sig = np.where(x >= 0.0, 1.0, -1.0)
+        out = norm * sig * np.floor(levels * np.abs(x) / norm + rng.random(d)) / levels
+        if not comp.unbiased:
+            out = out / (1.0 + min(d / levels**2, np.sqrt(d) / levels))
+        return out
+    k = max(1, int(np.floor(comp.fraction * d)))
+    if comp.kind == "topk":
+        idx = np.argsort(-np.abs(x), kind="stable")[:k]
+    else:
+        idx = rng.choice(d, size=k, replace=False)
+    out = np.zeros_like(x)
+    out[idx] = x[idx]
+    if comp.unbiased:
+        out *= d / k
+    return out
+
+
+def _per_row(comp, rows, rngs, boundaries):
+    # the per-node definition: node i compresses its blocks in order, one
+    # 1-D vector at a time
+    d = rows.shape[1]
+    edges = boundaries if boundaries is not None else [0, d]
+    payload = np.empty_like(rows)
+    bits = 0
+    for i, rng in enumerate(rngs):
+        for start, stop in zip(edges[:-1], edges[1:]):
+            payload[i, start:stop] = _reference_compress(comp, rows[i, start:stop], rng)
+            bits += bit_cost(comp, stop - start)
+    return payload, bits
+
+
+def _rows_with_ties_and_zeros(n, d, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, d))
+    rows[0] = rng.integers(-2, 3, size=d).astype(float)  # repeated magnitudes
+    if n > 2:
+        rows[1] = 0.0
+        rows[2, : d // 2] = 0.0
+    return rows
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("n, d, boundaries", [
+    (1, 9, None),
+    (5, 19, None),
+    (16, 19, [0, 12, 15, 18, 19]),  # MLP layout [W1, b1, w2, b2]
+    (4, 40, [0, 1, 2, 40]),
+    (8, 300, [0, 256, 288, 299, 300]),  # long blocks: SIMD sums and sorts
+])
+def test_row_batched_compression_equals_per_row(spec, n, d, boundaries):
+    comp = parse_compressor(spec)
+    rows = _rows_with_ties_and_zeros(n, d, seed=n * d)
+    msg = compress_blocks(comp, rows, _rngs(n), boundaries)
+    payload, bits = _per_row(comp, rows, _rngs(n), boundaries)
+    assert np.array_equal(msg.payload, payload)
+    assert msg.bits == bits
+    assert np.array_equal(compress_blocks(comp, rows[0], _rngs(1)[0], boundaries).payload,
+                          payload[0])
+
+
+def test_gsgd_zero_block_draws_nothing():
+    # a row whose first block is all zero sends zeros there; its next block
+    # sees the generator untouched
+    comp = parse_compressor("gsgd:4")
+    rows = np.random.default_rng(5).standard_normal((3, 10))
+    rows[1, :6] = 0.0
+    msg = compress_blocks(comp, rows, _rngs(3), [0, 6, 10])
+    assert np.array_equal(msg.payload[1, :6], np.zeros(6))
+    fresh = compress(comp, rows[1, 6:], _rngs(3)[1])
+    assert np.array_equal(msg.payload[1, 6:], fresh.payload)
+
+
+def test_batched_compression_needs_a_generator_per_row():
+    rows = np.ones((3, 4))
+    for spec in ("gsgd:4", "random:0.5"):
+        with pytest.raises(ValueError):
+            compress_blocks(parse_compressor(spec), rows, _rngs(2))
+        with pytest.raises(ValueError):
+            compress_blocks(parse_compressor(spec), rows, None)
+    assert compress_blocks(parse_compressor("sign"), rows, None).bits == 3 * (4 + 32)
+
+
+# ------------------------------------------------------------------ problems
+
+@pytest.mark.parametrize("n", [1, 16, 64])
+@pytest.mark.parametrize("d", [1, 10, 200])
+def test_quadratic_batched_oracle_and_loss_equal_node_loops(n, d):
+    problem = make_quadratic(n, d, heterogeneity=1.0, noise_std=0.7, seed=n + d)
+    x_rows = np.random.default_rng(d).standard_normal((n, d))
+    rngs = [RandomStream(9, i, "grad").at(4) for i in range(n)]
+    batched = problem.stochastic_gradients(x_rows, rngs, 4)
+    rngs = [RandomStream(9, i, "grad").at(4) for i in range(n)]
+    looped = np.stack([problem.stochastic_gradient(i, x_rows[i], rngs[i], 4)
+                       for i in range(n)])
+    assert np.array_equal(batched, looped)
+    for x in (x_rows[0], x_rows.mean(axis=0), problem.optimum()):
+        assert problem.loss(x) == sum(problem.node_loss(i, x) for i in range(n)) / n
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_logistic(4, dim=5, samples=200, batch=8, seed=3),
+    lambda: make_mlp(4, input_dim=3, hidden=4, samples=64, batch=8, seed=3),
+])
+def test_dataset_batched_oracle_equals_node_loop(make):
+    problem = make()
+    x_rows = np.random.default_rng(1).standard_normal((problem.n, problem.dim))
+    rngs = [RandomStream(2, i, "grad").at(7) for i in range(problem.n)]
+    batched = problem.stochastic_gradients(x_rows, rngs, 7)
+    rngs = [RandomStream(2, i, "grad").at(7) for i in range(problem.n)]
+    for i in range(problem.n):
+        assert np.array_equal(batched[i],
+                              problem.stochastic_gradient(i, x_rows[i], rngs[i], 7))
+
+
+# -------------------------------------------------------------------- ledger
+
+def test_array_ledger_calls_equal_scalar_calls():
+    src = np.array([0, 0, 1, 2, 2, 2, 3])
+    dst = np.array([1, 3, 0, 0, 1, 3, 2])
+    bits = np.array([5, 5, 7, 9, 9, 9, 11])
+    scalar, batched = TrafficLedger(5), TrafficLedger(5)
+    for s, t, b in zip(src, dst, bits):
+        scalar.add_message(int(s), int(t), int(b))
+        scalar.add_broadcast(int(s), int(b))
+        scalar.add_upload(int(s), 4, int(b))
+    scalar.add_upload(4, 4, 3)  # the hub uploading to itself is charged once
+    batched.add_message(src, dst, bits)
+    batched.add_broadcast(src, bits)
+    batched.add_upload(np.append(src, 4), 4, np.append(bits, 3))
+    assert np.array_equal(batched.per_node, scalar.per_node)
+    assert batched.per_node[4] == 3 + bits.sum()
+
+
+def test_array_ledger_calls_are_validated():
+    led = TrafficLedger(3)
+    for call in (lambda: led.add_message(np.array([0, 1]), np.array([1, 3]), 4),
+                 lambda: led.add_message(np.array([0, -1]), np.array([1, 0]), 4),
+                 lambda: led.add_message(np.array([0, 1]), np.array([1, 0]),
+                                         np.array([4, -1])),
+                 lambda: led.add_broadcast(np.array([0, 3]), np.array([1, 1])),
+                 lambda: led.add_upload(np.array([0, 1]), 5, np.array([1, 1])),
+                 lambda: led.add_upload(np.array([0, 1]), 2, np.array([-1, 1]))):
+        with pytest.raises(ValueError):
+            call()
+    assert not led.per_node.any()  # a rejected call charges nothing
+
+
+# ------------------------------------------------------------------ run loop
+
+def _reference_run(problem, cfg, mixing, comp, seed, broadcast, x0, boundaries):
+    """``optim.run`` written node by node and edge by edge, logging every
+    iteration; returns the logged rows, the final iterates and the ledger."""
+    n, d = problem.n, problem.dim
+    streams = Streams(seed, n)
+    gamma = resolve_gamma(cfg, mixing, comp, d, boundaries)
+    centralized = cfg.algorithm == "centralized"
+    ledger = TrafficLedger(n + 1 if centralized else n)
+    rows, max_grad = [], 0.0
+
+    def gradients(x_rows, t):
+        g = np.empty((n, d))
+        for i in range(n):
+            g[i] = problem.stochastic_gradient(i, x_rows[i], streams.grad_at(i, t), t)
+        return g
+
+    def compress_nodes(v, t):
+        rngs = streams.comp_at(t) if comp.stochastic else [None] * n
+        q = np.empty_like(v)
+        for i in range(n):
+            q[i], bits = _per_row(comp, v[i:i + 1], [rngs[i]], boundaries)
+        return q, [bits] * n
+
+    x = x0.copy() if centralized else np.tile(x0, (n, 1))
+    xhat = np.zeros((n, d))
+    velocity, memory, x_prev = np.zeros((n, d)), np.zeros((n, d)), np.zeros((n, d))
+    for t in range(cfg.iterations):
+        if centralized:
+            g = gradients(np.tile(x, (n, 1)), t)
+            x = x - cfg.eta * g.mean(axis=0)
+            for i in range(n):
+                ledger.add_upload(i, n, 32 * d)
+        elif cfg.algorithm == "decentralized-exact":
+            g = gradients(x, t)
+            x = mixing.w @ (x - cfg.eta * g)
+            bits = [32 * d] * n
+        else:
+            if cfg.algorithm == "choco-errorfeedback":
+                v = (x - x_prev) + memory
+                q, bits = compress_nodes(v, t)
+                memory = v - q
+                xhat_next = xhat + q
+            else:
+                v = x - xhat
+                q, bits = compress_nodes(v, t)
+                xhat_next = x - (v - q)
+            g = gradients(x, t)
+            direction = g
+            if cfg.algorithm == "choco-momentum":
+                pull = g + cfg.weight_decay * x
+                velocity = pull + cfg.momentum_factor * velocity
+                direction = pull + cfg.momentum_factor * velocity if cfg.nesterov else velocity
+            if cfg.algorithm == "choco-errorfeedback":
+                x_prev = x
+            x = ((x - gamma * xhat_next) + gamma * (mixing.w @ xhat_next)) - cfg.eta * direction
+            xhat = xhat_next
+        if not centralized:
+            for i in range(n):
+                if broadcast:
+                    ledger.add_broadcast(i, bits[i])
+                for j in range(n):
+                    if not broadcast and j != i and mixing.w[i, j] != 0.0:
+                        ledger.add_message(i, j, bits[i])
+        max_grad = max(max_grad, float(np.sqrt((g * g).sum(axis=1).max())))
+        state = x[None, :] if centralized else x
+        xbar = state.mean(axis=0)
+        grad = problem.full_gradient(xbar)
+        psi = 0.0
+        if not centralized:
+            psi = ((x - xbar) ** 2).sum()
+            if cfg.algorithm.startswith("choco"):
+                psi = psi + ((x - xhat) ** 2).sum()
+        rows.append((t + 1, sum(problem.node_loss(i, xbar) for i in range(n)) / n,
+                     float(grad @ grad), 0.0 if centralized else consensus_distance(x),
+                     float(psi), ledger.busiest()))
+    return rows, max_grad, xbar, ledger.per_node
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("broadcast", [False, True])
+@pytest.mark.parametrize("kind", ["quadratic", "mlp"])
+def test_run_equals_the_per_node_reference_loop(algorithm, broadcast, kind):
+    if kind == "quadratic":
+        problem = make_quadratic(6, 7, heterogeneity=1.0, noise_std=0.5, seed=8)
+    else:
+        problem = make_mlp(6, input_dim=3, hidden=4, samples=96, batch=8, seed=8)
+    mixing = mixing_matrix(ring(6))
+    x0 = np.linspace(-0.5, 0.5, problem.dim)
+    cfg = OptimizerConfig(algorithm=algorithm, eta=0.05, gamma=0.3, iterations=12,
+                          momentum_factor=0.5 if algorithm == "choco-momentum" else 0.0,
+                          weight_decay=0.01 if algorithm == "choco-momentum" else 0.0)
+    for spec in ("identity", "sign", "topk:0.3", "gsgd:4", "random:0.4", "gsgd:2:unbiased"):
+        comp = parse_compressor(spec)
+        rec = run(problem, cfg, mixing, comp, seed=4, broadcast=broadcast, x0=x0)
+        rows, max_grad, final_mean, per_node = _reference_run(
+            problem, cfg, mixing, comp, 4, broadcast, x0, problem.layer_boundaries)
+        assert not rec.diverged
+        got = list(zip(rec.t, rec.f_avg, rec.grad_sq, rec.consensus, rec.psi,
+                       rec.bits_busiest))
+        assert got == rows, spec
+        assert rec.max_grad_norm == max_grad
+        assert np.array_equal(rec.final_x_mean, final_mean)
+        assert np.array_equal(rec.ledger.per_node, per_node)

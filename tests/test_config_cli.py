@@ -84,6 +84,11 @@ def test_field_validation():
                        ("weight_decay", None), ("iterations", 2.5), ("iterations", True)):
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict({key: value})
+    # switches must be JSON booleans; "false", "no" or 0 are not read by truthiness
+    for key, value in (("nesterov", "false"), ("broadcast", "no"), ("per_layer", 0),
+                       ("nesterov", 1), ("per_layer", None)):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict({key: value})
     with pytest.raises(ConfigError, match="eta_grid"):
         ExperimentConfig.from_dict({"eta_grid": [True]})
     with pytest.raises(ConfigError):
@@ -202,6 +207,9 @@ def test_bad_config_exits_one(tmp_path, capsys):
     ({"problem": {"kind": "quadratic", "n": 4, "dim": 4, "seed": -1}}, [], "problem.seed"),
     ({"delta_override": "x"}, [], "delta_override"),
     ({"gamma": True}, [], "gamma"),
+    ({"algorithm": "choco-momentum", "nesterov": "false"}, [], "nesterov"),
+    ({"broadcast": "no"}, [], "broadcast"),
+    ({"per_layer": 0}, [], "per_layer"),
 ])
 def test_negative_seeds_exit_one_naming_the_field(tmp_path, capsys, overrides, argv, field):
     path = _write_config(tmp_path, **overrides)
@@ -210,8 +218,13 @@ def test_negative_seeds_exit_one_naming_the_field(tmp_path, capsys, overrides, a
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1, captured.err
     assert lines[0].startswith(f"error: {field} must be")
-    # seeds are integers; the other fields here are numbers
-    assert ("non-negative" if "seed" in field else "number") in lines[0]
+    # seeds are integers, the switches booleans; the other fields here are numbers
+    if "seed" in field:
+        assert "non-negative" in lines[0]
+    elif field in ("nesterov", "broadcast", "per_layer"):
+        assert "true or false" in lines[0]
+    else:
+        assert "number" in lines[0]
     assert not (tmp_path / "o").exists()
 
 
@@ -301,6 +314,29 @@ def test_sweep_finds_interior_optimum(tmp_path, monkeypatch, capsys):
     data = json.loads((tmp_path / "s" / sweep_file).read_text())
     assert len(data["cells"]) == 3
     assert data["best"]["eta"] == 1.0
+
+
+def test_sweep_file_is_written_whole(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CHOCO_THREADS", "1")
+    path = _sweep_config(tmp_path, eta_grid=[0.5, 1.0])
+    out = tmp_path / "s"
+    written = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        written.append((src, dst))
+        return real_replace(src, dst)
+
+    # the file appears only by an atomic rename of a finished temporary file
+    monkeypatch.setattr(os, "replace", recording_replace)
+    assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    names = os.listdir(out)
+    assert len(names) == 1 and names[0].startswith("sweep_") and names[0].endswith(".json")
+    assert [os.path.basename(dst) for _, dst in written] == names
+    assert written[0][0].endswith(".tmp") and not os.path.exists(written[0][0])
+    data = json.loads((out / names[0]).read_text())
+    assert [cell["eta"] for cell in data["cells"]] == [0.5, 1.0]
 
 
 def test_sweep_warns_on_grid_boundary(tmp_path, monkeypatch, capsys):

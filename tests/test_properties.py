@@ -1,0 +1,95 @@
+"""Property tests of the compression operators over generated inputs."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from chocosim.compression import (compress, compress_blocks,  # noqa: E402
+                                  contraction_factor, parse_compressor)
+from chocosim.numerics import RandomStream  # noqa: E402
+
+SPECS = ("identity", "sign", "topk:0.3", "topk:0.5", "gsgd:2", "gsgd:4",
+         "gsgd:3:unbiased", "random:0.3", "random:0.5:unbiased")
+# small integers make ties and all-zero blocks common; magnitudes stay far
+# from underflow so the energy bounds need only a relative slack
+VALUES = st.one_of(st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6),
+                   st.integers(-2, 2).map(float))
+
+
+@st.composite
+def blocked_rows(draw, max_rows=5, max_dim=24):
+    n = draw(st.integers(1, max_rows))
+    d = draw(st.integers(1, max_dim))
+    rows = draw(arrays(np.float64, (n, d), elements=VALUES))
+    cuts = draw(st.sets(st.integers(1, d - 1), max_size=4)) if d > 1 else set()
+    return rows, [0, *sorted(cuts), d]
+
+
+def _rngs(n, seed):
+    return [RandomStream(seed, i, "compress").at(0) for i in range(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(SPECS), data=blocked_rows(max_rows=1), seed=st.integers(0, 2**32))
+def test_block_compression_is_the_concatenation_of_per_block_compression(spec, data, seed):
+    comp = parse_compressor(spec)
+    rows, boundaries = data
+    x = rows[0]
+    msg = compress_blocks(comp, x, _rngs(1, seed)[0], boundaries)
+    rng = _rngs(1, seed)[0]
+    parts = [compress(comp, x[a:b], rng) for a, b in zip(boundaries[:-1], boundaries[1:])]
+    assert np.array_equal(msg.payload, np.concatenate([p.payload for p in parts]))
+    assert msg.bits == sum(p.bits for p in parts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(SPECS), data=blocked_rows(), seed=st.integers(0, 2**32))
+def test_row_batched_equals_per_row(spec, data, seed):
+    comp = parse_compressor(spec)
+    rows, boundaries = data
+    msg = compress_blocks(comp, rows, _rngs(len(rows), seed), boundaries)
+    singles = [compress_blocks(comp, row, rng, boundaries)
+               for row, rng in zip(rows, _rngs(len(rows), seed))]
+    assert np.array_equal(msg.payload, np.stack([m.payload for m in singles]))
+    assert msg.bits == sum(m.bits for m in singles)
+
+
+@settings(max_examples=120, deadline=None)
+@given(spec=st.sampled_from(SPECS), x=arrays(np.float64, st.integers(1, 40), elements=VALUES),
+       seed=st.integers(0, 2**32))
+def test_per_draw_contraction_bound(spec, x, seed):
+    comp = parse_compressor(spec)
+    q = compress(comp, x, _rngs(1, seed)[0]).payload
+    d = x.shape[0]
+    sq = float(x @ x)
+    err = float(np.sum((x - q) ** 2))
+    slack = 1e-12 * sq
+    if comp.kind == "identity":
+        assert np.array_equal(q, x)
+    elif comp.kind == "sign":
+        # ||x - Q(x)||^2 = ||x||^2 - ||x||_1^2 / d <= (1 - 1/d) ||x||^2 on every input
+        assert err <= (1.0 - contraction_factor(comp, d)) * sq + slack
+    elif comp.kind == "topk":
+        # keeping the k largest magnitudes keeps at least k/d of the energy
+        kept = max(1, int(np.floor(comp.fraction * d)))
+        assert err <= (1.0 - kept / d) * sq + slack
+    elif comp.kind == "random":
+        # a draw keeps at most k coordinates exactly (rescaled by d/k when unbiased)
+        kept = max(1, int(np.floor(comp.fraction * d)))
+        support = q != 0.0
+        assert support.sum() <= kept
+        assert np.array_equal(q[support], x[support] * (d / kept if comp.unbiased else 1.0))
+        if not comp.unbiased:
+            assert err <= sq
+    else:
+        # every coordinate lands within one grid step ||x|| / 2^(b-1) of x
+        # (of x / tau for the biased variant), so the unbiased error is at
+        # most d / 4^(b-1) ||x||^2
+        levels = 2.0 ** (comp.bits - 1)
+        tau = 1.0 if comp.unbiased else 1.0 + min(d / levels**2, np.sqrt(d) / levels)
+        gap = np.abs(q * tau - x)
+        assert np.all(gap <= np.sqrt(sq) / levels * (1.0 + 1e-12))
+        assert float(gap @ gap) <= d / levels**2 * sq * (1.0 + 1e-12)
