@@ -70,9 +70,10 @@ class ExperimentConfig:
             parse_compressor(self.compressor)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        graph = None
         if self.algorithm != "centralized":
             try:
-                build_topology(self.topology, check_only=True)
+                graph = build_topology(self.topology, check_only=True)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
         if not isinstance(self.seeds, list) or not self.seeds or not all(
@@ -100,6 +101,9 @@ class ExperimentConfig:
         seed = merged["seed"]
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError("problem.seed must be a non-negative integer")
+        if graph is not None and graph.n != merged["n"]:
+            raise ConfigError(f"topology {self.topology} has {graph.n} nodes "
+                              f"but problem.n is {merged['n']!r}")
         if self.x0_mode == "optimum" and kind != "quadratic":
             raise ConfigError("x0_mode 'optimum' needs the quadratic problem")
         # reuse the optimizer-side validation for the numeric fields

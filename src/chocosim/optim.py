@@ -289,10 +289,10 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
             history.append(state_rows.copy())
         if (t + 1) % log_every == 0 or t + 1 == cfg.iterations:
             xbar = state_rows.mean(axis=0)
-            grad = problem.full_gradient(xbar)
+            f_avg, grad = problem.loss_and_gradient(xbar)
             record.add_row(
                 t=t + 1,
-                f_avg=problem.loss(xbar),
+                f_avg=f_avg,
                 grad_sq=float(grad @ grad),
                 consensus=0.0 if centralized else consensus_distance(state_rows),
                 psi=0.0 if centralized else lyapunov(workers),

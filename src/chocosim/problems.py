@@ -7,7 +7,17 @@ two-blob dataset (minibatch noise), and a one-hidden-layer tanh network
 same oracle interface, so the optimizers never need to know which one they
 are running on: ``stochastic_gradient`` for one node, and
 ``stochastic_gradients`` for all nodes' rows at once, one generator per
-row, equal row for row to the per-node oracle.
+row, equal row for row to the per-node oracle. A logged row asks
+``loss_and_gradient(x)`` for ``(loss(x), full_gradient(x))``; dataset
+problems get both from one forward pass per shard.
+
+The per-node ``node_loss``, ``node_gradient`` and ``stochastic_gradient``
+are the definitions, and every batched form equals them bit for bit: sums
+over nodes run in node order, and a stacked ``np.matmul`` on ``(n, ., .)``
+operands runs one gemm or gemv per node with the operand layout of the
+2-D call (a gemm in place of a per-row gemv rounds differently). The MLP
+stacks its minibatches this way when they have equal sizes; shards
+smaller than ``batch`` make them unequal, and then it loops over nodes.
 """
 
 from dataclasses import dataclass
@@ -158,6 +168,9 @@ class QuadraticProblem:
     def full_gradient(self, x):
         return self.hessian @ (x - self.optimum())
 
+    def loss_and_gradient(self, x):
+        return self.loss(x), self.full_gradient(x)
+
     def stochastic_gradient(self, i, x, rng, t=0):
         noise = self._noise_coord_std * rng.standard_normal(self.dim)
         return self.node_gradient(i, x) + noise
@@ -195,7 +208,9 @@ class _DatasetProblem:
         if self.partition.mode == "fixed-split":
             epoch = 0
         if epoch not in self._shards_cache:
-            self._shards_cache = {epoch: self.partition.shards(epoch)}
+            # evaluation reads epoch 0 while training moves on; keep both
+            self._shards_cache = {e: s for e, s in self._shards_cache.items() if e == 0}
+            self._shards_cache[epoch] = self.partition.shards(epoch)
         return self._shards_cache[epoch]
 
     def _epoch(self, t):
@@ -203,10 +218,11 @@ class _DatasetProblem:
         draws_per_epoch = max(1, per_node // self.batch)
         return int(t) // draws_per_epoch
 
+    def _draw(self, shard, rng):
+        return shard[rng.integers(0, shard.shape[0], size=min(self.batch, shard.shape[0]))]
+
     def _minibatch(self, i, rng, t):
-        shard = self._shards(self._epoch(t))[i]
-        picks = rng.integers(0, shard.shape[0], size=min(self.batch, shard.shape[0]))
-        return shard[picks]
+        return self._draw(self._shards(self._epoch(t))[i], rng)
 
     def loss(self, x):
         return sum(self.node_loss(i, x) for i in range(self.n)) / self.n
@@ -223,6 +239,16 @@ class _DatasetProblem:
         for i in range(1, self.n):
             g = g + self.node_gradient(i, x)
         return g / self.n
+
+    def loss_and_gradient(self, x):
+        """``(loss(x), full_gradient(x))``, bit for bit, from one forward
+        pass per shard; both sums run in node order, as they do there."""
+        losses, g = [], None
+        for idx in self._shards(0):
+            loss_i, g_i = self._sample_loss_and_gradient(idx, x)
+            losses.append(loss_i)
+            g = g_i if g is None else g + g_i
+        return sum(losses) / self.n, g / self.n
 
 
 class LogisticProblem(_DatasetProblem):
@@ -245,12 +271,22 @@ class LogisticProblem(_DatasetProblem):
         margins = self.labels[idx] * (self.features[idx] @ x)
         return float(np.mean(np.logaddexp(0.0, -margins)))
 
+    def _backward(self, z, y, margins, x):
+        weights = -y / (1.0 + np.exp(margins))  # -y * sigmoid(-margin)
+        return (weights @ z) / z.shape[0] + self.reg * x
+
     def _sample_gradient(self, idx, x):
         z = self.features[idx]
         y = self.labels[idx]
+        return self._backward(z, y, y * (z @ x), x)
+
+    def _sample_loss_and_gradient(self, idx, x):
+        # node_loss and node_gradient of one shard from one set of margins
+        z = self.features[idx]
+        y = self.labels[idx]
         margins = y * (z @ x)
-        weights = -y / (1.0 + np.exp(margins))  # -y * sigmoid(-margin)
-        return (weights @ z) / idx.shape[0] + self.reg * x
+        loss = float(np.mean(np.logaddexp(0.0, -margins))) + 0.5 * self.reg * float(x @ x)
+        return loss, self._backward(z, y, margins, x)
 
     def node_loss(self, i, x):
         idx = self._shards(0)[i]
@@ -297,26 +333,61 @@ class MlpProblem(_DatasetProblem):
             x[b[3]],
         )
 
-    def _logits(self, idx, x):
+    def _forward(self, z, x):
         w1, b1, w2, b2 = self._unpack(x)
-        hidden = np.tanh(self.features[idx] @ w1.T + b1)
+        hidden = np.tanh(z @ w1.T + b1)
         return hidden @ w2 + b2, hidden
 
     def _sample_loss(self, idx, x):
-        logits, _ = self._logits(idx, x)
+        logits, _ = self._forward(self.features[idx], x)
         return float(np.mean(np.logaddexp(0.0, -self.labels[idx] * logits)))
 
-    def _sample_gradient(self, idx, x):
-        w1, b1, w2, b2 = self._unpack(x)
-        logits, hidden = self._logits(idx, x)
-        y = self.labels[idx]
-        dlogit = -y / (1.0 + np.exp(y * logits)) / idx.shape[0]
+    def _backward(self, z, y, x, logits, hidden):
+        w2 = self._unpack(x)[2]
+        dlogit = -y / (1.0 + np.exp(y * logits)) / z.shape[0]
         dw2 = hidden.T @ dlogit
         db2 = dlogit.sum()
         dhidden = np.outer(dlogit, w2) * (1.0 - hidden**2)
-        dw1 = dhidden.T @ self.features[idx]
+        dw1 = dhidden.T @ z
         db1 = dhidden.sum(axis=0)
         return np.concatenate([dw1.ravel(), db1, dw2, [db2]])
+
+    def _sample_gradient(self, idx, x):
+        z = self.features[idx]
+        return self._backward(z, self.labels[idx], x, *self._forward(z, x))
+
+    def _sample_loss_and_gradient(self, idx, x):
+        # node_loss and node_gradient of one shard from one forward pass
+        z, y = self.features[idx], self.labels[idx]
+        logits, hidden = self._forward(z, x)
+        loss = float(np.mean(np.logaddexp(0.0, -y * logits)))
+        return loss, self._backward(z, y, x, logits, hidden)
+
+    def stochastic_gradients(self, x_rows, rngs, t=0):
+        """Row i is ``stochastic_gradient(i, x_rows[i], rngs[i], t)``, bit for bit.
+
+        Minibatches are drawn node by node; forward and backward then run
+        on the stacked ``(n, m, p)`` batch, or node by node when the
+        minibatch sizes differ.
+        """
+        shards = self._shards(self._epoch(t))
+        if len({min(self.batch, shard.shape[0]) for shard in shards}) > 1:
+            return super().stochastic_gradients(x_rows, rngs, t)
+        idx = np.stack([self._draw(shard, rng) for shard, rng in zip(shards, rngs)])
+        z, y = self.features[idx], self.labels[idx]
+        n, p, h, b = x_rows.shape[0], self.features.shape[1], self.hidden, self.layer_boundaries
+        w1 = x_rows[:, b[0] : b[1]].reshape(n, h, p)
+        w2 = x_rows[:, b[2] : b[3]]
+        hidden = np.tanh(np.matmul(z, w1.transpose(0, 2, 1)) + x_rows[:, None, b[1] : b[2]])
+        logits = np.matmul(hidden, w2[:, :, None])[:, :, 0] + x_rows[:, b[3], None]
+        dlogit = -y / (1.0 + np.exp(y * logits)) / idx.shape[1]
+        dhidden = dlogit[:, :, None] * w2[:, None, :] * (1.0 - hidden**2)
+        g = np.empty_like(x_rows)
+        g[:, b[0] : b[1]] = np.matmul(dhidden.transpose(0, 2, 1), z).reshape(n, h * p)
+        g[:, b[1] : b[2]] = dhidden.sum(axis=1)
+        g[:, b[2] : b[3]] = np.matmul(hidden.transpose(0, 2, 1), dlogit[:, :, None])[:, :, 0]
+        g[:, b[3]] = dlogit.sum(axis=1)
+        return g
 
     def node_loss(self, i, x):
         return self._sample_loss(self._shards(0)[i], x)

@@ -10,7 +10,7 @@ from chocosim.consensus import consensus_distance
 from chocosim.metrics import TrafficLedger
 from chocosim.numerics import RandomStream
 from chocosim.optim import ALGORITHMS, OptimizerConfig, Streams, resolve_gamma, run
-from chocosim.problems import make_logistic, make_mlp, make_quadratic
+from chocosim.problems import Partition, make_logistic, make_mlp, make_quadratic
 from chocosim.topology import mixing_matrix, ring
 
 SPECS = ("identity", "sign", "topk:0.2", "topk:0.5", "gsgd:2", "gsgd:4",
@@ -136,16 +136,58 @@ def test_quadratic_batched_oracle_and_loss_equal_node_loops(n, d):
 @pytest.mark.parametrize("make", [
     lambda: make_logistic(4, dim=5, samples=200, batch=8, seed=3),
     lambda: make_mlp(4, input_dim=3, hidden=4, samples=64, batch=8, seed=3),
+    # the shapes of the mlp-gsgd-ef workload: BLAS picks kernels by shape
+    pytest.param(lambda: make_mlp(16, input_dim=32, hidden=64, samples=4096, batch=32, seed=5),
+                 id="mlp-workload"),
+    pytest.param(lambda: make_logistic(16, dim=32, samples=4096, batch=32, seed=5),
+                 id="logistic-workload"),
+    # shards of 6 and 7 samples, below the batch: unequal minibatch sizes
+    pytest.param(lambda: make_mlp(16, samples=100, batch=32, seed=5), id="mlp-ragged"),
+    pytest.param(lambda: make_mlp(8, input_dim=5, hidden=8, samples=200, batch=16,
+                                  mode="fixed-split", by_label=True, seed=5),
+                 id="mlp-by-label"),
+    pytest.param(lambda: make_logistic(8, dim=5, samples=200, batch=16,
+                                       mode="fixed-split", by_label=True, seed=5),
+                 id="logistic-by-label"),
 ])
 def test_dataset_batched_oracle_equals_node_loop(make):
     problem = make()
-    x_rows = np.random.default_rng(1).standard_normal((problem.n, problem.dim))
-    rngs = [RandomStream(2, i, "grad").at(7) for i in range(problem.n)]
-    batched = problem.stochastic_gradients(x_rows, rngs, 7)
-    rngs = [RandomStream(2, i, "grad").at(7) for i in range(problem.n)]
-    for i in range(problem.n):
-        assert np.array_equal(batched[i],
-                              problem.stochastic_gradient(i, x_rows[i], rngs[i], 7))
+    n = problem.n
+    x_rows = np.random.default_rng(1).standard_normal((n, problem.dim))
+    for t in (7, 57):  # 57 is a later epoch, which iid-reshuffled deals anew
+        rngs = [RandomStream(2, i, "grad").at(t) for i in range(n)]
+        batched = problem.stochastic_gradients(x_rows, rngs, t)
+        rngs = [RandomStream(2, i, "grad").at(t) for i in range(n)]
+        for i in range(n):
+            assert np.array_equal(batched[i],
+                                  problem.stochastic_gradient(i, x_rows[i], rngs[i], t))
+    for x in (x_rows[0], x_rows.mean(axis=0)):
+        loss, grad = problem.loss_and_gradient(x)
+        assert loss == sum(problem.node_loss(i, x) for i in range(n)) / n
+        g = problem.node_gradient(0, x)
+        for i in range(1, n):
+            g = g + problem.node_gradient(i, x)
+        assert np.array_equal(grad, g / n)
+
+
+def test_shards_are_dealt_once_per_training_epoch(monkeypatch):
+    # the mlp-gsgd-ef workload: 150 iterations at 8 minibatches per epoch
+    # train on epochs 0..18, while every logged row evaluates on epoch 0
+    dealt = []
+    deal = Partition.shards
+
+    def counted(self, epoch=0):
+        dealt.append(epoch)
+        return deal(self, epoch)
+
+    monkeypatch.setattr(Partition, "shards", counted)
+    problem = make_mlp(16, input_dim=32, hidden=64, samples=4096, batch=32, seed=1)
+    cfg = OptimizerConfig(algorithm="choco-errorfeedback", eta=0.5, gamma=0.5,
+                          iterations=150)
+    rec = run(problem, cfg, mixing_matrix(ring(16)), parse_compressor("identity"), seed=1,
+              log_every=1, broadcast=True)
+    assert rec.rows() == 150
+    assert dealt == list(range(19))
 
 
 # -------------------------------------------------------------------- ledger

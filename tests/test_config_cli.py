@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chocosim import cli
+from chocosim import config as config_module
 from chocosim.config import (ConfigError, ExperimentConfig, build_problem,
                              build_topology, execute_config, max_workers,
                              resolve_x0)
@@ -107,6 +108,23 @@ def test_centralized_needs_no_topology():
     assert cfg.algorithm == "centralized"
 
 
+@pytest.mark.parametrize("topology, nodes", [("ring:16", 16), ("torus:9", 9), ("full:5", 5)])
+def test_topology_node_count_mismatch_exits_one(tmp_path, capsys, monkeypatch, topology, nodes):
+    def no_build(spec):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(config_module, "build_problem", no_build)
+    path = _write_config(tmp_path, topology=topology)  # problem.n is 4
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == [f"error: topology {topology} has {nodes} nodes but problem.n is 4"]
+    assert not (tmp_path / "o").exists()
+    # the coordinator baseline ignores the topology; an edge list is checked
+    # when the graph is built
+    ExperimentConfig.from_dict({"algorithm": "centralized", "topology": topology})
+    ExperimentConfig.from_dict({"topology": "edgelist:missing.txt"})
+
+
 def test_build_topology_specs(tmp_path):
     assert build_topology("ring:8").n == 8
     assert build_topology("torus:16").n == 16
@@ -127,27 +145,31 @@ def test_build_problem_dispatch(tmp_path):
     csv = tmp_path / "d.csv"
     csv.write_text("1.0,2.0,1\n-1.0,0.5,0\n2.0,1.0,1\n-2.0,0.1,0\n")
     cfg = ExperimentConfig.from_dict(
-        {"problem": {"kind": "logistic", "n": 2, "csv": str(csv), "batch": 1}})
+        {"topology": "ring:2",
+         "problem": {"kind": "logistic", "n": 2, "csv": str(csv), "batch": 1}})
     prob = build_problem(cfg.problem)
     assert isinstance(prob, LogisticProblem)
     assert prob.features.shape == (4, 2)
 
 
 def test_resolve_x0_modes():
-    cfg = ExperimentConfig.from_dict({"problem": {"kind": "quadratic", "n": 2, "dim": 6}})
+    cfg = ExperimentConfig.from_dict({"topology": "ring:2",
+                                      "problem": {"kind": "quadratic", "n": 2, "dim": 6}})
     problem = build_problem(cfg.problem)
     np.testing.assert_array_equal(resolve_x0(cfg, problem, 1), np.zeros(6))
 
-    cfg = ExperimentConfig.from_dict({"x0_mode": "optimum",
+    cfg = ExperimentConfig.from_dict({"x0_mode": "optimum", "topology": "ring:2",
                                       "problem": {"kind": "quadratic", "n": 2, "dim": 6}})
     np.testing.assert_array_equal(resolve_x0(cfg, problem, 1), problem.optimum())
 
     cfg = ExperimentConfig.from_dict({"x0_mode": "gaussian", "x0_scale": 2.0,
+                                      "topology": "ring:2",
                                       "problem": {"kind": "quadratic", "n": 2, "dim": 6}})
     first = resolve_x0(cfg, problem, 1)
     np.testing.assert_array_equal(first, resolve_x0(cfg, problem, 1))
     assert not np.array_equal(first, resolve_x0(cfg, problem, 2))
     half = ExperimentConfig.from_dict({"x0_mode": "gaussian", "x0_scale": 1.0,
+                                       "topology": "ring:2",
                                        "problem": {"kind": "quadratic", "n": 2, "dim": 6}})
     np.testing.assert_allclose(first, 2.0 * resolve_x0(half, problem, 1))
 
