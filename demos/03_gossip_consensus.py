@@ -26,11 +26,11 @@ for spec in ("identity", "topk:0.25", "sign", "gsgd:4"):
     # the conservative theory stepsize
     gamma = 1.0 if spec == "identity" else consensus_stepsize(mixing, delta)
     state = ConsensusState.start(x0, gamma)
-    streams = [RandomStream(7, i, "compress") for i in range(N)]
+    stream = RandomStream(7, 0, "compress")
     psi0 = lyapunov(state)
     checkpoints = {}
     for t in range(1, ROUNDS + 1):
-        choco_gossip_round(state, mixing, comp, streams)
+        choco_gossip_round(state, mixing, comp, stream)
         if t in (100, 400, ROUNDS):
             checkpoints[t] = lyapunov(state) / psi0
     drift = np.max(np.abs(state.x.mean(axis=0) - mean0))

@@ -6,10 +6,13 @@ uniform-random sparsification (``random``), largest-magnitude sparsification
 dense float64 arrays; wire size is accounted analytically through
 ``bit_cost`` instead of being serialized.
 
-Every operator runs on ``(n, d)`` rows at once, one message per row, with
-a separate random generator per row for the stochastic kinds; a single
-vector is the one-row case. :func:`compress_blocks` takes either form, and
-each row's payload is bit for bit the payload of that row compressed alone.
+Every operator runs on ``(n, d)`` rows at once, one message per row; a
+single vector is the one-row case. The stochastic kinds draw every row's
+randomness from one generator (a ``numpy.random.Generator`` or a
+:class:`~chocosim.numerics.RandomStream`), row by row in row order, so a
+block of rows compressed at once equals, bit for bit, the rows compressed
+one after another from that generator. A one-row call draws exactly what
+the 1-D operator draws.
 """
 
 from dataclasses import dataclass
@@ -103,14 +106,14 @@ def _kept_count(fraction, dim):
     return max(1, int(np.floor(fraction * dim)))
 
 
-def _gsgd(v, bits, unbiased, rngs):
+def _gsgd(v, bits, unbiased, rng):
     # sqrt(row @ row), the 1-D np.linalg.norm; np.linalg.norm(v, axis=1) and
     # einsum round differently
     norm = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
     zero = norm == 0.0
+    drawn = np.flatnonzero(~zero)  # a zero row draws nothing
     uniforms = np.zeros_like(v)
-    for i in np.flatnonzero(~zero):  # a zero row draws nothing
-        uniforms[i] = rngs[i].random(v.shape[1])
+    uniforms[drawn] = rng.random(drawn.size * v.shape[1]).reshape(drawn.size, v.shape[1])
     norm = np.where(zero, 1.0, norm)[:, None]  # zero rows then quantize to zeros
     levels = 2.0 ** (bits - 1)
     sig = np.where(v >= 0.0, 1.0, -1.0)  # sig(0) = +1
@@ -126,12 +129,12 @@ def _gsgd_tau(bits, dim):
     return 1.0 + min(dim / levels**2, np.sqrt(dim) / levels)
 
 
-def _random_sparsify(v, fraction, unbiased, rngs):
+def _random_sparsify(v, fraction, unbiased, rng):
     n, d = v.shape
     k = _kept_count(fraction, d)
     out = np.zeros_like(v)
     for i in range(n):  # Generator.choice has no batched form
-        idx = rngs[i].choice(d, size=k, replace=False)
+        idx = rng.choice(d, size=k, replace=False)
         out[i, idx] = v[i, idx]
     if unbiased:
         out *= d / k
@@ -139,65 +142,72 @@ def _random_sparsify(v, fraction, unbiased, rngs):
 
 
 def _topk(v, fraction):
-    k = _kept_count(fraction, v.shape[1])
-    # stable sort on -|v|: ties at the threshold keep the lowest index
-    order = np.argsort(-np.abs(v), axis=1, kind="stable")[:, :k]
-    out = np.zeros_like(v)
-    np.put_along_axis(out, order, np.take_along_axis(v, order, axis=1), axis=1)
-    return out
+    d = v.shape[1]
+    k = _kept_count(fraction, d)
+    # the k largest magnitudes, ties at the k-th largest going to the lowest
+    # indices: the set a stable argsort of -|v| keeps. fmax ranks a NaN
+    # magnitude below every number, as that sort does.
+    mag = np.fmax(np.abs(v), -1.0)
+    thr = np.partition(mag, d - k, axis=1)[:, d - k, None]
+    above = mag > thr
+    tied = mag == thr
+    room = k - np.count_nonzero(above, axis=1)[:, None]
+    keep = above | (tied & (np.cumsum(tied, axis=1) <= room))
+    return np.where(keep, v, 0.0)
 
 
 def _sign(v):
     return (np.abs(v).sum(axis=1) / v.shape[1])[:, None] * np.sign(v)
 
 
-def _row_payloads(comp, v, rngs):
-    """Payload of ``comp`` applied to each row of the 2-D ``v``, row i
-    drawing from ``rngs[i]``."""
+def _row_payloads(comp, v, rng):
+    """Payload of ``comp`` applied to each row of the 2-D ``v``, the rows
+    drawing from ``rng`` in row order."""
     if comp.kind == "identity":
         return v.copy()
     if comp.kind == "topk":
         return _topk(v, comp.fraction)
     if comp.kind == "sign":
         return _sign(v)
-    if rngs is None or len(rngs) != v.shape[0] or any(r is None for r in rngs):
-        raise ValueError(f"{comp.kind} compression needs one random generator per row")
+    if rng is None:
+        raise ValueError(f"{comp.kind} compression needs a random generator")
     if comp.kind == "gsgd":
-        return _gsgd(v, comp.bits, comp.unbiased, rngs)
-    return _random_sparsify(v, comp.fraction, comp.unbiased, rngs)
+        return _gsgd(v, comp.bits, comp.unbiased, rng)
+    return _random_sparsify(v, comp.fraction, comp.unbiased, rng)
 
 
 def compress(comp, x, rng=None):
     """Apply ``comp`` to a 1-D vector; returns a :class:`CompressedMessage`.
 
-    ``rng`` (a ``numpy.random.Generator``) is required for the stochastic
-    kinds (``gsgd``, ``random``; see :attr:`Compressor.stochastic`) and
-    ignored by the deterministic ones. Rows of a matrix go through
-    :func:`compress_blocks`.
+    ``rng`` (a ``numpy.random.Generator`` or a ``RandomStream``) is required
+    for the stochastic kinds (``gsgd``, ``random``; see
+    :attr:`Compressor.stochastic`) and ignored by the deterministic ones.
+    Rows of a matrix go through :func:`compress_blocks`.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("compress expects a 1-D vector")
     bits = bit_cost(comp, x.shape[0])
-    return CompressedMessage(payload=_row_payloads(comp, x[None, :], [rng])[0], bits=bits)
+    return CompressedMessage(payload=_row_payloads(comp, x[None, :], rng)[0], bits=bits)
 
 
 def compress_blocks(comp, x, rng=None, boundaries=None):
     """Compress each block of ``x`` separately, summing bit costs.
 
-    ``x`` is one vector, with ``rng`` as in :func:`compress`, or ``(n, d)``
-    rows, with ``rng`` a sequence of one generator per row (``None`` for
-    the deterministic kinds). Each row is compressed on its own, bit for bit
-    as :func:`compress_blocks` of that row alone, and ``bits`` is the total
-    over rows. ``boundaries`` is an increasing index sequence ``[0, ..., d]``
-    along the last axis; ``None`` means a single block. Model parameters are
-    compressed per layer this way, each block carrying its own
-    norms/percentiles.
+    ``x`` is one vector or ``(n, d)`` rows, and ``rng`` is one generator for
+    all of them, as in :func:`compress` (``None`` for the deterministic
+    kinds). Each row is compressed on its own, and ``bits`` is the total
+    over rows. ``boundaries`` is an increasing index sequence ``[0, ...,
+    d]`` along the last axis; ``None`` means a single block. Model
+    parameters are compressed per layer this way, each block carrying its
+    own norms/percentiles. Blocks draw in block order, and within a block
+    the rows draw in row order: the payload equals :func:`compress` called
+    block by block, row by row, on the one generator.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError("compress_blocks expects a vector or (n, d) rows")
-    rows, rngs = (x, rng) if x.ndim == 2 else (x[None, :], [rng])
+    rows = x if x.ndim == 2 else x[None, :]
     d = rows.shape[1]
     if boundaries is None:
         boundaries = (0, d)
@@ -208,13 +218,11 @@ def compress_blocks(comp, x, rng=None, boundaries=None):
         raise ValueError("block boundaries must be strictly increasing")
     bits = sum(bit_cost(comp, int(stop - start)) for start, stop in blocks) * rows.shape[0]
     if len(blocks) == 1:
-        payload = _row_payloads(comp, rows, rngs)
+        payload = _row_payloads(comp, rows, rng)
     else:
         payload = np.empty_like(rows)
-        # block by block: each row's generator draws in block order, as in
-        # a per-row call
         for start, stop in blocks:
-            payload[:, start:stop] = _row_payloads(comp, rows[:, start:stop], rngs)
+            payload[:, start:stop] = _row_payloads(comp, rows[:, start:stop], rng)
     return CompressedMessage(payload=payload if x.ndim == 2 else payload[0], bits=bits)
 
 

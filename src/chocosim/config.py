@@ -34,6 +34,9 @@ _PROBLEM_DEFAULTS = {
 }
 
 X0_MODES = ("zeros", "optimum", "gaussian")
+_PROBLEM_INTEGERS = ("n", "dim", "input_dim", "hidden", "samples", "batch")
+_PROBLEM_NUMBERS = ("heterogeneity", "noise_std", "reg", "margin", "mu", "l_smooth",
+                    "xstar_scale")
 
 
 class ConfigError(ValueError):
@@ -101,6 +104,14 @@ class ExperimentConfig:
         seed = merged["seed"]
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError("problem.seed must be a non-negative integer")
+        # types only; the problem constructors check the ranges
+        for name in _PROBLEM_INTEGERS:
+            if name in merged and (not isinstance(merged[name], int)
+                                   or isinstance(merged[name], bool)):
+                raise ConfigError(f"problem.{name} must be an integer")
+        for name in _PROBLEM_NUMBERS:
+            if name in merged and not _is_number(merged[name]):
+                raise ConfigError(f"problem.{name} must be a finite number")
         if graph is not None and graph.n != merged["n"]:
             raise ConfigError(f"topology {self.topology} has {graph.n} nodes "
                               f"but problem.n is {merged['n']!r}")

@@ -9,8 +9,10 @@ and advances every replica ``xhat_i += q_i``. With the theory stepsize from
 the rate given by :func:`rate_constant`.
 
 All nodes move together: values are ``(n, dim)`` rows, and one call
-compresses every node's row (:func:`compress_rows`), with node i drawing
-from its own generator, so the result equals compressing node by node.
+compresses every node's row (:func:`compress_rows`). The stochastic
+compressors draw all rows from one random source, node i's draw coming
+after those of nodes 0..i-1, so the result equals compressing node by
+node, in node order, from that source.
 """
 
 from dataclasses import dataclass
@@ -99,19 +101,19 @@ def mix_with_public(x, xhat, w, gamma):
     return (x - gamma * xhat) + gamma * (w @ xhat)
 
 
-def compress_rows(v, comp, rngs, boundaries=None):
+def compress_rows(v, comp, rng, boundaries=None):
     """Compress each node's row of ``v`` in one call; returns ``(q, bits)``,
     where ``bits[i]`` is the wire size of node i's message.
 
-    ``rngs`` holds one generator per node, or is ``None`` for the
+    ``rng`` is the one generator all rows draw from, or ``None`` for the
     deterministic compressors.
     """
-    msg = compress_blocks(comp, v, rngs, boundaries)
+    msg = compress_blocks(comp, v, rng, boundaries)
     # every row has the same length, so the same analytic cost
     return msg.payload, np.full(v.shape[0], msg.bits // v.shape[0], dtype=np.int64)
 
 
-def sync_public(x, xhat, comp, rngs, boundaries=None):
+def sync_public(x, xhat, comp, rng, boundaries=None):
     """Compress ``x - xhat`` per node and advance the public copies.
 
     Returns ``(xhat_new, bits)`` as in :func:`compress_rows`. The new copy
@@ -120,23 +122,24 @@ def sync_public(x, xhat, comp, rngs, boundaries=None):
     lossless compression exactly lossless in floating point as well.
     """
     v = x - xhat
-    q, bits = compress_rows(v, comp, rngs, boundaries)
+    q, bits = compress_rows(v, comp, rng, boundaries)
     return x - (v - q), bits
 
 
-def choco_gossip_round(state, mixing, comp, streams, boundaries=None):
+def choco_gossip_round(state, mixing, comp, rng, boundaries=None):
     """One full compressed gossip round, mutating ``state`` in place.
 
-    ``streams`` supplies one per-node random source (anything with the
-    ``numpy.random.Generator`` draw interface, e.g. ``RandomStream``).
-    Returns the per-node message bits for this round.
+    ``rng`` is the random source of every node (a ``RandomStream`` kept for
+    the whole gossip run, or a ``numpy.random.Generator``); a stochastic
+    compressor advances it. Returns the per-node message bits for this
+    round.
     """
     if mixing.w.shape[0] != state.n:
         raise ValueError("mixing matrix size does not match state")
     state.x = mix_with_public(state.x, state.xhat, mixing.w, state.gamma)
     if not np.all(np.isfinite(state.x)) or np.max(np.abs(state.x)) > _DIVERGENCE_NORM:
         raise FloatingPointError("gossip iterates diverged")
-    state.xhat, bits = sync_public(state.x, state.xhat, comp, streams, boundaries)
+    state.xhat, bits = sync_public(state.x, state.xhat, comp, rng, boundaries)
     return bits
 
 

@@ -17,6 +17,13 @@ uncompressed gossip baseline ``x <- W x - eta*g``.
 Baselines: ``decentralized-exact`` (gradient step then exact neighborhood
 averaging, full-precision messages) and ``centralized`` (single iterate,
 all workers upload full-precision gradients to a coordinator hub).
+
+Randomness: a run has one stream per purpose (:class:`Streams`), and
+iteration t draws from ``stream.at(t)``. That one generator serves all
+nodes: the gradient noise or minibatch indices of the iteration are one
+``(n, .)`` block, row i for node i, and the stochastic compressors draw
+their rows in node order. Node i's draw therefore depends on n and on the
+row length as well as on ``(seed, t)``.
 """
 
 import math
@@ -106,23 +113,17 @@ class Workers:
 
 
 class Streams:
-    """All random sources of one run, keyed by (seed, node, purpose, t)."""
+    """The random sources of one run: one stream per purpose, keyed by
+    ``(seed, purpose)``. Iteration t draws from ``stream.at(t)``, all nodes
+    from that one generator, row i for node i."""
 
-    def __init__(self, seed, n):
-        self._grad = [RandomStream(seed, i, "grad") for i in range(n)]
-        self._comp = [RandomStream(seed, i, "compress") for i in range(n)]
-        self.init = RandomStream(seed, 0, "init")
-
-    def grad_at(self, i, t):
-        return self._grad[i].at(t)
-
-    def comp_at(self, t):
-        return [s.at(t) for s in self._comp]
+    def __init__(self, seed):
+        self.grad = RandomStream(seed, 0, "grad")
+        self.compress = RandomStream(seed, 0, "compress")
 
 
 def _gradients(problem, x_rows, streams, t, record=None):
-    rngs = [streams.grad_at(i, t) for i in range(x_rows.shape[0])]
-    g = problem.stochastic_gradients(x_rows, rngs, t)
+    g = problem.stochastic_gradients(x_rows, streams.grad.at(t), t)
     if record is not None:
         record.max_grad_norm = max(
             record.max_grad_norm, float(np.sqrt((g * g).sum(axis=1).max()))
@@ -148,15 +149,15 @@ def choco_step(workers, problem, mixing, comp, gamma, eta, streams, t,
     ``cfg.algorithm`` (``cfg=None`` means plain).
     """
     algorithm = cfg.algorithm if cfg is not None else "choco"
-    # deterministic compressors draw nothing, so their streams are never derived
-    comp_rngs = streams.comp_at(t) if comp.stochastic else None
+    # deterministic compressors draw nothing, so their generator is never made
+    rng = streams.compress.at(t) if comp.stochastic else None
     if algorithm == "choco-errorfeedback":
         v = (workers.x - workers.x_prev) + workers.memory
-        q, bits = compress_rows(v, comp, comp_rngs, boundaries)
+        q, bits = compress_rows(v, comp, rng, boundaries)
         workers.memory = v - q
         xhat_next = workers.xhat + q  # literal receiver-side reconstruction
     else:
-        xhat_next, bits = sync_public(workers.x, workers.xhat, comp, comp_rngs, boundaries)
+        xhat_next, bits = sync_public(workers.x, workers.xhat, comp, rng, boundaries)
 
     g = _gradients(problem, workers.x, streams, t, record)
     direction = _direction(workers, g, cfg) if cfg is not None else g
@@ -228,7 +229,7 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
     n, dim = problem.n, problem.dim
     boundaries = problem.layer_boundaries if per_layer else None
     gamma = resolve_gamma(cfg, mixing, compressor, dim, boundaries)
-    streams = Streams(seed, n)
+    streams = Streams(seed)
     if x0 is None:
         x0 = np.zeros(dim)
     x0 = np.asarray(x0, dtype=float)

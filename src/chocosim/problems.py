@@ -6,18 +6,22 @@ two-blob dataset (minibatch noise), and a one-hidden-layer tanh network
 (non-convex, minibatch noise, per-layer parameter blocks). All expose the
 same oracle interface, so the optimizers never need to know which one they
 are running on: ``stochastic_gradient`` for one node, and
-``stochastic_gradients`` for all nodes' rows at once, one generator per
-row, equal row for row to the per-node oracle. A logged row asks
-``loss_and_gradient(x)`` for ``(loss(x), full_gradient(x))``; dataset
-problems get both from one forward pass per shard.
+``stochastic_gradients`` for all nodes' rows at once from one generator,
+whose randomness is one ``(n, .)`` block (quadratic noise ``(n, dim)``,
+minibatch indices ``(n, batch)``), row i for node i. Row i equals
+``stochastic_gradient`` of node i when the nodes draw one after another, in
+node order, from that generator. A logged row asks ``loss_and_gradient(x)``
+for ``(loss(x), full_gradient(x))``; dataset problems get both from one
+forward pass per shard.
 
 The per-node ``node_loss``, ``node_gradient`` and ``stochastic_gradient``
 are the definitions, and every batched form equals them bit for bit: sums
 over nodes run in node order, and a stacked ``np.matmul`` on ``(n, ., .)``
 operands runs one gemm or gemv per node with the operand layout of the
-2-D call (a gemm in place of a per-row gemv rounds differently). The MLP
-stacks its minibatches this way when they have equal sizes; shards
-smaller than ``batch`` make them unequal, and then it loops over nodes.
+2-D call (a gemm in place of a per-row gemv rounds differently). The
+dataset problems stack their minibatches this way when they have equal
+sizes; shards smaller than ``batch`` make them unequal, and then they loop
+over nodes.
 """
 
 from dataclasses import dataclass
@@ -175,9 +179,12 @@ class QuadraticProblem:
         noise = self._noise_coord_std * rng.standard_normal(self.dim)
         return self.node_gradient(i, x) + noise
 
-    def stochastic_gradients(self, x_rows, rngs, t=0):
-        """Row i is ``stochastic_gradient(i, x_rows[i], rngs[i], t)``, bit for bit."""
-        noise = self._noise_coord_std * np.stack([rng.standard_normal(self.dim) for rng in rngs])
+    def stochastic_gradients(self, x_rows, rng, t=0):
+        """Node gradients plus one ``(n, dim)`` noise block; row i is
+        ``stochastic_gradient(i, x_rows[i], rng, t)`` of nodes drawing in
+        node order, bit for bit."""
+        n = x_rows.shape[0]
+        noise = self._noise_coord_std * rng.standard_normal(n * self.dim).reshape(n, self.dim)
         r = np.ascontiguousarray(x_rows - self.node_optima)
         # one gemv per row, as in node_gradient; r @ hessian.T (gemm) rounds differently
         return np.matmul(self.hessian, r[:, :, None])[:, :, 0] + noise
@@ -218,19 +225,32 @@ class _DatasetProblem:
         draws_per_epoch = max(1, per_node // self.batch)
         return int(t) // draws_per_epoch
 
-    def _draw(self, shard, rng):
+    def _minibatch(self, i, rng, t):
+        shard = self._shards(self._epoch(t))[i]
         return shard[rng.integers(0, shard.shape[0], size=min(self.batch, shard.shape[0]))]
 
-    def _minibatch(self, i, rng, t):
-        return self._draw(self._shards(self._epoch(t))[i], rng)
+    def _minibatches(self, rng, t):
+        """``(n, m)`` sample indices, row i drawn from node i's shard, as
+        :meth:`_minibatch` draws them node after node; ``None``, drawing
+        nothing, when the minibatch sizes differ."""
+        shards = self._shards(self._epoch(t))
+        sizes = np.array([shard.shape[0] for shard in shards])
+        m = min(self.batch, sizes.min())
+        if min(self.batch, sizes.max()) != m:
+            return None
+        n = len(shards)
+        offsets = rng.integers(0, np.repeat(sizes, m), size=n * m).reshape(n, m)
+        starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+        return np.concatenate(shards)[starts[:, None] + offsets]
 
     def loss(self, x):
         return sum(self.node_loss(i, x) for i in range(self.n)) / self.n
 
-    def stochastic_gradients(self, x_rows, rngs, t=0):
-        """Row i is ``stochastic_gradient(i, x_rows[i], rngs[i], t)``."""
+    def stochastic_gradients(self, x_rows, rng, t=0):
+        """Row i is ``stochastic_gradient(i, x_rows[i], rng, t)``, node
+        after node: the fallback for unequal minibatch sizes."""
         g = np.empty_like(x_rows)
-        for i, rng in enumerate(rngs):
+        for i in range(x_rows.shape[0]):
             g[i] = self.stochastic_gradient(i, x_rows[i], rng, t)
         return g
 
@@ -298,6 +318,18 @@ class LogisticProblem(_DatasetProblem):
     def stochastic_gradient(self, i, x, rng, t=0):
         return self._sample_gradient(self._minibatch(i, rng, t), x)
 
+    def stochastic_gradients(self, x_rows, rng, t=0):
+        """Row i is ``stochastic_gradient(i, x_rows[i], rng, t)`` of nodes
+        drawing in node order, bit for bit, from one ``(n, batch)`` index
+        draw and a stacked ``(n, m, p)`` batch."""
+        idx = self._minibatches(rng, t)
+        if idx is None:
+            return super().stochastic_gradients(x_rows, rng, t)
+        z, y = self.features[idx], self.labels[idx]
+        margins = y * np.matmul(z, x_rows[:, :, None])[:, :, 0]
+        weights = -y / (1.0 + np.exp(margins))
+        return np.matmul(weights[:, None, :], z)[:, 0, :] / idx.shape[1] + self.reg * x_rows
+
     def smoothness(self):
         gram = self.features.T @ self.features / (4.0 * self.features.shape[0])
         return float(sym_eigenvalues(0.5 * (gram + gram.T))[0]) + self.reg
@@ -363,17 +395,17 @@ class MlpProblem(_DatasetProblem):
         loss = float(np.mean(np.logaddexp(0.0, -y * logits)))
         return loss, self._backward(z, y, x, logits, hidden)
 
-    def stochastic_gradients(self, x_rows, rngs, t=0):
-        """Row i is ``stochastic_gradient(i, x_rows[i], rngs[i], t)``, bit for bit.
+    def stochastic_gradients(self, x_rows, rng, t=0):
+        """Row i is ``stochastic_gradient(i, x_rows[i], rng, t)`` of nodes
+        drawing in node order, bit for bit.
 
-        Minibatches are drawn node by node; forward and backward then run
-        on the stacked ``(n, m, p)`` batch, or node by node when the
-        minibatch sizes differ.
+        The minibatch indices are one ``(n, batch)`` draw; forward and
+        backward then run on the stacked ``(n, m, p)`` batch, or node by
+        node when the minibatch sizes differ.
         """
-        shards = self._shards(self._epoch(t))
-        if len({min(self.batch, shard.shape[0]) for shard in shards}) > 1:
-            return super().stochastic_gradients(x_rows, rngs, t)
-        idx = np.stack([self._draw(shard, rng) for shard, rng in zip(shards, rngs)])
+        idx = self._minibatches(rng, t)
+        if idx is None:
+            return super().stochastic_gradients(x_rows, rng, t)
         z, y = self.features[idx], self.labels[idx]
         n, p, h, b = x_rows.shape[0], self.features.shape[1], self.hidden, self.layer_boundaries
         w1 = x_rows[:, b[0] : b[1]].reshape(n, h, p)

@@ -118,10 +118,10 @@ def _gossip_trajectory(graph, comp_spec, dim, rounds, seed=3, gamma=None):
         gamma = consensus_stepsize(mixing, contraction_factor(comp, dim))
     x0 = RandomStream(seed, 0, "verify").normal(graph.n * dim).reshape(graph.n, dim)
     state = ConsensusState.start(x0, gamma)
-    streams = [RandomStream(seed, i, "compress") for i in range(graph.n)]
+    stream = RandomStream(seed, 0, "compress")
     psi = [lyapunov(state)]
     for _ in range(rounds):
-        choco_gossip_round(state, mixing, comp, streams)
+        choco_gossip_round(state, mixing, comp, stream)
         psi.append(lyapunov(state))
     return mixing, state, x0, np.array(psi)
 
@@ -190,11 +190,12 @@ def suite_equivalence():
     # lossless compression at unit consensus rate collapses to plain exact gossip
     problem, mixing, record = _run_quadratic("choco", "identity", eta, iters,
                                              seed=seed, gamma=1.0)
-    streams = Streams(seed, 4)
+    streams = Streams(seed)
+    scale = problem.noise_std / np.sqrt(problem.dim)
     x = np.zeros((4, problem.dim))
     for t in range(iters):
-        grads = np.stack([problem.stochastic_gradient(i, x[i], streams.grad_at(i, t), t)
-                          for i in range(4)])
+        noise = streams.grad.at(t).standard_normal((4, problem.dim))  # the iteration's block
+        grads = np.stack([problem.node_gradient(i, x[i]) + scale * noise[i] for i in range(4)])
         x = (mixing.w @ x) - eta * grads
     checks.append(_exact_check("lossless-collapse",
                                np.array_equal(record.workers.x, x),

@@ -100,9 +100,9 @@ def test_criterion_04_gossip_linear_convergence():
         finals = []
         for trial in range(trials):
             state = ConsensusState.start(x0, gamma)
-            streams = [RandomStream(trial, i, "compress") for i in range(n)]
+            stream = RandomStream(trial, 0, "compress")  # one per run, all nodes
             for _ in range(rounds):
-                choco_gossip_round(state, mixing, comp, streams)
+                choco_gossip_round(state, mixing, comp, stream)
                 drift = float(np.linalg.norm(state.x.mean(axis=0) - mean0))
                 assert drift < 1e-10 * mean_scale, spec
             finals.append(lyapunov(state))
@@ -121,8 +121,8 @@ def test_criterion_05_equivalence_triangle():
     plain = Workers.start(x0, n, "choco")
     ef = Workers.start(x0, n, "choco-errorfeedback")
     ef_cfg = OptimizerConfig(algorithm="choco-errorfeedback", eta=eta, iterations=100)
-    streams_a = Streams(5, n)
-    streams_b = Streams(5, n)
+    streams_a = Streams(5)
+    streams_b = Streams(5)
     for t in range(100):
         choco_step(plain, problem, mixing, comp, gamma, eta, streams_a, t)
         choco_step(ef, problem, mixing, comp, gamma, eta, streams_b, t, cfg=ef_cfg)
@@ -135,11 +135,12 @@ def test_criterion_05_equivalence_triangle():
     cfg = OptimizerConfig(algorithm="choco", eta=eta, gamma=1.0, iterations=60)
     rec = run(problem, cfg, mixing, parse_compressor("identity"), seed=6,
               x0=x0, record_iterates=True)
-    oracle = Streams(6, n)
+    oracle = Streams(6)
+    scale = problem.noise_std / np.sqrt(d)
     for t in range(1, 60):
         x = rec.iterates[t]
-        g = np.stack([problem.stochastic_gradient(i, x[i], oracle.grad_at(i, t), t)
-                      for i in range(n)])
+        noise = oracle.grad.at(t).standard_normal((n, d))  # the iteration's block
+        g = np.stack([problem.node_gradient(i, x[i]) + scale * noise[i] for i in range(n)])
         assert np.array_equal(rec.iterates[t + 1], mixing.w @ x - eta * g)
 
     # (c) momentum with zero factor and zero weight decay is bit-identical

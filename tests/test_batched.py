@@ -1,6 +1,7 @@
 """One iteration runs on all nodes' rows at once; every batched layer must
 equal, bit for bit, the per-node loop it replaced. The references below are
-those loops, written out literally."""
+those loops, written out literally: an iteration's randomness comes from one
+generator, and the nodes draw from it one after another, in node order."""
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ SPECS = ("identity", "sign", "topk:0.2", "topk:0.5", "gsgd:2", "gsgd:4",
          "gsgd:4:unbiased", "random:0.3", "random:0.3:unbiased")
 
 
-def _rngs(n, seed=0):
-    # a fresh generator per row; calling again gives the same streams
-    return [RandomStream(seed, i, "compress").at(3) for i in range(n)]
+def _rng(seed=0):
+    # one iteration's generator; calling again gives the same draws
+    return RandomStream(seed, 0, "compress").at(3)
 
 
 def _reference_compress(comp, x, rng):
@@ -51,17 +52,18 @@ def _reference_compress(comp, x, rng):
     return out
 
 
-def _per_row(comp, rows, rngs, boundaries):
-    # the per-node definition: node i compresses its blocks in order, one
-    # 1-D vector at a time
+def _per_row(comp, rows, rng, boundaries):
+    # the per-node definition: block by block, each node in node order
+    # compresses its part as one 1-D vector, all drawing from ``rng``;
+    # returns the payload and each row's bits
     d = rows.shape[1]
     edges = boundaries if boundaries is not None else [0, d]
     payload = np.empty_like(rows)
-    bits = 0
-    for i, rng in enumerate(rngs):
-        for start, stop in zip(edges[:-1], edges[1:]):
+    bits = [0] * rows.shape[0]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        for i in range(rows.shape[0]):
             payload[i, start:stop] = _reference_compress(comp, rows[i, start:stop], rng)
-            bits += bit_cost(comp, stop - start)
+            bits[i] += bit_cost(comp, stop - start)
     return payload, bits
 
 
@@ -86,33 +88,37 @@ def _rows_with_ties_and_zeros(n, d, seed):
 def test_row_batched_compression_equals_per_row(spec, n, d, boundaries):
     comp = parse_compressor(spec)
     rows = _rows_with_ties_and_zeros(n, d, seed=n * d)
-    msg = compress_blocks(comp, rows, _rngs(n), boundaries)
-    payload, bits = _per_row(comp, rows, _rngs(n), boundaries)
+    msg = compress_blocks(comp, rows, _rng(), boundaries)
+    payload, bits = _per_row(comp, rows, _rng(), boundaries)
     assert np.array_equal(msg.payload, payload)
-    assert msg.bits == bits
-    assert np.array_equal(compress_blocks(comp, rows[0], _rngs(1)[0], boundaries).payload,
-                          payload[0])
+    assert msg.bits == sum(bits)
+    # a vector is the one-row case
+    assert np.array_equal(compress_blocks(comp, rows[0], _rng(), boundaries).payload,
+                          _per_row(comp, rows[:1], _rng(), boundaries)[0][0])
 
 
 def test_gsgd_zero_block_draws_nothing():
-    # a row whose first block is all zero sends zeros there; its next block
-    # sees the generator untouched
+    # a row whose first block is all zero sends zeros there and draws
+    # nothing: the next row, and the next block, see the generator untouched
     comp = parse_compressor("gsgd:4")
     rows = np.random.default_rng(5).standard_normal((3, 10))
     rows[1, :6] = 0.0
-    msg = compress_blocks(comp, rows, _rngs(3), [0, 6, 10])
+    msg = compress_blocks(comp, rows, _rng(), [0, 6, 10])
     assert np.array_equal(msg.payload[1, :6], np.zeros(6))
-    fresh = compress(comp, rows[1, 6:], _rngs(3)[1])
-    assert np.array_equal(msg.payload[1, 6:], fresh.payload)
+    rng = _rng()
+    first = [compress(comp, rows[i, :6], rng).payload for i in (0, 2)]
+    second = [compress(comp, rows[i, 6:], rng).payload for i in range(3)]
+    assert np.array_equal(msg.payload[[0, 2], :6], np.stack(first))
+    assert np.array_equal(msg.payload[:, 6:], np.stack(second))
 
 
-def test_batched_compression_needs_a_generator_per_row():
+def test_batched_compression_needs_a_generator():
     rows = np.ones((3, 4))
     for spec in ("gsgd:4", "random:0.5"):
         with pytest.raises(ValueError):
-            compress_blocks(parse_compressor(spec), rows, _rngs(2))
-        with pytest.raises(ValueError):
             compress_blocks(parse_compressor(spec), rows, None)
+        with pytest.raises(ValueError):
+            compress(parse_compressor(spec), rows[0])
     assert compress_blocks(parse_compressor("sign"), rows, None).bits == 3 * (4 + 32)
 
 
@@ -123,12 +129,17 @@ def test_batched_compression_needs_a_generator_per_row():
 def test_quadratic_batched_oracle_and_loss_equal_node_loops(n, d):
     problem = make_quadratic(n, d, heterogeneity=1.0, noise_std=0.7, seed=n + d)
     x_rows = np.random.default_rng(d).standard_normal((n, d))
-    rngs = [RandomStream(9, i, "grad").at(4) for i in range(n)]
-    batched = problem.stochastic_gradients(x_rows, rngs, 4)
-    rngs = [RandomStream(9, i, "grad").at(4) for i in range(n)]
-    looped = np.stack([problem.stochastic_gradient(i, x_rows[i], rngs[i], 4)
+    batched = problem.stochastic_gradients(x_rows, RandomStream(9, 0, "grad").at(4), 4)
+    # the iteration's noise block, drawn once; then the gradients node by node
+    noise = RandomStream(9, 0, "grad").at(4).standard_normal((n, d))
+    scale = problem.noise_std / np.sqrt(d)
+    looped = np.stack([problem.node_gradient(i, x_rows[i]) + scale * noise[i]
                        for i in range(n)])
     assert np.array_equal(batched, looped)
+    # the per-node oracle, nodes drawing in order from the one generator
+    rng = RandomStream(9, 0, "grad").at(4)
+    assert np.array_equal(batched, np.stack([problem.stochastic_gradient(i, x_rows[i], rng, 4)
+                                             for i in range(n)]))
     for x in (x_rows[0], x_rows.mean(axis=0), problem.optimum()):
         assert problem.loss(x) == sum(problem.node_loss(i, x) for i in range(n)) / n
 
@@ -143,6 +154,12 @@ def test_quadratic_batched_oracle_and_loss_equal_node_loops(n, d):
                  id="logistic-workload"),
     # shards of 6 and 7 samples, below the batch: unequal minibatch sizes
     pytest.param(lambda: make_mlp(16, samples=100, batch=32, seed=5), id="mlp-ragged"),
+    # shards of 34 and 33 samples, above the batch: equal minibatch sizes
+    # drawn from unequal shards
+    pytest.param(lambda: make_logistic(3, dim=4, samples=100, batch=8, seed=2),
+                 id="logistic-unequal-shards"),
+    pytest.param(lambda: make_mlp(3, input_dim=3, hidden=4, samples=100, batch=8, seed=2),
+                 id="mlp-unequal-shards"),
     pytest.param(lambda: make_mlp(8, input_dim=5, hidden=8, samples=200, batch=16,
                                   mode="fixed-split", by_label=True, seed=5),
                  id="mlp-by-label"),
@@ -155,12 +172,11 @@ def test_dataset_batched_oracle_equals_node_loop(make):
     n = problem.n
     x_rows = np.random.default_rng(1).standard_normal((n, problem.dim))
     for t in (7, 57):  # 57 is a later epoch, which iid-reshuffled deals anew
-        rngs = [RandomStream(2, i, "grad").at(t) for i in range(n)]
-        batched = problem.stochastic_gradients(x_rows, rngs, t)
-        rngs = [RandomStream(2, i, "grad").at(t) for i in range(n)]
+        batched = problem.stochastic_gradients(x_rows, RandomStream(2, 0, "grad").at(t), t)
+        rng = RandomStream(2, 0, "grad").at(t)  # node after node, one generator
         for i in range(n):
             assert np.array_equal(batched[i],
-                                  problem.stochastic_gradient(i, x_rows[i], rngs[i], t))
+                                  problem.stochastic_gradient(i, x_rows[i], rng, t))
     for x in (x_rows[0], x_rows.mean(axis=0)):
         loss, grad = problem.loss_and_gradient(x)
         assert loss == sum(problem.node_loss(i, x) for i in range(n)) / n
@@ -229,24 +245,22 @@ def _reference_run(problem, cfg, mixing, comp, seed, broadcast, x0, boundaries):
     """``optim.run`` written node by node and edge by edge, logging every
     iteration; returns the logged rows, the final iterates and the ledger."""
     n, d = problem.n, problem.dim
-    streams = Streams(seed, n)
+    streams = Streams(seed)
     gamma = resolve_gamma(cfg, mixing, comp, d, boundaries)
     centralized = cfg.algorithm == "centralized"
     ledger = TrafficLedger(n + 1 if centralized else n)
     rows, max_grad = [], 0.0
 
     def gradients(x_rows, t):
+        rng = streams.grad.at(t)  # the iteration's generator, nodes in order
         g = np.empty((n, d))
         for i in range(n):
-            g[i] = problem.stochastic_gradient(i, x_rows[i], streams.grad_at(i, t), t)
+            g[i] = problem.stochastic_gradient(i, x_rows[i], rng, t)
         return g
 
     def compress_nodes(v, t):
-        rngs = streams.comp_at(t) if comp.stochastic else [None] * n
-        q = np.empty_like(v)
-        for i in range(n):
-            q[i], bits = _per_row(comp, v[i:i + 1], [rngs[i]], boundaries)
-        return q, [bits] * n
+        return _per_row(comp, v, streams.compress.at(t) if comp.stochastic else None,
+                        boundaries)
 
     x = x0.copy() if centralized else np.tile(x0, (n, 1))
     xhat = np.zeros((n, d))

@@ -232,6 +232,24 @@ def test_bad_config_exits_one(tmp_path, capsys):
     ({"algorithm": "choco-momentum", "nesterov": "false"}, [], "nesterov"),
     ({"broadcast": "no"}, [], "broadcast"),
     ({"per_layer": 0}, [], "per_layer"),
+    ({"problem": {"kind": "quadratic", "n": 4, "dim": "10"}}, [], "problem.dim"),
+    ({"problem": {"kind": "quadratic", "n": 4, "dim": 4.0}}, [], "problem.dim"),
+    ({"problem": {"kind": "quadratic", "n": True, "dim": 4}}, [], "problem.n"),
+    ({"problem": {"kind": "quadratic", "n": 4, "dim": 4, "noise_std": "x"}}, [],
+     "problem.noise_std"),
+    ({"problem": {"kind": "quadratic", "n": 4, "dim": 4, "heterogeneity": float("nan")}}, [],
+     "problem.heterogeneity"),
+    ({"problem": {"kind": "quadratic", "n": 4, "dim": 4, "mu": True}}, [], "problem.mu"),
+    ({"problem": {"kind": "quadratic", "n": 4, "dim": 4, "l_smooth": float("inf")}}, [],
+     "problem.l_smooth"),
+    ({"problem": {"kind": "quadratic", "n": 4, "dim": 4, "xstar_scale": [1.0]}}, [],
+     "problem.xstar_scale"),
+    ({"problem": {"kind": "logistic", "n": 4, "samples": "200"}}, [], "problem.samples"),
+    ({"problem": {"kind": "logistic", "n": 4, "batch": 8.5}}, [], "problem.batch"),
+    ({"problem": {"kind": "logistic", "n": 4, "reg": None}}, [], "problem.reg"),
+    ({"problem": {"kind": "logistic", "n": 4, "margin": "wide"}}, [], "problem.margin"),
+    ({"problem": {"kind": "mlp", "n": 4, "hidden": 2.5}}, [], "problem.hidden"),
+    ({"problem": {"kind": "mlp", "n": 4, "input_dim": "8"}}, [], "problem.input_dim"),
 ])
 def test_negative_seeds_exit_one_naming_the_field(tmp_path, capsys, overrides, argv, field):
     path = _write_config(tmp_path, **overrides)
@@ -240,11 +258,15 @@ def test_negative_seeds_exit_one_naming_the_field(tmp_path, capsys, overrides, a
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1, captured.err
     assert lines[0].startswith(f"error: {field} must be")
-    # seeds are integers, the switches booleans; the other fields here are numbers
+    # seeds are integers, the switches booleans, the problem sizes integers;
+    # the other fields here are numbers
     if "seed" in field:
         assert "non-negative" in lines[0]
     elif field in ("nesterov", "broadcast", "per_layer"):
         assert "true or false" in lines[0]
+    elif field in ("problem.n", "problem.dim", "problem.samples", "problem.batch",
+                   "problem.hidden", "problem.input_dim"):
+        assert lines[0].endswith("must be an integer")
     else:
         assert "number" in lines[0]
     assert not (tmp_path / "o").exists()

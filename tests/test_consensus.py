@@ -10,8 +10,9 @@ from chocosim.numerics import RandomStream
 from chocosim.topology import fully_connected, mixing_matrix, ring
 
 
-def _streams(n, seed=0):
-    return [RandomStream(seed, i, "compress") for i in range(n)]
+def _stream(seed=0):
+    # one random source for every node of a gossip run
+    return RandomStream(seed, 0, "compress")
 
 
 def _start(n, dim, gamma, seed=0):
@@ -76,11 +77,11 @@ def test_fixed_point_when_all_equal():
     x0 = np.tile(np.array([2.0, -1.0]), (4, 1))
     state = ConsensusState.start(x0, 1.0)
     comp = parse_compressor("identity")
-    choco_gossip_round(state, m, comp, _streams(4))
+    choco_gossip_round(state, m, comp, _stream())
     # first round: gossip term zero, public copies catch up to x
     np.testing.assert_array_equal(state.x, x0)
     np.testing.assert_array_equal(state.xhat, x0)
-    choco_gossip_round(state, m, comp, _streams(4))
+    choco_gossip_round(state, m, comp, _stream())
     np.testing.assert_array_equal(state.x, x0)
     np.testing.assert_array_equal(state.xhat, x0)
 
@@ -90,11 +91,11 @@ def test_two_node_hand_simulation():
     m = mixing_matrix(fully_connected(2))
     state = ConsensusState.start(np.array([[0.0], [2.0]]), 1.0)
     comp = parse_compressor("identity")
-    choco_gossip_round(state, m, comp, _streams(2))
+    choco_gossip_round(state, m, comp, _stream())
     # round 1: xhat was 0 so x is unchanged; xhat becomes (0), (2)
     np.testing.assert_array_equal(state.x, [[0.0], [2.0]])
     np.testing.assert_array_equal(state.xhat, [[0.0], [2.0]])
-    choco_gossip_round(state, m, comp, _streams(2))
+    choco_gossip_round(state, m, comp, _stream())
     np.testing.assert_array_equal(state.x, [[1.0], [1.0]])
 
 
@@ -104,11 +105,11 @@ def test_average_preserved_for_every_compressor():
         comp = parse_compressor(spec)
         gamma = consensus_stepsize(m, contraction_factor(comp, 12))
         state, x0 = _start(8, 12, gamma, seed=3)
-        streams = _streams(8, seed=3)
+        stream = _stream(seed=3)
         mean0 = x0.mean(axis=0)
         scale = float(np.max(np.abs(mean0))) + 1.0
         for _ in range(100):
-            choco_gossip_round(state, m, comp, streams)
+            choco_gossip_round(state, m, comp, stream)
             drift = float(np.max(np.abs(state.x.mean(axis=0) - mean0)))
             assert drift < 1e-12 * scale, spec
 
@@ -117,18 +118,18 @@ def test_exact_mode_is_plain_matrix_gossip_from_round_two():
     m = mixing_matrix(ring(8))
     state, _ = _start(8, 5, 1.0, seed=9)
     comp = parse_compressor("identity")
-    streams = _streams(8)
-    choco_gossip_round(state, m, comp, streams)  # warm-up round
+    stream = _stream()
+    choco_gossip_round(state, m, comp, stream)  # warm-up round
     for _ in range(10):
         prev = state.x.copy()
-        choco_gossip_round(state, m, comp, streams)
+        choco_gossip_round(state, m, comp, stream)
         np.testing.assert_array_equal(state.x, m.w @ prev)
 
 
 def test_round_reports_per_node_bits():
     m = mixing_matrix(ring(4))
     state, _ = _start(4, 10, 0.01)
-    bits = choco_gossip_round(state, m, parse_compressor("sign"), _streams(4))
+    bits = choco_gossip_round(state, m, parse_compressor("sign"), _stream())
     np.testing.assert_array_equal(bits, [42, 42, 42, 42])
 
 
@@ -141,7 +142,7 @@ def test_gossip_contracts_disagreement():
     c = rate_constant(m, 0.5)
     T = 1500
     for _ in range(T):
-        choco_gossip_round(state, m, comp, _streams(8, seed=5))
+        choco_gossip_round(state, m, comp, _stream(seed=5))
     # theory envelope (one-sided) and actual progress
     assert lyapunov(state) <= (1.0 - c) ** T * psi0
     assert consensus_distance(state.x) < consensus_distance(x0)
@@ -153,7 +154,7 @@ def test_divergence_guard():
     comp = parse_compressor("identity")
     with pytest.raises(FloatingPointError):
         for _ in range(200):
-            choco_gossip_round(state, m, comp, _streams(4))
+            choco_gossip_round(state, m, comp, _stream())
 
 
 # ----------------------------------------------------------------- lyapunov
@@ -187,7 +188,7 @@ def test_consensus_distance_hand_value():
 def test_sync_public_identity_is_lossless():
     x = RandomStream(2, 0, "init").normal(12).reshape(4, 3)
     xhat = np.zeros_like(x)
-    new_hat, bits = sync_public(x, xhat, parse_compressor("identity"), _streams(4))
+    new_hat, bits = sync_public(x, xhat, parse_compressor("identity"), _stream())
     np.testing.assert_array_equal(new_hat, x)
     np.testing.assert_array_equal(bits, [96, 96, 96, 96])
 

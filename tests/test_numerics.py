@@ -3,8 +3,7 @@ import zlib
 import numpy as np
 import pytest
 
-from chocosim.numerics import (KEY_BLOCK, MAX_ITERATION, RandomStream, require_finite,
-                               substream_keys, sym_eigenvalues)
+from chocosim.numerics import RandomStream, require_finite, sym_eigenvalues
 
 
 # -------------------------------------------------------------- eigenvalues
@@ -101,58 +100,48 @@ def test_substream_distinct_from_base_stream():
     assert not np.array_equal(base, sub)
 
 
-# Oracle for the per-iteration substreams: NumPy's SeedSequence, as the
-# streams were first built (one SeedSequence and Philox per call).
+# Oracle for the per-iteration generators: one Philox key per stream, from
+# NumPy's SeedSequence, and iteration t in counter word 2 as t + 1.
 SEEDS = [0, 1, 2**32, 2**64 - 1, 2**130]  # 2**130 has five entropy words
 SEED_IDS = ["0", "1", "2**32", "2**64-1", "2**130"]
 PURPOSES = ["grad", "compress", "init", "verify", "estimate"]
+LAST_ITERATION = 2**64 - 2  # t + 1 fills one uint64 counter word
 
 
-def _reference_seq(seed, worker, purpose, t):
-    spawn = (worker, zlib.crc32(purpose.encode("utf-8")), t + 1)
-    return np.random.SeedSequence(seed, spawn_key=spawn)
-
-
-def _reference_key(seed, worker, purpose, t):
-    return _reference_seq(seed, worker, purpose, t).generate_state(2, np.uint64)
+def _reference_seq(seed, worker, purpose):
+    return np.random.SeedSequence(seed, spawn_key=(worker, zlib.crc32(purpose.encode("utf-8"))))
 
 
 def _reference_generator(seed, worker, purpose, t):
-    return np.random.Generator(np.random.Philox(_reference_seq(seed, worker, purpose, t)))
+    counter = np.array([0, 0, t + 1, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_reference_seq(seed, worker, purpose),
+                                                counter=counter))
 
 
 def _iterations_under_test(seed):
-    large = np.random.default_rng(seed % 2**32).integers(66, MAX_ITERATION, size=3)
-    return np.array([0, 63, 64, 65, MAX_ITERATION, *large])
+    large = np.random.default_rng(seed % 2**32).integers(2, 2**63, size=3)
+    return [0, 1, 2**32 - 2, 2**32 - 1, LAST_ITERATION, *large.tolist()]
 
 
 @pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
 def test_substream_keys_equal_seed_sequence(seed):
-    workers = np.arange(256)
-    iterations = _iterations_under_test(seed)
+    # every iteration's generator runs on the stream's one key and differs
+    # from the others only in counter word 2
     for purpose in PURPOSES:
-        keys = substream_keys(seed, workers[:, None], purpose, iterations[None, :])
-        assert keys.shape == (256, len(iterations), 2) and keys.dtype == np.uint64
-        for w in workers:
-            for j, t in enumerate(iterations):
+        for worker in (0, 255):
+            stream = RandomStream(seed, worker, purpose)
+            key = _reference_seq(seed, worker, purpose).generate_state(2, np.uint64)
+            for t in _iterations_under_test(seed):
+                state = stream.at(t).bit_generator.state["state"]
+                np.testing.assert_array_equal(state["key"], key)
                 np.testing.assert_array_equal(
-                    keys[w, j], _reference_key(seed, int(w), purpose, int(t)))
-
-
-def test_substream_keys_scalar_and_broadcast_shapes():
-    assert substream_keys(7, 3, "grad", 10).shape == (2,)
-    np.testing.assert_array_equal(substream_keys(7, 3, "grad", 10),
-                                  _reference_key(7, 3, "grad", 10))
-    block = substream_keys(7, 3, "grad", np.arange(5))
-    assert block.shape == (5, 2)
-    np.testing.assert_array_equal(block[4], substream_keys(7, 3, "grad", 4))
-    assert substream_keys(7, np.arange(3)[:, None], "grad", np.arange(0)).shape == (3, 0, 2)
+                    state["counter"], np.array([0, 0, t + 1, 0], dtype=np.uint64))
 
 
 @pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
 def test_at_draws_equal_seed_sequence_in_any_order(seed):
-    # out of order, revisiting blocks, and interleaved across two streams
-    order = [65, 0, 64, 63, 130, 1, MAX_ITERATION, 5000, 64, 63, 0, 127, 128]
+    # out of order, revisiting iterations, and interleaved across two streams
+    order = [65, 0, 64, 63, 130, 1, LAST_ITERATION, 5000, 64, 63, 0, 127, 128]
     for purpose in PURPOSES:
         streams = {w: RandomStream(seed, w, purpose) for w in (0, 17, 255)}
         for t in order:
@@ -164,38 +153,44 @@ def test_at_draws_equal_seed_sequence_in_any_order(seed):
 
 def test_at_generators_held_together_stay_independent():
     stream = RandomStream(9, 2, "compress")
-    first, again, later = stream.at(3), stream.at(3), stream.at(KEY_BLOCK + 3)
+    first, again, later = stream.at(3), stream.at(3), stream.at(67)
     draws = {"first": [], "again": [], "later": []}
     for _ in range(4):  # interleave draws from all three generators
         draws["first"].append(first.random(2))
         draws["later"].append(later.random(2))
         draws["again"].append(again.random(2))
     want_3 = _reference_generator(9, 2, "compress", 3).random(8)
-    want_later = _reference_generator(9, 2, "compress", KEY_BLOCK + 3).random(8)
+    want_later = _reference_generator(9, 2, "compress", 67).random(8)
     np.testing.assert_array_equal(np.concatenate(draws["first"]), want_3)
     np.testing.assert_array_equal(np.concatenate(draws["again"]), want_3)
     np.testing.assert_array_equal(np.concatenate(draws["later"]), want_later)
 
 
+def test_stateful_draws_do_not_move_the_iteration_generators():
+    stream, fresh = RandomStream(6, 0, "grad"), RandomStream(6, 0, "grad")
+    stream.normal(1000)
+    np.testing.assert_array_equal(stream.at(2).random(5), fresh.at(2).random(5))
+    # the stateful draws run on the same key from counter 0
+    want = np.random.Generator(np.random.Philox(_reference_seq(6, 0, "grad"))).random(4)
+    np.testing.assert_array_equal(fresh.uniform(4), want)
+
+
 def test_at_iteration_range():
     stream = RandomStream(4, 1, "grad")
     np.testing.assert_array_equal(
-        stream.at(MAX_ITERATION).random(4),
-        _reference_generator(4, 1, "grad", MAX_ITERATION).random(4))
-    for bad in (-1, MAX_ITERATION + 1, 2**40):
+        stream.at(LAST_ITERATION).random(4),
+        _reference_generator(4, 1, "grad", LAST_ITERATION).random(4))
+    np.testing.assert_array_equal(stream.at(np.int64(7)).random(4), stream.at(7).random(4))
+    for bad in (-1, LAST_ITERATION + 1, 2**70):
         with pytest.raises(ValueError):
             stream.at(bad)
-    with pytest.raises(ValueError):
-        substream_keys(4, 1, "grad", np.array([0, MAX_ITERATION + 1]))
 
 
 def test_negative_seed_is_rejected():
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         RandomStream(-1)
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-        substream_keys(-3, 0, "grad", 0)
     with pytest.raises(ValueError):
-        substream_keys(1, -1, "grad", 0)
+        RandomStream(1, worker=-1)
 
 
 def test_zero_std_draw_is_exact_zero_and_advances():

@@ -95,12 +95,14 @@ def test_centralized_matches_the_literal_gradient_loop():
               seed=2, x0=x0, record_iterates=True)
 
     from chocosim.optim import Streams
-    streams = Streams(2, n)
+    streams = Streams(2)
+    scale = problem.noise_std / np.sqrt(d)
     x = x0.copy()
     for t in range(steps):
+        noise = streams.grad.at(t).standard_normal((n, d))  # the iteration's block
         g = np.empty((n, d))
         for i in range(n):
-            g[i] = problem.stochastic_gradient(i, x, streams.grad_at(i, t), t)
+            g[i] = problem.node_gradient(i, x) + scale * noise[i]
         x = x - eta * g.mean(axis=0)
         np.testing.assert_array_equal(rec.iterates[t + 1], x[None, :])
     np.testing.assert_array_equal(rec.final_x_mean, x)
@@ -116,11 +118,12 @@ def test_lossless_gossip_matches_matrix_recursion():
               record_iterates=True)
 
     from chocosim.optim import Streams
-    streams = Streams(5, 4)
+    streams = Streams(5)
+    scale = problem.noise_std / np.sqrt(problem.dim)
     for t in range(1, 12):
         x = rec.iterates[t]
-        g = np.stack([problem.stochastic_gradient(i, x[i], streams.grad_at(i, t), t)
-                      for i in range(4)])
+        noise = streams.grad.at(t).standard_normal((4, problem.dim))  # the iteration's block
+        g = np.stack([problem.node_gradient(i, x[i]) + scale * noise[i] for i in range(4)])
         np.testing.assert_array_equal(rec.iterates[t + 1], mixing.w @ x - 0.1 * g)
 
 
@@ -289,12 +292,13 @@ def test_broadcast_mode_charges_less_traffic_on_a_ring():
 
 # --------------------------------------------------- random-stream contract
 
-def _seed_commit_at(self, iteration):
-    # RandomStream.at as first released: one SeedSequence and Philox per call
-    if iteration < 0:
-        raise ValueError("iteration must be >= 0")
-    spawn = (self.worker, zlib.crc32(self.purpose.encode("utf-8")), int(iteration) + 1)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=spawn)))
+def _literal_at(self, iteration):
+    # RandomStream.at written out: the stream's one SeedSequence key, and
+    # the iteration in counter word 2
+    spawn = (self.worker, zlib.crc32(self.purpose.encode("utf-8")))
+    seq = np.random.SeedSequence(self.seed, spawn_key=spawn)
+    counter = np.array([0, 0, int(iteration) + 1, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(seq, counter=counter))
 
 
 def _run_fingerprint(problem, algorithm, spec):
@@ -306,15 +310,27 @@ def _run_fingerprint(problem, algorithm, spec):
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
-def test_runs_replay_the_original_stream_construction(kind, monkeypatch):
-    # pins every trajectory to the per-call SeedSequence definition of the
-    # substreams; 70 iterations cross a key-block boundary
+def test_runs_replay_the_literal_stream_construction(kind, monkeypatch):
+    # pins every trajectory to one Philox per (seed, purpose), iteration t
+    # addressed by the counter
     if kind == "quadratic":
         problem = make_quadratic(4, 5, heterogeneity=1.0, noise_std=0.5, seed=2)
     else:
         problem = make_logistic(4, dim=5, samples=200, batch=8, seed=3)
     specs = ["identity", "sign", "topk:0.2", "gsgd:4", "random:0.3"]
     current = {(a, c): _run_fingerprint(problem, a, c) for a in ALGORITHMS for c in specs}
-    monkeypatch.setattr(RandomStream, "at", _seed_commit_at)
+    derived = []
+
+    def counted_at(self, iteration):
+        derived.append((self.seed, self.worker, self.purpose))
+        return _literal_at(self, iteration)
+
+    monkeypatch.setattr(RandomStream, "at", counted_at)
     for (algorithm, spec), fingerprint in current.items():
         assert _run_fingerprint(problem, algorithm, spec) == fingerprint, (algorithm, spec)
+    # one generator per purpose and iteration: 70 for the gradients, 70 more
+    # for a stochastic compressor in the compressed family
+    stochastic = sum(a.startswith("choco") and c in ("gsgd:4", "random:0.3")
+                     for a in ALGORITHMS for c in specs)
+    assert len(derived) == 70 * (len(current) + stochastic)
+    assert set(derived) == {(11, 0, "grad"), (11, 0, "compress")}
