@@ -57,7 +57,9 @@ def cmd_run(args):
     config = _load_config(args)
     records, paths = execute_config(config)
     for record in records:
-        status = "DIVERGED" if record.diverged else "ok"
+        status = "ok"
+        if record.diverged:
+            status = f"DIVERGED at t={record.diverged_at} (node {record.diverged_node})"
         final = record.f_avg[-1] if record.f_avg else float("nan")
         print(f"seed {record.seed}: {status}  rows={len(record.t)}  "
               f"final_f={final:.6g}  busiest_bits={record.bits_busiest[-1] if record.bits_busiest else 0}")

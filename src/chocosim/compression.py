@@ -216,7 +216,7 @@ def compress_blocks(comp, x, rng=None, boundaries=None):
     blocks = list(zip(boundaries[:-1], boundaries[1:]))
     if any(stop <= start for start, stop in blocks):
         raise ValueError("block boundaries must be strictly increasing")
-    bits = sum(bit_cost(comp, int(stop - start)) for start, stop in blocks) * rows.shape[0]
+    bits = message_bits(comp, d, boundaries) * rows.shape[0]
     if len(blocks) == 1:
         payload = _row_payloads(comp, rows, rng)
     else:
@@ -240,6 +240,15 @@ def bit_cost(comp, dim):
         # value plus coordinate index per kept entry
         return 2 * FLOAT_BITS * _kept_count(comp.fraction, dim)
     return dim + FLOAT_BITS  # sign: one bit per coordinate plus the L1 norm
+
+
+def message_bits(comp, dim, boundaries=None):
+    """Wire size of one row of length ``dim`` compressed block by block
+    (``boundaries`` as in :func:`compress_blocks`; ``None`` is one block)."""
+    if boundaries is None:
+        return bit_cost(comp, dim)
+    return sum(bit_cost(comp, int(stop - start))
+               for start, stop in zip(boundaries[:-1], boundaries[1:]))
 
 
 def contraction_factor(comp, dim):

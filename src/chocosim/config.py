@@ -18,7 +18,8 @@ from .compression import parse_compressor
 from .metrics import run_id, write_aggregate_csv, write_csv, write_summary
 from .numerics import RandomStream
 from .optim import ALGORITHMS, OptimizerConfig, _is_number, run
-from .problems import make_logistic, make_mlp, make_quadratic, load_csv_dataset
+from .problems import (PARTITION_MODES, load_csv_dataset, make_logistic, make_mlp,
+                       make_quadratic)
 from .topology import fully_connected, load_edge_list, mixing_matrix, ring, torus
 
 THREADS_ENV = "CHOCO_THREADS"
@@ -87,6 +88,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-negative integers")
         if self.x0_mode not in X0_MODES:
             raise ConfigError(f"x0_mode must be one of {X0_MODES}")
+        if not _is_number(self.x0_scale):
+            raise ConfigError("x0_scale must be a finite number")
         for name in ("broadcast", "per_layer"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false")
@@ -112,6 +115,12 @@ class ExperimentConfig:
         for name in _PROBLEM_NUMBERS:
             if name in merged and not _is_number(merged[name]):
                 raise ConfigError(f"problem.{name} must be a finite number")
+        if "mode" in merged and merged["mode"] not in PARTITION_MODES:
+            raise ConfigError(f"problem.mode must be one of {PARTITION_MODES}")
+        if "by_label" in merged and not isinstance(merged["by_label"], bool):
+            raise ConfigError("problem.by_label must be true or false")
+        if "csv" in merged and not (merged["csv"] is None or isinstance(merged["csv"], str)):
+            raise ConfigError("problem.csv must be a string or null")
         if graph is not None and graph.n != merged["n"]:
             raise ConfigError(f"topology {self.topology} has {graph.n} nodes "
                               f"but problem.n is {merged['n']!r}")

@@ -13,6 +13,11 @@ compresses every node's row (:func:`compress_rows`). The stochastic
 compressors draw all rows from one random source, node i's draw coming
 after those of nodes 0..i-1, so the result equals compressing node by
 node, in node order, from that source.
+
+The statistics :func:`consensus_distance` and :func:`lyapunov` accept the
+node mean ``xbar`` a caller has already computed (an optimizer's logged
+row computes it once for the loss and both statistics). A gossip round's
+divergence check is one pass, ``max |x| <= limit``.
 """
 
 from dataclasses import dataclass
@@ -137,28 +142,35 @@ def choco_gossip_round(state, mixing, comp, rng, boundaries=None):
     if mixing.w.shape[0] != state.n:
         raise ValueError("mixing matrix size does not match state")
     state.x = mix_with_public(state.x, state.xhat, mixing.w, state.gamma)
-    if not np.all(np.isfinite(state.x)) or np.max(np.abs(state.x)) > _DIVERGENCE_NORM:
+    # one pass: a NaN maximum compares False, and +-inf exceeds the limit
+    if not np.abs(state.x).max() <= _DIVERGENCE_NORM:
         raise FloatingPointError("gossip iterates diverged")
     state.xhat, bits = sync_public(state.x, state.xhat, comp, rng, boundaries)
     return bits
 
 
-def lyapunov(state):
+def lyapunov(state, xbar=None):
     """Total squared disagreement plus public-copy lag.
 
     ``sum_i ||x_i - xbar||^2 + sum_i ||x_i - xhat_i||^2``; this is the
     quantity that contracts by ``(1 - c)`` per round in expectation. A
     ``state`` without public copies (``xhat is None``, exact gossip) has no
-    lag term.
+    lag term. ``xbar`` is ``state.x.mean(axis=0)`` when the caller already
+    has it.
     """
-    xbar = state.x.mean(axis=0)
+    if xbar is None:
+        xbar = state.x.mean(axis=0)
     psi = ((state.x - xbar) ** 2).sum()
     if state.xhat is not None:
         psi = psi + ((state.x - state.xhat) ** 2).sum()
     return float(psi)
 
 
-def consensus_distance(x):
-    """Node-averaged squared distance to the node mean, ``(1/n) sum ||x_i - xbar||^2``."""
-    xbar = x.mean(axis=0)
+def consensus_distance(x, xbar=None):
+    """Node-averaged squared distance to the node mean, ``(1/n) sum ||x_i - xbar||^2``.
+
+    ``xbar`` is ``x.mean(axis=0)`` when the caller already has it.
+    """
+    if xbar is None:
+        xbar = x.mean(axis=0)
     return float(((x - xbar) ** 2).sum() / x.shape[0])

@@ -5,13 +5,20 @@ bit cost of its message once per neighbor (pairwise mode, the default) or
 once in total (broadcast mode). The centralized baseline is the exception:
 its coordinator is a hub whose line carries every upload, so the uploads
 are also charged to the coordinator and it is normally the busiest node.
+An optimizer run sends the same messages every iteration, so it charges
+one iteration to a :class:`TrafficLedger` once and scales the counts by
+the number of completed iterations.
 
 Per-iteration run metrics go to CSV with the fixed header
 ``t,f_avg,grad_sq,consensus,psi,bits_busiest,wall_ms``; run-level metadata
 (config echo, run id, timing, divergence) goes to a JSON summary next to
 it. CSV content is a pure function of (config, seed): the wall_ms column is
 therefore a deterministic 0 placeholder, and real elapsed time is reported
-only in the summary.
+only in the summary: ``elapsed_s`` per seed, and ``timings_s`` splitting
+it into the optimizer steps (``step_s``), the logged rows' loss and
+gradient (``eval_s``) and their consensus statistics (``stats_s``). A
+diverged seed names its iteration (``diverged_at``) and the first node
+whose iterate failed (``diverged_node``).
 """
 
 import hashlib
@@ -87,8 +94,10 @@ class RunRecord:
     wall_ms: list = field(default_factory=list)
     diverged: bool = False
     diverged_at: int = None
+    diverged_node: int = None
     max_grad_norm: float = 0.0
     elapsed_s: float = 0.0
+    timings: dict = field(default_factory=dict)
     final_x_mean: np.ndarray = None
     seed: int = 0
     gamma: float = None
@@ -162,7 +171,10 @@ def write_summary(records, config_dict, path, extra=None):
         "seeds": seeds,
         "diverged": {str(r.seed): r.diverged for r in records},
         "diverged_at": {str(r.seed): r.diverged_at for r in records},
+        "diverged_node": {str(r.seed): r.diverged_node for r in records},
         "elapsed_s": {str(r.seed): round(r.elapsed_s, 3) for r in records},
+        "timings_s": {str(r.seed): {k: round(v, 6) for k, v in r.timings.items()}
+                      for r in records},
         "summary": {str(r.seed): summarize(r) for r in records},
     }
     if extra:

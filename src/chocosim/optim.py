@@ -24,16 +24,26 @@ nodes: the gradient noise or minibatch indices of the iteration are one
 ``(n, .)`` block, row i for node i, and the stochastic compressors draw
 their rows in node order. Node i's draw therefore depends on n and on the
 row length as well as on ``(seed, t)``.
+
+Bookkeeping that is fixed for a run is done once, at set-up. Every
+iteration sends the same messages, so one iteration's per-node traffic is
+charged once, by one validated :class:`TrafficLedger` call; after k
+completed iterations every node's total is exactly k times that charge,
+which gives each logged row's ``bits_busiest`` and, when the loop ends,
+the run's ledger. A logged row computes the node mean once and hands it to
+the consensus statistics. The divergence check is one pass over the
+iterate, ``max |x| <= limit`` (a NaN compares False); only when it trips
+is the first failing node looked for.
 """
 
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import Compressor, bit_cost, contraction_factor
+from .compression import Compressor, contraction_factor, message_bits
 from .consensus import (compress_rows, consensus_distance, consensus_stepsize, lyapunov,
                         mix_with_public, sync_public)
 from .metrics import RunRecord, TrafficLedger
@@ -143,7 +153,7 @@ def _direction(workers, g, cfg):
 
 def choco_step(workers, problem, mixing, comp, gamma, eta, streams, t,
                cfg=None, boundaries=None, record=None):
-    """One iteration of the compressed-gossip family; returns per-node bits.
+    """One iteration of the compressed-gossip family, updating ``workers``.
 
     Handles plain, momentum, and error-feedback variants depending on
     ``cfg.algorithm`` (``cfg=None`` means plain).
@@ -153,11 +163,11 @@ def choco_step(workers, problem, mixing, comp, gamma, eta, streams, t,
     rng = streams.compress.at(t) if comp.stochastic else None
     if algorithm == "choco-errorfeedback":
         v = (workers.x - workers.x_prev) + workers.memory
-        q, bits = compress_rows(v, comp, rng, boundaries)
+        q, _ = compress_rows(v, comp, rng, boundaries)
         workers.memory = v - q
         xhat_next = workers.xhat + q  # literal receiver-side reconstruction
     else:
-        xhat_next, bits = sync_public(workers.x, workers.xhat, comp, rng, boundaries)
+        xhat_next, _ = sync_public(workers.x, workers.xhat, comp, rng, boundaries)
 
     g = _gradients(problem, workers.x, streams, t, record)
     direction = _direction(workers, g, cfg) if cfg is not None else g
@@ -165,24 +175,51 @@ def choco_step(workers, problem, mixing, comp, gamma, eta, streams, t,
         workers.x_prev = workers.x
     workers.x = mix_with_public(workers.x, xhat_next, mixing.w, gamma) - eta * direction
     workers.xhat = xhat_next
-    return bits
 
 
 def decentralized_exact_step(workers, problem, mixing, eta, streams, t, record=None):
     """Uncompressed baseline: local gradient step, then exact averaging."""
     g = _gradients(problem, workers.x, streams, t, record)
     workers.x = mixing.w @ (workers.x - eta * g)
-    return np.full(workers.x.shape[0], bit_cost(Compressor("identity"), workers.x.shape[1]),
-                   dtype=np.int64)
 
 
 def centralized_step(x, problem, eta, streams, t, record=None):
-    """Coordinator baseline: one shared iterate, n full-precision uploads."""
+    """Coordinator baseline: one shared iterate, n full-precision uploads;
+    returns the next iterate."""
     n = problem.n
     # C-ordered copies: a broadcast view would make g F-ordered, and g.mean
     # would sum in another order
     g = _gradients(problem, np.tile(x, (n, 1)), streams, t, record)
-    return x - eta * g.mean(axis=0), np.full(n, 32 * x.shape[0], dtype=np.int64)
+    return x - eta * g.mean(axis=0)
+
+
+def _iteration_ledger(cfg, n, dim, mixing, comp, boundaries, broadcast):
+    """Ledger holding the traffic of one iteration, fixed for the whole run.
+
+    Every node sends one message per iteration: the compressed blocks of
+    its row (the compressed family) or its full-precision row (the
+    baselines). It is charged by one validated ledger call: once per
+    out-link (pairwise), once in total (``broadcast``), or as an upload to
+    the coordinator hub, ledger slot ``n`` (centralized).
+    """
+    if cfg.algorithm.startswith("choco"):
+        bits = message_bits(comp, dim, boundaries)
+    else:
+        bits = message_bits(Compressor("identity"), dim)
+    centralized = cfg.algorithm == "centralized"
+    ledger = TrafficLedger(n + 1 if centralized else n)
+    nodes = np.arange(n)
+    if centralized:
+        ledger.add_upload(nodes, n, bits)
+    elif broadcast:
+        ledger.add_broadcast(nodes, bits)
+    else:
+        # one copy per neighbor (nonzero off-diagonal weight)
+        links = mixing.w != 0.0
+        np.fill_diagonal(links, False)
+        src, dst = np.nonzero(links)
+        ledger.add_message(src, dst, bits)
+    return ledger
 
 
 def effective_contraction(comp, dim, boundaries=None):
@@ -241,67 +278,69 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
 
     centralized = cfg.algorithm == "centralized"
     if centralized:
-        ledger = TrafficLedger(n + 1)  # extra slot: the coordinator hub
-        hub = n
         x = x0.copy()
         workers = None
     else:
-        ledger = TrafficLedger(n)
         workers = Workers.start(x0, n, cfg.algorithm)
-        if not broadcast:
-            # pairwise accounting sends one copy per neighbor (nonzero off-diagonal weight)
-            links = mixing.w != 0.0
-            np.fill_diagonal(links, False)
-            src, dst = np.nonzero(links)
+    ledger = _iteration_ledger(cfg, n, dim, mixing, compressor, boundaries, broadcast)
+    busiest_charge = ledger.busiest()
 
     history = []
     if record_iterates:
         history.append(x.copy() if centralized else workers.x.copy())
 
-    nodes = np.arange(n)
-
-    def commit(bits_per_node):
-        if centralized:
-            ledger.add_upload(nodes, hub, bits_per_node)
-        elif broadcast:
-            ledger.add_broadcast(nodes, bits_per_node)
-        else:
-            ledger.add_message(src, dst, bits_per_node[src])
-
+    step_s = eval_s = stats_s = 0.0
+    completed = 0
     for t in range(cfg.iterations):
+        tick = time.perf_counter()
         if centralized:
-            x, bits = centralized_step(x, problem, cfg.eta, streams, t, record)
+            x = centralized_step(x, problem, cfg.eta, streams, t, record)
             state_rows = x[None, :]
         elif cfg.algorithm == "decentralized-exact":
-            bits = decentralized_exact_step(workers, problem, mixing, cfg.eta, streams, t, record)
+            decentralized_exact_step(workers, problem, mixing, cfg.eta, streams, t, record)
             state_rows = workers.x
         else:
-            bits = choco_step(workers, problem, mixing, compressor, gamma, cfg.eta,
-                              streams, t, cfg=cfg, boundaries=boundaries, record=record)
+            choco_step(workers, problem, mixing, compressor, gamma, cfg.eta,
+                       streams, t, cfg=cfg, boundaries=boundaries, record=record)
             state_rows = workers.x
+        tock = time.perf_counter()
+        step_s += tock - tick
 
-        if not np.all(np.isfinite(state_rows)) or np.max(np.abs(state_rows)) > DIVERGENCE_LIMIT:
+        # one pass: a NaN maximum compares False, and +-inf exceeds the limit
+        if not np.abs(state_rows).max() <= DIVERGENCE_LIMIT:
             record.diverged = True
             record.diverged_at = t + 1
+            # the first row with a NaN, an infinity or an entry beyond the
+            # limit; the centralized iterate is the coordinator's, ledger slot n
+            failing = ~(np.abs(state_rows) <= DIVERGENCE_LIMIT).all(axis=1)
+            record.diverged_node = n if centralized else int(np.argmax(failing))
             break
 
-        commit(bits)
+        completed = t + 1
         if record_iterates:
             history.append(state_rows.copy())
-        if (t + 1) % log_every == 0 or t + 1 == cfg.iterations:
+        if completed % log_every == 0 or completed == cfg.iterations:
+            tick = time.perf_counter()
             xbar = state_rows.mean(axis=0)
+            consensus = 0.0 if centralized else consensus_distance(state_rows, xbar)
+            psi = 0.0 if centralized else lyapunov(workers, xbar)
+            tock = time.perf_counter()
             f_avg, grad = problem.loss_and_gradient(xbar)
+            eval_s += time.perf_counter() - tock
+            stats_s += tock - tick
             record.add_row(
-                t=t + 1,
+                t=completed,
                 f_avg=f_avg,
                 grad_sq=float(grad @ grad),
-                consensus=0.0 if centralized else consensus_distance(state_rows),
-                psi=0.0 if centralized else lyapunov(workers),
-                bits_busiest=ledger.busiest(),
+                consensus=consensus,
+                psi=psi,
+                bits_busiest=completed * busiest_charge,
             )
 
     record.elapsed_s = time.perf_counter() - started
+    record.timings = {"step_s": step_s, "eval_s": eval_s, "stats_s": stats_s}
     record.final_x_mean = (x if centralized else workers.x.mean(axis=0)).copy()
+    ledger.per_node *= completed  # every completed iteration charged the same
     record.ledger = ledger
     record.workers = workers
     if record_iterates:

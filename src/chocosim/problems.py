@@ -146,11 +146,12 @@ class QuadraticProblem:
         offsets = stream.normal(n * dim).reshape(n, dim) / np.sqrt(dim)
         offsets -= offsets.mean(axis=0)
         self.node_optima = xstar + heterogeneity * offsets
+        self._optimum = self.node_optima.mean(axis=0)
         self._noise_coord_std = noise_std / np.sqrt(dim)
 
     def optimum(self):
-        """Exact global minimizer (the mean of the per-node optima)."""
-        return self.node_optima.mean(axis=0)
+        """Exact global minimizer (the mean of the per-node optima); a copy."""
+        return self._optimum.copy()
 
     def f_star(self):
         return self.loss(self.optimum())
@@ -170,7 +171,7 @@ class QuadraticProblem:
         return self.hessian @ (x - self.node_optima[i])
 
     def full_gradient(self, x):
-        return self.hessian @ (x - self.optimum())
+        return self.hessian @ (x - self._optimum)
 
     def loss_and_gradient(self, x):
         return self.loss(x), self.full_gradient(x)

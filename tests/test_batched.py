@@ -342,3 +342,112 @@ def test_run_equals_the_per_node_reference_loop(algorithm, broadcast, kind):
         assert rec.max_grad_norm == max_grad
         assert np.array_equal(rec.final_x_mean, final_mean)
         assert np.array_equal(rec.ledger.per_node, per_node)
+
+
+# ------------------------------------------------------- fixed bookkeeping
+
+def _literal_choco_until_divergence(problem, mixing, comp, gamma, eta, iterations, seed,
+                                    x0):
+    """Plain CHOCO node by node, charging every message edge by edge after
+    every iteration, with the three-pass divergence check; stops at the
+    first diverged iterate, which it returns along with the index of its
+    first failing row."""
+    n, d = problem.n, problem.dim
+    streams = Streams(seed)
+    ledger = TrafficLedger(n)
+    x, xhat = np.tile(x0, (n, 1)), np.zeros((n, d))
+    rows = []
+    for t in range(iterations):
+        v = x - xhat
+        q, bits = _per_row(comp, v, streams.compress.at(t) if comp.stochastic else None,
+                           None)
+        xhat_next = x - (v - q)
+        rng = streams.grad.at(t)
+        g = np.empty((n, d))
+        for i in range(n):
+            g[i] = problem.stochastic_gradient(i, x[i], rng, t)
+        x = ((x - gamma * xhat_next) + gamma * (mixing.w @ xhat_next)) - eta * g
+        xhat = xhat_next
+        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1e12:
+            failing = next(i for i in range(n)
+                           if not np.all(np.isfinite(x[i])) or np.max(np.abs(x[i])) > 1e12)
+            return rows, ledger.per_node, t + 1, failing
+        for i in range(n):
+            for j in range(n):
+                if j != i and mixing.w[i, j] != 0.0:
+                    ledger.add_message(i, j, bits[i])
+        xbar = x.mean(axis=0)
+        grad = problem.full_gradient(xbar)
+        psi = ((x - xbar) ** 2).sum() + ((x - xhat) ** 2).sum()
+        rows.append((t + 1, sum(problem.node_loss(i, xbar) for i in range(n)) / n,
+                     float(grad @ grad), consensus_distance(x), float(psi),
+                     ledger.busiest()))
+    return rows, ledger.per_node, None, None
+
+
+@pytest.mark.parametrize("spec", ["sign", "gsgd:4"])
+def test_a_run_diverging_mid_run_equals_the_per_edge_reference(spec):
+    problem = make_quadratic(6, 7, heterogeneity=1.0, noise_std=0.5, seed=8)
+    mixing = mixing_matrix(ring(6))
+    comp = parse_compressor(spec)
+    x0 = np.linspace(-0.5, 0.5, problem.dim)
+    cfg = OptimizerConfig(algorithm="choco", eta=50.0, gamma=0.5, iterations=60)
+    rec = run(problem, cfg, mixing, comp, seed=4, x0=x0)
+    rows, per_node, diverged_at, failing = _literal_choco_until_divergence(
+        problem, mixing, comp, 0.5, 50.0, 60, 4, x0)
+    assert diverged_at is not None and 2 < diverged_at < 60  # mid-run
+    assert rec.diverged and rec.diverged_at == diverged_at
+    assert rec.diverged_node == failing
+    assert list(zip(rec.t, rec.f_avg, rec.grad_sq, rec.consensus, rec.psi,
+                    rec.bits_busiest)) == rows
+    # the diverged iteration is not charged
+    assert rec.ledger.per_node.dtype == np.int64
+    assert np.array_equal(rec.ledger.per_node, per_node)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_nan_start_is_flagged_at_iteration_one_with_nothing_charged(algorithm):
+    problem = make_quadratic(5, 4, seed=3)
+    x0 = np.array([0.1, np.nan, 0.2, 0.3])
+    cfg = OptimizerConfig(algorithm=algorithm, eta=0.05, gamma=0.5, iterations=20)
+    rec = run(problem, cfg, mixing_matrix(ring(5)), parse_compressor("sign"), seed=1,
+              broadcast=algorithm == "choco-momentum", x0=x0)
+    assert rec.diverged and rec.diverged_at == 1 and rec.rows() == 0
+    centralized = algorithm == "centralized"
+    # every node's row is NaN; the centralized iterate is the coordinator's
+    assert rec.diverged_node == (5 if centralized else 0)
+    assert np.array_equal(rec.ledger.per_node, np.zeros(6 if centralized else 5, np.int64))
+
+
+def test_divergence_names_the_first_failing_node():
+    problem = make_quadratic(6, 3, seed=2)
+    clean = problem.stochastic_gradients
+
+    def poisoned(x_rows, rng, t=0):
+        g = clean(x_rows, rng, t)
+        if t == 4:
+            g[3, 1] = np.inf
+            g[5, 0] = np.nan
+        return g
+
+    problem.stochastic_gradients = poisoned
+    cfg = OptimizerConfig(algorithm="choco", eta=0.05, gamma=0.5, iterations=10)
+    rec = run(problem, cfg, mixing_matrix(ring(6)), parse_compressor("topk:0.5"), seed=1,
+              log_every=2)
+    assert rec.diverged and rec.diverged_at == 5 and rec.diverged_node == 3
+    assert rec.t == [2, 4]
+    # four iterations of two out-links, each one message of one kept entry
+    assert rec.bits_busiest == [2 * 2 * 64, 4 * 2 * 64]
+    assert np.array_equal(rec.ledger.per_node, np.full(6, 4 * 2 * 64))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_times_its_layers_outside_the_rows(algorithm):
+    problem = make_quadratic(4, 3, seed=2)
+    cfg = OptimizerConfig(algorithm=algorithm, eta=0.05, gamma=0.5, iterations=30)
+    rec = run(problem, cfg, mixing_matrix(ring(4)), parse_compressor("sign"), seed=1,
+              log_every=7)
+    assert sorted(rec.timings) == ["eval_s", "stats_s", "step_s"]
+    assert all(v >= 0.0 for v in rec.timings.values())
+    assert rec.timings["step_s"] > 0.0
+    assert sum(rec.timings.values()) <= rec.elapsed_s

@@ -250,6 +250,10 @@ def test_bad_config_exits_one(tmp_path, capsys):
     ({"problem": {"kind": "logistic", "n": 4, "margin": "wide"}}, [], "problem.margin"),
     ({"problem": {"kind": "mlp", "n": 4, "hidden": 2.5}}, [], "problem.hidden"),
     ({"problem": {"kind": "mlp", "n": 4, "input_dim": "8"}}, [], "problem.input_dim"),
+    ({"x0_mode": "gaussian", "x0_scale": "big"}, [], "x0_scale"),
+    ({"x0_mode": "gaussian", "x0_scale": float("nan")}, [], "x0_scale"),
+    ({"x0_mode": "gaussian", "x0_scale": True}, [], "x0_scale"),
+    ({"x0_mode": "gaussian", "x0_scale": [1]}, [], "x0_scale"),
 ])
 def test_negative_seeds_exit_one_naming_the_field(tmp_path, capsys, overrides, argv, field):
     path = _write_config(tmp_path, **overrides)
@@ -270,6 +274,63 @@ def test_negative_seeds_exit_one_naming_the_field(tmp_path, capsys, overrides, a
     else:
         assert "number" in lines[0]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("problem, field, expected", [
+    ({"kind": "logistic", "n": 4, "mode": "fixed-split", "by_label": "no"}, "problem.by_label",
+     "true or false"),
+    ({"kind": "logistic", "n": 4, "mode": "fixed-split", "by_label": 0}, "problem.by_label",
+     "true or false"),
+    ({"kind": "mlp", "n": 4, "mode": "fixed-split", "by_label": 1}, "problem.by_label",
+     "true or false"),
+    ({"kind": "logistic", "n": 4, "csv": 5}, "problem.csv", "a string or null"),
+    ({"kind": "mlp", "n": 4, "csv": ["data.csv"]}, "problem.csv", "a string or null"),
+    ({"kind": "logistic", "n": 4, "mode": "shuffled"}, "problem.mode", "one of"),
+])
+def test_bad_problem_switches_exit_one_naming_the_field(tmp_path, capsys, problem, field,
+                                                        expected):
+    path = _write_config(tmp_path, problem=problem)
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith(f"error: {field} must be {expected}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_divergence_names_iteration_and_node_in_the_summary(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CHOCO_THREADS", "1")
+    path = _write_config(tmp_path, eta=1e6, iterations=50)
+    out = tmp_path / "d"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+    printed = capsys.readouterr().out
+    summary = next(p for p in os.listdir(out) if p.endswith("summary.json"))
+    data = json.loads((out / summary).read_text())
+    record = config_module.execute_single(ExperimentConfig.from_file(path), 1)
+    assert record.diverged and 1 <= record.diverged_at < 50
+    assert 0 <= record.diverged_node < 4
+    assert data["diverged_at"] == {"1": record.diverged_at}
+    assert data["diverged_node"] == {"1": record.diverged_node}
+    assert f"DIVERGED at t={record.diverged_at} (node {record.diverged_node})" in printed
+
+
+def test_summary_times_the_run_and_the_csv_does_not(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CHOCO_THREADS", "1")
+    path = _write_config(tmp_path, seeds=[1, 2])
+    out = tmp_path / "t"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = next(p for p in os.listdir(out) if p.endswith("summary.json"))
+    data = json.loads((out / summary).read_text())
+    assert sorted(data["timings_s"]) == ["1", "2"]
+    for timings in data["timings_s"].values():
+        assert sorted(timings) == ["eval_s", "stats_s", "step_s"]
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+    assert data["diverged_node"] == {"1": None, "2": None}
+    for name in os.listdir(out):
+        if name.endswith(".csv") and "aggregate" not in name:
+            header = (out / name).read_text().split("\n", 1)[0]
+            assert header == "t,f_avg,grad_sq,consensus,psi,bits_busiest,wall_ms"
 
 
 def test_run_end_to_end_and_replay(tmp_path, monkeypatch, capsys):

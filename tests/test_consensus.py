@@ -157,7 +157,32 @@ def test_divergence_guard():
             choco_gossip_round(state, m, comp, _stream())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e12])
+def test_divergence_guard_flags_any_bad_entry(bad):
+    m = mixing_matrix(ring(4))
+    state, _ = _start(4, 3, 0.1)
+    state.x[2, 1] = bad  # nothing else is out of range
+    with pytest.raises(FloatingPointError):
+        choco_gossip_round(state, m, parse_compressor("identity"), _stream())
+
+
+def test_divergence_guard_passes_the_limit_itself():
+    state = ConsensusState(x=np.full((2, 1), 1e12), xhat=np.full((2, 1), 1e12), gamma=0.5)
+    choco_gossip_round(state, mixing_matrix(ring(2)), parse_compressor("identity"), _stream())
+
+
 # ----------------------------------------------------------------- lyapunov
+
+def test_statistics_take_the_callers_mean_bit_for_bit():
+    for seed in range(4):
+        state, x0 = _start(7, 5, 0.1, seed=seed)
+        state.xhat = RandomStream(seed, 1, "init").normal(35).reshape(7, 5)
+        xbar = state.x.mean(axis=0)
+        assert consensus_distance(x0, x0.mean(axis=0)) == consensus_distance(x0)
+        assert lyapunov(state, xbar) == lyapunov(state)
+        state.xhat = None  # exact gossip: no lag term
+        assert lyapunov(state, xbar) == lyapunov(state)
+
 
 def test_lyapunov_zero_at_consensus():
     x = np.tile(np.array([1.0, 2.0]), (3, 1))

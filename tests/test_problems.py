@@ -39,6 +39,17 @@ def test_quadratic_optimum_is_mean_of_node_optima():
     assert np.linalg.norm(p.full_gradient(p.optimum())) < 1e-12
 
 
+def test_quadratic_optimum_is_a_copy_of_a_cached_mean():
+    p = make_quadratic(5, 8, heterogeneity=2.0, seed=1)
+    x = np.linspace(-1.0, 1.0, 8)
+    before = p.full_gradient(x)
+    np.testing.assert_array_equal(p.optimum(), p.node_optima.mean(axis=0))
+    opt = p.optimum()
+    opt += 100.0
+    np.testing.assert_array_equal(p.full_gradient(x), before)
+    np.testing.assert_array_equal(p.optimum(), p.node_optima.mean(axis=0))
+
+
 def test_quadratic_optimum_agrees_with_gradient_descent():
     p = make_quadratic(4, 6, heterogeneity=1.5, seed=3)
     x = np.zeros(p.dim)
