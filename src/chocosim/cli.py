@@ -44,9 +44,9 @@ def _load_config(args):
     data = config.to_dict()
     if getattr(args, "seed", None):
         data["seeds"] = list(args.seed)
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         data["out"] = args.out
-    if getattr(args, "log_every", None):
+    if getattr(args, "log_every", None) is not None:
         data["log_every"] = args.log_every
     if getattr(args, "broadcast", False):
         data["broadcast"] = True
@@ -107,7 +107,7 @@ def cmd_sweep(args):
         for gamma in gammas:
             cells.append((eta, gamma))
             for seed in config.seeds:
-                payloads.append({"config": cfg_dict, "seed": seed,
+                payloads.append({"config": config, "seed": seed,
                                  "eta": eta, "gamma": gamma})
     records = run_cells(payloads)
     per_seed = len(config.seeds)

@@ -5,62 +5,91 @@ determines every byte of the run's CSV output.
 Unknown keys are rejected rather than ignored, and the echoed form
 (:meth:`ExperimentConfig.to_dict`) round-trips: parse(echo(parse(x))) ==
 parse(x).
+
+Every default is stated once, and every field has one rule. The
+optimizer fields belong to :class:`~chocosim.optim.OptimizerConfig`, which
+:class:`ExperimentConfig` extends; a problem kind's fields are its factory's
+parameters (``data`` is given as a ``csv`` path). :func:`_check` takes every
+other scalar field's rule from the type of its default. Float ranges stay in
+the constructors, which library callers need too.
 """
 
+import inspect
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .compression import parse_compressor
 from .metrics import run_id, write_aggregate_csv, write_csv, write_summary
 from .numerics import RandomStream
-from .optim import ALGORITHMS, OptimizerConfig, _is_number, run
+from .optim import OptimizerConfig, _is_number, run
 from .problems import (PARTITION_MODES, load_csv_dataset, make_logistic, make_mlp,
                        make_quadratic)
 from .topology import fully_connected, load_edge_list, mixing_matrix, ring, torus
 
 THREADS_ENV = "CHOCO_THREADS"
-
-_PROBLEM_DEFAULTS = {
-    "quadratic": dict(kind="quadratic", n=8, dim=10, heterogeneity=1.0, noise_std=1.0,
-                      seed=0, mu=0.1, l_smooth=1.0, xstar_scale=1.0),
-    "logistic": dict(kind="logistic", n=8, dim=10, samples=2000, mode="iid-reshuffled",
-                     by_label=False, reg=1e-3, batch=32, seed=0, margin=1.5, csv=None),
-    "mlp": dict(kind="mlp", n=8, input_dim=8, hidden=16, samples=1024,
-                mode="iid-reshuffled", by_label=False, batch=32, seed=0, margin=1.5,
-                csv=None),
-}
-
 X0_MODES = ("zeros", "optimum", "gaussian")
-_PROBLEM_INTEGERS = ("n", "dim", "input_dim", "hidden", "samples", "batch")
-_PROBLEM_NUMBERS = ("heterogeneity", "noise_std", "reg", "margin", "mu", "l_smooth",
-                    "xstar_scale")
+_MODES = {"x0_mode": X0_MODES, "problem.mode": PARTITION_MODES}
 
 
 class ConfigError(ValueError):
     """Raised for malformed configs; the CLI maps it to exit code 1."""
 
 
+def _factory_fields(factory):
+    """A problem kind's fields and defaults: its factory's parameters, with
+    the dataset ``data`` given as the path ``csv``."""
+    return {"csv" if name == "data" else name: param.default
+            for name, param in inspect.signature(factory).parameters.items()}
+
+
+PROBLEM_FIELDS = {"quadratic": _factory_fields(make_quadratic),
+                  "logistic": _factory_fields(make_logistic),
+                  "mlp": _factory_fields(make_mlp)}
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check(name, value, default):
+    """Raise :class:`ConfigError` unless ``value`` suits field ``name``: true
+    or false for a bool default, an integer >= 1 for an int (every integer
+    field but the seed is a size or a stride), a finite number for a float,
+    a string for a str. Named exceptions: the seed, a mode and the csv path.
+    """
+    if name == "problem.seed":
+        ok, rule = _is_int(value) and value >= 0, "a non-negative integer"
+    elif name in _MODES:
+        ok, rule = isinstance(value, str) and value in _MODES[name], f"one of {_MODES[name]}"
+    elif name == "problem.csv":
+        ok, rule = value is None or isinstance(value, str), "a string or null"
+    elif isinstance(default, bool):
+        ok, rule = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        if not _is_int(value):
+            raise ConfigError(f"{name} must be an integer")
+        ok, rule = value >= 1, ">= 1"
+    elif isinstance(default, float):
+        ok, rule = _is_number(value), "a finite number"
+    else:
+        ok, rule = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(f"{name} must be {rule}")
+
+
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(OptimizerConfig):
     topology: str = "ring:8"
     compressor: str = "identity"
-    algorithm: str = "choco"
-    eta: float = 0.05
-    gamma: object = "auto"
-    momentum_factor: float = 0.0
-    weight_decay: float = 0.0
-    nesterov: bool = False
-    iterations: int = 1000
     seeds: list = field(default_factory=lambda: [1])
     log_every: int = 1
     broadcast: bool = False
     out: str = "runs"
-    problem: dict = field(default_factory=lambda: dict(_PROBLEM_DEFAULTS["quadratic"]))
-    delta_override: object = None
+    problem: dict = field(default_factory=lambda: {"kind": "quadratic"})
     per_layer: bool = True
     x0_mode: str = "zeros"
     x0_scale: float = 1.0
@@ -68,91 +97,53 @@ class ExperimentConfig:
     gamma_grid: list = None
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
+        inherited = {f.name for f in fields(OptimizerConfig)}
+        for f in fields(self):
+            if f.name not in inherited and isinstance(f.default, (bool, int, float, str)):
+                _check(f.name, getattr(self, f.name), f.default)
         try:
+            super().__post_init__()
             parse_compressor(self.compressor)
+            graph = None
+            if self.algorithm != "centralized":
+                graph = build_topology(self.topology, check_only=True)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        graph = None
-        if self.algorithm != "centralized":
-            try:
-                graph = build_topology(self.topology, check_only=True)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        if not isinstance(self.seeds, list) or not self.seeds or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in self.seeds
-        ):
+        if not (isinstance(self.seeds, list) and self.seeds and all(map(_is_int, self.seeds))):
             raise ConfigError("seeds must be a non-empty list of integers")
-        if any(s < 0 for s in self.seeds):
+        if min(self.seeds) < 0:
             raise ConfigError("seeds must be non-negative integers")
-        if self.x0_mode not in X0_MODES:
-            raise ConfigError(f"x0_mode must be one of {X0_MODES}")
-        if not _is_number(self.x0_scale):
-            raise ConfigError("x0_scale must be a finite number")
-        for name in ("broadcast", "per_layer"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false")
+
         if not isinstance(self.problem, dict) or "kind" not in self.problem:
             raise ConfigError("problem must be an object with a 'kind' key")
         kind = self.problem["kind"]
-        if kind not in _PROBLEM_DEFAULTS:
+        _check("problem.kind", kind, "")
+        if kind not in PROBLEM_FIELDS:
             raise ConfigError(f"unknown problem kind {kind!r}")
-        unknown = set(self.problem) - set(_PROBLEM_DEFAULTS[kind])
+        defaults = PROBLEM_FIELDS[kind]
+        unknown = set(self.problem) - set(defaults) - {"kind"}
         if unknown:
             raise ConfigError(f"unknown problem keys for {kind}: {sorted(unknown)}")
-        merged = dict(_PROBLEM_DEFAULTS[kind])
-        merged.update(self.problem)
-        self.problem = merged
-        seed = merged["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigError("problem.seed must be a non-negative integer")
-        # types only; the problem constructors check the ranges
-        for name in _PROBLEM_INTEGERS:
-            if name in merged and (not isinstance(merged[name], int)
-                                   or isinstance(merged[name], bool)):
-                raise ConfigError(f"problem.{name} must be an integer")
-        for name in _PROBLEM_NUMBERS:
-            if name in merged and not _is_number(merged[name]):
-                raise ConfigError(f"problem.{name} must be a finite number")
-        if "mode" in merged and merged["mode"] not in PARTITION_MODES:
-            raise ConfigError(f"problem.mode must be one of {PARTITION_MODES}")
-        if "by_label" in merged and not isinstance(merged["by_label"], bool):
-            raise ConfigError("problem.by_label must be true or false")
-        if "csv" in merged and not (merged["csv"] is None or isinstance(merged["csv"], str)):
-            raise ConfigError("problem.csv must be a string or null")
-        if graph is not None and graph.n != merged["n"]:
+        self.problem = {"kind": kind, **defaults, **self.problem}
+        for name, default in defaults.items():
+            _check(f"problem.{name}", self.problem[name], default)
+        if graph is not None and graph.n != self.problem["n"]:
             raise ConfigError(f"topology {self.topology} has {graph.n} nodes "
-                              f"but problem.n is {merged['n']!r}")
+                              f"but problem.n is {self.problem['n']!r}")
         if self.x0_mode == "optimum" and kind != "quadratic":
             raise ConfigError("x0_mode 'optimum' needs the quadratic problem")
-        # reuse the optimizer-side validation for the numeric fields
-        try:
-            self.optimizer()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        for name, value in (("log_every", self.log_every),):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer")
-        for name in ("eta_grid", "gamma_grid"):
-            grid = getattr(self, name)
-            if grid is not None:
-                if not isinstance(grid, list) or not grid or not all(
-                    _is_number(v) and v >= 0 for v in grid
-                ):
-                    raise ConfigError(f"{name} must be a non-empty list of numbers >= 0")
 
-    def optimizer(self):
-        return OptimizerConfig(
-            algorithm=self.algorithm,
-            eta=self.eta,
-            gamma=self.gamma,
-            momentum_factor=self.momentum_factor,
-            weight_decay=self.weight_decay,
-            nesterov=self.nesterov,
-            iterations=self.iterations,
-            delta_override=self.delta_override,
-        )
+        # a grid value must pass its own field's rule
+        for name in ("eta", "gamma"):
+            grid = getattr(self, f"{name}_grid")
+            if grid is not None and not (isinstance(grid, list) and grid
+                                         and all(map(_is_number, grid))):
+                raise ConfigError(f"{name}_grid must be a non-empty list of numbers")
+            try:
+                for value in grid or ():
+                    OptimizerConfig(**{name: value})
+            except ValueError as exc:
+                raise ConfigError(f"{name}_grid: {exc}") from exc
 
     @classmethod
     def from_dict(cls, data):
@@ -183,13 +174,7 @@ class ExperimentConfig:
 
     def to_dict(self):
         """Full echo including defaults; the canonical round-trip form."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = dict(value) if isinstance(value, dict) else (
-                list(value) if isinstance(value, list) else value
-            )
-        return out
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -225,7 +210,10 @@ def build_problem(spec):
     if kind == "quadratic":
         return make_quadratic(**spec)
     csv_path = spec.pop("csv", None)
-    data = load_csv_dataset(csv_path) if csv_path else None
+    try:
+        data = load_csv_dataset(csv_path) if csv_path else None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read problem.csv: {exc}") from exc
     factory = make_logistic if kind == "logistic" else make_mlp
     return factory(data=data, **spec)
 
@@ -240,26 +228,24 @@ def resolve_x0(config, problem, seed):
 
 
 def execute_single(config, seed, eta=None, gamma=None):
-    """One (config, seed) run; optional eta/gamma overrides for sweeps."""
+    """One (config, seed) run; ``eta``/``gamma`` set a sweep cell's stepsizes,
+    checked as any config is."""
+    cell = {k: float(v) for k, v in (("eta", eta), ("gamma", gamma)) if v is not None}
+    if cell:
+        config = replace(config, **cell)
     problem = build_problem(config.problem)
     mixing = None
     if config.algorithm != "centralized":
         mixing = mixing_matrix(build_topology(config.topology))
     comp = parse_compressor(config.compressor)
-    opt = config.optimizer()
-    if eta is not None:
-        opt.eta = float(eta)
-    if gamma is not None:
-        opt.gamma = float(gamma)
     x0 = resolve_x0(config, problem, seed)
-    return run(problem, opt, mixing=mixing, compressor=comp, seed=seed,
+    return run(problem, config, mixing=mixing, compressor=comp, seed=seed,
                log_every=config.log_every, broadcast=config.broadcast,
                x0=x0, per_layer=config.per_layer)
 
 
 def _cell(payload):
-    config = ExperimentConfig.from_dict(payload["config"])
-    record = execute_single(config, payload["seed"],
+    record = execute_single(payload["config"], payload["seed"],
                             eta=payload.get("eta"), gamma=payload.get("gamma"))
     # drop the heavyweight non-result state before shipping across processes
     record.workers = None
@@ -297,7 +283,7 @@ def execute_config(config, out_dir=None):
     """
     out_dir = out_dir or config.out
     cfg_dict = config.to_dict()
-    payloads = [{"config": cfg_dict, "seed": s} for s in config.seeds]
+    payloads = [{"config": config, "seed": s} for s in config.seeds]
     records = run_cells(payloads)
     paths = []
     for record in records:

@@ -78,7 +78,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if not (_is_number(self.eta) and self.eta >= 0.0):
             raise ValueError("eta must be a number >= 0")
         if not (_is_number(self.momentum_factor) and 0.0 <= self.momentum_factor < 1.0):
@@ -250,8 +250,9 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
 
     ``x0`` is the common starting point (zeros by default). ``per_layer``
     compresses each parameter block separately when the problem defines
-    blocks. ``record_iterates`` additionally stores the post-gossip iterate
-    matrix after every iteration (tests and demos; memory scales with T).
+    blocks. ``record_iterates`` also stores the start and each iteration's
+    post-gossip iterate rows, ``(1, dim)`` for centralized (tests and demos;
+    memory scales with T).
     """
     if cfg.algorithm != "centralized":
         if mixing is None:
@@ -287,7 +288,7 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
 
     history = []
     if record_iterates:
-        history.append(x.copy() if centralized else workers.x.copy())
+        history.append((x[None, :] if centralized else workers.x).copy())
 
     step_s = eval_s = stats_s = 0.0
     completed = 0

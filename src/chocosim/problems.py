@@ -75,7 +75,7 @@ class Partition:
         return [np.sort(chunk) for chunk in np.array_split(order, self.n_nodes)]
 
 
-def make_blob_dataset(n_samples, dim, seed=0, margin=1.5):
+def make_blob_dataset(n_samples, dim, seed, margin):
     """Balanced two-Gaussian binary dataset; labels in {-1, +1}."""
     stream = RandomStream(seed, 0, "dataset")
     direction = stream.normal(dim)
@@ -108,6 +108,14 @@ def load_csv_dataset(path):
     return z, y
 
 
+def _neg_y_sigmoid(y, margins):
+    """``-y * sigmoid(-margins)`` as ``-y / (1 + exp(margins))``. A large
+    margin overflows ``exp`` to inf, which gives the sigmoid its exact limit
+    0, so that overflow is not reported."""
+    with np.errstate(over="ignore"):
+        return -y / (1.0 + np.exp(margins))
+
+
 class QuadraticProblem:
     """``f_i(x) = 1/2 (x - s_i)^T H (x - s_i)`` with shared curvature ``H``.
 
@@ -121,14 +129,13 @@ class QuadraticProblem:
 
     kind = "quadratic"
 
-    def __init__(self, n, dim, heterogeneity=1.0, noise_std=1.0, seed=0,
-                 mu=0.1, l_smooth=1.0, xstar_scale=1.0):
+    def __init__(self, n, dim, heterogeneity, noise_std, seed, mu, l_smooth, xstar_scale):
         if n < 1 or dim < 1:
             raise ValueError("need n >= 1 nodes and dim >= 1")
         if not (0.0 < mu <= l_smooth):
             raise ValueError("need 0 < mu <= l_smooth")
-        if heterogeneity < 0.0 or noise_std < 0.0:
-            raise ValueError("heterogeneity and noise_std must be >= 0")
+        if min(heterogeneity, noise_std, xstar_scale) < 0.0:
+            raise ValueError("heterogeneity, noise_std and xstar_scale must be >= 0")
         self.n = int(n)
         self.dim = int(dim)
         self.heterogeneity = float(heterogeneity)
@@ -140,8 +147,13 @@ class QuadraticProblem:
         stream = RandomStream(seed, 0, "problem")
         basis, _ = np.linalg.qr(stream.normal(dim * dim).reshape(dim, dim))
         spectrum = np.linspace(mu, l_smooth, dim)
-        self.hessian = basis @ np.diag(spectrum) @ basis.T
-        self.hessian = 0.5 * (self.hessian + self.hessian.T)
+        # on a 64-byte boundary, which malloc leaves to chance: the stacked
+        # gemv of stochastic_gradients reads it faster, with the same results
+        buf = np.empty(dim * dim * 8 + 64, dtype=np.uint8)
+        start = -buf.ctypes.data % 64
+        self.hessian = buf[start : start + dim * dim * 8].view(float).reshape(dim, dim)
+        hessian = basis @ np.diag(spectrum) @ basis.T
+        self.hessian[...] = 0.5 * (hessian + hessian.T)
         xstar = stream.normal(dim, std=xstar_scale / np.sqrt(dim))
         offsets = stream.normal(n * dim).reshape(n, dim) / np.sqrt(dim)
         offsets -= offsets.mean(axis=0)
@@ -282,8 +294,10 @@ class LogisticProblem(_DatasetProblem):
 
     kind = "logistic"
 
-    def __init__(self, n, features, labels, partition, reg=1e-3, batch=32):
+    def __init__(self, n, features, labels, partition, reg, batch):
         super().__init__(n, features, labels, partition, batch)
+        if reg < 0.0:
+            raise ValueError("reg must be >= 0")  # below 0 the objective is unbounded
         self.reg = float(reg)
         self.dim = self.features.shape[1]
         self.layer_boundaries = None
@@ -293,8 +307,7 @@ class LogisticProblem(_DatasetProblem):
         return float(np.mean(np.logaddexp(0.0, -margins)))
 
     def _backward(self, z, y, margins, x):
-        weights = -y / (1.0 + np.exp(margins))  # -y * sigmoid(-margin)
-        return (weights @ z) / z.shape[0] + self.reg * x
+        return (_neg_y_sigmoid(y, margins) @ z) / z.shape[0] + self.reg * x
 
     def _sample_gradient(self, idx, x):
         z = self.features[idx]
@@ -328,7 +341,7 @@ class LogisticProblem(_DatasetProblem):
             return super().stochastic_gradients(x_rows, rng, t)
         z, y = self.features[idx], self.labels[idx]
         margins = y * np.matmul(z, x_rows[:, :, None])[:, :, 0]
-        weights = -y / (1.0 + np.exp(margins))
+        weights = _neg_y_sigmoid(y, margins)
         return np.matmul(weights[:, None, :], z)[:, 0, :] / idx.shape[1] + self.reg * x_rows
 
     def smoothness(self):
@@ -346,7 +359,7 @@ class MlpProblem(_DatasetProblem):
 
     kind = "mlp"
 
-    def __init__(self, n, features, labels, partition, hidden=16, batch=32):
+    def __init__(self, n, features, labels, partition, hidden, batch):
         super().__init__(n, features, labels, partition, batch)
         if hidden < 1:
             raise ValueError("hidden must be >= 1")
@@ -377,7 +390,7 @@ class MlpProblem(_DatasetProblem):
 
     def _backward(self, z, y, x, logits, hidden):
         w2 = self._unpack(x)[2]
-        dlogit = -y / (1.0 + np.exp(y * logits)) / z.shape[0]
+        dlogit = _neg_y_sigmoid(y, y * logits) / z.shape[0]
         dw2 = hidden.T @ dlogit
         db2 = dlogit.sum()
         dhidden = np.outer(dlogit, w2) * (1.0 - hidden**2)
@@ -413,7 +426,7 @@ class MlpProblem(_DatasetProblem):
         w2 = x_rows[:, b[2] : b[3]]
         hidden = np.tanh(np.matmul(z, w1.transpose(0, 2, 1)) + x_rows[:, None, b[1] : b[2]])
         logits = np.matmul(hidden, w2[:, :, None])[:, :, 0] + x_rows[:, b[3], None]
-        dlogit = -y / (1.0 + np.exp(y * logits)) / idx.shape[1]
+        dlogit = _neg_y_sigmoid(y, y * logits) / idx.shape[1]
         dhidden = dlogit[:, :, None] * w2[:, None, :] * (1.0 - hidden**2)
         g = np.empty_like(x_rows)
         g[:, b[0] : b[1]] = np.matmul(dhidden.transpose(0, 2, 1), z).reshape(n, h * p)
@@ -435,13 +448,13 @@ class MlpProblem(_DatasetProblem):
         return None  # no closed form; use estimate_constants
 
 
-def make_quadratic(n, dim, heterogeneity=1.0, noise_std=1.0, seed=0,
+def make_quadratic(n=8, dim=10, heterogeneity=1.0, noise_std=1.0, seed=0,
                    mu=0.1, l_smooth=1.0, xstar_scale=1.0):
     return QuadraticProblem(n, dim, heterogeneity, noise_std, seed,
                             mu, l_smooth, xstar_scale)
 
 
-def make_logistic(n, dim=10, samples=2000, mode="iid-reshuffled", by_label=False,
+def make_logistic(n=8, dim=10, samples=2000, mode="iid-reshuffled", by_label=False,
                   reg=1e-3, batch=32, seed=0, margin=1.5, data=None):
     if data is None:
         features, labels = make_blob_dataset(samples, dim, seed=seed, margin=margin)
@@ -452,7 +465,7 @@ def make_logistic(n, dim=10, samples=2000, mode="iid-reshuffled", by_label=False
     return LogisticProblem(n, features, labels, part, reg=reg, batch=batch)
 
 
-def make_mlp(n, input_dim=8, hidden=16, samples=1024, mode="iid-reshuffled",
+def make_mlp(n=8, input_dim=8, hidden=16, samples=1024, mode="iid-reshuffled",
              by_label=False, batch=32, seed=0, margin=1.5, data=None):
     if data is None:
         features, labels = make_blob_dataset(samples, input_dim, seed=seed, margin=margin)

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -468,3 +469,96 @@ def test_verify_subcommand(capsys):
     assert "PASS" in out and "FAIL" not in out
     assert cli.main(["verify", "nonsense"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"out": 5}, "out"),
+    ({"out": None}, "out"),
+    ({"problem": {"kind": ["q"], "n": 4}}, "problem.kind"),
+    ({"gamma_grid": [0]}, "gamma_grid"),
+    ({"gamma_grid": ["auto"]}, "gamma_grid"),
+    ({"problem": {"kind": "logistic", "n": 4, "samples": -1}}, "problem.samples"),
+    ({"problem": {"kind": "quadratic", "n": 4, "dim": -1}}, "problem.dim"),
+    ({"problem": {"kind": "mlp", "n": 4, "input_dim": -1}}, "problem.input_dim"),
+    ({"problem": {"kind": "quadratic", "n": -1, "dim": 4}}, "problem.n"),
+    ({"problem": {"kind": "logistic", "n": 4, "batch": -1}}, "problem.batch"),
+    ({"problem": {"kind": "mlp", "n": 4, "hidden": 0}}, "problem.hidden"),
+    ({"log_every": -1}, "log_every"),
+])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_bad_values_fail_before_any_run(tmp_path, capsys, monkeypatch, overrides, field,
+                                        command):
+    def no_build(spec):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(config_module, "build_problem", no_build)
+    path = _write_config(tmp_path, **overrides)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {field}"), lines
+    if field.startswith("problem.") and field != "problem.kind":
+        assert lines[0].endswith(f"{field} must be >= 1")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_sweep_cell_is_checked_as_any_config():
+    config = ExperimentConfig.from_dict({"topology": "ring:4",
+                                         "problem": {"kind": "quadratic", "n": 4}})
+    with pytest.raises(ConfigError, match="gamma"):
+        config_module.execute_single(config, 1, gamma=0.0)
+    with pytest.raises(ConfigError, match="eta"):
+        config_module.execute_single(config, 1, eta=-1.0)
+
+
+def test_a_zero_log_every_override_is_refused_not_dropped(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    argv = ["run", "--config", path, "--out", str(tmp_path / "o"), "--log-every", "0"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.strip().splitlines() == ["error: log_every must be >= 1"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("problem, name", [
+    ({"kind": "logistic", "n": 4, "reg": -0.5}, "reg"),
+    ({"kind": "quadratic", "n": 4, "dim": 4, "xstar_scale": -1.0}, "xstar_scale"),
+])
+def test_float_ranges_exit_one_naming_the_field(tmp_path, capsys, monkeypatch, problem, name):
+    monkeypatch.setenv("CHOCO_THREADS", "1")
+    path = _write_config(tmp_path, problem=problem)
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and name in lines[0], lines
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind, code", [("logistic", 2), ("mlp", 0)])
+def test_exp_overflow_is_not_reported(tmp_path, capfd, monkeypatch, kind, code):
+    # exp of a huge margin is inf, the sigmoid's exact limit; the logistic
+    # run then diverges, and the tanh network saturates without diverging
+    monkeypatch.setenv("CHOCO_THREADS", "1")
+    path = _write_config(tmp_path, compressor="identity", topology="ring:8",
+                         problem={"kind": kind, "n": 8}, eta=1e6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == code
+    assert [str(w.message) for w in caught] == []
+    assert capfd.readouterr().err == ""
+
+
+def test_all_covers_the_readme_and_demos_and_omits_internals():
+    import re
+    from pathlib import Path
+
+    import chocosim
+
+    root = Path(__file__).resolve().parents[1]
+    used = set()
+    for path in [root / "README.md", *sorted((root / "demos").glob("*.py"))]:
+        text = path.read_text()
+        for block in re.findall(r"^from chocosim import (?:\(([^)]*)\)|(.*))$", text, re.M):
+            used.update(name for name in re.split(r"[\s,]+", "".join(block)) if name)
+    assert used <= set(chocosim.__all__)
+    for internal in ("Streams", "Workers", "choco_step", "centralized_step",
+                     "decentralized_exact_step", "require_finite", "sym_eigenvalues",
+                     "run_id"):
+        assert internal not in chocosim.__all__ and not hasattr(chocosim, internal)

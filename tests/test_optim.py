@@ -249,6 +249,17 @@ def test_recorded_iterates_cover_every_step():
     assert rec.iterates[0].shape == (4, 3)
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_recorded_iterates_have_the_shape_of_the_state_rows(algorithm):
+    # the start included: one row per node, or the one centralized iterate
+    problem = make_quadratic(4, 3, seed=9)
+    cfg = OptimizerConfig(algorithm=algorithm, eta=0.01, gamma=0.2, iterations=3)
+    rec = run(problem, cfg, mixing_matrix(ring(4)), parse_compressor("sign"),
+              seed=0, record_iterates=True)
+    rows = 1 if algorithm == "centralized" else 4
+    assert [x.shape for x in rec.iterates] == [(rows, 3)] * 4
+
+
 def test_zero_stepsize_preserves_the_mean():
     problem = make_quadratic(8, 6, noise_std=1.0, seed=10)
     cfg = OptimizerConfig(eta=0.0, iterations=40)
