@@ -111,16 +111,30 @@ def _gsgd(v, bits, unbiased, rng):
     # einsum round differently
     norm = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
     zero = norm == 0.0
-    drawn = np.flatnonzero(~zero)  # a zero row draws nothing
-    uniforms = np.zeros_like(v)
-    uniforms[drawn] = rng.random(drawn.size * v.shape[1]).reshape(drawn.size, v.shape[1])
-    norm = np.where(zero, 1.0, norm)[:, None]  # zero rows then quantize to zeros
+    if zero.any():
+        drawn = np.flatnonzero(~zero)  # a zero row draws nothing
+        uniforms = np.zeros_like(v)
+        uniforms[drawn] = rng.random(drawn.size * v.shape[1]).reshape(drawn.size, v.shape[1])
+        norm = np.where(zero, 1.0, norm)  # zero rows then quantize to zeros
+    else:
+        uniforms = rng.random(v.size).reshape(v.shape)
+    norm = norm[:, None]
     levels = 2.0 ** (bits - 1)
-    sig = np.where(v >= 0.0, 1.0, -1.0)  # sig(0) = +1
-    quantized = np.floor(levels * np.abs(v) / norm + uniforms)
-    out = norm * sig * quantized / levels
+    # norm * sig(v) * floor(levels * |v| / norm + u) / levels, each step in
+    # place: a fresh (n, d) temporary costs more than the arithmetic on it.
+    # sig(0) = +1 and sig(NaN) = -1, the signs np.where(v >= 0, 1, -1) gives.
+    out = (~(v >= 0.0)).astype(float)
+    out *= -2.0
+    out += 1.0
+    out *= norm
+    scaled = np.abs(v)
+    scaled *= levels
+    scaled /= norm
+    uniforms += scaled
+    out *= np.floor(uniforms, out=uniforms)
+    out /= levels
     if not unbiased:
-        out = out / _gsgd_tau(bits, v.shape[1])
+        out /= _gsgd_tau(bits, v.shape[1])
     return out
 
 

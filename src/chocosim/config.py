@@ -17,7 +17,6 @@ the constructors, which library callers need too.
 import inspect
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -28,7 +27,7 @@ from .numerics import RandomStream
 from .optim import OptimizerConfig, _is_number, run
 from .problems import (PARTITION_MODES, load_csv_dataset, make_logistic, make_mlp,
                        make_quadratic)
-from .topology import fully_connected, load_edge_list, mixing_matrix, ring, torus
+from .topology import SIZE_RULES, fully_connected, load_edge_list, mixing_matrix, ring, torus
 
 THREADS_ENV = "CHOCO_THREADS"
 X0_MODES = ("zeros", "optimum", "gaussian")
@@ -104,9 +103,9 @@ class ExperimentConfig(OptimizerConfig):
         try:
             super().__post_init__()
             parse_compressor(self.compressor)
-            graph = None
+            nodes = None
             if self.algorithm != "centralized":
-                graph = build_topology(self.topology, check_only=True)
+                nodes = build_topology(self.topology, check_only=True)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if not (isinstance(self.seeds, list) and self.seeds and all(map(_is_int, self.seeds))):
@@ -127,8 +126,8 @@ class ExperimentConfig(OptimizerConfig):
         self.problem = {"kind": kind, **defaults, **self.problem}
         for name, default in defaults.items():
             _check(f"problem.{name}", self.problem[name], default)
-        if graph is not None and graph.n != self.problem["n"]:
-            raise ConfigError(f"topology {self.topology} has {graph.n} nodes "
+        if nodes is not None and nodes != self.problem["n"]:
+            raise ConfigError(f"topology {self.topology} has {nodes} nodes "
                               f"but problem.n is {self.problem['n']!r}")
         if self.x0_mode == "optimum" and kind != "quadratic":
             raise ConfigError("x0_mode 'optimum' needs the quadratic problem")
@@ -181,7 +180,12 @@ class ExperimentConfig(OptimizerConfig):
 
 
 def build_topology(spec, check_only=False):
-    """Graph from a spec string: ``ring:<n> | torus:<n> | full:<n> | edgelist:<path>``."""
+    """Graph from a spec string: ``ring:<n> | torus:<n> | full:<n> | edgelist:<path>``.
+
+    ``check_only`` checks the spec by its builder's size rule without
+    building the graph, and returns its node count (``None`` for an edge
+    list, which is read and checked at build time).
+    """
     parts = str(spec).split(":", 1)
     if len(parts) != 2:
         raise ValueError(f"bad topology spec {spec!r}")
@@ -194,13 +198,12 @@ def build_topology(spec, check_only=False):
         n = int(arg)
     except ValueError as exc:
         raise ValueError(f"bad topology size in {spec!r}") from exc
-    if kind == "ring":
-        return ring(n)
-    if kind == "torus":
-        return torus(n)
-    if kind == "full":
-        return fully_connected(n)
-    raise ValueError(f"unknown topology kind {kind!r}")
+    if kind not in SIZE_RULES:
+        raise ValueError(f"unknown topology kind {kind!r}")
+    if check_only:
+        SIZE_RULES[kind](n)
+        return n
+    return {"ring": ring, "torus": torus, "full": fully_connected}[kind](n)
 
 
 def build_problem(spec):
@@ -272,6 +275,9 @@ def run_cells(payloads):
     workers = max_workers(len(payloads))
     if workers == 1 or len(payloads) == 1:
         return [_cell(p) for p in payloads]
+    # imported only here: it loads multiprocessing, which a single cell never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_cell, payloads))
 

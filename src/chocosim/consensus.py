@@ -16,8 +16,10 @@ node, in node order, from that source.
 
 The statistics :func:`consensus_distance` and :func:`lyapunov` accept the
 node mean ``xbar`` a caller has already computed (an optimizer's logged
-row computes it once for the loss and both statistics). A gossip round's
-divergence check is one pass, ``max |x| <= limit``.
+rows compute it once for the loss and both statistics), and a block of
+states at once: ``(b, n, dim)`` gives ``b`` values, each the one its state
+gives alone. A gossip round's divergence check is one pass,
+``max |x| <= limit``.
 """
 
 from dataclasses import dataclass
@@ -149,28 +151,43 @@ def choco_gossip_round(state, mixing, comp, rng, boundaries=None):
     return bits
 
 
+def _squared_sum(diff):
+    # each (n, dim) state summed as one contiguous run of n * dim elements,
+    # in the order diff.sum() adds them for that state alone
+    return (diff ** 2).reshape(diff.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+def _scalar_or_block(value, x):
+    return float(value) if x.ndim == 2 else value
+
+
 def lyapunov(state, xbar=None):
     """Total squared disagreement plus public-copy lag.
 
     ``sum_i ||x_i - xbar||^2 + sum_i ||x_i - xhat_i||^2``; this is the
     quantity that contracts by ``(1 - c)`` per round in expectation. A
     ``state`` without public copies (``xhat is None``, exact gossip) has no
-    lag term. ``xbar`` is ``state.x.mean(axis=0)`` when the caller already
+    lag term. ``xbar`` is ``state.x.mean(axis=-2)`` when the caller already
     has it.
+
+    ``state.x`` (and ``state.xhat``) may also be a block of states, ``(b, n,
+    dim)`` with ``xbar`` ``(b, dim)``; then the result is one value per
+    state, each equal, bit for bit, to the value of that state alone.
     """
     if xbar is None:
-        xbar = state.x.mean(axis=0)
-    psi = ((state.x - xbar) ** 2).sum()
+        xbar = state.x.mean(axis=-2)
+    psi = _squared_sum(state.x - xbar[..., None, :])
     if state.xhat is not None:
-        psi = psi + ((state.x - state.xhat) ** 2).sum()
-    return float(psi)
+        psi = psi + _squared_sum(state.x - state.xhat)
+    return _scalar_or_block(psi, state.x)
 
 
 def consensus_distance(x, xbar=None):
     """Node-averaged squared distance to the node mean, ``(1/n) sum ||x_i - xbar||^2``.
 
-    ``xbar`` is ``x.mean(axis=0)`` when the caller already has it.
+    ``xbar`` is ``x.mean(axis=-2)`` when the caller already has it. As in
+    :func:`lyapunov`, ``x`` may be a ``(b, n, dim)`` block of states.
     """
     if xbar is None:
-        xbar = x.mean(axis=0)
-    return float(((x - xbar) ** 2).sum() / x.shape[0])
+        xbar = x.mean(axis=-2)
+    return _scalar_or_block(_squared_sum(x - xbar[..., None, :]) / x.shape[-2], x)

@@ -16,7 +16,8 @@ it. CSV content is a pure function of (config, seed): the wall_ms column is
 therefore a deterministic 0 placeholder, and real elapsed time is reported
 only in the summary: ``elapsed_s`` per seed, and ``timings_s`` splitting
 it into the optimizer steps (``step_s``), the logged rows' loss and
-gradient (``eval_s``) and their consensus statistics (``stats_s``). A
+gradient (``eval_s``) and their consensus statistics (``stats_s``), both
+computed a block of rows at a time. A
 diverged seed names its iteration (``diverged_at``) and the first node
 whose iterate failed (``diverged_node``).
 """

@@ -12,15 +12,33 @@ spawn_key=(worker, crc32(purpose)))``. Its stateful draws start at counter 0
 and advance the low counter words only. Iteration ``t`` is addressed by the
 counter instead: :meth:`RandomStream.at` returns a generator on the same key
 with counter word 2 set to ``t + 1``, which no stateful draw and no other
-iteration reaches. A run keeps one stream per purpose (``grad``,
-``compress``), and each iteration draws the randomness of all n nodes from
-that one generator: row i of an ``(n, .)`` block is node i's. Seeds are
-non-negative integers.
+iteration reaches. The key's two words are hashed out of the
+``SeedSequence`` once per stream, not once per iteration. A run keeps one
+stream per purpose (``grad``, ``compress``), and each iteration draws the
+randomness of all n nodes from that one generator: row i of an ``(n, .)``
+block is node i's. Seeds are non-negative integers.
 """
 
 import zlib
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
+
+
+class _PhiloxKey(ISeedSequence):
+    """A ``SeedSequence``'s two ``Philox`` key words, derived once: a
+    ``Philox`` seeded with this asks for exactly those words, so it gets the
+    key the sequence itself would give without hashing it again."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, seq):
+        self.words = seq.generate_state(2, np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or dtype is not np.uint64:
+            raise ValueError("a Philox key is two uint64 words")
+        return self.words.copy()
 
 
 class RandomStream:
@@ -57,8 +75,9 @@ class RandomStream:
         self.counter = 0
         # crc32 is stable across processes and platforms, unlike hash()
         spawn = (self.worker, zlib.crc32(self.purpose.encode("utf-8")))
-        self._seq = np.random.SeedSequence(self.seed, spawn_key=spawn)
-        self._generator = np.random.Generator(np.random.Philox(self._seq))
+        seq = np.random.SeedSequence(self.seed, spawn_key=spawn)
+        self._key = _PhiloxKey(seq)
+        self._generator = np.random.Generator(np.random.Philox(seq))
 
     def _advance(self, size):
         # draws are flat counts by convention; callers reshape them into blocks
@@ -105,7 +124,7 @@ class RandomStream:
             raise ValueError("iteration must be in [0, 2**64 - 2]")
         counter = np.zeros(4, dtype=np.uint64)
         counter[2] = iteration + 1
-        return np.random.Generator(np.random.Philox(self._seq, counter=counter))
+        return np.random.Generator(np.random.Philox(self._key, counter=counter))
 
     def clone(self):
         """Fresh stream with the same identity, rewound to the start."""

@@ -30,10 +30,19 @@ iteration sends the same messages, so one iteration's per-node traffic is
 charged once, by one validated :class:`TrafficLedger` call; after k
 completed iterations every node's total is exactly k times that charge,
 which gives each logged row's ``bits_busiest`` and, when the loop ends,
-the run's ledger. A logged row computes the node mean once and hands it to
-the consensus statistics. The divergence check is one pass over the
-iterate, ``max |x| <= limit`` (a NaN compares False); only when it trips
-is the first failing node looked for.
+the run's ledger. The divergence check is one pass over the iterate,
+``max |x| <= limit`` (a NaN compares False); only when it trips is the
+first failing node looked for.
+
+Logged rows are computed in blocks, after the iterations they describe. A
+logged iteration copies its state (``x``, and ``xhat`` for the compressed
+family) into a run-scoped block of about ``LOG_BLOCK_BYTES``. When the
+block is full, the loop ends or the run diverges, stacked calls compute
+every row of the block at once: the node mean, the consensus distance, the
+Lyapunov quantity, the loss and the squared gradient norm at the mean. Each
+value is, bit for bit, the one its row computes alone, so the CSV does not
+change; ``eval_s`` and ``stats_s`` of :attr:`RunRecord.timings` time this
+block work.
 """
 
 import math
@@ -57,6 +66,9 @@ ALGORITHMS = (
     "centralized",
 )
 DIVERGENCE_LIMIT = 1e12
+# logged states kept for one block of rows: a small state's rows share
+# their calls, and the block stays small against a run's memory
+LOG_BLOCK_BYTES = 2**18
 
 
 def _is_number(value):
@@ -193,6 +205,66 @@ def centralized_step(x, problem, eta, streams, t, record=None):
     return x - eta * g.mean(axis=0)
 
 
+class _LoggedRows:
+    """The states of logged iterations, kept until a block of them is full;
+    :meth:`flush` then appends their rows to ``record``.
+
+    A state is ``(rows, dim)`` iterate rows, plus as many public copies when
+    ``public``. A block holds ``LOG_BLOCK_BYTES // (bytes of one state)``
+    states, at least one and at most the ``logged`` rows of the run. Each
+    row's value is the per-row definition's, bit for bit: ``xbar =
+    x.mean(axis=0)``, ``consensus_distance(x, xbar)``, ``lyapunov(workers,
+    xbar)``, ``loss_and_gradient(xbar)`` and ``grad @ grad``.
+    """
+
+    def __init__(self, record, problem, centralized, busiest_charge, rows, dim, public,
+                 logged):
+        self.record, self.problem = record, problem
+        self.centralized, self.busiest_charge = centralized, busiest_charge
+        state_bytes = rows * dim * 8 * (2 if public else 1)
+        size = max(1, min(logged, LOG_BLOCK_BYTES // state_bytes))
+        self.x = np.empty((size, rows, dim))
+        self.xhat = np.empty((size, rows, dim)) if public else None
+        self.t = []
+        self.eval_s = self.stats_s = 0.0
+
+    def add(self, t, x, xhat):
+        """Keep iteration t's state; True when the block is full."""
+        tick = time.perf_counter()
+        k = len(self.t)
+        self.x[k] = x
+        if self.xhat is not None:
+            self.xhat[k] = xhat
+        self.t.append(t)
+        self.stats_s += time.perf_counter() - tick
+        return k + 1 == len(self.x)
+
+    def flush(self):
+        """Append the kept states' rows to the record and empty the block."""
+        b = len(self.t)
+        if b == 0:
+            return
+        tick = time.perf_counter()
+        x = self.x[:b]
+        xbar = x.sum(axis=1) / x.shape[1]  # each state's x.mean(axis=0)
+        if self.centralized:
+            consensus = psi = [0.0] * b
+        else:
+            state = Workers(x=x, xhat=None if self.xhat is None else self.xhat[:b])
+            consensus = consensus_distance(x, xbar).tolist()
+            psi = lyapunov(state, xbar).tolist()
+        tock = time.perf_counter()
+        f_avg, grad = self.problem.loss_and_gradient(xbar)
+        # each row's grad @ grad, the same ddot
+        grad_sq = np.matmul(grad[:, None, :], grad[:, :, None])[:, 0, 0]
+        self.eval_s += time.perf_counter() - tock
+        self.stats_s += tock - tick
+        for t, f, g, c, p in zip(self.t, f_avg.tolist(), grad_sq.tolist(), consensus, psi):
+            self.record.add_row(t=t, f_avg=f, grad_sq=g, consensus=c, psi=p,
+                                bits_busiest=t * self.busiest_charge)
+        self.t.clear()
+
+
 def _iteration_ledger(cfg, n, dim, mixing, comp, boundaries, broadcast):
     """Ledger holding the traffic of one iteration, fixed for the whole run.
 
@@ -290,7 +362,10 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
     if record_iterates:
         history.append((x[None, :] if centralized else workers.x).copy())
 
-    step_s = eval_s = stats_s = 0.0
+    logged = cfg.iterations // log_every + (cfg.iterations % log_every != 0)
+    rows = _LoggedRows(record, problem, centralized, busiest_charge, 1 if centralized else n,
+                       dim, workers is not None and workers.xhat is not None, logged)
+    step_s = 0.0
     completed = 0
     for t in range(cfg.iterations):
         tick = time.perf_counter()
@@ -321,25 +396,12 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
         if record_iterates:
             history.append(state_rows.copy())
         if completed % log_every == 0 or completed == cfg.iterations:
-            tick = time.perf_counter()
-            xbar = state_rows.mean(axis=0)
-            consensus = 0.0 if centralized else consensus_distance(state_rows, xbar)
-            psi = 0.0 if centralized else lyapunov(workers, xbar)
-            tock = time.perf_counter()
-            f_avg, grad = problem.loss_and_gradient(xbar)
-            eval_s += time.perf_counter() - tock
-            stats_s += tock - tick
-            record.add_row(
-                t=completed,
-                f_avg=f_avg,
-                grad_sq=float(grad @ grad),
-                consensus=consensus,
-                psi=psi,
-                bits_busiest=completed * busiest_charge,
-            )
+            if rows.add(completed, state_rows, None if centralized else workers.xhat):
+                rows.flush()
+    rows.flush()
 
     record.elapsed_s = time.perf_counter() - started
-    record.timings = {"step_s": step_s, "eval_s": eval_s, "stats_s": stats_s}
+    record.timings = {"step_s": step_s, "eval_s": rows.eval_s, "stats_s": rows.stats_s}
     record.final_x_mean = (x if centralized else workers.x.mean(axis=0)).copy()
     ledger.per_node *= completed  # every completed iteration charged the same
     record.ledger = ledger

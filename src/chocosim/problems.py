@@ -10,9 +10,11 @@ are running on: ``stochastic_gradient`` for one node, and
 whose randomness is one ``(n, .)`` block (quadratic noise ``(n, dim)``,
 minibatch indices ``(n, batch)``), row i for node i. Row i equals
 ``stochastic_gradient`` of node i when the nodes draw one after another, in
-node order, from that generator. A logged row asks ``loss_and_gradient(x)``
-for ``(loss(x), full_gradient(x))``; dataset problems get both from one
-forward pass per shard.
+node order, from that generator. Logged rows ask ``loss_and_gradient(x)``
+for ``(loss(x), full_gradient(x))``, of one x or of a ``(b, dim)`` block of
+rows; the quadratic evaluates a block in stacked calls, and dataset
+problems evaluate its rows one by one, each from one forward pass per
+shard.
 
 The per-node ``node_loss``, ``node_gradient`` and ``stochastic_gradient``
 are the definitions, and every batched form equals them bit for bit: sums
@@ -173,19 +175,29 @@ class QuadraticProblem:
         return 0.5 * float(r @ self.hessian @ r)
 
     def loss(self, x):
-        # every node_loss at once: stacked products evaluate r_i @ H @ r_i
-        # as the 1-D expression does, and the sum runs in node order
-        r = x - self.node_optima
-        quad = np.matmul(np.matmul(r[:, None, :], self.hessian), r[:, :, None])
-        return sum((0.5 * quad[:, 0, 0]).tolist()) / self.n
+        # every node_loss at once, of one x or of each of (b, dim) rows:
+        # stacked products evaluate r_i @ H @ r_i as the 1-D expression
+        # does, and each sum runs in node order
+        x = np.asarray(x)
+        r = (x[..., None, :] - self.node_optima).reshape(-1, 1, self.dim)
+        quad = np.matmul(np.matmul(r, self.hessian), r.reshape(-1, self.dim, 1))
+        halves = (0.5 * quad[:, 0, 0]).reshape(-1, self.n).tolist()
+        losses = [sum(row) / self.n for row in halves]
+        return losses[0] if x.ndim == 1 else np.array(losses)
 
     def node_gradient(self, i, x):
         return self.hessian @ (x - self.node_optima[i])
 
     def full_gradient(self, x):
-        return self.hessian @ (x - self._optimum)
+        r = x - self._optimum
+        if r.ndim == 1:
+            return self.hessian @ r
+        # (b, dim) rows: one gemv per row, as for one x
+        return np.matmul(self.hessian, r[:, :, None])[:, :, 0]
 
     def loss_and_gradient(self, x):
+        """``(loss(x), full_gradient(x))``; of each of ``(b, dim)`` rows, a
+        ``(b,)`` loss and ``(b, dim)`` gradients, each row's bit for bit."""
         return self.loss(x), self.full_gradient(x)
 
     def stochastic_gradient(self, i, x, rng, t=0):
@@ -275,7 +287,11 @@ class _DatasetProblem:
 
     def loss_and_gradient(self, x):
         """``(loss(x), full_gradient(x))``, bit for bit, from one forward
-        pass per shard; both sums run in node order, as they do there."""
+        pass per shard; both sums run in node order, as they do there.
+        ``(b, dim)`` rows are evaluated one after another."""
+        if np.ndim(x) == 2:
+            pairs = [self.loss_and_gradient(row) for row in x]
+            return np.array([loss for loss, _ in pairs]), np.stack([g for _, g in pairs])
         losses, g = [], None
         for idx in self._shards(0):
             loss_i, g_i = self._sample_loss_and_gradient(idx, x)

@@ -7,6 +7,7 @@ stochastic matrix used by all gossip updates, together with its spectral
 quantities.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,10 +72,33 @@ def _normalize_edges(pairs):
     return tuple(sorted(out))
 
 
-def ring(n):
-    """Cycle graph; ``n = 2`` degenerates to a single edge."""
+def _check_ring(n):
     if n < 2:
         raise ValueError("ring needs n >= 2")
+
+
+def _torus_side(n):
+    s = math.isqrt(max(n, 0))  # a negative count is no square either
+    if s * s != n:
+        raise ValueError(f"torus needs a perfect square node count, got {n}")
+    if s < 3:
+        raise ValueError("torus needs side length >= 3 (wrap-around edges collide below that)")
+    return s
+
+
+def _check_full(n):
+    if n < 1:
+        raise ValueError("need n >= 1")
+
+
+# the size rule of each generated family, which its builder applies; a
+# config checks a ``kind:n`` spec with it without building the graph
+SIZE_RULES = {"ring": _check_ring, "torus": _torus_side, "full": _check_full}
+
+
+def ring(n):
+    """Cycle graph; ``n = 2`` degenerates to a single edge."""
+    _check_ring(n)
     if n == 2:
         return Graph(2, ((0, 1),))
     return Graph(n, _normalize_edges((i, (i + 1) % n) for i in range(n)))
@@ -82,11 +106,7 @@ def ring(n):
 
 def torus(n):
     """2-D periodic grid on ``s x s`` nodes where ``n = s*s`` and ``s >= 3``."""
-    s = round(np.sqrt(n))
-    if s * s != n:
-        raise ValueError(f"torus needs a perfect square node count, got {n}")
-    if s < 3:
-        raise ValueError("torus needs side length >= 3 (wrap-around edges collide below that)")
+    s = _torus_side(n)
     pairs = []
     for r in range(s):
         for c in range(s):
@@ -98,8 +118,7 @@ def torus(n):
 
 def fully_connected(n):
     """Complete graph; ``n = 1`` is a single isolated node."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_full(n)
     return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 

@@ -10,7 +10,8 @@ from chocosim.compression import bit_cost, compress, compress_blocks, parse_comp
 from chocosim.consensus import consensus_distance
 from chocosim.metrics import TrafficLedger
 from chocosim.numerics import RandomStream
-from chocosim.optim import ALGORITHMS, OptimizerConfig, Streams, resolve_gamma, run
+from chocosim.optim import (ALGORITHMS, LOG_BLOCK_BYTES, OptimizerConfig, Streams,
+                            resolve_gamma, run)
 from chocosim.problems import Partition, make_logistic, make_mlp, make_quadratic
 from chocosim.topology import mixing_matrix, ring
 
@@ -110,6 +111,24 @@ def test_gsgd_zero_block_draws_nothing():
     second = [compress(comp, rows[i, 6:], rng).payload for i in range(3)]
     assert np.array_equal(msg.payload[[0, 2], :6], np.stack(first))
     assert np.array_equal(msg.payload[:, 6:], np.stack(second))
+
+
+def test_gsgd_payload_bytes_equal_the_1d_operator_on_signed_zeros_and_nans():
+    # array_equal calls -0.0 and 0.0 equal and NaN unequal; the payload
+    # bytes tell both apart: sig(+0.0) = sig(-0.0) = +1, sig(NaN) = -1
+    rows = np.random.default_rng(4).standard_normal((5, 12))
+    rows[0, [1, 4]] = 0.0
+    rows[0, [2, 7]] = -0.0
+    rows[1, 3] = np.nan
+    rows[2] = 0.0  # a zero row draws nothing
+    rows[3, :6] = -0.0
+    for spec in ("gsgd:2", "gsgd:4", "gsgd:4:unbiased"):
+        comp = parse_compressor(spec)
+        for v in (rows, np.delete(rows, 2, axis=0)):  # with and without the zero row
+            payload = compress_blocks(comp, v, _rng(), None).payload
+            rng = _rng()
+            literal = np.stack([_reference_compress(comp, row, rng) for row in v])
+            assert payload.tobytes() == literal.tobytes(), spec
 
 
 def test_batched_compression_needs_a_generator():
@@ -243,13 +262,14 @@ def test_array_ledger_calls_are_validated():
 
 def _reference_run(problem, cfg, mixing, comp, seed, broadcast, x0, boundaries):
     """``optim.run`` written node by node and edge by edge, logging every
-    iteration; returns the logged rows, the final iterates and the ledger."""
+    iteration; returns the logged rows, the largest gradient norm, the final
+    node mean, the ledger and every iteration's ``(x, xhat)``."""
     n, d = problem.n, problem.dim
     streams = Streams(seed)
     gamma = resolve_gamma(cfg, mixing, comp, d, boundaries)
     centralized = cfg.algorithm == "centralized"
     ledger = TrafficLedger(n + 1 if centralized else n)
-    rows, max_grad = [], 0.0
+    rows, states, max_grad = [], [], 0.0
 
     def gradients(x_rows, t):
         rng = streams.grad.at(t)  # the iteration's generator, nodes in order
@@ -314,7 +334,8 @@ def _reference_run(problem, cfg, mixing, comp, seed, broadcast, x0, boundaries):
         rows.append((t + 1, sum(problem.node_loss(i, xbar) for i in range(n)) / n,
                      float(grad @ grad), 0.0 if centralized else consensus_distance(x),
                      float(psi), ledger.busiest()))
-    return rows, max_grad, xbar, ledger.per_node
+        states.append((x, xhat))
+    return rows, max_grad, xbar, ledger.per_node, states
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -333,7 +354,7 @@ def test_run_equals_the_per_node_reference_loop(algorithm, broadcast, kind):
     for spec in ("identity", "sign", "topk:0.3", "gsgd:4", "random:0.4", "gsgd:2:unbiased"):
         comp = parse_compressor(spec)
         rec = run(problem, cfg, mixing, comp, seed=4, broadcast=broadcast, x0=x0)
-        rows, max_grad, final_mean, per_node = _reference_run(
+        rows, max_grad, final_mean, per_node, _ = _reference_run(
             problem, cfg, mixing, comp, 4, broadcast, x0, problem.layer_boundaries)
         assert not rec.diverged
         got = list(zip(rec.t, rec.f_avg, rec.grad_sq, rec.consensus, rec.psi,
@@ -451,3 +472,121 @@ def test_run_times_its_layers_outside_the_rows(algorithm):
     assert all(v >= 0.0 for v in rec.timings.values())
     assert rec.timings["step_s"] > 0.0
     assert sum(rec.timings.values()) <= rec.elapsed_s
+
+
+# ------------------------------------------------------ logged rows in blocks
+
+def _block_size(algorithm, problem):
+    # the logged states one block holds: x, and xhat for the compressed family
+    rows = 1 if algorithm == "centralized" else problem.n
+    copies = 2 if algorithm.startswith("choco") else 1
+    return max(1, LOG_BLOCK_BYTES // (rows * problem.dim * 8 * copies))
+
+
+def _rows_by_definition(problem, algorithm, states, bits, ts):
+    """The logged rows of iterations ``ts``, each computed alone from that
+    iteration's state: ``x.mean(axis=0)``, the consensus distance and
+    Lyapunov quantity written out, ``loss_and_gradient`` and ``grad @ grad``;
+    the floats as ``float.hex``."""
+    out = []
+    for t in ts:
+        x, xhat = states[t - 1]
+        xbar = (x[None, :] if algorithm == "centralized" else x).mean(axis=0)
+        f_avg, grad = problem.loss_and_gradient(xbar)
+        consensus = psi = 0.0
+        if algorithm != "centralized":
+            consensus = float(((x - xbar) ** 2).sum() / x.shape[0])
+            psi = ((x - xbar) ** 2).sum()
+            if algorithm.startswith("choco"):
+                psi = psi + ((x - xhat) ** 2).sum()
+        out.append((t, float(f_avg).hex(), float(grad @ grad).hex(), consensus.hex(),
+                    float(psi).hex(), bits[t - 1]))
+    return out
+
+
+def _logged_rows(rec):
+    return [(t, f.hex(), g.hex(), c.hex(), p.hex(), b) for t, f, g, c, p, b in
+            zip(rec.t, rec.f_avg, rec.grad_sq, rec.consensus, rec.psi, rec.bits_busiest)]
+
+
+def _spy_blocks(problem, monkeypatch):
+    # the number of rows in each block call of loss_and_gradient
+    blocks, evaluate = [], problem.loss_and_gradient
+
+    def spied(x):
+        if np.ndim(x) == 2:
+            blocks.append(len(x))
+        return evaluate(x)
+
+    monkeypatch.setattr(problem, "loss_and_gradient", spied)
+    return blocks
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("kind", ["quadratic", "mlp", "wide"])
+def test_logged_rows_equal_their_definitions_at_every_block_edge(algorithm, kind,
+                                                                 monkeypatch):
+    if kind == "quadratic":
+        problem = make_quadratic(8, 96, heterogeneity=1.0, noise_std=0.5, seed=8)
+    elif kind == "mlp":
+        problem = make_mlp(8, input_dim=16, hidden=16, samples=256, batch=8, seed=8)
+    else:  # one state above NumPy's 8192-element reduction buffer
+        problem = make_quadratic(16, 520, heterogeneity=1.0, noise_std=0.5, seed=8)
+    mixing = mixing_matrix(ring(problem.n))
+    comp = parse_compressor("gsgd:4")
+    x0 = np.linspace(-0.5, 0.5, problem.dim)
+    momentum = algorithm == "choco-momentum"
+    block = _block_size(algorithm, problem)
+    # (iterations, log_every): 1 row, a block - 1, a block, a block + 1,
+    # several blocks, and a stride that does not divide the iterations
+    cases = [(count, 1) for count in sorted({1, block - 1, block, block + 1, 3 * block + 2})
+             if count > 0] + [(3 * (block + 1) + 1, 3)]
+    horizon = max(iterations for iterations, _ in cases)
+    cfg = OptimizerConfig(algorithm=algorithm, eta=0.05, gamma=0.3, iterations=horizon,
+                          momentum_factor=0.5 if momentum else 0.0,
+                          weight_decay=0.01 if momentum else 0.0)
+    reference, _, _, _, states = _reference_run(problem, cfg, mixing, comp, 4, False, x0,
+                                                problem.layer_boundaries)
+    bits = [row[5] for row in reference]
+    blocks = _spy_blocks(problem, monkeypatch)
+    for iterations, log_every in cases:
+        blocks.clear()
+        cfg.iterations = iterations
+        rec = run(problem, cfg, mixing, comp, seed=4, log_every=log_every, x0=x0)
+        ts = list(range(log_every, iterations + 1, log_every))
+        if ts[-1] != iterations:
+            ts.append(iterations)
+        assert _logged_rows(rec) == _rows_by_definition(problem, algorithm, states, bits, ts)
+        # the rows really were computed in blocks of that size
+        full, rest = divmod(len(ts), block)
+        assert blocks == [block] * full + ([rest] if rest else [])
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_run_diverging_mid_block_logs_the_rows_before_it(algorithm, monkeypatch):
+    problem = make_quadratic(8, 96, heterogeneity=1.0, noise_std=0.5, seed=8)
+    mixing = mixing_matrix(ring(8))
+    comp = parse_compressor("sign")
+    x0 = np.linspace(-0.5, 0.5, problem.dim)
+    # eta * L > 2: the iterates grow until they pass the divergence limit,
+    # the centralized ones after more than one of its longer blocks
+    eta = 2.08 if algorithm == "centralized" else 2.6
+    cfg = OptimizerConfig(algorithm=algorithm, eta=eta, gamma=0.3, iterations=500)
+    reference, _, _, _, states = _reference_run(problem, cfg, mixing, comp, 4, False, x0,
+                                                None)
+    x_rows = [np.atleast_2d(x) for x, _ in states]
+    failed = [t for t, x in enumerate(x_rows, 1) if not np.max(np.abs(x)) <= 1e12]
+    diverged_at = failed[0]
+    bad = ~(np.abs(x_rows[diverged_at - 1]) <= 1e12).all(axis=1)
+    diverged_node = 8 if algorithm == "centralized" else int(np.argmax(bad))
+    block = _block_size(algorithm, problem)
+    blocks = _spy_blocks(problem, monkeypatch)
+    rec = run(problem, cfg, mixing, comp, seed=4, x0=x0)
+    ts = list(range(1, diverged_at))
+    # at least one full block, and the divergence inside the next one
+    assert len(ts) > block and len(ts) % block
+    assert blocks == [block] * (len(ts) // block) + [len(ts) % block]
+    assert rec.diverged and rec.diverged_at == diverged_at
+    assert rec.diverged_node == diverged_node
+    bits = [row[5] for row in reference]
+    assert _logged_rows(rec) == _rows_by_definition(problem, algorithm, states, bits, ts)

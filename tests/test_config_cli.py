@@ -1,10 +1,14 @@
 import json
 import os
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import chocosim
 from chocosim import cli
 from chocosim import config as config_module
 from chocosim.config import (ConfigError, ExperimentConfig, build_problem,
@@ -124,6 +128,57 @@ def test_topology_node_count_mismatch_exits_one(tmp_path, capsys, monkeypatch, t
     # when the graph is built
     ExperimentConfig.from_dict({"algorithm": "centralized", "topology": topology})
     ExperimentConfig.from_dict({"topology": "edgelist:missing.txt"})
+
+
+def _no_graph(n):
+    raise AssertionError("a graph was built")
+
+
+@pytest.mark.parametrize("topology, nodes", [("ring:16", 16), ("torus:9", 9), ("full:5", 5)])
+def test_a_config_counts_its_nodes_without_building_the_graph(tmp_path, capsys, monkeypatch,
+                                                              topology, nodes):
+    for builder in ("ring", "torus", "fully_connected"):
+        monkeypatch.setattr(config_module, builder, _no_graph)
+    cfg = ExperimentConfig.from_dict({"topology": topology,
+                                      "problem": {"kind": "quadratic", "n": nodes}})
+    assert cfg.problem["n"] == nodes
+    path = _write_config(tmp_path, topology=topology)  # problem.n is 4
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == [f"error: topology {topology} has {nodes} nodes but problem.n is 4"]
+
+
+@pytest.mark.parametrize("topology, message", [
+    ("ring:1", "ring needs n >= 2"),
+    ("torus:8", "torus needs a perfect square node count, got 8"),
+    ("torus:-4", "torus needs a perfect square node count, got -4"),
+    ("torus:4", "torus needs side length >= 3 (wrap-around edges collide below that)"),
+    ("full:0", "need n >= 1"),
+])
+def test_a_bad_topology_size_exits_one_without_building(tmp_path, capsys, monkeypatch,
+                                                        topology, message):
+    for builder in ("ring", "torus", "fully_connected"):
+        monkeypatch.setattr(config_module, builder, _no_graph)
+    path = _write_config(tmp_path, topology=topology)
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+    # the builders apply the same rule
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_topology(topology)
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # the pool is imported where several cells open one
+    code = ("import sys, chocosim; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))")
+    source = os.path.dirname(os.path.dirname(chocosim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_build_topology_specs(tmp_path):
