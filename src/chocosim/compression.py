@@ -156,13 +156,23 @@ def _random_sparsify(v, fraction, unbiased, rng):
 
 
 def _topk(v, fraction):
+    """Keep each row's k largest magnitudes, ties at the k-th largest going
+    to the lowest indices: the set a stable argsort of ``-|v|`` keeps.
+
+    Fast path: when every row has exactly k magnitudes ``>= thr`` (the k-th
+    largest), as continuous data almost always does, those entries are that
+    set and no tie is scanned. Otherwise a row has surplus ties at ``thr``
+    (repeated values, a zero row, NaNs ranked last), and the ties are kept
+    in index order up to k.
+    """
     d = v.shape[1]
     k = _kept_count(fraction, d)
-    # the k largest magnitudes, ties at the k-th largest going to the lowest
-    # indices: the set a stable argsort of -|v| keeps. fmax ranks a NaN
-    # magnitude below every number, as that sort does.
+    # fmax ranks a NaN magnitude below every number, as the stable sort does
     mag = np.fmax(np.abs(v), -1.0)
     thr = np.partition(mag, d - k, axis=1)[:, d - k, None]
+    keep = mag >= thr
+    if (np.count_nonzero(keep, axis=1) == k).all():
+        return np.where(keep, v, 0.0)
     above = mag > thr
     tied = mag == thr
     room = k - np.count_nonzero(above, axis=1)[:, None]

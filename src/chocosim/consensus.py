@@ -15,11 +15,12 @@ after those of nodes 0..i-1, so the result equals compressing node by
 node, in node order, from that source.
 
 The statistics :func:`consensus_distance` and :func:`lyapunov` accept the
-node mean ``xbar`` a caller has already computed (an optimizer's logged
-rows compute it once for the loss and both statistics), and a block of
-states at once: ``(b, n, dim)`` gives ``b`` values, each the one its state
-gives alone. A gossip round's divergence check is one pass,
-``max |x| <= limit``.
+node mean ``xbar`` a caller has already computed, and a block of states at
+once: ``(b, n, dim)`` gives ``b`` values, each the one its state gives
+alone. Both are made of :func:`squared_sum` terms, so a caller that needs
+both (an optimizer's logged rows) sums the spread ``sum_i ||x_i -
+xbar||^2`` once and forms each from it, with the same floats. A gossip
+round's divergence check is one pass, ``max |x| <= limit``.
 """
 
 from dataclasses import dataclass
@@ -151,9 +152,13 @@ def choco_gossip_round(state, mixing, comp, rng, boundaries=None):
     return bits
 
 
-def _squared_sum(diff):
-    # each (n, dim) state summed as one contiguous run of n * dim elements,
-    # in the order diff.sum() adds them for that state alone
+def squared_sum(diff):
+    """Sum of squares of each ``(n, dim)`` state of ``diff`` (one state, or a
+    ``(b, n, dim)`` block), the sum both statistics below are made of.
+
+    Each state is summed as one contiguous run of ``n * dim`` elements, in
+    the order ``diff.sum()`` adds them for that state alone.
+    """
     return (diff ** 2).reshape(diff.shape[:-2] + (-1,)).sum(axis=-1)
 
 
@@ -176,9 +181,9 @@ def lyapunov(state, xbar=None):
     """
     if xbar is None:
         xbar = state.x.mean(axis=-2)
-    psi = _squared_sum(state.x - xbar[..., None, :])
+    psi = squared_sum(state.x - xbar[..., None, :])
     if state.xhat is not None:
-        psi = psi + _squared_sum(state.x - state.xhat)
+        psi = psi + squared_sum(state.x - state.xhat)
     return _scalar_or_block(psi, state.x)
 
 
@@ -190,4 +195,4 @@ def consensus_distance(x, xbar=None):
     """
     if xbar is None:
         xbar = x.mean(axis=-2)
-    return _scalar_or_block(_squared_sum(x - xbar[..., None, :]) / x.shape[-2], x)
+    return _scalar_or_block(squared_sum(x - xbar[..., None, :]) / x.shape[-2], x)

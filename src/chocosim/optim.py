@@ -53,8 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compression import Compressor, contraction_factor, message_bits
-from .consensus import (compress_rows, consensus_distance, consensus_stepsize, lyapunov,
-                        mix_with_public, sync_public)
+from .consensus import (compress_rows, consensus_stepsize, mix_with_public, squared_sum,
+                        sync_public)
 from .metrics import RunRecord, TrafficLedger
 from .numerics import RandomStream
 
@@ -214,7 +214,10 @@ class _LoggedRows:
     states, at least one and at most the ``logged`` rows of the run. Each
     row's value is the per-row definition's, bit for bit: ``xbar =
     x.mean(axis=0)``, ``consensus_distance(x, xbar)``, ``lyapunov(workers,
-    xbar)``, ``loss_and_gradient(xbar)`` and ``grad @ grad``.
+    xbar)``, ``loss_and_gradient(xbar)`` and ``grad @ grad``. The spread
+    ``sum_i ||x_i - xbar||^2`` that both statistics start from is summed
+    once: the consensus distance is it over n, and psi is it plus the lag
+    ``sum_i ||x_i - xhat_i||^2``.
     """
 
     def __init__(self, record, problem, centralized, busiest_charge, rows, dim, public,
@@ -250,9 +253,10 @@ class _LoggedRows:
         if self.centralized:
             consensus = psi = [0.0] * b
         else:
-            state = Workers(x=x, xhat=None if self.xhat is None else self.xhat[:b])
-            consensus = consensus_distance(x, xbar).tolist()
-            psi = lyapunov(state, xbar).tolist()
+            spread = squared_sum(x - xbar[:, None, :])
+            consensus = (spread / x.shape[1]).tolist()
+            lag = 0.0 if self.xhat is None else squared_sum(x - self.xhat[:b])
+            psi = (spread + lag).tolist()
         tock = time.perf_counter()
         f_avg, grad = self.problem.loss_and_gradient(xbar)
         # each row's grad @ grad, the same ddot

@@ -235,6 +235,7 @@ class _DatasetProblem:
         self.partition = partition
         self.batch = int(batch)
         self._shards_cache = {}
+        self._layout = None
 
     def _shards(self, epoch):
         if self.partition.mode == "fixed-split":
@@ -254,19 +255,26 @@ class _DatasetProblem:
         shard = self._shards(self._epoch(t))[i]
         return shard[rng.integers(0, shard.shape[0], size=min(self.batch, shard.shape[0]))]
 
+    def _shard_layout(self, shards):
+        """``(sizes, starts, flat)``: each shard's size and start in ``flat``,
+        the shards' concatenation; kept while the epoch's shards are."""
+        if self._layout is None or self._layout[0] is not shards:
+            sizes = np.array([shard.shape[0] for shard in shards])
+            starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+            self._layout = (shards, sizes, starts, np.concatenate(shards))
+        return self._layout[1:]
+
     def _minibatches(self, rng, t):
         """``(n, m)`` sample indices, row i drawn from node i's shard, as
         :meth:`_minibatch` draws them node after node; ``None``, drawing
         nothing, when the minibatch sizes differ."""
-        shards = self._shards(self._epoch(t))
-        sizes = np.array([shard.shape[0] for shard in shards])
+        sizes, starts, flat = self._shard_layout(self._shards(self._epoch(t)))
         m = min(self.batch, sizes.min())
         if min(self.batch, sizes.max()) != m:
             return None
-        n = len(shards)
+        n = sizes.shape[0]
         offsets = rng.integers(0, np.repeat(sizes, m), size=n * m).reshape(n, m)
-        starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
-        return np.concatenate(shards)[starts[:, None] + offsets]
+        return flat[starts[:, None] + offsets]
 
     def loss(self, x):
         return sum(self.node_loss(i, x) for i in range(self.n)) / self.n
@@ -288,16 +296,22 @@ class _DatasetProblem:
     def loss_and_gradient(self, x):
         """``(loss(x), full_gradient(x))``, bit for bit, from one forward
         pass per shard; both sums run in node order, as they do there.
-        ``(b, dim)`` rows are evaluated one after another."""
+        ``(b, dim)`` rows are evaluated one after another.
+
+        Node 0's gradient is written into the result and every later
+        node's into one reused vector, which is added to it in place.
+        """
         if np.ndim(x) == 2:
             pairs = [self.loss_and_gradient(row) for row in x]
             return np.array([loss for loss, _ in pairs]), np.stack([g for _, g in pairs])
-        losses, g = [], None
-        for idx in self._shards(0):
-            loss_i, g_i = self._sample_loss_and_gradient(idx, x)
-            losses.append(loss_i)
-            g = g_i if g is None else g + g_i
-        return sum(losses) / self.n, g / self.n
+        g, piece = np.empty(self.dim), np.empty(self.dim)
+        losses = []
+        for i, idx in enumerate(self._shards(0)):
+            losses.append(self._sample_loss_and_gradient(idx, x, g if i == 0 else piece))
+            if i:
+                g += piece
+        g /= self.n
+        return sum(losses) / self.n, g
 
 
 class LogisticProblem(_DatasetProblem):
@@ -322,21 +336,22 @@ class LogisticProblem(_DatasetProblem):
         margins = self.labels[idx] * (self.features[idx] @ x)
         return float(np.mean(np.logaddexp(0.0, -margins)))
 
-    def _backward(self, z, y, margins, x):
-        return (_neg_y_sigmoid(y, margins) @ z) / z.shape[0] + self.reg * x
+    def _backward(self, z, y, margins, x, out=None):
+        return np.add((_neg_y_sigmoid(y, margins) @ z) / z.shape[0], self.reg * x, out=out)
 
     def _sample_gradient(self, idx, x):
         z = self.features[idx]
         y = self.labels[idx]
         return self._backward(z, y, y * (z @ x), x)
 
-    def _sample_loss_and_gradient(self, idx, x):
-        # node_loss and node_gradient of one shard from one set of margins
+    def _sample_loss_and_gradient(self, idx, x, out):
+        """node_loss of one shard, from one set of margins that also gives
+        its node_gradient, which is written into ``out``."""
         z = self.features[idx]
         y = self.labels[idx]
         margins = y * (z @ x)
-        loss = float(np.mean(np.logaddexp(0.0, -margins))) + 0.5 * self.reg * float(x @ x)
-        return loss, self._backward(z, y, margins, x)
+        self._backward(z, y, margins, x, out)
+        return float(np.mean(np.logaddexp(0.0, -margins))) + 0.5 * self.reg * float(x @ x)
 
     def node_loss(self, i, x):
         idx = self._shards(0)[i]
@@ -397,33 +412,41 @@ class MlpProblem(_DatasetProblem):
 
     def _forward(self, z, x):
         w1, b1, w2, b2 = self._unpack(x)
-        hidden = np.tanh(z @ w1.T + b1)
+        hidden = z @ w1.T
+        hidden += b1
+        np.tanh(hidden, out=hidden)
         return hidden @ w2 + b2, hidden
 
     def _sample_loss(self, idx, x):
         logits, _ = self._forward(self.features[idx], x)
         return float(np.mean(np.logaddexp(0.0, -self.labels[idx] * logits)))
 
-    def _backward(self, z, y, x, logits, hidden):
-        w2 = self._unpack(x)[2]
+    def _backward(self, z, y, x, logits, hidden, out):
+        """Write the gradient into ``out``, block by block; ``hidden`` is
+        overwritten once the ``w2`` block is done with it."""
+        w1, b1, w2, _ = self._unpack(out)
         dlogit = _neg_y_sigmoid(y, y * logits) / z.shape[0]
-        dw2 = hidden.T @ dlogit
-        db2 = dlogit.sum()
-        dhidden = np.outer(dlogit, w2) * (1.0 - hidden**2)
-        dw1 = dhidden.T @ z
-        db1 = dhidden.sum(axis=0)
-        return np.concatenate([dw1.ravel(), db1, dw2, [db2]])
+        np.matmul(hidden.T, dlogit, out=w2)
+        out[-1] = dlogit.sum()
+        deriv = np.multiply(hidden, hidden, out=hidden)  # 1 - hidden**2, in place
+        np.subtract(1.0, deriv, out=deriv)
+        dhidden = np.outer(dlogit, self._unpack(x)[2])
+        dhidden *= deriv
+        np.matmul(dhidden.T, z, out=w1)
+        b1[...] = dhidden.sum(axis=0)
+        return out
 
     def _sample_gradient(self, idx, x):
         z = self.features[idx]
-        return self._backward(z, self.labels[idx], x, *self._forward(z, x))
+        return self._backward(z, self.labels[idx], x, *self._forward(z, x), np.empty(self.dim))
 
-    def _sample_loss_and_gradient(self, idx, x):
-        # node_loss and node_gradient of one shard from one forward pass
+    def _sample_loss_and_gradient(self, idx, x, out):
+        """node_loss of one shard, from one forward pass that also gives its
+        node_gradient, which is written into ``out``."""
         z, y = self.features[idx], self.labels[idx]
         logits, hidden = self._forward(z, x)
-        loss = float(np.mean(np.logaddexp(0.0, -y * logits)))
-        return loss, self._backward(z, y, x, logits, hidden)
+        self._backward(z, y, x, logits, hidden, out)
+        return float(np.mean(np.logaddexp(0.0, -y * logits)))
 
     def stochastic_gradients(self, x_rows, rng, t=0):
         """Row i is ``stochastic_gradient(i, x_rows[i], rng, t)`` of nodes
@@ -440,15 +463,21 @@ class MlpProblem(_DatasetProblem):
         n, p, h, b = x_rows.shape[0], self.features.shape[1], self.hidden, self.layer_boundaries
         w1 = x_rows[:, b[0] : b[1]].reshape(n, h, p)
         w2 = x_rows[:, b[2] : b[3]]
-        hidden = np.tanh(np.matmul(z, w1.transpose(0, 2, 1)) + x_rows[:, None, b[1] : b[2]])
+        # the expressions of _forward and _backward, stacked and in place
+        hidden = np.matmul(z, w1.transpose(0, 2, 1))
+        hidden += x_rows[:, None, b[1] : b[2]]
+        np.tanh(hidden, out=hidden)
         logits = np.matmul(hidden, w2[:, :, None])[:, :, 0] + x_rows[:, b[3], None]
         dlogit = _neg_y_sigmoid(y, y * logits) / idx.shape[1]
-        dhidden = dlogit[:, :, None] * w2[:, None, :] * (1.0 - hidden**2)
         g = np.empty_like(x_rows)
-        g[:, b[0] : b[1]] = np.matmul(dhidden.transpose(0, 2, 1), z).reshape(n, h * p)
-        g[:, b[1] : b[2]] = dhidden.sum(axis=1)
         g[:, b[2] : b[3]] = np.matmul(hidden.transpose(0, 2, 1), dlogit[:, :, None])[:, :, 0]
         g[:, b[3]] = dlogit.sum(axis=1)
+        deriv = np.multiply(hidden, hidden, out=hidden)  # 1 - hidden**2
+        np.subtract(1.0, deriv, out=deriv)
+        dhidden = dlogit[:, :, None] * w2[:, None, :]
+        dhidden *= deriv
+        np.matmul(dhidden.transpose(0, 2, 1), z, out=g[:, b[0] : b[1]].reshape(n, h, p))
+        g[:, b[1] : b[2]] = dhidden.sum(axis=1)
         return g
 
     def node_loss(self, i, x):

@@ -131,6 +131,50 @@ def test_gsgd_payload_bytes_equal_the_1d_operator_on_signed_zeros_and_nans():
             assert payload.tobytes() == literal.tobytes(), spec
 
 
+def _topk_block(kind, d=10):
+    # tie-free rows, plus one row of the named kind: "ties" has surplus
+    # ties at the k-th largest magnitude; "nan-last" has so many NaNs that
+    # they tie at the k-th rank, "nan-some" so few that all are dropped
+    rows = np.random.default_rng(8).standard_normal((4, d))
+    if kind == "ties":
+        rows[2] = [3.0, -1.0, 1.0, 0.5, -1.0, 1.0, 0.2, 0.1, -0.3, 1.0][:d]
+    elif kind == "zero":
+        rows[2] = 0.0
+    elif kind == "nan-last":
+        rows[2, 1:] = np.nan
+    elif kind == "nan-some":
+        rows[2, [0, 4, 7]] = np.nan
+    return rows
+
+
+@pytest.mark.parametrize("kind, fraction, fast", [
+    ("tie-free", 0.2, True),
+    ("nan-some", 0.2, True),
+    ("ties", 0.2, False),
+    ("ties", 0.3, False),
+    ("zero", 0.2, False),
+    ("nan-last", 0.2, False),
+    ("ties", 1.0, True),  # k = d: every entry is kept
+    ("zero", 1.0, True),
+    ("nan-last", 1.0, True),
+])
+def test_topk_branches_keep_the_stable_argsort_set(kind, fraction, fast, monkeypatch):
+    rows = _topk_block(kind)
+    scans, cumsum = [], np.cumsum
+
+    def counted(*args, **kwargs):  # the tie scan's cumsum runs only on the fallback
+        scans.append(1)
+        return cumsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counted)
+    comp = parse_compressor(f"topk:{fraction}")
+    got = compress_blocks(comp, rows).payload
+    monkeypatch.undo()
+    assert len(scans) == (0 if fast else 1)
+    literal = np.stack([_reference_compress(comp, row, None) for row in rows])
+    assert got.tobytes() == literal.tobytes()
+
+
 def test_batched_compression_needs_a_generator():
     rows = np.ones((3, 4))
     for spec in ("gsgd:4", "random:0.5"):
@@ -203,6 +247,59 @@ def test_dataset_batched_oracle_equals_node_loop(make):
         for i in range(1, n):
             g = g + problem.node_gradient(i, x)
         assert np.array_equal(grad, g / n)
+
+
+def _literal_shard(problem, idx, x):
+    # node_loss and node_gradient of the samples idx, the expressions as
+    # first written: one fresh array per step, pieces concatenated
+    z, y = problem.features[idx], problem.labels[idx]
+    with np.errstate(over="ignore"):
+        if problem.kind == "logistic":
+            margins = y * (z @ x)
+            loss = (float(np.mean(np.logaddexp(0.0, -margins)))
+                    + 0.5 * problem.reg * float(x @ x))
+            return loss, (-y / (1.0 + np.exp(margins)) @ z) / z.shape[0] + problem.reg * x
+        b = problem.layer_boundaries
+        w1 = x[b[0] : b[1]].reshape(problem.hidden, z.shape[1])
+        b1, w2, b2 = x[b[1] : b[2]], x[b[2] : b[3]], x[b[3]]
+        hidden = np.tanh(z @ w1.T + b1)
+        logits = hidden @ w2 + b2
+        loss = float(np.mean(np.logaddexp(0.0, -y * logits)))
+        dlogit = -y / (1.0 + np.exp(y * logits)) / z.shape[0]
+        dhidden = np.outer(dlogit, w2) * (1.0 - hidden**2)
+    return loss, np.concatenate([(dhidden.T @ z).ravel(), dhidden.sum(axis=0),
+                                 hidden.T @ dlogit, [dlogit.sum()]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_logistic(4, dim=5, samples=200, batch=8, seed=3),
+    lambda: make_mlp(4, input_dim=3, hidden=4, samples=64, batch=8, seed=3),
+    pytest.param(lambda: make_mlp(16, input_dim=32, hidden=64, samples=4096, batch=32, seed=5),
+                 id="mlp-workload"),
+    pytest.param(lambda: make_mlp(16, samples=100, batch=32, seed=5), id="mlp-ragged"),
+    pytest.param(lambda: make_mlp(3, input_dim=3, hidden=4, samples=100, batch=8, seed=2),
+                 id="mlp-unequal-shards"),
+])
+def test_dataset_oracles_equal_the_expressions_as_first_written(make):
+    problem = make()
+    n = problem.n
+    x_rows = 0.5 * np.random.default_rng(2).standard_normal((n, problem.dim))
+    x = x_rows.mean(axis=0)
+    pairs = [_literal_shard(problem, idx, x) for idx in problem._shards(0)]
+    g = pairs[0][1]
+    for _, g_i in pairs[1:]:
+        g = g + g_i
+    loss, grad = problem.loss_and_gradient(x)
+    assert loss == sum(loss_i for loss_i, _ in pairs) / n
+    assert grad.tobytes() == (g / n).tobytes()
+    for i in range(n):
+        assert problem.node_gradient(i, x).tobytes() == pairs[i][1].tobytes()
+    for t in (9, 57):
+        batched = problem.stochastic_gradients(x_rows, RandomStream(2, 0, "grad").at(t), t)
+        rng = RandomStream(2, 0, "grad").at(t)  # node after node, one generator
+        for i in range(n):
+            idx = problem._minibatch(i, rng, t)
+            assert batched[i].tobytes() == _literal_shard(problem, idx, x_rows[i])[1].tobytes()
 
 
 def test_shards_are_dealt_once_per_training_epoch(monkeypatch):
