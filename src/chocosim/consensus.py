@@ -14,13 +14,12 @@ compressors draw all rows from one random source, node i's draw coming
 after those of nodes 0..i-1, so the result equals compressing node by
 node, in node order, from that source.
 
-The statistics :func:`consensus_distance` and :func:`lyapunov` accept the
-node mean ``xbar`` a caller has already computed, and a block of states at
-once: ``(b, n, dim)`` gives ``b`` values, each the one its state gives
-alone. Both are made of :func:`squared_sum` terms, so a caller that needs
-both (an optimizer's logged rows) sums the spread ``sum_i ||x_i -
-xbar||^2`` once and forms each from it, with the same floats. A gossip
-round's divergence check is one pass, ``max |x| <= limit``.
+The statistics :func:`consensus_distance` and :func:`lyapunov` are made of
+:func:`squared_sum` terms, and :func:`squared_sum` also takes a ``(b, n,
+dim)`` block of states, so a caller that needs both for many states (an
+optimizer's logged rows) sums the spread ``sum_i ||x_i - xbar||^2`` once
+per state and forms each from it, with the same floats. A gossip round's
+divergence check is one pass, ``max |x| <= limit``.
 """
 
 from dataclasses import dataclass
@@ -162,37 +161,20 @@ def squared_sum(diff):
     return (diff ** 2).reshape(diff.shape[:-2] + (-1,)).sum(axis=-1)
 
 
-def _scalar_or_block(value, x):
-    return float(value) if x.ndim == 2 else value
-
-
-def lyapunov(state, xbar=None):
+def lyapunov(state):
     """Total squared disagreement plus public-copy lag.
 
     ``sum_i ||x_i - xbar||^2 + sum_i ||x_i - xhat_i||^2``; this is the
     quantity that contracts by ``(1 - c)`` per round in expectation. A
     ``state`` without public copies (``xhat is None``, exact gossip) has no
-    lag term. ``xbar`` is ``state.x.mean(axis=-2)`` when the caller already
-    has it.
-
-    ``state.x`` (and ``state.xhat``) may also be a block of states, ``(b, n,
-    dim)`` with ``xbar`` ``(b, dim)``; then the result is one value per
-    state, each equal, bit for bit, to the value of that state alone.
+    lag term.
     """
-    if xbar is None:
-        xbar = state.x.mean(axis=-2)
-    psi = squared_sum(state.x - xbar[..., None, :])
+    psi = squared_sum(state.x - state.x.mean(axis=0))
     if state.xhat is not None:
         psi = psi + squared_sum(state.x - state.xhat)
-    return _scalar_or_block(psi, state.x)
+    return float(psi)
 
 
-def consensus_distance(x, xbar=None):
-    """Node-averaged squared distance to the node mean, ``(1/n) sum ||x_i - xbar||^2``.
-
-    ``xbar`` is ``x.mean(axis=-2)`` when the caller already has it. As in
-    :func:`lyapunov`, ``x`` may be a ``(b, n, dim)`` block of states.
-    """
-    if xbar is None:
-        xbar = x.mean(axis=-2)
-    return _scalar_or_block(squared_sum(x - xbar[..., None, :]) / x.shape[-2], x)
+def consensus_distance(x):
+    """Node-averaged squared distance to the node mean, ``(1/n) sum ||x_i - xbar||^2``."""
+    return float(squared_sum(x - x.mean(axis=0)) / x.shape[0])

@@ -213,11 +213,11 @@ class _LoggedRows:
     ``public``. A block holds ``LOG_BLOCK_BYTES // (bytes of one state)``
     states, at least one and at most the ``logged`` rows of the run. Each
     row's value is the per-row definition's, bit for bit: ``xbar =
-    x.mean(axis=0)``, ``consensus_distance(x, xbar)``, ``lyapunov(workers,
-    xbar)``, ``loss_and_gradient(xbar)`` and ``grad @ grad``. The spread
-    ``sum_i ||x_i - xbar||^2`` that both statistics start from is summed
-    once: the consensus distance is it over n, and psi is it plus the lag
-    ``sum_i ||x_i - xhat_i||^2``.
+    x.mean(axis=0)``, ``consensus_distance(x)``, ``lyapunov(workers)``,
+    ``loss_and_gradient(xbar)`` and ``grad @ grad``. The spread ``sum_i
+    ||x_i - xbar||^2`` that both statistics start from is one
+    ``squared_sum`` over the block: the consensus distance is it over n,
+    and psi is it plus the lag ``sum_i ||x_i - xhat_i||^2``.
     """
 
     def __init__(self, record, problem, centralized, busiest_charge, rows, dim, public,

@@ -12,20 +12,22 @@ minibatch indices ``(n, batch)``), row i for node i. Row i equals
 ``stochastic_gradient`` of node i when the nodes draw one after another, in
 node order, from that generator. Logged rows ask ``loss_and_gradient(x)``
 for ``(loss(x), full_gradient(x))``, of one x or of a ``(b, dim)`` block of
-rows; the quadratic evaluates a block in stacked calls, and dataset
-problems evaluate its rows one by one, each from one forward pass per
-shard.
+rows. Sums over nodes run in node order.
 
-The per-node ``node_loss``, ``node_gradient`` and ``stochastic_gradient``
-are the definitions, and every batched form equals them bit for bit: sums
-over nodes run in node order, and a stacked ``np.matmul`` on ``(n, ., .)``
-operands runs one gemm or gemv per node with the operand layout of the
-2-D call (a gemm in place of a per-row gemv rounds differently). The
-dataset problems stack their minibatches this way when they have equal
-sizes; shards smaller than ``batch`` make them unequal, and then they loop
-over nodes.
+A dataset problem computes its loss and gradient in one stacked kernel,
+the definition: ``(k, m, p)`` sample stacks at ``(k, dim)`` rows, where a
+stacked ``np.matmul`` runs one gemm or gemv per row with the operand
+layout of the 2-D call (a gemm in place of a per-row gemv rounds
+differently). ``node_loss``, ``node_gradient`` and ``stochastic_gradient``
+are its one-row calls, on a shard or a minibatch. ``stochastic_gradients``
+is one call on the stacked minibatches, or one call per node when shards
+smaller than ``batch`` make the minibatch sizes unequal.
+``loss_and_gradient`` is one call per shard, and ``loss`` and
+``full_gradient`` are its two halves. The quadratic's per-node forms are
+its definitions, and its stacked forms equal them bit for bit.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,16 +94,24 @@ def make_blob_dataset(n_samples, dim, seed, margin):
 def load_csv_dataset(path):
     """Load ``(features, labels)`` from a CSV with the label in the last column.
 
-    A single non-numeric header row is skipped. Labels may be 0/1 or -1/+1;
+    A single non-numeric header row is skipped. The file needs at least one
+    data row, and every feature must be finite. Labels may be 0/1 or -1/+1;
     they are returned as -1/+1.
     """
-    try:
-        raw = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():
+        # loadtxt warns about an empty file; the ValueError below says it
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError:
+            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if raw.shape[0] == 0:
+        raise ValueError(f"{path}: no data rows")
     if raw.shape[1] < 2:
         raise ValueError(f"{path}: need at least one feature column plus a label")
     z, y = raw[:, :-1], raw[:, -1]
+    if not np.isfinite(z).all():
+        raise ValueError(f"{path}: features must be finite")
     values = set(np.unique(y).tolist())
     if values <= {0.0, 1.0}:
         y = 2.0 * y - 1.0
@@ -219,7 +229,14 @@ class QuadraticProblem:
 
 
 class _DatasetProblem:
-    """Shared machinery for problems defined over a partitioned dataset."""
+    """Shared machinery for problems defined over a partitioned dataset.
+
+    A subclass defines ``_kernel(z, y, x, out, losses=False)``, the one
+    place its loss and gradient are computed: ``z`` and ``y`` are ``(k, m,
+    p)`` and ``(k, m)`` sample stacks, ``x`` is ``(k, dim)`` rows, row j's
+    gradient on sample set j is written into ``out[j]``, and the ``(k,)``
+    losses are returned when ``losses`` is true.
+    """
 
     def __init__(self, n, features, labels, partition, batch):
         self.n = int(n)
@@ -276,42 +293,64 @@ class _DatasetProblem:
         offsets = rng.integers(0, np.repeat(sizes, m), size=n * m).reshape(n, m)
         return flat[starts[:, None] + offsets]
 
-    def loss(self, x):
-        return sum(self.node_loss(i, x) for i in range(self.n)) / self.n
+    def _samples(self, idx, x, out, losses=False):
+        """The kernel's one-row call: samples ``idx`` at one ``x``, the
+        gradient written into the ``(1, dim)`` row ``out``."""
+        loss = self._kernel(self.features[idx][None], self.labels[idx][None],
+                            np.asarray(x)[None], out, losses)
+        return None if loss is None else float(loss[0])
+
+    def _gradient(self, idx, x):
+        out = np.empty((1, self.dim))
+        self._samples(idx, x, out)
+        return out[0]
+
+    def node_loss(self, i, x):
+        return self._samples(self._shards(0)[i], x, np.empty((1, self.dim)), losses=True)
+
+    def node_gradient(self, i, x):
+        return self._gradient(self._shards(0)[i], x)
 
     def stochastic_gradients(self, x_rows, rng, t=0):
-        """Row i is ``stochastic_gradient(i, x_rows[i], rng, t)``, node
-        after node: the fallback for unequal minibatch sizes."""
-        g = np.empty_like(x_rows)
+        """Row i is ``stochastic_gradient(i, x_rows[i], rng, t)`` of nodes
+        drawing in node order, bit for bit: one ``(n, batch)`` index draw
+        and one kernel call on the stacked ``(n, m, p)`` batch, or, when the
+        minibatch sizes differ, a draw and a kernel call per node."""
+        g = np.empty(x_rows.shape)
+        idx = self._minibatches(rng, t)
+        if idx is not None:
+            self._kernel(self.features[idx], self.labels[idx], x_rows, g)
+            return g
         for i in range(x_rows.shape[0]):
-            g[i] = self.stochastic_gradient(i, x_rows[i], rng, t)
+            self._samples(self._minibatch(i, rng, t), x_rows[i], g[i : i + 1])
         return g
 
+    def loss(self, x):
+        return self.loss_and_gradient(x)[0]
+
     def full_gradient(self, x):
-        g = self.node_gradient(0, x)
-        for i in range(1, self.n):
-            g = g + self.node_gradient(i, x)
-        return g / self.n
+        return self.loss_and_gradient(x)[1]
 
     def loss_and_gradient(self, x):
-        """``(loss(x), full_gradient(x))``, bit for bit, from one forward
-        pass per shard; both sums run in node order, as they do there.
-        ``(b, dim)`` rows are evaluated one after another.
+        """``(f(x), grad f(x))``: the mean of ``node_loss`` and of
+        ``node_gradient`` over the nodes, each sum in node order, from one
+        kernel call per shard; ``(b, dim)`` rows are evaluated one after
+        another.
 
         Node 0's gradient is written into the result and every later
-        node's into one reused vector, which is added to it in place.
+        node's into one reused row, which is added to it in place.
         """
         if np.ndim(x) == 2:
             pairs = [self.loss_and_gradient(row) for row in x]
             return np.array([loss for loss, _ in pairs]), np.stack([g for _, g in pairs])
-        g, piece = np.empty(self.dim), np.empty(self.dim)
+        g, piece = np.empty((1, self.dim)), np.empty((1, self.dim))
         losses = []
         for i, idx in enumerate(self._shards(0)):
-            losses.append(self._sample_loss_and_gradient(idx, x, g if i == 0 else piece))
+            losses.append(self._samples(idx, x, g if i == 0 else piece, losses=True))
             if i:
                 g += piece
         g /= self.n
-        return sum(losses) / self.n, g
+        return sum(losses) / self.n, g[0]
 
 
 class LogisticProblem(_DatasetProblem):
@@ -332,48 +371,17 @@ class LogisticProblem(_DatasetProblem):
         self.dim = self.features.shape[1]
         self.layer_boundaries = None
 
-    def _sample_loss(self, idx, x):
-        margins = self.labels[idx] * (self.features[idx] @ x)
-        return float(np.mean(np.logaddexp(0.0, -margins)))
-
-    def _backward(self, z, y, margins, x, out=None):
-        return np.add((_neg_y_sigmoid(y, margins) @ z) / z.shape[0], self.reg * x, out=out)
-
-    def _sample_gradient(self, idx, x):
-        z = self.features[idx]
-        y = self.labels[idx]
-        return self._backward(z, y, y * (z @ x), x)
-
-    def _sample_loss_and_gradient(self, idx, x, out):
-        """node_loss of one shard, from one set of margins that also gives
-        its node_gradient, which is written into ``out``."""
-        z = self.features[idx]
-        y = self.labels[idx]
-        margins = y * (z @ x)
-        self._backward(z, y, margins, x, out)
-        return float(np.mean(np.logaddexp(0.0, -margins))) + 0.5 * self.reg * float(x @ x)
-
-    def node_loss(self, i, x):
-        idx = self._shards(0)[i]
-        return self._sample_loss(idx, x) + 0.5 * self.reg * float(x @ x)
-
-    def node_gradient(self, i, x):
-        return self._sample_gradient(self._shards(0)[i], x)
+    def _kernel(self, z, y, x, out, losses=False):
+        margins = y * np.matmul(z, x[:, :, None])[:, :, 0]
+        weights = _neg_y_sigmoid(y, margins)
+        np.add(np.matmul(weights[:, None, :], z)[:, 0, :] / z.shape[1], self.reg * x, out=out)
+        if losses:
+            # each row's x @ x, the same ddot
+            sq = np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
+            return np.mean(np.logaddexp(0.0, -margins), axis=1) + 0.5 * self.reg * sq
 
     def stochastic_gradient(self, i, x, rng, t=0):
-        return self._sample_gradient(self._minibatch(i, rng, t), x)
-
-    def stochastic_gradients(self, x_rows, rng, t=0):
-        """Row i is ``stochastic_gradient(i, x_rows[i], rng, t)`` of nodes
-        drawing in node order, bit for bit, from one ``(n, batch)`` index
-        draw and a stacked ``(n, m, p)`` batch."""
-        idx = self._minibatches(rng, t)
-        if idx is None:
-            return super().stochastic_gradients(x_rows, rng, t)
-        z, y = self.features[idx], self.labels[idx]
-        margins = y * np.matmul(z, x_rows[:, :, None])[:, :, 0]
-        weights = _neg_y_sigmoid(y, margins)
-        return np.matmul(weights[:, None, :], z)[:, 0, :] / idx.shape[1] + self.reg * x_rows
+        return self._gradient(self._minibatch(i, rng, t), x)
 
     def smoothness(self):
         gram = self.features.T @ self.features / (4.0 * self.features.shape[0])
@@ -400,94 +408,31 @@ class MlpProblem(_DatasetProblem):
         self.dim = h * p + h + h + 1
         self.layer_boundaries = [0, h * p, h * p + h, h * p + 2 * h, self.dim]
 
-    def _unpack(self, x):
-        p, h = self.features.shape[1], self.hidden
-        b = self.layer_boundaries
-        return (
-            x[b[0] : b[1]].reshape(h, p),
-            x[b[1] : b[2]],
-            x[b[2] : b[3]],
-            x[b[3]],
-        )
-
-    def _forward(self, z, x):
-        w1, b1, w2, b2 = self._unpack(x)
-        hidden = z @ w1.T
-        hidden += b1
+    def _kernel(self, z, y, x, out, losses=False):
+        """Forward and backward in place: ``out`` is written block by block,
+        and the hidden activations are overwritten once the ``w2`` block is
+        done with them."""
+        k, m, p = z.shape
+        h, b = self.hidden, self.layer_boundaries
+        w2 = x[:, b[2] : b[3]]
+        hidden = np.matmul(z, x[:, b[0] : b[1]].reshape(k, h, p).transpose(0, 2, 1))
+        hidden += x[:, None, b[1] : b[2]]
         np.tanh(hidden, out=hidden)
-        return hidden @ w2 + b2, hidden
-
-    def _sample_loss(self, idx, x):
-        logits, _ = self._forward(self.features[idx], x)
-        return float(np.mean(np.logaddexp(0.0, -self.labels[idx] * logits)))
-
-    def _backward(self, z, y, x, logits, hidden, out):
-        """Write the gradient into ``out``, block by block; ``hidden`` is
-        overwritten once the ``w2`` block is done with it."""
-        w1, b1, w2, _ = self._unpack(out)
-        dlogit = _neg_y_sigmoid(y, y * logits) / z.shape[0]
-        np.matmul(hidden.T, dlogit, out=w2)
-        out[-1] = dlogit.sum()
-        deriv = np.multiply(hidden, hidden, out=hidden)  # 1 - hidden**2, in place
-        np.subtract(1.0, deriv, out=deriv)
-        dhidden = np.outer(dlogit, self._unpack(x)[2])
-        dhidden *= deriv
-        np.matmul(dhidden.T, z, out=w1)
-        b1[...] = dhidden.sum(axis=0)
-        return out
-
-    def _sample_gradient(self, idx, x):
-        z = self.features[idx]
-        return self._backward(z, self.labels[idx], x, *self._forward(z, x), np.empty(self.dim))
-
-    def _sample_loss_and_gradient(self, idx, x, out):
-        """node_loss of one shard, from one forward pass that also gives its
-        node_gradient, which is written into ``out``."""
-        z, y = self.features[idx], self.labels[idx]
-        logits, hidden = self._forward(z, x)
-        self._backward(z, y, x, logits, hidden, out)
-        return float(np.mean(np.logaddexp(0.0, -y * logits)))
-
-    def stochastic_gradients(self, x_rows, rng, t=0):
-        """Row i is ``stochastic_gradient(i, x_rows[i], rng, t)`` of nodes
-        drawing in node order, bit for bit.
-
-        The minibatch indices are one ``(n, batch)`` draw; forward and
-        backward then run on the stacked ``(n, m, p)`` batch, or node by
-        node when the minibatch sizes differ.
-        """
-        idx = self._minibatches(rng, t)
-        if idx is None:
-            return super().stochastic_gradients(x_rows, rng, t)
-        z, y = self.features[idx], self.labels[idx]
-        n, p, h, b = x_rows.shape[0], self.features.shape[1], self.hidden, self.layer_boundaries
-        w1 = x_rows[:, b[0] : b[1]].reshape(n, h, p)
-        w2 = x_rows[:, b[2] : b[3]]
-        # the expressions of _forward and _backward, stacked and in place
-        hidden = np.matmul(z, w1.transpose(0, 2, 1))
-        hidden += x_rows[:, None, b[1] : b[2]]
-        np.tanh(hidden, out=hidden)
-        logits = np.matmul(hidden, w2[:, :, None])[:, :, 0] + x_rows[:, b[3], None]
-        dlogit = _neg_y_sigmoid(y, y * logits) / idx.shape[1]
-        g = np.empty_like(x_rows)
-        g[:, b[2] : b[3]] = np.matmul(hidden.transpose(0, 2, 1), dlogit[:, :, None])[:, :, 0]
-        g[:, b[3]] = dlogit.sum(axis=1)
+        logits = np.matmul(hidden, w2[:, :, None])[:, :, 0] + x[:, b[3], None]
+        dlogit = _neg_y_sigmoid(y, y * logits) / m
+        out[:, b[2] : b[3]] = np.matmul(hidden.transpose(0, 2, 1), dlogit[:, :, None])[:, :, 0]
+        out[:, b[3]] = dlogit.sum(axis=1)
         deriv = np.multiply(hidden, hidden, out=hidden)  # 1 - hidden**2
         np.subtract(1.0, deriv, out=deriv)
         dhidden = dlogit[:, :, None] * w2[:, None, :]
         dhidden *= deriv
-        np.matmul(dhidden.transpose(0, 2, 1), z, out=g[:, b[0] : b[1]].reshape(n, h, p))
-        g[:, b[1] : b[2]] = dhidden.sum(axis=1)
-        return g
-
-    def node_loss(self, i, x):
-        return self._sample_loss(self._shards(0)[i], x)
-
-    def node_gradient(self, i, x):
-        return self._sample_gradient(self._shards(0)[i], x)
+        np.matmul(dhidden.transpose(0, 2, 1), z, out=out[:, b[0] : b[1]].reshape(k, h, p))
+        out[:, b[1] : b[2]] = dhidden.sum(axis=1)
+        if losses:
+            return np.mean(np.logaddexp(0.0, -y * logits), axis=1)
 
     def stochastic_gradient(self, i, x, rng, t=0):
-        return self._sample_gradient(self._minibatch(i, rng, t), x)
+        return self._gradient(self._minibatch(i, rng, t), x)
 
     def smoothness(self):
         return None  # no closed form; use estimate_constants

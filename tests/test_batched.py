@@ -273,12 +273,24 @@ def _literal_shard(problem, idx, x):
 
 @pytest.mark.parametrize("make", [
     lambda: make_logistic(4, dim=5, samples=200, batch=8, seed=3),
+    pytest.param(lambda: make_logistic(16, dim=32, samples=4096, batch=32, seed=5),
+                 id="logistic-workload"),
+    pytest.param(lambda: make_logistic(16, dim=4, samples=100, batch=32, seed=5),
+                 id="logistic-ragged"),
+    pytest.param(lambda: make_logistic(3, dim=4, samples=100, batch=8, seed=2),
+                 id="logistic-unequal-shards"),
+    pytest.param(lambda: make_logistic(8, dim=5, samples=200, batch=16,
+                                       mode="fixed-split", by_label=True, seed=5),
+                 id="logistic-by-label"),
     lambda: make_mlp(4, input_dim=3, hidden=4, samples=64, batch=8, seed=3),
     pytest.param(lambda: make_mlp(16, input_dim=32, hidden=64, samples=4096, batch=32, seed=5),
                  id="mlp-workload"),
     pytest.param(lambda: make_mlp(16, samples=100, batch=32, seed=5), id="mlp-ragged"),
     pytest.param(lambda: make_mlp(3, input_dim=3, hidden=4, samples=100, batch=8, seed=2),
                  id="mlp-unequal-shards"),
+    pytest.param(lambda: make_mlp(8, input_dim=5, hidden=8, samples=200, batch=16,
+                                  mode="fixed-split", by_label=True, seed=5),
+                 id="mlp-by-label"),
 ])
 def test_dataset_oracles_equal_the_expressions_as_first_written(make):
     problem = make()
@@ -289,17 +301,27 @@ def test_dataset_oracles_equal_the_expressions_as_first_written(make):
     g = pairs[0][1]
     for _, g_i in pairs[1:]:
         g = g + g_i
+    f = sum(loss_i for loss_i, _ in pairs) / n
     loss, grad = problem.loss_and_gradient(x)
-    assert loss == sum(loss_i for loss_i, _ in pairs) / n
-    assert grad.tobytes() == (g / n).tobytes()
+    assert loss == f and problem.loss(x) == f
+    assert grad.tobytes() == problem.full_gradient(x).tobytes() == (g / n).tobytes()
     for i in range(n):
+        assert problem.node_loss(i, x) == pairs[i][0]
         assert problem.node_gradient(i, x).tobytes() == pairs[i][1].tobytes()
     for t in (9, 57):
         batched = problem.stochastic_gradients(x_rows, RandomStream(2, 0, "grad").at(t), t)
         rng = RandomStream(2, 0, "grad").at(t)  # node after node, one generator
+        per_node = RandomStream(2, 0, "grad").at(t)
         for i in range(n):
             idx = problem._minibatch(i, rng, t)
-            assert batched[i].tobytes() == _literal_shard(problem, idx, x_rows[i])[1].tobytes()
+            literal = _literal_shard(problem, idx, x_rows[i])[1].tobytes()
+            assert batched[i].tobytes() == literal
+            assert problem.stochastic_gradient(i, x_rows[i], per_node, t).tobytes() == literal
+    # a (b, dim) block of rows: each row's values, as it gives them alone
+    block = x_rows[:3]
+    assert problem.loss(block).tolist() == [problem.loss(row) for row in block]
+    assert problem.full_gradient(block).tobytes() == np.stack(
+        [problem.full_gradient(row) for row in block]).tobytes()
 
 
 def test_shards_are_dealt_once_per_training_epoch(monkeypatch):

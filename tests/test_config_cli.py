@@ -208,6 +208,27 @@ def test_build_problem_dispatch(tmp_path):
     assert prob.features.shape == (4, 2)
 
 
+@pytest.mark.parametrize("content", ["1.0,nan,1\n-1.0,0.5,0\n", "1.0,2.0,1\n-inf,0.5,0\n", "",
+                                     "a,b,label\n"],
+                         ids=["nan", "inf", "empty", "header-only"])
+def test_bad_csv_data_exits_one_with_one_line(tmp_path, content):
+    # in a fresh process, so that a traceback or a printed warning would show
+    csv = tmp_path / "d.csv"
+    csv.write_text(content)
+    path = _write_config(tmp_path, topology="ring:2",
+                         problem={"kind": "logistic", "n": 2, "csv": str(csv)})
+    source = os.path.dirname(os.path.dirname(chocosim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "chocosim.cli", "run", "--config", path,
+                           "--out", str(tmp_path / "o")], capture_output=True, text=True,
+                          env=env)
+    assert done.returncode == 1
+    lines = done.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+    assert str(csv) in lines[0]
+
+
 def test_resolve_x0_modes():
     cfg = ExperimentConfig.from_dict({"topology": "ring:2",
                                       "problem": {"kind": "quadratic", "n": 2, "dim": 6}})

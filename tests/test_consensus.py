@@ -173,17 +173,6 @@ def test_divergence_guard_passes_the_limit_itself():
 
 # ----------------------------------------------------------------- lyapunov
 
-def test_statistics_take_the_callers_mean_bit_for_bit():
-    for seed in range(4):
-        state, x0 = _start(7, 5, 0.1, seed=seed)
-        state.xhat = RandomStream(seed, 1, "init").normal(35).reshape(7, 5)
-        xbar = state.x.mean(axis=0)
-        assert consensus_distance(x0, x0.mean(axis=0)) == consensus_distance(x0)
-        assert lyapunov(state, xbar) == lyapunov(state)
-        state.xhat = None  # exact gossip: no lag term
-        assert lyapunov(state, xbar) == lyapunov(state)
-
-
 def test_lyapunov_zero_at_consensus():
     x = np.tile(np.array([1.0, 2.0]), (3, 1))
     state = ConsensusState(x=x.copy(), xhat=x.copy(), gamma=0.1)
