@@ -13,8 +13,14 @@ randomness from one generator (a ``numpy.random.Generator`` or a
 block of rows compressed at once equals, bit for bit, the rows compressed
 one after another from that generator. A one-row call draws exactly what
 the 1-D operator draws.
+
+Payloads are fresh arrays owned by the caller; a kernel never writes to
+its input. The block layout of a row and its wire size depend only on
+``(comp, d, boundaries)``, so :func:`compress_blocks` validates and prices
+each such triple once per process.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,7 +187,11 @@ def _topk(v, fraction):
 
 
 def _sign(v):
-    return (np.abs(v).sum(axis=1) / v.shape[1])[:, None] * np.sign(v)
+    # (sum_j |v_ij| / d) * sign(v_ij), each step after |v| in its own result
+    scale = np.add.reduce(np.abs(v), axis=1)
+    scale /= v.shape[1]
+    out = np.sign(v)
+    return np.multiply(scale[:, None], out, out=out)
 
 
 def _row_payloads(comp, v, rng):
@@ -215,6 +225,22 @@ def compress(comp, x, rng=None):
     return CompressedMessage(payload=_row_payloads(comp, x[None, :], rng)[0], bits=bits)
 
 
+@functools.cache
+def _block_plan(comp, d, boundaries):
+    """``(blocks, bits)`` of a row of length ``d``: its ``(start, stop)``
+    blocks and the wire size of one row; ``boundaries`` is a tuple or
+    ``None``. A bad layout raises each time it is asked for (a raising
+    call is not cached)."""
+    if boundaries is None:
+        boundaries = (0, d)
+    if boundaries[0] != 0 or boundaries[-1] != d:
+        raise ValueError("block boundaries must start at 0 and end at the row length")
+    blocks = tuple(zip(boundaries[:-1], boundaries[1:]))
+    if any(stop <= start for start, stop in blocks):
+        raise ValueError("block boundaries must be strictly increasing")
+    return blocks, message_bits(comp, d, boundaries)
+
+
 def compress_blocks(comp, x, rng=None, boundaries=None):
     """Compress each block of ``x`` separately, summing bit costs.
 
@@ -232,22 +258,17 @@ def compress_blocks(comp, x, rng=None, boundaries=None):
     if x.ndim not in (1, 2):
         raise ValueError("compress_blocks expects a vector or (n, d) rows")
     rows = x if x.ndim == 2 else x[None, :]
-    d = rows.shape[1]
-    if boundaries is None:
-        boundaries = (0, d)
-    if boundaries[0] != 0 or boundaries[-1] != d:
-        raise ValueError("block boundaries must start at 0 and end at the row length")
-    blocks = list(zip(boundaries[:-1], boundaries[1:]))
-    if any(stop <= start for start, stop in blocks):
-        raise ValueError("block boundaries must be strictly increasing")
-    bits = message_bits(comp, d, boundaries) * rows.shape[0]
+    if boundaries is not None:
+        boundaries = tuple(boundaries)
+    blocks, bits = _block_plan(comp, rows.shape[1], boundaries)
     if len(blocks) == 1:
         payload = _row_payloads(comp, rows, rng)
     else:
         payload = np.empty_like(rows)
         for start, stop in blocks:
             payload[:, start:stop] = _row_payloads(comp, rows[:, start:stop], rng)
-    return CompressedMessage(payload=payload if x.ndim == 2 else payload[0], bits=bits)
+    return CompressedMessage(payload=payload if x.ndim == 2 else payload[0],
+                             bits=bits * rows.shape[0])
 
 
 def bit_cost(comp, dim):

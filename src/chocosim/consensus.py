@@ -20,8 +20,17 @@ dim)`` block of states, so a caller that needs both for many states (an
 optimizer's logged rows) sums the spread ``sum_i ||x_i - xbar||^2`` once
 per state and forms each from it, with the same floats. A gossip round's
 divergence check is one pass, ``max |x| <= limit``.
+
+Ownership: :func:`sync_public` and :func:`mix_with_public` return fresh
+arrays and never write to their inputs, unless the caller passes ``out``,
+an ``(n, dim)`` float buffer it owns: the result is then written there,
+with the same floats. :func:`choco_gossip_round` updates a
+:class:`ConsensusState` in place this way: ``state.x`` and ``state.xhat``
+keep their storage from round to round, so a caller that keeps a round's
+values copies them.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,44 +106,61 @@ def rate_constant(mixing, delta, scheme="choco"):
     return mixing.rho**2 * delta / 82.0
 
 
-def mix_with_public(x, xhat, w, gamma):
+def mix_with_public(x, xhat, w, gamma, out=None):
     """Gossip increment ``x + gamma * (w @ xhat - xhat)``.
 
     Grouped as ``(x - gamma*xhat) + gamma*(w @ xhat)`` so that with
     ``gamma = 1`` and ``xhat == x`` the result is exactly the float you get
     from ``w @ x``; exact-averaging mode then reduces to plain matrix
-    multiplication bit for bit.
+    multiplication bit for bit. The result is a fresh array, or ``out``
+    (which may be ``x``, but not ``xhat``); only ``gamma * xhat`` and
+    ``w @ xhat`` are temporaries.
     """
-    return (x - gamma * xhat) + gamma * (w @ xhat)
+    mixed = np.subtract(x, np.multiply(gamma, xhat), out=out)
+    scaled = w @ xhat
+    return np.add(mixed, np.multiply(gamma, scaled, out=scaled), out=mixed)
+
+
+@functools.cache
+def _row_bits(n, bits):
+    # one message's bits for each of n rows; shared, so read-only
+    per_row = np.full(n, bits, dtype=np.int64)
+    per_row.flags.writeable = False
+    return per_row
 
 
 def compress_rows(v, comp, rng, boundaries=None):
     """Compress each node's row of ``v`` in one call; returns ``(q, bits)``,
-    where ``bits[i]`` is the wire size of node i's message.
+    where ``bits[i]`` is the wire size of node i's message (a read-only
+    array, shared by every call with the same row count and size).
 
     ``rng`` is the one generator all rows draw from, or ``None`` for the
     deterministic compressors.
     """
     msg = compress_blocks(comp, v, rng, boundaries)
     # every row has the same length, so the same analytic cost
-    return msg.payload, np.full(v.shape[0], msg.bits // v.shape[0], dtype=np.int64)
+    return msg.payload, _row_bits(v.shape[0], msg.bits // v.shape[0])
 
 
-def sync_public(x, xhat, comp, rng, boundaries=None):
+def sync_public(x, xhat, comp, rng, boundaries=None, out=None):
     """Compress ``x - xhat`` per node and advance the public copies.
 
     Returns ``(xhat_new, bits)`` as in :func:`compress_rows`. The new copy
     is computed as ``x - (v - q)``, i.e. the private value minus the
     compression error; algebraically identical to ``xhat + q``, but it makes
     lossless compression exactly lossless in floating point as well.
+    One array holds ``v``, then the error, then the new copy: a fresh one,
+    or ``out`` (which may be ``xhat``, but not ``x``).
     """
-    v = x - xhat
+    v = np.subtract(x, xhat, out=out)
     q, bits = compress_rows(v, comp, rng, boundaries)
-    return x - (v - q), bits
+    np.subtract(v, q, out=v)
+    return np.subtract(x, v, out=v), bits
 
 
 def choco_gossip_round(state, mixing, comp, rng, boundaries=None):
-    """One full compressed gossip round, mutating ``state`` in place.
+    """One full compressed gossip round, updating ``state.x`` and
+    ``state.xhat`` in their own storage.
 
     ``rng`` is the random source of every node (a ``RandomStream`` kept for
     the whole gossip run, or a ``numpy.random.Generator``); a stochastic
@@ -143,12 +169,11 @@ def choco_gossip_round(state, mixing, comp, rng, boundaries=None):
     """
     if mixing.w.shape[0] != state.n:
         raise ValueError("mixing matrix size does not match state")
-    state.x = mix_with_public(state.x, state.xhat, mixing.w, state.gamma)
+    mix_with_public(state.x, state.xhat, mixing.w, state.gamma, out=state.x)
     # one pass: a NaN maximum compares False, and +-inf exceeds the limit
     if not np.abs(state.x).max() <= _DIVERGENCE_NORM:
         raise FloatingPointError("gossip iterates diverged")
-    state.xhat, bits = sync_public(state.x, state.xhat, comp, rng, boundaries)
-    return bits
+    return sync_public(state.x, state.xhat, comp, rng, boundaries, out=state.xhat)[1]
 
 
 def squared_sum(diff):

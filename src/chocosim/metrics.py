@@ -134,20 +134,15 @@ def _atomic_write(path, text):
         raise
 
 
-def _fmt(value):
-    # repr of a Python float is the shortest round-trip form: deterministic
-    return repr(float(value))
-
-
 def write_csv(record, path):
-    """Write the per-iteration rows; atomic so partial files never appear."""
-    lines = [CSV_HEADER]
-    for k in range(record.rows()):
-        lines.append(
-            f"{record.t[k]},{_fmt(record.f_avg[k])},{_fmt(record.grad_sq[k])},"
-            f"{_fmt(record.consensus[k])},{_fmt(record.psi[k])},"
-            f"{record.bits_busiest[k]},{record.wall_ms[k]}"
-        )
+    """Write the per-iteration rows; atomic so partial files never appear.
+
+    :meth:`RunRecord.add_row` stores Python floats, and the repr of a
+    Python float is its shortest round-trip form: deterministic."""
+    rows = zip(record.t, record.f_avg, record.grad_sq, record.consensus, record.psi,
+               record.bits_busiest, record.wall_ms)
+    lines = [CSV_HEADER, *(f"{t},{f!r},{g!r},{c!r},{p!r},{b},{w}"
+                           for t, f, g, c, p, b, w in rows)]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -240,6 +235,6 @@ def write_aggregate_csv(records, path):
         cells = []
         for name in names:
             value = table[name][k]
-            cells.append(str(int(value)) if name == "t" else _fmt(value))
+            cells.append(str(int(value)) if name == "t" else repr(float(value)))
         lines.append(",".join(cells))
     _atomic_write(path, "\n".join(lines) + "\n")

@@ -14,6 +14,18 @@ parts 1 and 2 are independent given ``x^(t)``, and with an identity
 compressor and ``gamma = 1`` the update collapses, float for float, to the
 uncompressed gossip baseline ``x <- W x - eta*g``.
 
+State is updated in place. :class:`Workers` owns its arrays (``x``,
+``xhat``, ``velocity``, ``memory``, ``x_prev``) and one ``(n, dim)`` work
+buffer, ``scratch``, all allocated once per run by :meth:`Workers.start`.
+A compressed-family step writes each new value into the storage of the
+old one, with the same operations in the same order as the expressions
+above (``out=``). Error feedback keeps two iterate buffers: the new ``x``
+is written into ``x_prev``'s storage and the two swap, so ``x_prev`` holds
+the previous iterate in its own buffer, never a view of ``x``. The exact
+baseline's step replaces ``x`` with the product ``W @ (...)``. So
+``record.workers`` holds the final state, and whatever keeps an
+iteration's state (the logged rows, ``record_iterates``) copies it.
+
 Baselines: ``decentralized-exact`` (gradient step then exact neighborhood
 averaging, full-precision messages) and ``centralized`` (single iterate,
 all workers upload full-precision gradients to a coordinator hub).
@@ -48,7 +60,7 @@ block work.
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,13 +123,19 @@ class OptimizerConfig:
 
 @dataclass
 class Workers:
-    """Per-node state, one row per node."""
+    """Per-node state, one row per node, each array owned by the workers
+    and updated in place; ``scratch`` is a step's work buffer."""
 
     x: np.ndarray
     xhat: np.ndarray = None
     velocity: np.ndarray = None
     memory: np.ndarray = None
     x_prev: np.ndarray = None
+    scratch: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.scratch is None:
+            self.scratch = np.empty_like(self.x)
 
     @classmethod
     def start(cls, x0, n, algorithm):
@@ -144,54 +162,72 @@ class Streams:
         self.compress = RandomStream(seed, 0, "compress")
 
 
-def _gradients(problem, x_rows, streams, t, record=None):
+def _gradients(problem, x_rows, streams, t, record=None, scratch=None):
+    """The iteration's stochastic gradients, a fresh ``(n, dim)`` array;
+    ``record.max_grad_norm`` is updated from their squares, formed in
+    ``scratch`` when given."""
     g = problem.stochastic_gradients(x_rows, streams.grad.at(t), t)
     if record is not None:
-        record.max_grad_norm = max(
-            record.max_grad_norm, float(np.sqrt((g * g).sum(axis=1).max()))
-        )
+        squares = np.multiply(g, g, out=scratch)
+        # the largest row's (g * g).sum(axis=1), then its exact square root
+        norm = math.sqrt(np.maximum.reduce(np.add.reduce(squares, axis=1)))
+        record.max_grad_norm = max(record.max_grad_norm, norm)
     return g
 
 
 def _direction(workers, g, cfg):
+    """The step direction, computed in ``g``'s storage (the oracle's fresh
+    array) and in ``workers.velocity``, which is updated in place."""
     if cfg.algorithm != "choco-momentum":
         return g
-    pull = g + cfg.weight_decay * workers.x
-    workers.velocity = pull + cfg.momentum_factor * workers.velocity
+    # pull = g + weight_decay * x
+    pull = np.add(g, np.multiply(cfg.weight_decay, workers.x, out=workers.scratch), out=g)
+    velocity = workers.velocity
+    # velocity = pull + momentum_factor * velocity
+    np.add(pull, np.multiply(cfg.momentum_factor, velocity, out=velocity), out=velocity)
     if cfg.nesterov:
-        return pull + cfg.momentum_factor * workers.velocity
-    return workers.velocity
+        scaled = np.multiply(cfg.momentum_factor, velocity, out=workers.scratch)
+        return np.add(pull, scaled, out=pull)
+    return velocity
 
 
 def choco_step(workers, problem, mixing, comp, gamma, eta, streams, t,
                cfg=None, boundaries=None, record=None):
-    """One iteration of the compressed-gossip family, updating ``workers``.
+    """One iteration of the compressed-gossip family, updating ``workers``
+    in place.
 
     Handles plain, momentum, and error-feedback variants depending on
     ``cfg.algorithm`` (``cfg=None`` means plain).
     """
     algorithm = cfg.algorithm if cfg is not None else "choco"
+    feedback = algorithm == "choco-errorfeedback"
+    x, xhat, scratch = workers.x, workers.xhat, workers.scratch
     # deterministic compressors draw nothing, so their generator is never made
     rng = streams.compress.at(t) if comp.stochastic else None
-    if algorithm == "choco-errorfeedback":
-        v = (workers.x - workers.x_prev) + workers.memory
+    if feedback:
+        # v = (x - x_prev) + memory, formed in memory's storage
+        v = np.add(np.subtract(x, workers.x_prev, out=scratch), workers.memory,
+                   out=workers.memory)
         q, _ = compress_rows(v, comp, rng, boundaries)
-        workers.memory = v - q
-        xhat_next = workers.xhat + q  # literal receiver-side reconstruction
+        np.subtract(v, q, out=v)  # the memory keeps the compression error
+        np.add(xhat, q, out=xhat)  # literal receiver-side reconstruction
     else:
-        xhat_next, _ = sync_public(workers.x, workers.xhat, comp, rng, boundaries)
+        sync_public(x, xhat, comp, rng, boundaries, out=xhat)
 
-    g = _gradients(problem, workers.x, streams, t, record)
+    g = _gradients(problem, x, streams, t, record, scratch)
     direction = _direction(workers, g, cfg) if cfg is not None else g
-    if algorithm == "choco-errorfeedback":
-        workers.x_prev = workers.x
-    workers.x = mix_with_public(workers.x, xhat_next, mixing.w, gamma) - eta * direction
-    workers.xhat = xhat_next
+    # error feedback writes the new iterate into x_prev's storage, and the two
+    # swap: x_prev then holds the iterate this step started from, with no copy
+    new = workers.x_prev if feedback else x
+    mix_with_public(x, xhat, mixing.w, gamma, out=new)
+    np.subtract(new, np.multiply(eta, direction, out=scratch), out=new)
+    if feedback:
+        workers.x_prev, workers.x = x, new
 
 
 def decentralized_exact_step(workers, problem, mixing, eta, streams, t, record=None):
     """Uncompressed baseline: local gradient step, then exact averaging."""
-    g = _gradients(problem, workers.x, streams, t, record)
+    g = _gradients(problem, workers.x, streams, t, record, workers.scratch)
     workers.x = mixing.w @ (workers.x - eta * g)
 
 
@@ -369,6 +405,8 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
     logged = cfg.iterations // log_every + (cfg.iterations % log_every != 0)
     rows = _LoggedRows(record, problem, centralized, busiest_charge, 1 if centralized else n,
                        dim, workers is not None and workers.xhat is not None, logged)
+    # the step's work buffer is free again when the step returns
+    spare = None if centralized else workers.scratch
     step_s = 0.0
     completed = 0
     for t in range(cfg.iterations):
@@ -387,7 +425,7 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
         step_s += tock - tick
 
         # one pass: a NaN maximum compares False, and +-inf exceeds the limit
-        if not np.abs(state_rows).max() <= DIVERGENCE_LIMIT:
+        if not np.maximum.reduce(np.abs(state_rows, out=spare), None) <= DIVERGENCE_LIMIT:
             record.diverged = True
             record.diverged_at = t + 1
             # the first row with a NaN, an infinity or an entry beyond the

@@ -22,9 +22,10 @@ differently). ``node_loss``, ``node_gradient`` and ``stochastic_gradient``
 are its one-row calls, on a shard or a minibatch. ``stochastic_gradients``
 is one call on the stacked minibatches, or one call per node when shards
 smaller than ``batch`` make the minibatch sizes unequal.
-``loss_and_gradient`` is one call per shard, and ``loss`` and
-``full_gradient`` are its two halves. The quadratic's per-node forms are
-its definitions, and its stacked forms equal them bit for bit.
+``loss_and_gradient`` is one call per shard, and ``loss`` is its first
+half; ``full_gradient`` runs the same shard loop with no loss computed.
+The quadratic's per-node forms are its definitions, and its stacked forms
+equal them bit for bit.
 """
 
 import warnings
@@ -91,20 +92,58 @@ def make_blob_dataset(n_samples, dim, seed, margin):
     return z, y
 
 
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _first_bad_row(path, skip):
+    """``(file row, reason)`` of the first data row that is not as wide as
+    the first one or holds a cell that is not a number; rows are numbered
+    from 1, the first ``skip`` are not read, and blank or ``#`` comment
+    text is ignored, as ``np.loadtxt`` does."""
+    width = None
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for row, line in enumerate(fh, start=1):
+            cells = line.split("#", 1)[0].strip()
+            if row <= skip or not cells:
+                continue
+            cells = cells.split(",")
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                return row, f"{len(cells)} columns, the first data row has {width}"
+            for column, cell in enumerate(cells, start=1):
+                if not _is_number(cell):
+                    return row, f"column {column}: {cell.strip()!r} is not a number"
+    return None
+
+
 def load_csv_dataset(path):
     """Load ``(features, labels)`` from a CSV with the label in the last column.
 
-    A single non-numeric header row is skipped. The file needs at least one
-    data row, and every feature must be finite. Labels may be 0/1 or -1/+1;
-    they are returned as -1/+1.
+    The first line is a header, and is skipped, when one of its cells is not
+    a number; that is decided from the first line alone. The file needs at
+    least one data row, every row the same width, and every feature must be
+    finite; an error names the file and, for a row that cannot be read, its
+    row in the file. Labels may be 0/1 or -1/+1; they are returned as -1/+1.
     """
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        header = not all(_is_number(cell) for cell in fh.readline().split(","))
+    skip = 1 if header else 0
     with warnings.catch_warnings():
         # loadtxt warns about an empty file; the ValueError below says it
         warnings.simplefilter("ignore", UserWarning)
         try:
-            raw = np.loadtxt(path, delimiter=",", ndmin=2)
-        except ValueError:
-            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            raw = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        except ValueError as exc:
+            bad = _first_bad_row(path, skip)
+            if bad is None:
+                raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(f"{path}: row {bad[0]}: {bad[1]}") from None
     if raw.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
     if raw.shape[1] < 2:
@@ -219,10 +258,12 @@ class QuadraticProblem:
         ``stochastic_gradient(i, x_rows[i], rng, t)`` of nodes drawing in
         node order, bit for bit."""
         n = x_rows.shape[0]
-        noise = self._noise_coord_std * rng.standard_normal(n * self.dim).reshape(n, self.dim)
-        r = np.ascontiguousarray(x_rows - self.node_optima)
+        # the noise block is drawn into the result and scaled there
+        g = rng.standard_normal(n * self.dim).reshape(n, self.dim)
+        np.multiply(self._noise_coord_std, g, out=g)
+        r = np.subtract(x_rows, self.node_optima, order="C")
         # one gemv per row, as in node_gradient; r @ hessian.T (gemm) rounds differently
-        return np.matmul(self.hessian, r[:, :, None])[:, :, 0] + noise
+        return np.add(np.matmul(self.hessian, r[:, :, None])[:, :, 0], g, out=g)
 
     def smoothness(self):
         return self.l_smooth
@@ -329,28 +370,34 @@ class _DatasetProblem:
         return self.loss_and_gradient(x)[0]
 
     def full_gradient(self, x):
-        return self.loss_and_gradient(x)[1]
+        return self._shard_mean(x, losses=False)[1]
 
     def loss_and_gradient(self, x):
         """``(f(x), grad f(x))``: the mean of ``node_loss`` and of
         ``node_gradient`` over the nodes, each sum in node order, from one
         kernel call per shard; ``(b, dim)`` rows are evaluated one after
-        another.
+        another."""
+        return self._shard_mean(x, losses=True)
+
+    def _shard_mean(self, x, losses):
+        """The shard loop of :meth:`loss_and_gradient`; without ``losses``
+        the kernel computes no loss and the loss is ``None``.
 
         Node 0's gradient is written into the result and every later
         node's into one reused row, which is added to it in place.
         """
         if np.ndim(x) == 2:
-            pairs = [self.loss_and_gradient(row) for row in x]
-            return np.array([loss for loss, _ in pairs]), np.stack([g for _, g in pairs])
+            pairs = [self._shard_mean(row, losses) for row in x]
+            loss = np.array([loss for loss, _ in pairs]) if losses else None
+            return loss, np.stack([g for _, g in pairs])
         g, piece = np.empty((1, self.dim)), np.empty((1, self.dim))
-        losses = []
+        shard_losses = []
         for i, idx in enumerate(self._shards(0)):
-            losses.append(self._samples(idx, x, g if i == 0 else piece, losses=True))
+            shard_losses.append(self._samples(idx, x, g if i == 0 else piece, losses))
             if i:
                 g += piece
         g /= self.n
-        return sum(losses) / self.n, g[0]
+        return (sum(shard_losses) / self.n if losses else None), g[0]
 
 
 class LogisticProblem(_DatasetProblem):

@@ -382,7 +382,9 @@ def test_array_ledger_calls_are_validated():
 def _reference_run(problem, cfg, mixing, comp, seed, broadcast, x0, boundaries):
     """``optim.run`` written node by node and edge by edge, logging every
     iteration; returns the logged rows, the largest gradient norm, the final
-    node mean, the ledger and every iteration's ``(x, xhat)``."""
+    node mean, the ledger and every iteration's ``(x, xhat)``. A diverged
+    iteration (an entry NaN, infinite or beyond 1e12) ends the loop before
+    it is charged or logged; its ``(x, xhat)`` is the last state."""
     n, d = problem.n, problem.dim
     streams = Streams(seed)
     gamma = resolve_gamma(cfg, mixing, comp, d, boundaries)
@@ -408,8 +410,6 @@ def _reference_run(problem, cfg, mixing, comp, seed, broadcast, x0, boundaries):
         if centralized:
             g = gradients(np.tile(x, (n, 1)), t)
             x = x - cfg.eta * g.mean(axis=0)
-            for i in range(n):
-                ledger.add_upload(i, n, 32 * d)
         elif cfg.algorithm == "decentralized-exact":
             g = gradients(x, t)
             x = mixing.w @ (x - cfg.eta * g)
@@ -434,14 +434,21 @@ def _reference_run(problem, cfg, mixing, comp, seed, broadcast, x0, boundaries):
                 x_prev = x
             x = ((x - gamma * xhat_next) + gamma * (mixing.w @ xhat_next)) - cfg.eta * direction
             xhat = xhat_next
-        if not centralized:
+        max_grad = max(max_grad, float(np.sqrt((g * g).sum(axis=1).max())))
+        if not (np.isfinite(x).all() and np.abs(x).max() <= 1e12):
+            states.append((x, xhat))
+            xbar = x if centralized else x.mean(axis=0)
+            break
+        if centralized:
+            for i in range(n):
+                ledger.add_upload(i, n, 32 * d)
+        else:
             for i in range(n):
                 if broadcast:
                     ledger.add_broadcast(i, bits[i])
                 for j in range(n):
                     if not broadcast and j != i and mixing.w[i, j] != 0.0:
                         ledger.add_message(i, j, bits[i])
-        max_grad = max(max_grad, float(np.sqrt((g * g).sum(axis=1).max())))
         state = x[None, :] if centralized else x
         xbar = state.mean(axis=0)
         grad = problem.full_gradient(xbar)
@@ -457,31 +464,68 @@ def _reference_run(problem, cfg, mixing, comp, seed, broadcast, x0, boundaries):
     return rows, max_grad, xbar, ledger.per_node, states
 
 
+def _reference_problem(kind):
+    if kind == "quadratic":
+        return make_quadratic(6, 7, heterogeneity=1.0, noise_std=0.5, seed=8)
+    if kind == "logistic":
+        return make_logistic(6, dim=5, samples=120, batch=8, seed=8)
+    return make_mlp(6, input_dim=3, hidden=4, samples=96, batch=8, seed=8)
+
+
+def _assert_run_equals_reference(rec, reference, centralized):
+    rows, max_grad, final_mean, per_node, states = reference
+    got = list(zip(rec.t, rec.f_avg, rec.grad_sq, rec.consensus, rec.psi,
+                   rec.bits_busiest))
+    assert got == rows
+    assert rec.max_grad_norm == max_grad
+    assert np.array_equal(rec.final_x_mean, final_mean, equal_nan=True)
+    assert np.array_equal(rec.ledger.per_node, per_node)
+    if not centralized:  # the state the run ended in, updated in place
+        x, xhat = states[-1]
+        assert np.array_equal(rec.workers.x, x, equal_nan=True)
+        if rec.workers.xhat is not None:
+            assert np.array_equal(rec.workers.xhat, xhat, equal_nan=True)
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("broadcast", [False, True])
-@pytest.mark.parametrize("kind", ["quadratic", "mlp"])
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
 def test_run_equals_the_per_node_reference_loop(algorithm, broadcast, kind):
-    if kind == "quadratic":
-        problem = make_quadratic(6, 7, heterogeneity=1.0, noise_std=0.5, seed=8)
-    else:
-        problem = make_mlp(6, input_dim=3, hidden=4, samples=96, batch=8, seed=8)
+    problem = _reference_problem(kind)
     mixing = mixing_matrix(ring(6))
     x0 = np.linspace(-0.5, 0.5, problem.dim)
     cfg = OptimizerConfig(algorithm=algorithm, eta=0.05, gamma=0.3, iterations=12,
                           momentum_factor=0.5 if algorithm == "choco-momentum" else 0.0,
-                          weight_decay=0.01 if algorithm == "choco-momentum" else 0.0)
+                          weight_decay=0.01 if algorithm == "choco-momentum" else 0.0,
+                          nesterov=algorithm == "choco-momentum" and broadcast)
     for spec in ("identity", "sign", "topk:0.3", "gsgd:4", "random:0.4", "gsgd:2:unbiased"):
         comp = parse_compressor(spec)
-        rec = run(problem, cfg, mixing, comp, seed=4, broadcast=broadcast, x0=x0)
-        rows, max_grad, final_mean, per_node, _ = _reference_run(
-            problem, cfg, mixing, comp, 4, broadcast, x0, problem.layer_boundaries)
+        rec = run(problem, cfg, mixing, comp, seed=4, broadcast=broadcast, x0=x0,
+                  record_iterates=True)
+        reference = _reference_run(problem, cfg, mixing, comp, 4, broadcast, x0,
+                                   problem.layer_boundaries)
         assert not rec.diverged
-        got = list(zip(rec.t, rec.f_avg, rec.grad_sq, rec.consensus, rec.psi,
-                       rec.bits_busiest))
-        assert got == rows, spec
-        assert rec.max_grad_norm == max_grad
-        assert np.array_equal(rec.final_x_mean, final_mean)
-        assert np.array_equal(rec.ledger.per_node, per_node)
+        _assert_run_equals_reference(rec, reference, algorithm == "centralized")
+        # every recorded iterate is the iteration's state, kept apart from it
+        states = reference[4]
+        for t, (x, _) in enumerate(states, start=1):
+            assert np.array_equal(rec.iterates[t], x[None, :] if x.ndim == 1 else x), spec
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("spec", ["sign", "gsgd:4"])
+def test_every_algorithm_diverging_mid_run_equals_the_reference(algorithm, spec):
+    problem = _reference_problem("quadratic")
+    mixing = mixing_matrix(ring(6))
+    comp = parse_compressor(spec)
+    x0 = np.linspace(-0.5, 0.5, problem.dim)
+    cfg = OptimizerConfig(algorithm=algorithm, eta=50.0, gamma=0.5, iterations=60,
+                          momentum_factor=0.5 if algorithm == "choco-momentum" else 0.0)
+    rec = run(problem, cfg, mixing, comp, seed=4, x0=x0)
+    reference = _reference_run(problem, cfg, mixing, comp, 4, False, x0, None)
+    assert rec.diverged and 2 < rec.diverged_at < 60  # mid-run
+    assert rec.diverged_at == len(reference[0]) + 1
+    _assert_run_equals_reference(rec, reference, algorithm == "centralized")
 
 
 # ------------------------------------------------------- fixed bookkeeping
@@ -557,6 +601,9 @@ def test_a_nan_start_is_flagged_at_iteration_one_with_nothing_charged(algorithm)
     # every node's row is NaN; the centralized iterate is the coordinator's
     assert rec.diverged_node == (5 if centralized else 0)
     assert np.array_equal(rec.ledger.per_node, np.zeros(6 if centralized else 5, np.int64))
+    reference = _reference_run(problem, cfg, mixing_matrix(ring(5)), parse_compressor("sign"),
+                               1, algorithm == "choco-momentum", x0, None)
+    _assert_run_equals_reference(rec, reference, centralized)
 
 
 def test_divergence_names_the_first_failing_node():

@@ -209,8 +209,8 @@ def test_build_problem_dispatch(tmp_path):
 
 
 @pytest.mark.parametrize("content", ["1.0,nan,1\n-1.0,0.5,0\n", "1.0,2.0,1\n-inf,0.5,0\n", "",
-                                     "a,b,label\n"],
-                         ids=["nan", "inf", "empty", "header-only"])
+                                     "a,b,label\n", "1,2,1\n3,x,0\n", "1,2,1\n3,4\n"],
+                         ids=["nan", "inf", "empty", "header-only", "bad-cell", "short-row"])
 def test_bad_csv_data_exits_one_with_one_line(tmp_path, content):
     # in a fresh process, so that a traceback or a printed warning would show
     csv = tmp_path / "d.csv"

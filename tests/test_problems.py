@@ -197,6 +197,22 @@ def test_load_csv_dataset(tmp_path):
         load_csv_dataset(path)
 
 
+@pytest.mark.parametrize("content, row, reason", [
+    ("1,2,1\n3,x,0\n", 2, "column 2: 'x' is not a number"),
+    ("1,2,1\n3,4\n", 2, "2 columns, the first data row has 3"),
+    ("a,b,label\n1,2,1\n\n3,x,0\n", 4, "column 2: 'x' is not a number"),
+    ("a,b,label\n1,2,1\n3,4,0,5\n", 3, "4 columns, the first data row has 3"),
+])
+def test_load_csv_dataset_names_the_file_and_the_bad_row(tmp_path, content, row, reason):
+    # a header is decided from the first line alone: a numeric first line is
+    # data, and a later bad row is an error at its own row in the file
+    path = tmp_path / "data.csv"
+    path.write_text(content)
+    with pytest.raises(ValueError) as info:
+        load_csv_dataset(path)
+    assert str(info.value) == f"{path}: row {row}: {reason}"
+
+
 # ----------------------------------------------------------------- logistic
 
 def test_logistic_gradient_matches_finite_differences():
