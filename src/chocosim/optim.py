@@ -131,11 +131,10 @@ class Workers:
     velocity: np.ndarray = None
     memory: np.ndarray = None
     x_prev: np.ndarray = None
-    scratch: np.ndarray = field(default=None, repr=False)
+    scratch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.scratch is None:
-            self.scratch = np.empty_like(self.x)
+        self.scratch = np.empty_like(self.x)
 
     @classmethod
     def start(cls, x0, n, algorithm):

@@ -92,58 +92,58 @@ def make_blob_dataset(n_samples, dim, seed, margin):
     return z, y
 
 
-def _is_number(cell):
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
+def _numbers(line):
+    """The numbers on one CSV line, read by ``np.loadtxt`` with the rules it
+    reads a whole file by: none for a blank or ``#`` comment line, and a
+    ValueError when a cell is not a number."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a line with no data
+        return np.loadtxt([line], delimiter=",", ndmin=1)
 
 
 def _first_bad_row(path, skip):
-    """``(file row, reason)`` of the first data row that is not as wide as
-    the first one or holds a cell that is not a number; rows are numbered
-    from 1, the first ``skip`` are not read, and blank or ``#`` comment
-    text is ignored, as ``np.loadtxt`` does."""
+    """``row N: reason`` for the first line after the first ``skip`` that
+    ``np.loadtxt`` cannot read or that is not as wide as the first data row;
+    rows are counted from 1 over every line of the file."""
     width = None
     with open(path, encoding="utf-8", errors="replace") as fh:
         for row, line in enumerate(fh, start=1):
-            cells = line.split("#", 1)[0].strip()
-            if row <= skip or not cells:
+            if row <= skip:
                 continue
-            cells = cells.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                return row, f"{len(cells)} columns, the first data row has {width}"
-            for column, cell in enumerate(cells, start=1):
-                if not _is_number(cell):
-                    return row, f"column {column}: {cell.strip()!r} is not a number"
+            try:
+                cells = _numbers(line).size
+            except ValueError:
+                return f"row {row}: {line.strip()!r} holds a cell that is not a number"
+            if cells and width is None:
+                width = cells
+            elif cells and cells != width:
+                return f"row {row}: {cells} columns, the first data row has {width}"
     return None
 
 
 def load_csv_dataset(path):
     """Load ``(features, labels)`` from a CSV with the label in the last column.
 
-    The first line is a header, and is skipped, when one of its cells is not
-    a number; that is decided from the first line alone. The file needs at
+    The first line is a header, and is skipped, when it is not a row of
+    numbers; that is decided from the first line alone. The file needs at
     least one data row, every row the same width, and every feature must be
     finite; an error names the file and, for a row that cannot be read, its
     row in the file. Labels may be 0/1 or -1/+1; they are returned as -1/+1.
     """
     with open(path, encoding="utf-8", errors="replace") as fh:
-        header = not all(_is_number(cell) for cell in fh.readline().split(","))
-    skip = 1 if header else 0
+        first = fh.readline()
+    try:
+        _numbers(first)
+        skip = 0
+    except ValueError:
+        skip = 1
     with warnings.catch_warnings():
         # loadtxt warns about an empty file; the ValueError below says it
         warnings.simplefilter("ignore", UserWarning)
         try:
             raw = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
         except ValueError as exc:
-            bad = _first_bad_row(path, skip)
-            if bad is None:
-                raise ValueError(f"{path}: {exc}") from None
-            raise ValueError(f"{path}: row {bad[0]}: {bad[1]}") from None
+            raise ValueError(f"{path}: {_first_bad_row(path, skip) or exc}") from None
     if raw.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
     if raw.shape[1] < 2:

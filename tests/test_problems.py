@@ -189,6 +189,11 @@ def test_load_csv_dataset(tmp_path):
     _, y = load_csv_dataset(path)
     np.testing.assert_array_equal(y, [-1.0, 1.0])
 
+    # a comment on the first line does not make it a header
+    path.write_text("1,2,1 # c\n3,4,0\n")
+    z, _ = load_csv_dataset(path)
+    np.testing.assert_array_equal(z, [[1.0, 2.0], [3.0, 4.0]])
+
     path.write_text("1.0,2.0,3\n")
     with pytest.raises(ValueError):
         load_csv_dataset(path)
@@ -198,10 +203,11 @@ def test_load_csv_dataset(tmp_path):
 
 
 @pytest.mark.parametrize("content, row, reason", [
-    ("1,2,1\n3,x,0\n", 2, "column 2: 'x' is not a number"),
+    ("1,2,1\n3,x,0\n", 2, "'3,x,0' holds a cell that is not a number"),
     ("1,2,1\n3,4\n", 2, "2 columns, the first data row has 3"),
-    ("a,b,label\n1,2,1\n\n3,x,0\n", 4, "column 2: 'x' is not a number"),
-    ("a,b,label\n1,2,1\n3,4,0,5\n", 3, "4 columns, the first data row has 3"),
+    ("a,b,label\n1,2,1\n\n3,x,0\n", 4, "'3,x,0' holds a cell that is not a number"),
+    ("a,b,label\n# c\n1,2,1\n3,4,0,5\n", 4, "4 columns, the first data row has 3"),
+    ("1,2,1\n3,1_0,0\n", 2, "'3,1_0,0' holds a cell that is not a number"),
 ])
 def test_load_csv_dataset_names_the_file_and_the_bad_row(tmp_path, content, row, reason):
     # a header is decided from the first line alone: a numeric first line is

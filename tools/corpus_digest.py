@@ -9,11 +9,9 @@ iteration and every third one, plus a run that diverges mid-run and one
 that starts from NaN. Each run contributes its logged rows, its divergence
 fields, ``max_grad_norm``, ``final_x_mean``, the ledger and the final
 per-node state, every float as ``float.hex``. Two trees that print the
-same digest computed the same corpus bit for bit; ``--verbose`` prints one
-digest per run to find the first that differs.
+same digest computed the same corpus bit for bit.
 """
 
-import argparse
 import hashlib
 
 import numpy as np
@@ -89,18 +87,12 @@ def corpus():
                            x0=np.array([0.1, np.nan, 0.2, 0.3, 0.0, 0.0, 0.0]))
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--verbose", action="store_true", help="one digest per run")
-    args = parser.parse_args(argv)
+def main():
     total = hashlib.sha256()
     runs = 0
     for name, record in corpus():
-        text = f"{name}\n{describe(record)}\n".encode()
-        total.update(text)
+        total.update(f"{name}\n{describe(record)}\n".encode())
         runs += 1
-        if args.verbose:
-            print(hashlib.sha256(text).hexdigest()[:16], name)
     print(f"{total.hexdigest()}  ({runs} runs)")
     return 0
 
