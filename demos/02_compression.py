@@ -13,8 +13,8 @@ from chocosim import (RandomStream, bit_cost, compress, contraction_factor,
 DIM = 1000
 DRAWS = 200
 
-stream = RandomStream(2, 0, "compress")
-vectors = stream.normal(DRAWS * DIM).reshape(DRAWS, DIM)
+vectors = RandomStream(2, 0, "compress").generator().standard_normal(DRAWS * DIM)
+vectors = vectors.reshape(DRAWS, DIM)
 
 print(f"mean relative error ||Q(x)-x||^2/||x||^2 over {DRAWS} Gaussian "
       f"vectors, d={DIM}")
@@ -22,7 +22,7 @@ print(f"{'operator':<18} {'measured':<10} {'guarantee 1-delta':<18} bits/message
 for spec in ("identity", "gsgd:8", "gsgd:4", "gsgd:2", "random:0.25",
              "random:0.05", "topk:0.25", "topk:0.05", "sign"):
     comp = parse_compressor(spec)
-    rng = RandomStream(3, 0, "compress")
+    rng = RandomStream(3, 0, "compress").generator()  # one for all the vectors
     errs = []
     for x in vectors:
         q = compress(comp, x, rng).payload

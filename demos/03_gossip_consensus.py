@@ -15,7 +15,7 @@ from chocosim import (ConsensusState, RandomStream, choco_gossip_round,
 N, DIM, ROUNDS = 16, 32, 800
 
 mixing = mixing_matrix(ring(N))
-x0 = RandomStream(7, 0, "init").normal(N * DIM).reshape(N, DIM)
+x0 = RandomStream(7, 0, "init").generator().standard_normal(N * DIM).reshape(N, DIM)
 mean0 = x0.mean(axis=0)
 
 print(f"ring({N}), d={DIM}: gossip until the {ROUNDS}th round\n")
@@ -26,11 +26,11 @@ for spec in ("identity", "topk:0.25", "sign", "gsgd:4"):
     # the conservative theory stepsize
     gamma = 1.0 if spec == "identity" else consensus_stepsize(mixing, delta)
     state = ConsensusState.start(x0, gamma)
-    stream = RandomStream(7, 0, "compress")
+    rng = RandomStream(7, 0, "compress").generator()  # one for all the rounds
     psi0 = lyapunov(state)
     checkpoints = {}
     for t in range(1, ROUNDS + 1):
-        choco_gossip_round(state, mixing, comp, stream)
+        choco_gossip_round(state, mixing, comp, rng)
         if t in (100, 400, ROUNDS):
             checkpoints[t] = lyapunov(state) / psi0
     drift = np.max(np.abs(state.x.mean(axis=0) - mean0))

@@ -8,11 +8,10 @@ dense float64 arrays; wire size is accounted analytically through
 
 Every operator runs on ``(n, d)`` rows at once, one message per row; a
 single vector is the one-row case. The stochastic kinds draw every row's
-randomness from one generator (a ``numpy.random.Generator`` or a
-:class:`~chocosim.numerics.RandomStream`), row by row in row order, so a
-block of rows compressed at once equals, bit for bit, the rows compressed
-one after another from that generator. A one-row call draws exactly what
-the 1-D operator draws.
+randomness from one ``numpy.random.Generator``, ``rng``, row by row in row
+order, so a block of rows compressed at once equals, bit for bit, the rows
+compressed one after another from that generator. A one-row call draws
+exactly what the 1-D operator draws.
 
 Payloads are fresh arrays owned by the caller; a kernel never writes to
 its input. The block layout of a row and its wire size depend only on
@@ -213,16 +212,14 @@ def _row_payloads(comp, v, rng):
 def compress(comp, x, rng=None):
     """Apply ``comp`` to a 1-D vector; returns a :class:`CompressedMessage`.
 
-    ``rng`` (a ``numpy.random.Generator`` or a ``RandomStream``) is required
-    for the stochastic kinds (``gsgd``, ``random``; see
-    :attr:`Compressor.stochastic`) and ignored by the deterministic ones.
-    Rows of a matrix go through :func:`compress_blocks`.
+    ``rng`` (a ``numpy.random.Generator``) is required for the stochastic
+    kinds (``gsgd``, ``random``; see :attr:`Compressor.stochastic`) and
+    ignored by the deterministic ones. It is the one-block, one-row case of
+    :func:`compress_blocks`, which rows of a matrix go through.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
+    if np.ndim(x) != 1:
         raise ValueError("compress expects a 1-D vector")
-    bits = bit_cost(comp, x.shape[0])
-    return CompressedMessage(payload=_row_payloads(comp, x[None, :], rng)[0], bits=bits)
+    return compress_blocks(comp, x, rng)
 
 
 @functools.cache
@@ -231,6 +228,8 @@ def _block_plan(comp, d, boundaries):
     blocks and the wire size of one row; ``boundaries`` is a tuple or
     ``None``. A bad layout raises each time it is asked for (a raising
     call is not cached)."""
+    if d < 1:
+        raise ValueError("dim must be >= 1")
     if boundaries is None:
         boundaries = (0, d)
     if boundaries[0] != 0 or boundaries[-1] != d:

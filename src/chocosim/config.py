@@ -226,7 +226,7 @@ def resolve_x0(config, problem, seed):
         return np.zeros(problem.dim)
     if config.x0_mode == "optimum":
         return problem.optimum()
-    draw = RandomStream(seed, 0, "init").normal(problem.dim)
+    draw = RandomStream(seed, 0, "init").generator().standard_normal(problem.dim)
     return config.x0_scale * draw / np.sqrt(problem.dim)
 
 

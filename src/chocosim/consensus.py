@@ -8,11 +8,13 @@ and advances every replica ``xhat_i += q_i``. With the theory stepsize from
 :func:`consensus_stepsize` the squared consensus error contracts linearly at
 the rate given by :func:`rate_constant`.
 
-All nodes move together: values are ``(n, dim)`` rows, and one call
-compresses every node's row (:func:`compress_rows`). The stochastic
-compressors draw all rows from one random source, node i's draw coming
-after those of nodes 0..i-1, so the result equals compressing node by
-node, in node order, from that source.
+All nodes move together: values are ``(n, dim)`` rows, and one
+:func:`~chocosim.compression.compress_blocks` call compresses every node's
+row. The stochastic compressors draw all rows from one
+``numpy.random.Generator``, ``rng``, node i's draw coming after those of
+nodes 0..i-1, so the result equals compressing node by node, in node
+order, from that generator. Traffic is not counted here: every message of
+a row has the analytic size ``message_bits``.
 
 The statistics :func:`consensus_distance` and :func:`lyapunov` are made of
 :func:`squared_sum` terms, and :func:`squared_sum` also takes a ``(b, n,
@@ -30,14 +32,14 @@ keep their storage from round to round, so a caller that keeps a round's
 values copies them.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .compression import compress_blocks
 
-_DIVERGENCE_NORM = 1e12
+# an iterate entry beyond this (or NaN) counts as diverged, here and in optim
+DIVERGENCE_LIMIT = 1e12
 
 
 @dataclass
@@ -121,59 +123,36 @@ def mix_with_public(x, xhat, w, gamma, out=None):
     return np.add(mixed, np.multiply(gamma, scaled, out=scaled), out=mixed)
 
 
-@functools.cache
-def _row_bits(n, bits):
-    # one message's bits for each of n rows; shared, so read-only
-    per_row = np.full(n, bits, dtype=np.int64)
-    per_row.flags.writeable = False
-    return per_row
-
-
-def compress_rows(v, comp, rng, boundaries=None):
-    """Compress each node's row of ``v`` in one call; returns ``(q, bits)``,
-    where ``bits[i]`` is the wire size of node i's message (a read-only
-    array, shared by every call with the same row count and size).
+def sync_public(x, xhat, comp, rng, boundaries=None, out=None):
+    """Compress ``x - xhat`` per node and return the advanced public copies.
 
     ``rng`` is the one generator all rows draw from, or ``None`` for the
-    deterministic compressors.
-    """
-    msg = compress_blocks(comp, v, rng, boundaries)
-    # every row has the same length, so the same analytic cost
-    return msg.payload, _row_bits(v.shape[0], msg.bits // v.shape[0])
-
-
-def sync_public(x, xhat, comp, rng, boundaries=None, out=None):
-    """Compress ``x - xhat`` per node and advance the public copies.
-
-    Returns ``(xhat_new, bits)`` as in :func:`compress_rows`. The new copy
-    is computed as ``x - (v - q)``, i.e. the private value minus the
-    compression error; algebraically identical to ``xhat + q``, but it makes
-    lossless compression exactly lossless in floating point as well.
-    One array holds ``v``, then the error, then the new copy: a fresh one,
-    or ``out`` (which may be ``xhat``, but not ``x``).
+    deterministic compressors. The new copy is computed as ``x - (v - q)``,
+    i.e. the private value minus the compression error; algebraically
+    identical to ``xhat + q``, but it makes lossless compression exactly
+    lossless in floating point as well. One array holds ``v``, then the
+    error, then the new copy: a fresh one, or ``out`` (which may be
+    ``xhat``, but not ``x``).
     """
     v = np.subtract(x, xhat, out=out)
-    q, bits = compress_rows(v, comp, rng, boundaries)
-    np.subtract(v, q, out=v)
-    return np.subtract(x, v, out=v), bits
+    np.subtract(v, compress_blocks(comp, v, rng, boundaries).payload, out=v)
+    return np.subtract(x, v, out=v)
 
 
 def choco_gossip_round(state, mixing, comp, rng, boundaries=None):
     """One full compressed gossip round, updating ``state.x`` and
     ``state.xhat`` in their own storage.
 
-    ``rng`` is the random source of every node (a ``RandomStream`` kept for
-    the whole gossip run, or a ``numpy.random.Generator``); a stochastic
-    compressor advances it. Returns the per-node message bits for this
-    round.
+    ``rng`` is the ``numpy.random.Generator`` of every node, usually kept
+    for the whole gossip run; a stochastic compressor advances it.
     """
     if mixing.w.shape[0] != state.n:
         raise ValueError("mixing matrix size does not match state")
     mix_with_public(state.x, state.xhat, mixing.w, state.gamma, out=state.x)
     # one pass: a NaN maximum compares False, and +-inf exceeds the limit
-    if not np.abs(state.x).max() <= _DIVERGENCE_NORM:
+    if not np.abs(state.x).max() <= DIVERGENCE_LIMIT:
         raise FloatingPointError("gossip iterates diverged")
-    return sync_public(state.x, state.xhat, comp, rng, boundaries, out=state.xhat)[1]
+    sync_public(state.x, state.xhat, comp, rng, boundaries, out=state.xhat)
 
 
 def squared_sum(diff):

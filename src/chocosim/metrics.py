@@ -92,7 +92,6 @@ class RunRecord:
     consensus: list = field(default_factory=list)
     psi: list = field(default_factory=list)
     bits_busiest: list = field(default_factory=list)
-    wall_ms: list = field(default_factory=list)
     diverged: bool = False
     diverged_at: int = None
     diverged_node: int = None
@@ -114,7 +113,6 @@ class RunRecord:
         self.consensus.append(float(consensus))
         self.psi.append(float(psi))
         self.bits_busiest.append(int(bits_busiest))
-        self.wall_ms.append(0)
 
     def rows(self):
         return len(self.t)
@@ -138,11 +136,12 @@ def write_csv(record, path):
     """Write the per-iteration rows; atomic so partial files never appear.
 
     :meth:`RunRecord.add_row` stores Python floats, and the repr of a
-    Python float is its shortest round-trip form: deterministic."""
+    Python float is its shortest round-trip form: deterministic. The
+    ``wall_ms`` column is the constant 0 placeholder."""
     rows = zip(record.t, record.f_avg, record.grad_sq, record.consensus, record.psi,
-               record.bits_busiest, record.wall_ms)
-    lines = [CSV_HEADER, *(f"{t},{f!r},{g!r},{c!r},{p!r},{b},{w}"
-                           for t, f, g, c, p, b, w in rows)]
+               record.bits_busiest)
+    lines = [CSV_HEADER, *(f"{t},{f!r},{g!r},{c!r},{p!r},{b},0"
+                           for t, f, g, c, p, b in rows)]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

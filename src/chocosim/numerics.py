@@ -8,15 +8,18 @@ letting NaN/Inf propagate silently.
 
 Random streams are counter based (``Philox``). A stream ``(seed, worker,
 purpose)`` has one key, from NumPy's ``SeedSequence(seed,
-spawn_key=(worker, crc32(purpose)))``. Its stateful draws start at counter 0
-and advance the low counter words only. Iteration ``t`` is addressed by the
-counter instead: :meth:`RandomStream.at` returns a generator on the same key
-with counter word 2 set to ``t + 1``, which no stateful draw and no other
-iteration reaches. The key's two words are hashed out of the
-``SeedSequence`` once per stream, not once per iteration. A run keeps one
-stream per purpose (``grad``, ``compress``), and each iteration draws the
-randomness of all n nodes from that one generator: row i of an ``(n, .)``
-block is node i's. Seeds are non-negative integers.
+spawn_key=(worker, crc32(purpose)))``, and holds nothing else: every draw
+comes from a ``numpy.random.Generator`` on that key. Set-up code (problem,
+dataset, starting point, constant estimates) draws from
+:meth:`RandomStream.generator`, counter 0, which advances the low counter
+words only. Iteration ``t`` is addressed by the counter instead:
+:meth:`RandomStream.at` returns a generator on the same key with counter
+word 2 set to ``t + 1``, which no set-up draw and no other iteration
+reaches. The key's two words are hashed out of the ``SeedSequence`` once
+per stream, not once per generator. A run keeps one stream per purpose
+(``grad``, ``compress``), and each iteration draws the randomness of all n
+nodes from that one generator: row i of an ``(n, .)`` block is node i's.
+Seeds are non-negative integers.
 """
 
 import zlib
@@ -42,15 +45,14 @@ class _PhiloxKey(ISeedSequence):
 
 
 class RandomStream:
-    """Replayable, splittable source of randomness.
+    """The key of a replayable, splittable source of randomness.
 
     A stream is identified by ``(seed, worker, purpose)``. Two streams with
-    the same identity replay the same sequence; streams with different
-    identities are statistically independent. :meth:`at` gives the
-    generator of one iteration index, so randomness consumed elsewhere can
-    never shift what iteration ``t`` sees. The draw methods follow
-    ``numpy.random.Generator`` with flat counts, so a stream can stand in
-    for a generator (e.g. in compression).
+    the same identity replay the same draws; streams with different
+    identities are statistically independent. :meth:`generator` gives the
+    set-up generator and :meth:`at` the generator of one iteration index,
+    so randomness consumed elsewhere can never shift what iteration ``t``
+    sees.
 
     Parameters
     ----------
@@ -72,44 +74,15 @@ class RandomStream:
         self.seed = int(seed)
         self.worker = int(worker)
         self.purpose = str(purpose)
-        self.counter = 0
         # crc32 is stable across processes and platforms, unlike hash()
         spawn = (self.worker, zlib.crc32(self.purpose.encode("utf-8")))
-        seq = np.random.SeedSequence(self.seed, spawn_key=spawn)
-        self._key = _PhiloxKey(seq)
-        self._generator = np.random.Generator(np.random.Philox(seq))
+        self._key = _PhiloxKey(np.random.SeedSequence(self.seed, spawn_key=spawn))
 
-    def _advance(self, size):
-        # draws are flat counts by convention; callers reshape them into blocks
-        if not isinstance(size, (int, np.integer)):
-            raise TypeError(f"size must be a single integer count, got {size!r}")
-        if size < 0:
-            raise ValueError("size must be >= 0")
-        self.counter += int(size)
-        return int(size)
-
-    def normal(self, size, std=1.0):
-        """Draw ``size`` i.i.d. zero-mean normal entries with deviation ``std``.
-
-        Advances the draw counter by ``size``. ``std = 0`` returns exact
-        zeros (and still advances, so replay alignment is preserved).
-        """
-        if std < 0:
-            raise ValueError("std must be >= 0")
-        return std * self._generator.standard_normal(self._advance(size))
-
-    def uniform(self, size):
-        """Draw ``size`` i.i.d. uniform [0, 1) entries; advances the counter."""
-        return self._generator.random(self._advance(size))
-
-    random = uniform  # the numpy.random.Generator names
-    standard_normal = normal
-
-    def choice(self, n, size, replace=False):
-        return self._generator.choice(int(n), size=self._advance(size), replace=replace)
-
-    def integers(self, low, high, size):
-        return self._generator.integers(low, high, size=self._advance(size))
+    def generator(self):
+        """Return a fresh ``numpy.random.Generator`` for set-up draws:
+        ``Philox`` on this stream's key at counter 0. Each call starts over,
+        so a caller keeps one for a sequence of draws."""
+        return np.random.Generator(np.random.Philox(self._key))
 
     def at(self, iteration):
         """Return a fresh ``numpy.random.Generator`` for one iteration.
@@ -125,16 +98,6 @@ class RandomStream:
         counter = np.zeros(4, dtype=np.uint64)
         counter[2] = iteration + 1
         return np.random.Generator(np.random.Philox(self._key, counter=counter))
-
-    def clone(self):
-        """Fresh stream with the same identity, rewound to the start."""
-        return RandomStream(self.seed, self.worker, self.purpose)
-
-    def __repr__(self):
-        return (
-            f"RandomStream(seed={self.seed}, worker={self.worker}, "
-            f"purpose={self.purpose!r}, counter={self.counter})"
-        )
 
 
 def require_finite(arr, context="array"):

@@ -64,8 +64,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compression import Compressor, contraction_factor, message_bits
-from .consensus import (compress_rows, consensus_stepsize, mix_with_public, squared_sum,
+from .compression import Compressor, compress_blocks, contraction_factor, message_bits
+from .consensus import (DIVERGENCE_LIMIT, consensus_stepsize, mix_with_public, squared_sum,
                         sync_public)
 from .metrics import RunRecord, TrafficLedger
 from .numerics import RandomStream
@@ -77,7 +77,6 @@ ALGORITHMS = (
     "decentralized-exact",
     "centralized",
 )
-DIVERGENCE_LIMIT = 1e12
 # logged states kept for one block of rows: a small state's rows share
 # their calls, and the block stays small against a run's memory
 LOG_BLOCK_BYTES = 2**18
@@ -207,7 +206,7 @@ def choco_step(workers, problem, mixing, comp, gamma, eta, streams, t,
         # v = (x - x_prev) + memory, formed in memory's storage
         v = np.add(np.subtract(x, workers.x_prev, out=scratch), workers.memory,
                    out=workers.memory)
-        q, _ = compress_rows(v, comp, rng, boundaries)
+        q = compress_blocks(comp, v, rng, boundaries).payload
         np.subtract(v, q, out=v)  # the memory keeps the compression error
         np.add(xhat, q, out=xhat)  # literal receiver-side reconstruction
     else:

@@ -6,9 +6,10 @@ two-blob dataset (minibatch noise), and a one-hidden-layer tanh network
 (non-convex, minibatch noise, per-layer parameter blocks). All expose the
 same oracle interface, so the optimizers never need to know which one they
 are running on: ``stochastic_gradient`` for one node, and
-``stochastic_gradients`` for all nodes' rows at once from one generator,
-whose randomness is one ``(n, .)`` block (quadratic noise ``(n, dim)``,
-minibatch indices ``(n, batch)``), row i for node i. Row i equals
+``stochastic_gradients`` for all nodes' rows at once from one generator
+(every ``rng`` here is a ``numpy.random.Generator``), whose randomness is
+one ``(n, .)`` block (quadratic noise ``(n, dim)``, minibatch indices
+``(n, batch)``), row i for node i. Row i equals
 ``stochastic_gradient`` of node i when the nodes draw one after another, in
 node order, from that generator. Logged rows ask ``loss_and_gradient(x)``
 for ``(loss(x), full_gradient(x))``, of one x or of a ``(b, dim)`` block of
@@ -82,12 +83,12 @@ class Partition:
 
 def make_blob_dataset(n_samples, dim, seed, margin):
     """Balanced two-Gaussian binary dataset; labels in {-1, +1}."""
-    stream = RandomStream(seed, 0, "dataset")
-    direction = stream.normal(dim)
+    rng = RandomStream(seed, 0, "dataset").generator()
+    direction = rng.standard_normal(dim)
     direction /= np.linalg.norm(direction)
     y = np.ones(n_samples)
     y[n_samples // 2 :] = -1.0
-    z = stream.normal(n_samples * dim).reshape(n_samples, dim)
+    z = rng.standard_normal(n_samples * dim).reshape(n_samples, dim)
     z += np.outer(y, margin * direction)
     return z, y
 
@@ -195,8 +196,9 @@ class QuadraticProblem:
         self.l_smooth = float(l_smooth)
         self.layer_boundaries = None
 
-        stream = RandomStream(seed, 0, "problem")
-        basis, _ = np.linalg.qr(stream.normal(dim * dim).reshape(dim, dim))
+        # basis, then x*, then the offsets, all from one set-up generator
+        rng = RandomStream(seed, 0, "problem").generator()
+        basis, _ = np.linalg.qr(rng.standard_normal(dim * dim).reshape(dim, dim))
         spectrum = np.linspace(mu, l_smooth, dim)
         # on a 64-byte boundary, which malloc leaves to chance: the stacked
         # gemv of stochastic_gradients reads it faster, with the same results
@@ -205,8 +207,8 @@ class QuadraticProblem:
         self.hessian = buf[start : start + dim * dim * 8].view(float).reshape(dim, dim)
         hessian = basis @ np.diag(spectrum) @ basis.T
         self.hessian[...] = 0.5 * (hessian + hessian.T)
-        xstar = stream.normal(dim, std=xstar_scale / np.sqrt(dim))
-        offsets = stream.normal(n * dim).reshape(n, dim) / np.sqrt(dim)
+        xstar = xstar_scale / np.sqrt(dim) * rng.standard_normal(dim)
+        offsets = rng.standard_normal(n * dim).reshape(n, dim) / np.sqrt(dim)
         offsets -= offsets.mean(axis=0)
         self.node_optima = xstar + heterogeneity * offsets
         self._optimum = self.node_optima.mean(axis=0)
@@ -534,13 +536,14 @@ def estimate_constants(problem, seed=0, trials=8, grad_samples=16,
     """
     dim = problem.dim
     stream = RandomStream(seed, 0, "estimate")
+    rng = stream.generator()  # v and the points; node samples use stream.at(k)
     if center is None:
         center = np.zeros(dim)
     center = np.asarray(center, dtype=float)
 
     eps = 1e-5 * max(1.0, float(np.linalg.norm(center)))
     g0 = problem.full_gradient(center)
-    v = stream.normal(dim)
+    v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     l_est = 0.0
     for _ in range(power_iters):
@@ -555,14 +558,14 @@ def estimate_constants(problem, seed=0, trials=8, grad_samples=16,
     sigma_acc = np.zeros(problem.n)
     g_sq = 0.0
     for trial in range(trials):
-        point = center + radius * stream.normal(dim)
+        point = center + radius * rng.standard_normal(dim)
         for i in range(problem.n):
             exact = problem.node_gradient(i, point)
-            rng = stream.at(trial * problem.n + i)
+            node_rng = stream.at(trial * problem.n + i)
             sq_err = 0.0
             sq_norm = 0.0
             for _ in range(grad_samples):
-                g = problem.stochastic_gradient(i, point, rng)
+                g = problem.stochastic_gradient(i, point, node_rng)
                 sq_err += float(np.sum((g - exact) ** 2))
                 sq_norm += float(g @ g)
             sigma_acc[i] += sq_err / grad_samples

@@ -124,12 +124,14 @@ def _gossip_trajectory(graph, comp_spec, dim, rounds, seed=3, gamma=None):
     comp = parse_compressor(comp_spec)
     if gamma is None:
         gamma = consensus_stepsize(mixing, contraction_factor(comp, dim))
-    x0 = RandomStream(seed, 0, "verify").normal(graph.n * dim).reshape(graph.n, dim)
+    x0 = RandomStream(seed, 0, "verify").generator().standard_normal(graph.n * dim)
+    x0 = x0.reshape(graph.n, dim)
     state = ConsensusState.start(x0, gamma)
-    stream = RandomStream(seed, 0, "compress")
+    # one generator for the whole run: each round draws where the last stopped
+    rng = RandomStream(seed, 0, "compress").generator()
     psi_start = lyapunov(state)
     for _ in range(rounds):
-        choco_gossip_round(state, mixing, comp, stream)
+        choco_gossip_round(state, mixing, comp, rng)
     return mixing, state, x0, np.array([psi_start, lyapunov(state)])
 
 

@@ -45,13 +45,13 @@ def test_criterion_01_spectral_gap_table():
 
 def test_criterion_02_compression_contraction():
     d, draws = 100, 1000
-    stream = RandomStream(20, 0, "compress")
-    vectors = stream.normal(draws * d).reshape(draws, d)
+    vectors = RandomStream(20, 0, "compress").generator().standard_normal(draws * d)
+    vectors = vectors.reshape(draws, d)
 
     for spec in COMPRESSOR_SPECS:
         comp = parse_compressor(spec)
         delta = contraction_factor(comp, d)
-        rng = RandomStream(21, 0, "compress")
+        rng = RandomStream(21, 0, "compress").generator()
         ratios = np.empty(draws)
         for k in range(draws):
             x = vectors[k]
@@ -61,10 +61,10 @@ def test_criterion_02_compression_contraction():
         assert ratios.mean() <= (1.0 - delta) + 3.0 * sem, spec
 
     # unbiased variants: repeated compression of one vector averages back to it
-    x = RandomStream(22, 0, "compress").normal(d)
+    x = RandomStream(22, 0, "compress").generator().standard_normal(d)
     for spec in ("gsgd:4:unbiased", "random:0.1:unbiased"):
         comp = parse_compressor(spec)
-        rng = RandomStream(23, 0, "compress")
+        rng = RandomStream(23, 0, "compress").generator()
         samples = np.stack([compress(comp, x, rng).payload for _ in range(draws)])
         se = samples.std(axis=0, ddof=1) / np.sqrt(draws)
         dev = np.abs(samples.mean(axis=0) - x)
@@ -86,7 +86,7 @@ def test_criterion_03_bit_accounting():
 def test_criterion_04_gossip_linear_convergence():
     n, d, rounds, trials = 8, 20, 500, 20
     mixing = mixing_matrix(ring(n))
-    x0 = RandomStream(40, 0, "init").normal(n * d).reshape(n, d)
+    x0 = RandomStream(40, 0, "init").generator().standard_normal(n * d).reshape(n, d)
     mean0 = x0.mean(axis=0)
     mean_scale = float(np.linalg.norm(mean0))
 
@@ -100,9 +100,9 @@ def test_criterion_04_gossip_linear_convergence():
         finals = []
         for trial in range(trials):
             state = ConsensusState.start(x0, gamma)
-            stream = RandomStream(trial, 0, "compress")  # one per run, all nodes
+            rng = RandomStream(trial, 0, "compress").generator()  # one per run, all nodes
             for _ in range(rounds):
-                choco_gossip_round(state, mixing, comp, stream)
+                choco_gossip_round(state, mixing, comp, rng)
                 drift = float(np.linalg.norm(state.x.mean(axis=0) - mean0))
                 assert drift < 1e-10 * mean_scale, spec
             finals.append(lyapunov(state))
@@ -113,7 +113,7 @@ def test_criterion_05_equivalence_triangle():
     n, d, eta = 4, 6, 0.05
     mixing = mixing_matrix(ring(n))
     problem = make_quadratic(n, d, heterogeneity=1.0, noise_std=0.5, seed=50)
-    x0 = RandomStream(50, 1, "init").normal(d)
+    x0 = RandomStream(50, 1, "init").generator().standard_normal(d)
 
     # (a) difference-compression form vs error-feedback form, shared streams
     comp = parse_compressor("sign")
@@ -175,7 +175,7 @@ def test_criterion_07_averaged_gradient_variance():
     for n in (4, 16):
         problem = make_quadratic(n, 20, heterogeneity=0.0, noise_std=1.0, seed=70)
         x = problem.optimum()  # the full gradient vanishes here
-        rngs = [RandomStream(71, i, "grad") for i in range(n)]
+        rngs = [RandomStream(71, i, "grad").generator() for i in range(n)]
         acc = 0.0
         for _ in range(samples):
             g = np.mean([problem.stochastic_gradient(i, x, rngs[i])

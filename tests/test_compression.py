@@ -226,6 +226,11 @@ def test_bit_cost_formulas():
 def test_bit_cost_positive_dim_required():
     with pytest.raises(ValueError):
         bit_cost(parse_compressor("sign"), 0)
+    for empty in (np.zeros(0), np.zeros((3, 0))):  # an empty message, not a bad layout
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            compress_blocks(parse_compressor("sign"), empty)
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        compress(parse_compressor("sign"), np.zeros(0))
 
 
 # --------------------------------------------------------------- contraction

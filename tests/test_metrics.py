@@ -72,11 +72,15 @@ def test_run_traffic_recomputable_from_first_principles():
 
 # ------------------------------------------------------------------ records
 
-def test_add_row_and_counts():
+def test_add_row_and_counts(tmp_path):
     rec = _record([3.0, 2.0, 1.0])
     assert rec.rows() == 3
-    assert rec.wall_ms == [0, 0, 0]
     assert rec.t == [1, 2, 3]
+    # the wall_ms column is written as a constant 0 on every row
+    write_csv(rec, tmp_path / "run.csv")
+    lines = (tmp_path / "run.csv").read_text().splitlines()
+    assert lines[0].split(",")[-1] == "wall_ms"
+    assert [line.split(",")[-1] for line in lines[1:]] == ["0", "0", "0"]
 
 
 def test_csv_round_trip_preserves_floats(tmp_path):

@@ -68,17 +68,21 @@ def test_rejects_bad_matrices():
 
 # ------------------------------------------------------------ random streams
 
+def _setup_draws(seed, worker, purpose, size=16):
+    return RandomStream(seed, worker, purpose).generator().standard_normal(size)
+
+
 def test_stream_determinism():
-    a = RandomStream(42, worker=3, purpose="grad").normal(16)
-    b = RandomStream(42, worker=3, purpose="grad").normal(16)
+    a = _setup_draws(42, 3, "grad")
+    b = _setup_draws(42, 3, "grad")
     np.testing.assert_array_equal(a, b)
 
 
 def test_streams_differ_across_workers_and_purposes():
-    base = RandomStream(42, worker=0, purpose="grad").normal(16)
-    other_worker = RandomStream(42, worker=1, purpose="grad").normal(16)
-    other_purpose = RandomStream(42, worker=0, purpose="compress").normal(16)
-    other_seed = RandomStream(43, worker=0, purpose="grad").normal(16)
+    base = _setup_draws(42, 0, "grad")
+    other_worker = _setup_draws(42, 1, "grad")
+    other_purpose = _setup_draws(42, 0, "compress")
+    other_seed = _setup_draws(43, 0, "grad")
     assert not np.array_equal(base, other_worker)
     assert not np.array_equal(base, other_purpose)
     assert not np.array_equal(base, other_seed)
@@ -95,7 +99,7 @@ def test_per_iteration_substreams_are_order_independent():
 
 def test_substream_distinct_from_base_stream():
     s = RandomStream(5, 0, "grad")
-    base = s.clone().normal(8)
+    base = s.generator().standard_normal(8)
     sub = s.at(0).standard_normal(8)
     assert not np.array_equal(base, sub)
 
@@ -136,6 +140,31 @@ def test_substream_keys_equal_seed_sequence(seed):
                 np.testing.assert_array_equal(state["key"], key)
                 np.testing.assert_array_equal(
                     state["counter"], np.array([0, 0, t + 1, 0], dtype=np.uint64))
+            # the set-up generator: the same key at counter 0
+            state = stream.generator().bit_generator.state["state"]
+            np.testing.assert_array_equal(state["key"], key)
+            np.testing.assert_array_equal(state["counter"], np.zeros(4, dtype=np.uint64))
+
+
+_SETUP_DRAWS = (  # a sequence of each kind of draw the set-up code makes
+    lambda g: g.standard_normal(5), lambda g: 0.3 * g.standard_normal(4),
+    lambda g: g.random(3), lambda g: g.choice(20, size=4, replace=False),
+    lambda g: g.integers(0, 9, size=6),
+)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63], ids=["0", "7", "2**63"])
+def test_generator_draws_equal_seed_sequence(seed):
+    # generator() is NumPy's own Generator(Philox(SeedSequence(...))) at
+    # counter 0, every draw of a sequence included, and each call starts over
+    for purpose in ("problem", "compress"):
+        for worker in (0, 255):
+            stream = RandomStream(seed, worker, purpose)
+            for _ in range(2):
+                rng = stream.generator()
+                want = np.random.Generator(np.random.Philox(_reference_seq(seed, worker, purpose)))
+                for draw in _SETUP_DRAWS:
+                    np.testing.assert_array_equal(draw(rng), draw(want))
 
 
 @pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
@@ -168,11 +197,12 @@ def test_at_generators_held_together_stay_independent():
 
 def test_stateful_draws_do_not_move_the_iteration_generators():
     stream, fresh = RandomStream(6, 0, "grad"), RandomStream(6, 0, "grad")
-    stream.normal(1000)
+    setup = stream.generator()
+    setup.standard_normal(1000)
     np.testing.assert_array_equal(stream.at(2).random(5), fresh.at(2).random(5))
-    # the stateful draws run on the same key from counter 0
+    # nor the next set-up generator, which starts over at counter 0
     want = np.random.Generator(np.random.Philox(_reference_seq(6, 0, "grad"))).random(4)
-    np.testing.assert_array_equal(fresh.uniform(4), want)
+    np.testing.assert_array_equal(stream.generator().random(4), want)
 
 
 def test_at_iteration_range():
@@ -191,45 +221,6 @@ def test_negative_seed_is_rejected():
         RandomStream(-1)
     with pytest.raises(ValueError):
         RandomStream(1, worker=-1)
-
-
-def test_zero_std_draw_is_exact_zero_and_advances():
-    s = RandomStream(1, 0, "noise")
-    z = s.normal(6, std=0.0)
-    np.testing.assert_array_equal(z, np.zeros(6))
-    # the draw still consumed randomness: next values differ from a fresh stream
-    fresh = RandomStream(1, 0, "noise").normal(6)
-    assert not np.array_equal(s.normal(6), fresh)
-
-
-def test_gaussian_helper_statistics():
-    s = RandomStream(11, 0, "noise")
-    draws = s.normal(100_000, std=1.0)
-    assert abs(float(draws.mean())) < 0.02  # 3 sigma / sqrt(N) bound
-    assert abs(float(draws.std()) - 1.0) < 0.02
-
-
-def test_uniform_and_integer_ranges():
-    s = RandomStream(3, 2, "aux")
-    u = s.uniform(1000)
-    assert np.all((u >= 0.0) & (u < 1.0))
-    ints = s.integers(0, 10, 1000)
-    assert ints.min() >= 0 and ints.max() <= 9
-    picked = s.choice(20, 5)
-    assert len(set(picked.tolist())) == 5
-
-
-def test_draw_sizes_are_scalar_counts():
-    s = RandomStream(3, 0, "aux")
-    assert s.normal(0).shape == (0,)
-    with pytest.raises(TypeError):
-        s.normal((2, 3))  # shaped draws are out of contract, not silently cast
-    with pytest.raises(TypeError):
-        s.integers(0, 10, (4,))
-    with pytest.raises(ValueError):
-        s.uniform(-1)
-    with pytest.raises(ValueError):
-        s.normal(4, std=-1.0)
 
 
 def test_require_finite():

@@ -17,9 +17,9 @@ def _fd_gradient(fn, x, eps=1e-6):
 
 
 def _check_gradients(problem, rtol, points=4, seed=11, eps=1e-6):
-    stream = RandomStream(seed, 0, "init")
+    rng = RandomStream(seed, 0, "init").generator()
     for k in range(points):
-        x = 0.5 * stream.normal(problem.dim)
+        x = 0.5 * rng.standard_normal(problem.dim)
         i = k % problem.n
         exact = problem.node_gradient(i, x)
         approx = _fd_gradient(lambda z: problem.node_loss(i, z), x, eps)
@@ -60,14 +60,14 @@ def test_quadratic_optimum_agrees_with_gradient_descent():
 
 def test_quadratic_f_star_is_minimal():
     p = make_quadratic(4, 6, seed=4)
-    stream = RandomStream(4, 1, "init")
+    rng = RandomStream(4, 1, "init").generator()
     for _ in range(10):
-        assert p.loss(p.optimum() + 0.3 * stream.normal(p.dim)) > p.f_star()
+        assert p.loss(p.optimum() + 0.3 * rng.standard_normal(p.dim)) > p.f_star()
 
 
 def test_zero_heterogeneity_makes_nodes_identical():
     p = make_quadratic(6, 7, heterogeneity=0.0, seed=5)
-    x = RandomStream(5, 0, "init").normal(7)
+    x = RandomStream(5, 0, "init").generator().standard_normal(7)
     losses = [p.node_loss(i, x) for i in range(6)]
     assert max(losses) - min(losses) < 1e-15
     assert np.ptp(p.node_optima, axis=0).max() == 0.0
@@ -83,7 +83,7 @@ def test_hessian_spectrum_spans_mu_to_l():
 
 def test_noise_variance_matches_noise_std():
     p = make_quadratic(2, 20, noise_std=0.7, seed=7)
-    rng = RandomStream(7, 0, "grad")
+    rng = RandomStream(7, 0, "grad").generator()
     x = np.ones(20)
     exact = p.node_gradient(0, x)
     sq = [float(np.sum((p.stochastic_gradient(0, x, rng) - exact) ** 2))
@@ -93,7 +93,7 @@ def test_noise_variance_matches_noise_std():
 
 def test_zero_noise_gradient_is_exact():
     p = make_quadratic(2, 5, noise_std=0.0, seed=8)
-    rng = RandomStream(8, 0, "grad")
+    rng = RandomStream(8, 0, "grad").generator()
     x = np.arange(5.0)
     np.testing.assert_array_equal(p.stochastic_gradient(0, x, rng),
                                   p.node_gradient(0, x))
@@ -101,7 +101,7 @@ def test_zero_noise_gradient_is_exact():
 
 def test_stochastic_gradient_is_unbiased():
     p = make_quadratic(2, 6, noise_std=1.0, seed=9)
-    rng = RandomStream(9, 0, "grad")
+    rng = RandomStream(9, 0, "grad").generator()
     x = np.full(6, 0.5)
     draws = np.array([p.stochastic_gradient(0, x, rng) for _ in range(4000)])
     se = 1.0 / np.sqrt(6 * 4000)  # per-coordinate noise std is 1/sqrt(6)
@@ -240,7 +240,7 @@ def test_logistic_smoothness_matches_direct_eigenvalue():
 def test_logistic_minibatch_gradient_is_unbiased():
     # with-replacement minibatches on a fixed split average to the shard mean
     p = make_logistic(2, dim=4, samples=80, mode="fixed-split", seed=5, batch=8)
-    rng = RandomStream(5, 0, "grad")
+    rng = RandomStream(5, 0, "grad").generator()
     x = 0.1 * np.arange(4.0)
     draws = np.array([p.stochastic_gradient(0, x, rng) for _ in range(6000)])
     exact = p.node_gradient(0, x)
@@ -272,14 +272,14 @@ def test_mlp_parameter_layout():
 
 def test_mlp_full_gradient_is_node_mean():
     p = make_mlp(3, input_dim=4, hidden=2, samples=60, seed=7)
-    x = 0.3 * RandomStream(7, 0, "init").normal(p.dim)
+    x = 0.3 * RandomStream(7, 0, "init").generator().standard_normal(p.dim)
     mean = np.mean([p.node_gradient(i, x) for i in range(3)], axis=0)
     np.testing.assert_allclose(p.full_gradient(x), mean, atol=1e-14)
 
 
 def test_mlp_training_reduces_loss():
     p = make_mlp(2, input_dim=4, hidden=4, samples=120, seed=8)
-    x = 0.1 * RandomStream(8, 0, "init").normal(p.dim)
+    x = 0.1 * RandomStream(8, 0, "init").generator().standard_normal(p.dim)
     start = p.loss(x)
     for _ in range(400):
         x = x - 0.5 * p.full_gradient(x)

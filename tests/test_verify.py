@@ -72,12 +72,12 @@ def _per_round_psi(graph, comp_spec, dim, rounds, seed=3, gamma=None):
     comp = parse_compressor(comp_spec)
     if gamma is None:
         gamma = consensus_stepsize(mixing, contraction_factor(comp, dim))
-    x0 = RandomStream(seed, 0, "verify").normal(graph.n * dim).reshape(graph.n, dim)
-    state = ConsensusState.start(x0, gamma)
-    stream = RandomStream(seed, 0, "compress")
+    x0 = RandomStream(seed, 0, "verify").generator().standard_normal(graph.n * dim)
+    state = ConsensusState.start(x0.reshape(graph.n, dim), gamma)
+    rng = RandomStream(seed, 0, "compress").generator()
     psi = [lyapunov(state)]
     for _ in range(rounds):
-        choco_gossip_round(state, mixing, comp, stream)
+        choco_gossip_round(state, mixing, comp, rng)
         psi.append(lyapunov(state))
     return state, np.array(psi)
 
