@@ -93,16 +93,9 @@ def consensus_stepsize(mixing, delta):
     return rho**2 * delta / denom
 
 
-def rate_constant(mixing, delta, scheme="choco"):
-    """Linear contraction rate ``c`` of the squared consensus error.
-
-    ``scheme="choco"`` gives the compressed-gossip rate ``rho^2 delta / 82``;
-    ``scheme="exact"`` gives the uncompressed one-matrix rate ``rho``.
-    """
-    if scheme == "exact":
-        return mixing.rho
-    if scheme != "choco":
-        raise ValueError(f"unknown scheme {scheme!r}")
+def rate_constant(mixing, delta):
+    """Linear contraction rate ``c = rho^2 delta / 82`` of the squared
+    consensus error under compressed gossip."""
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must be in (0, 1]")
     return mixing.rho**2 * delta / 82.0

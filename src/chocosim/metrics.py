@@ -78,9 +78,6 @@ class TrafficLedger:
         """Largest cumulative per-node bit count."""
         return int(self.per_node.max())
 
-    def total(self):
-        return int(self.per_node.sum())
-
 
 @dataclass
 class RunRecord:
@@ -177,8 +174,8 @@ def write_summary(records, config_dict, path, extra=None):
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def summarize(record, bit_budget=None, target_f=None):
-    """Headline numbers of a run: final/best objective, traffic, budgets."""
+def summarize(record):
+    """Headline numbers of a run: final and best objective, traffic."""
     out = {
         "rows": record.rows(),
         "diverged": record.diverged,
@@ -194,17 +191,6 @@ def summarize(record, bit_budget=None, target_f=None):
             final_psi=record.psi[-1],
             bits_busiest=record.bits_busiest[-1],
         )
-    if bit_budget is not None and record.rows():
-        within = [k for k in range(record.rows()) if record.bits_busiest[k] <= bit_budget]
-        out["best_f_within_bits"] = min(record.f_avg[k] for k in within) if within else None
-    if target_f is not None and record.rows():
-        hits = [k for k in range(record.rows()) if record.f_avg[k] <= target_f]
-        if hits:
-            out["bits_to_target"] = record.bits_busiest[hits[0]]
-            out["iters_to_target"] = record.t[hits[0]]
-        else:
-            out["bits_to_target"] = None
-            out["iters_to_target"] = None
     return out
 
 

@@ -14,21 +14,24 @@ parts 1 and 2 are independent given ``x^(t)``, and with an identity
 compressor and ``gamma = 1`` the update collapses, float for float, to the
 uncompressed gossip baseline ``x <- W x - eta*g``.
 
-State is updated in place. :class:`Workers` owns its arrays (``x``,
-``xhat``, ``velocity``, ``memory``, ``x_prev``) and one ``(n, dim)`` work
-buffer, ``scratch``, all allocated once per run by :meth:`Workers.start`.
-A compressed-family step writes each new value into the storage of the
-old one, with the same operations in the same order as the expressions
-above (``out=``). Error feedback keeps two iterate buffers: the new ``x``
-is written into ``x_prev``'s storage and the two swap, so ``x_prev`` holds
-the previous iterate in its own buffer, never a view of ``x``. The exact
-baseline's step replaces ``x`` with the product ``W @ (...)``. So
+Every algorithm keeps its state in one :class:`Workers`, updated in
+place. It owns its arrays (``x``, ``xhat``, ``velocity``, ``memory``,
+``x_prev``) and one work buffer, ``scratch``, all allocated once per run
+by :meth:`Workers.start`: ``(n, dim)`` rows, or one row for the
+centralized baseline. A compressed-family step writes each new value into
+the storage of the old one, with the same operations in the same order as
+the expressions above (``out=``). Error feedback keeps two iterate
+buffers: the new ``x`` is written into ``x_prev``'s storage and the two
+swap, so ``x_prev`` holds the previous iterate in its own buffer, never a
+view of ``x``. The centralized step writes into its one row too; only the
+exact baseline's step replaces ``x``, with the product ``W @ (...)``. So
 ``record.workers`` holds the final state, and whatever keeps an
 iteration's state (the logged rows, ``record_iterates``) copies it.
 
 Baselines: ``decentralized-exact`` (gradient step then exact neighborhood
-averaging, full-precision messages) and ``centralized`` (single iterate,
-all workers upload full-precision gradients to a coordinator hub).
+averaging, full-precision messages) and ``centralized`` (one shared
+iterate, the single row of its ``Workers``; all workers upload
+full-precision gradients to a coordinator hub).
 
 Randomness: a run has one stream per purpose (:class:`Streams`), and
 iteration t draws from ``stream.at(t)``. That one generator serves all
@@ -122,8 +125,9 @@ class OptimizerConfig:
 
 @dataclass
 class Workers:
-    """Per-node state, one row per node, each array owned by the workers
-    and updated in place; ``scratch`` is a step's work buffer."""
+    """A run's state, one row per node (the centralized baseline: one
+    shared row), each array owned by the workers and updated in place;
+    ``scratch`` is a step's work buffer."""
 
     x: np.ndarray
     xhat: np.ndarray = None
@@ -229,49 +233,47 @@ def decentralized_exact_step(workers, problem, mixing, eta, streams, t, record=N
     workers.x = mixing.w @ (workers.x - eta * g)
 
 
-def centralized_step(x, problem, eta, streams, t, record=None):
-    """Coordinator baseline: one shared iterate, n full-precision uploads;
-    returns the next iterate."""
-    n = problem.n
+def centralized_step(workers, problem, eta, streams, t, record=None):
+    """Coordinator baseline: the shared iterate is ``workers.x``'s one row,
+    updated in place from n full-precision uploads."""
     # C-ordered copies: a broadcast view would make g F-ordered, and g.mean
     # would sum in another order
-    g = _gradients(problem, np.tile(x, (n, 1)), streams, t, record)
-    return x - eta * g.mean(axis=0)
+    g = _gradients(problem, np.tile(workers.x, (problem.n, 1)), streams, t, record)
+    np.subtract(workers.x, eta * g.mean(axis=0), out=workers.x)
 
 
 class _LoggedRows:
     """The states of logged iterations, kept until a block of them is full;
     :meth:`flush` then appends their rows to ``record``.
 
-    A state is ``(rows, dim)`` iterate rows, plus as many public copies when
-    ``public``. A block holds ``LOG_BLOCK_BYTES // (bytes of one state)``
-    states, at least one and at most the ``logged`` rows of the run. Each
-    row's value is the per-row definition's, bit for bit: ``xbar =
-    x.mean(axis=0)``, ``consensus_distance(x)``, ``lyapunov(workers)``,
-    ``loss_and_gradient(xbar)`` and ``grad @ grad``. The spread ``sum_i
-    ||x_i - xbar||^2`` that both statistics start from is one
-    ``squared_sum`` over the block: the consensus distance is it over n,
-    and psi is it plus the lag ``sum_i ||x_i - xhat_i||^2``.
+    A state is a copy of ``workers.x``, plus ``workers.xhat`` when the
+    algorithm keeps public copies. A block holds ``LOG_BLOCK_BYTES //
+    (bytes of one state)`` states, at least one and at most the ``logged``
+    rows of the run. Each row's value is the per-row definition's, bit for
+    bit: ``xbar = x.mean(axis=0)``, ``consensus_distance(x)``,
+    ``lyapunov(workers)``, ``loss_and_gradient(xbar)`` and ``grad @ grad``.
+    The spread ``sum_i ||x_i - xbar||^2`` that both statistics start from is
+    one ``squared_sum`` over the block: the consensus distance is it over n,
+    and psi is it plus the lag ``sum_i ||x_i - xhat_i||^2``. A one-row
+    (centralized) state is its own mean, so its spread and psi are 0.0.
     """
 
-    def __init__(self, record, problem, centralized, busiest_charge, rows, dim, public,
-                 logged):
-        self.record, self.problem = record, problem
-        self.centralized, self.busiest_charge = centralized, busiest_charge
-        state_bytes = rows * dim * 8 * (2 if public else 1)
-        size = max(1, min(logged, LOG_BLOCK_BYTES // state_bytes))
-        self.x = np.empty((size, rows, dim))
-        self.xhat = np.empty((size, rows, dim)) if public else None
+    def __init__(self, record, problem, busiest_charge, workers, logged):
+        self.record, self.problem, self.busiest_charge = record, problem, busiest_charge
+        public = workers.xhat is not None
+        size = max(1, min(logged, LOG_BLOCK_BYTES // (workers.x.nbytes * (1 + public))))
+        self.x = np.empty((size,) + workers.x.shape)
+        self.xhat = np.empty_like(self.x) if public else None
         self.t = []
         self.eval_s = self.stats_s = 0.0
 
-    def add(self, t, x, xhat):
+    def add(self, t, workers):
         """Keep iteration t's state; True when the block is full."""
         tick = time.perf_counter()
         k = len(self.t)
-        self.x[k] = x
+        self.x[k] = workers.x
         if self.xhat is not None:
-            self.xhat[k] = xhat
+            self.xhat[k] = workers.xhat
         self.t.append(t)
         self.stats_s += time.perf_counter() - tick
         return k + 1 == len(self.x)
@@ -284,13 +286,10 @@ class _LoggedRows:
         tick = time.perf_counter()
         x = self.x[:b]
         xbar = x.sum(axis=1) / x.shape[1]  # each state's x.mean(axis=0)
-        if self.centralized:
-            consensus = psi = [0.0] * b
-        else:
-            spread = squared_sum(x - xbar[:, None, :])
-            consensus = (spread / x.shape[1]).tolist()
-            lag = 0.0 if self.xhat is None else squared_sum(x - self.xhat[:b])
-            psi = (spread + lag).tolist()
+        spread = squared_sum(x - xbar[:, None, :])
+        consensus = (spread / x.shape[1]).tolist()
+        lag = 0.0 if self.xhat is None else squared_sum(x - self.xhat[:b])
+        psi = (spread + lag).tolist()
         tock = time.perf_counter()
         f_avg, grad = self.problem.loss_and_gradient(xbar)
         # each row's grad @ grad, the same ddot
@@ -358,13 +357,14 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
         broadcast=False, x0=None, per_layer=True, record_iterates=False):
     """Run one algorithm on one problem; returns a :class:`RunRecord`.
 
-    ``x0`` is the common starting point (zeros by default). ``per_layer``
-    compresses each parameter block separately when the problem defines
-    blocks. ``record_iterates`` also stores the start and each iteration's
-    post-gossip iterate rows, ``(1, dim)`` for centralized (tests and demos;
-    memory scales with T).
+    ``x0`` is the common starting point, shape ``(dim,)`` (zeros by
+    default). ``per_layer`` compresses each parameter block separately when
+    the problem defines blocks. ``record_iterates`` also stores the start
+    and each iteration's post-gossip iterate rows, ``(1, dim)`` for
+    centralized (tests and demos; memory scales with T).
     """
-    if cfg.algorithm != "centralized":
+    centralized = cfg.algorithm == "centralized"
+    if not centralized:
         if mixing is None:
             raise ValueError("decentralized algorithms need a mixing matrix")
         if mixing.w.shape[0] != problem.n:
@@ -375,74 +375,64 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
         raise ValueError("log_every must be >= 1")
 
     n, dim = problem.n, problem.dim
+    x0 = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (dim,):
+        raise ValueError(f"x0 must have shape ({dim},), got {x0.shape}")
     boundaries = problem.layer_boundaries if per_layer else None
     gamma = resolve_gamma(cfg, mixing, compressor, dim, boundaries)
     streams = Streams(seed)
-    if x0 is None:
-        x0 = np.zeros(dim)
-    x0 = np.asarray(x0, dtype=float)
 
     record = RunRecord(seed=seed)
     record.gamma = gamma
     record.eta = cfg.eta
     started = time.perf_counter()
 
-    centralized = cfg.algorithm == "centralized"
-    if centralized:
-        x = x0.copy()
-        workers = None
-    else:
-        workers = Workers.start(x0, n, cfg.algorithm)
+    workers = Workers.start(x0, 1 if centralized else n, cfg.algorithm)
     ledger = _iteration_ledger(cfg, n, dim, mixing, compressor, boundaries, broadcast)
     busiest_charge = ledger.busiest()
 
     history = []
     if record_iterates:
-        history.append((x[None, :] if centralized else workers.x).copy())
+        history.append(workers.x.copy())
 
     logged = cfg.iterations // log_every + (cfg.iterations % log_every != 0)
-    rows = _LoggedRows(record, problem, centralized, busiest_charge, 1 if centralized else n,
-                       dim, workers is not None and workers.xhat is not None, logged)
-    # the step's work buffer is free again when the step returns
-    spare = None if centralized else workers.scratch
+    rows = _LoggedRows(record, problem, busiest_charge, workers, logged)
     step_s = 0.0
     completed = 0
     for t in range(cfg.iterations):
         tick = time.perf_counter()
         if centralized:
-            x = centralized_step(x, problem, cfg.eta, streams, t, record)
-            state_rows = x[None, :]
+            centralized_step(workers, problem, cfg.eta, streams, t, record)
         elif cfg.algorithm == "decentralized-exact":
             decentralized_exact_step(workers, problem, mixing, cfg.eta, streams, t, record)
-            state_rows = workers.x
         else:
             choco_step(workers, problem, mixing, compressor, gamma, cfg.eta,
                        streams, t, cfg=cfg, boundaries=boundaries, record=record)
-            state_rows = workers.x
         tock = time.perf_counter()
         step_s += tock - tick
 
-        # one pass: a NaN maximum compares False, and +-inf exceeds the limit
-        if not np.maximum.reduce(np.abs(state_rows, out=spare), None) <= DIVERGENCE_LIMIT:
+        # one pass: a NaN maximum compares False, and +-inf exceeds the limit;
+        # the step's work buffer is free again when the step returns
+        if not np.maximum.reduce(np.abs(workers.x, out=workers.scratch), None) <= DIVERGENCE_LIMIT:
             record.diverged = True
             record.diverged_at = t + 1
             # the first row with a NaN, an infinity or an entry beyond the
             # limit; the centralized iterate is the coordinator's, ledger slot n
-            failing = ~(np.abs(state_rows) <= DIVERGENCE_LIMIT).all(axis=1)
+            failing = ~(np.abs(workers.x) <= DIVERGENCE_LIMIT).all(axis=1)
             record.diverged_node = n if centralized else int(np.argmax(failing))
             break
 
         completed = t + 1
         if record_iterates:
-            history.append(state_rows.copy())
+            history.append(workers.x.copy())
         if completed % log_every == 0 or completed == cfg.iterations:
-            if rows.add(completed, state_rows, None if centralized else workers.xhat):
+            if rows.add(completed, workers):
                 rows.flush()
     rows.flush()
 
     record.elapsed_s = time.perf_counter() - started
     record.timings = {"step_s": step_s, "eval_s": rows.eval_s, "stats_s": rows.stats_s}
-    record.final_x_mean = (x if centralized else workers.x.mean(axis=0)).copy()
+    record.final_x_mean = workers.x.mean(axis=0)
     ledger.per_node *= completed  # every completed iteration charged the same
     record.ledger = ledger
     record.workers = workers

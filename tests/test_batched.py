@@ -472,7 +472,7 @@ def _reference_problem(kind):
     return make_mlp(6, input_dim=3, hidden=4, samples=96, batch=8, seed=8)
 
 
-def _assert_run_equals_reference(rec, reference, centralized):
+def _assert_run_equals_reference(rec, reference):
     rows, max_grad, final_mean, per_node, states = reference
     got = list(zip(rec.t, rec.f_avg, rec.grad_sq, rec.consensus, rec.psi,
                    rec.bits_busiest))
@@ -480,11 +480,11 @@ def _assert_run_equals_reference(rec, reference, centralized):
     assert rec.max_grad_norm == max_grad
     assert np.array_equal(rec.final_x_mean, final_mean, equal_nan=True)
     assert np.array_equal(rec.ledger.per_node, per_node)
-    if not centralized:  # the state the run ended in, updated in place
-        x, xhat = states[-1]
-        assert np.array_equal(rec.workers.x, x, equal_nan=True)
-        if rec.workers.xhat is not None:
-            assert np.array_equal(rec.workers.xhat, xhat, equal_nan=True)
+    # the state the run ended in, updated in place; the centralized one is one row
+    x, xhat = states[-1]
+    assert np.array_equal(rec.workers.x, x.reshape(-1, x.shape[-1]), equal_nan=True)
+    if rec.workers.xhat is not None:
+        assert np.array_equal(rec.workers.xhat, xhat, equal_nan=True)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -505,7 +505,7 @@ def test_run_equals_the_per_node_reference_loop(algorithm, broadcast, kind):
         reference = _reference_run(problem, cfg, mixing, comp, 4, broadcast, x0,
                                    problem.layer_boundaries)
         assert not rec.diverged
-        _assert_run_equals_reference(rec, reference, algorithm == "centralized")
+        _assert_run_equals_reference(rec, reference)
         # every recorded iterate is the iteration's state, kept apart from it
         states = reference[4]
         for t, (x, _) in enumerate(states, start=1):
@@ -525,7 +525,7 @@ def test_every_algorithm_diverging_mid_run_equals_the_reference(algorithm, spec)
     reference = _reference_run(problem, cfg, mixing, comp, 4, False, x0, None)
     assert rec.diverged and 2 < rec.diverged_at < 60  # mid-run
     assert rec.diverged_at == len(reference[0]) + 1
-    _assert_run_equals_reference(rec, reference, algorithm == "centralized")
+    _assert_run_equals_reference(rec, reference)
 
 
 # ------------------------------------------------------- fixed bookkeeping
@@ -603,7 +603,7 @@ def test_a_nan_start_is_flagged_at_iteration_one_with_nothing_charged(algorithm)
     assert np.array_equal(rec.ledger.per_node, np.zeros(6 if centralized else 5, np.int64))
     reference = _reference_run(problem, cfg, mixing_matrix(ring(5)), parse_compressor("sign"),
                                1, algorithm == "choco-momentum", x0, None)
-    _assert_run_equals_reference(rec, reference, centralized)
+    _assert_run_equals_reference(rec, reference)
 
 
 def test_divergence_names_the_first_failing_node():

@@ -59,15 +59,8 @@ def test_stepsize_validates_inputs():
 def test_rate_constant_formulas():
     full = mixing_matrix(fully_connected(4))
     assert rate_constant(full, 1.0) == pytest.approx(1 / 82)
-    ring16 = mixing_matrix(ring(16))
-    assert rate_constant(ring16, 1.0, scheme="exact") == pytest.approx(ring16.rho)
     # rho=0.4 (torus-16 value), delta=0.1: 0.16 * 0.1 / 82
     assert 0.4 ** 2 * 0.1 / 82 == pytest.approx(1.9512e-4, rel=1e-3)
-
-
-def test_rate_constant_rejects_unknown_scheme():
-    with pytest.raises(ValueError):
-        rate_constant(mixing_matrix(ring(8)), 0.5, scheme="fast")
 
 
 # ------------------------------------------------------------ round algebra

@@ -43,8 +43,7 @@ def test_recorded_iterates_share_no_memory(algorithm):
     assert len(history) == 6
     for k, a in enumerate(history):
         assert not any(np.shares_memory(a, b) for b in history[k + 1:])
-        if rec.workers is not None:
-            assert not any(np.shares_memory(a, b) for b in _state_arrays(rec.workers))
+        assert not any(np.shares_memory(a, b) for b in _state_arrays(rec.workers))
     # the iterates moved, so a shared buffer would have shown as equal entries
     assert not np.array_equal(history[1], history[2])
     assert not np.shares_memory(rec.final_x_mean, history[-1])

@@ -106,6 +106,9 @@ def test_centralized_matches_the_literal_gradient_loop():
         x = x - eta * g.mean(axis=0)
         np.testing.assert_array_equal(rec.iterates[t + 1], x[None, :])
     np.testing.assert_array_equal(rec.final_x_mean, x)
+    # the shared iterate is the one row of the run's state, with no public copy
+    assert rec.workers.x.shape == (1, d) and rec.workers.xhat is None
+    np.testing.assert_array_equal(rec.final_x_mean, rec.workers.x[0])
 
 
 def test_lossless_gossip_matches_matrix_recursion():
@@ -276,6 +279,17 @@ def test_mixing_matrix_is_required_and_sized():
         run(problem, cfg)
     with pytest.raises(ValueError):
         run(problem, cfg, mixing_matrix(ring(6)))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("x0", [[0.5], np.zeros(4), np.zeros((1, 3)), np.zeros((4, 3))],
+                         ids=["scalar", "too-long", "one-row", "per-node"])
+def test_a_wrong_length_start_is_rejected(algorithm, x0):
+    # no algorithm broadcasts a start of another shape over the coordinates
+    problem = make_quadratic(4, 3, seed=11)
+    cfg = OptimizerConfig(algorithm=algorithm, iterations=2)
+    with pytest.raises(ValueError, match=r"x0 must have shape \(3,\), got"):
+        run(problem, cfg, mixing_matrix(ring(4)), seed=0, x0=x0)
 
 
 def test_errorfeedback_tracks_plain_variant_closely():

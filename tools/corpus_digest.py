@@ -7,8 +7,9 @@ compressors ``identity``, ``sign``, ``topk:0.2``, ``gsgd:4`` and
 ``random:0.3`` x the quadratic, logistic and MLP problems, logged every
 iteration and every third one, plus a run that diverges mid-run and one
 that starts from NaN. Each run contributes its logged rows, its divergence
-fields, ``max_grad_norm``, ``final_x_mean``, the ledger and the final
-per-node state, every float as ``float.hex``. Two trees that print the
+fields, ``max_grad_norm``, ``final_x_mean``, the ledger and its final
+state, ``record.workers`` (the one row of a centralized run, a row per
+node otherwise), every float as ``float.hex``. Two trees that print the
 same digest computed the same corpus bit for bit.
 """
 
@@ -57,11 +58,10 @@ def describe(record):
     lines.append(f"max_grad_norm:{float(record.max_grad_norm).hex()}")
     lines.append(f"final_x_mean:{_hex(record.final_x_mean)}")
     lines.append(f"ledger:{record.ledger.per_node.tolist()}")
-    if record.workers is not None:
-        for name in STATE:
-            value = getattr(record.workers, name)
-            if value is not None:
-                lines.append(f"{name}:{_hex(value)}")
+    for name in STATE:
+        value = getattr(record.workers, name)
+        if value is not None:
+            lines.append(f"{name}:{_hex(value)}")
     return "\n".join(lines)
 
 
