@@ -11,7 +11,9 @@ single vector is the one-row case. The stochastic kinds draw every row's
 randomness from one ``numpy.random.Generator``, ``rng``, row by row in row
 order, so a block of rows compressed at once equals, bit for bit, the rows
 compressed one after another from that generator. A one-row call draws
-exactly what the 1-D operator draws.
+exactly what the 1-D operator draws. ``topk`` and ``random`` share one
+selection kernel: a row keeps its k largest magnitudes, or its k largest
+uniform keys, drawn as one ``(n, d)`` block per message block.
 
 Payloads are fresh arrays owned by the caller; a kernel never writes to
 its input. The block layout of a row and its wire size depend only on
@@ -148,41 +150,33 @@ def _gsgd_tau(bits, dim):
     return 1.0 + min(dim / levels**2, np.sqrt(dim) / levels)
 
 
-def _random_sparsify(v, fraction, unbiased, rng):
-    n, d = v.shape
-    k = _kept_count(fraction, d)
-    out = np.zeros_like(v)
-    for i in range(n):  # Generator.choice has no batched form
-        idx = rng.choice(d, size=k, replace=False)
-        out[i, idx] = v[i, idx]
-    if unbiased:
-        out *= d / k
-    return out
+def _sparsify(comp, v, rng):
+    """``topk`` and ``random``: keep each row's k largest scores, ties at the
+    k-th largest going to the lowest indices, the set a stable argsort of
+    ``-score`` keeps. ``topk`` scores by magnitude (``fmax`` ranks a NaN
+    below every number, as the sort does); ``random`` by uniform keys drawn
+    as one block, whose row i is what a per-row ``rng.random(d)`` draws.
 
-
-def _topk(v, fraction):
-    """Keep each row's k largest magnitudes, ties at the k-th largest going
-    to the lowest indices: the set a stable argsort of ``-|v|`` keeps.
-
-    Fast path: when every row has exactly k magnitudes ``>= thr`` (the k-th
-    largest), as continuous data almost always does, those entries are that
+    Fast path: when every row has exactly k scores ``>= thr`` (the k-th
+    largest), as continuous scores almost always do, those entries are that
     set and no tie is scanned. Otherwise a row has surplus ties at ``thr``
     (repeated values, a zero row, NaNs ranked last), and the ties are kept
     in index order up to k.
     """
     d = v.shape[1]
-    k = _kept_count(fraction, d)
-    # fmax ranks a NaN magnitude below every number, as the stable sort does
-    mag = np.fmax(np.abs(v), -1.0)
-    thr = np.partition(mag, d - k, axis=1)[:, d - k, None]
-    keep = mag >= thr
-    if (np.count_nonzero(keep, axis=1) == k).all():
-        return np.where(keep, v, 0.0)
-    above = mag > thr
-    tied = mag == thr
-    room = k - np.count_nonzero(above, axis=1)[:, None]
-    keep = above | (tied & (np.cumsum(tied, axis=1) <= room))
-    return np.where(keep, v, 0.0)
+    k = _kept_count(comp.fraction, d)
+    score = np.fmax(np.abs(v), -1.0) if comp.kind == "topk" else rng.random(v.shape)
+    thr = np.partition(score, d - k, axis=1)[:, d - k, None]
+    keep = score >= thr
+    if not (np.count_nonzero(keep, axis=1) == k).all():
+        above = score > thr
+        tied = score == thr
+        room = k - np.count_nonzero(above, axis=1)[:, None]
+        keep = above | (tied & (np.cumsum(tied, axis=1) <= room))
+    out = np.where(keep, v, 0.0)
+    if comp.unbiased:
+        out *= d / k
+    return out
 
 
 def _sign(v):
@@ -198,15 +192,13 @@ def _row_payloads(comp, v, rng):
     drawing from ``rng`` in row order."""
     if comp.kind == "identity":
         return v.copy()
-    if comp.kind == "topk":
-        return _topk(v, comp.fraction)
     if comp.kind == "sign":
         return _sign(v)
-    if rng is None:
+    if comp.stochastic and rng is None:
         raise ValueError(f"{comp.kind} compression needs a random generator")
     if comp.kind == "gsgd":
         return _gsgd(v, comp.bits, comp.unbiased, rng)
-    return _random_sparsify(v, comp.fraction, comp.unbiased, rng)
+    return _sparsify(comp, v, rng)
 
 
 def compress(comp, x, rng=None):

@@ -371,8 +371,8 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
             raise ValueError("mixing matrix size != problem node count")
     if compressor is None:
         compressor = Compressor("identity")
-    if log_every < 1:
-        raise ValueError("log_every must be >= 1")
+    if not (isinstance(log_every, numbers.Integral) and _is_number(log_every) and log_every >= 1):
+        raise ValueError("log_every must be an integer >= 1")
 
     n, dim = problem.n, problem.dim
     x0 = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float)

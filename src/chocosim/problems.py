@@ -162,10 +162,9 @@ def load_csv_dataset(path):
 
 def _neg_y_sigmoid(y, margins):
     """``-y * sigmoid(-margins)`` as ``-y / (1 + exp(margins))``. A large
-    margin overflows ``exp`` to inf, which gives the sigmoid its exact limit
-    0, so that overflow is not reported."""
-    with np.errstate(over="ignore"):
-        return -y / (1.0 + np.exp(margins))
+    margin overflows ``exp`` to inf, the sigmoid's exact limit 0; each oracle
+    call ignores that overflow in one ``np.errstate`` around its kernels."""
+    return -y / (1.0 + np.exp(margins))
 
 
 class QuadraticProblem:
@@ -337,19 +336,21 @@ class _DatasetProblem:
         return flat[starts[:, None] + offsets]
 
     def _samples(self, idx, x, out, losses=False):
-        """The kernel's one-row call: samples ``idx`` at one ``x``, the
-        gradient written into the ``(1, dim)`` row ``out``."""
+        """The kernel's one-row call, in the caller's ``np.errstate``: samples
+        ``idx`` at one ``x``, the gradient written into the ``(1, dim)`` row ``out``."""
         loss = self._kernel(self.features[idx][None], self.labels[idx][None],
                             np.asarray(x)[None], out, losses)
         return None if loss is None else float(loss[0])
 
     def _gradient(self, idx, x):
         out = np.empty((1, self.dim))
-        self._samples(idx, x, out)
+        with np.errstate(over="ignore"):
+            self._samples(idx, x, out)
         return out[0]
 
     def node_loss(self, i, x):
-        return self._samples(self._shards(0)[i], x, np.empty((1, self.dim)), losses=True)
+        with np.errstate(over="ignore"):
+            return self._samples(self._shards(0)[i], x, np.empty((1, self.dim)), losses=True)
 
     def node_gradient(self, i, x):
         return self._gradient(self._shards(0)[i], x)
@@ -361,11 +362,12 @@ class _DatasetProblem:
         minibatch sizes differ, a draw and a kernel call per node."""
         g = np.empty(x_rows.shape)
         idx = self._minibatches(rng, t)
-        if idx is not None:
-            self._kernel(self.features[idx], self.labels[idx], x_rows, g)
-            return g
-        for i in range(x_rows.shape[0]):
-            self._samples(self._minibatch(i, rng, t), x_rows[i], g[i : i + 1])
+        with np.errstate(over="ignore"):
+            if idx is not None:
+                self._kernel(self.features[idx], self.labels[idx], x_rows, g)
+                return g
+            for i in range(x_rows.shape[0]):
+                self._samples(self._minibatch(i, rng, t), x_rows[i], g[i : i + 1])
         return g
 
     def loss(self, x):
@@ -394,10 +396,11 @@ class _DatasetProblem:
             return loss, np.stack([g for _, g in pairs])
         g, piece = np.empty((1, self.dim)), np.empty((1, self.dim))
         shard_losses = []
-        for i, idx in enumerate(self._shards(0)):
-            shard_losses.append(self._samples(idx, x, g if i == 0 else piece, losses))
-            if i:
-                g += piece
+        with np.errstate(over="ignore"):
+            for i, idx in enumerate(self._shards(0)):
+                shard_losses.append(self._samples(idx, x, g if i == 0 else piece, losses))
+                if i:
+                    g += piece
         g /= self.n
         return (sum(shard_losses) / self.n if losses else None), g[0]
 
@@ -425,9 +428,9 @@ class LogisticProblem(_DatasetProblem):
         weights = _neg_y_sigmoid(y, margins)
         np.add(np.matmul(weights[:, None, :], z)[:, 0, :] / z.shape[1], self.reg * x, out=out)
         if losses:
-            # each row's x @ x, the same ddot
-            sq = np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
-            return np.mean(np.logaddexp(0.0, -margins), axis=1) + 0.5 * self.reg * sq
+            # 0.5 reg times each row's x @ x, the same ddot
+            penalty = 0.5 * self.reg * np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
+            return np.add.reduce(np.logaddexp(0.0, -margins), axis=1) / z.shape[1] + penalty
 
     def stochastic_gradient(self, i, x, rng, t=0):
         return self._gradient(self._minibatch(i, rng, t), x)
@@ -478,7 +481,7 @@ class MlpProblem(_DatasetProblem):
         np.matmul(dhidden.transpose(0, 2, 1), z, out=out[:, b[0] : b[1]].reshape(k, h, p))
         out[:, b[1] : b[2]] = dhidden.sum(axis=1)
         if losses:
-            return np.mean(np.logaddexp(0.0, -y * logits), axis=1)
+            return np.add.reduce(np.logaddexp(0.0, -y * logits), axis=1) / m
 
     def stochastic_gradient(self, i, x, rng, t=0):
         return self._gradient(self._minibatch(i, rng, t), x)

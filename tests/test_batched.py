@@ -45,7 +45,8 @@ def _reference_compress(comp, x, rng):
     if comp.kind == "topk":
         idx = np.argsort(-np.abs(x), kind="stable")[:k]
     else:
-        idx = rng.choice(d, size=k, replace=False)
+        keys = rng.random(d)
+        idx = np.argsort(-keys, kind="stable")[:k]
     out = np.zeros_like(x)
     out[idx] = x[idx]
     if comp.unbiased:
@@ -172,6 +173,33 @@ def test_topk_branches_keep_the_stable_argsort_set(kind, fraction, fast, monkeyp
     monkeypatch.undo()
     assert len(scans) == (0 if fast else 1)
     literal = np.stack([_reference_compress(comp, row, None) for row in rows])
+    assert got.tobytes() == literal.tobytes()
+
+
+class _TiedKeys:
+    # a generator stand-in whose uniform keys repeat: 0.5 at every even
+    # coordinate of a row, 0.25 at every odd one
+    def random(self, shape):  # a block (n, d) or a row d
+        keys = np.where(np.arange(np.atleast_1d(shape)[-1]) % 2 == 0, 0.5, 0.25)
+        return np.broadcast_to(keys, shape).copy()
+
+
+@pytest.mark.parametrize("spec", ["random:0.3", "random:0.3:unbiased"])
+def test_random_tied_keys_keep_the_stable_argsort_set(spec, monkeypatch):
+    rows = np.arange(1.0, 37.0).reshape(4, 9)  # k = 2 of five tied keys
+    scans, cumsum = [], np.cumsum
+
+    def counted(*args, **kwargs):  # the tie scan's cumsum runs only on the fallback
+        scans.append(1)
+        return cumsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counted)
+    comp = parse_compressor(spec)
+    got = compress_blocks(comp, rows, _TiedKeys()).payload
+    monkeypatch.undo()
+    assert len(scans) == 1
+    assert all(np.flatnonzero(row).tolist() == [0, 2] for row in got)  # the lowest indices
+    literal = np.stack([_reference_compress(comp, row, _TiedKeys()) for row in rows])
     assert got.tobytes() == literal.tobytes()
 
 

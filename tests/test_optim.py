@@ -239,8 +239,10 @@ def test_log_every_row_schedule():
     rec = run(problem, cfg, mixing_matrix(ring(4)), parse_compressor("sign"),
               seed=0, log_every=3)
     assert rec.t == [3, 6, 9, 10]  # final iteration always logged
-    with pytest.raises(ValueError):
-        run(problem, cfg, mixing_matrix(ring(4)), log_every=0)
+    assert run(problem, cfg, mixing_matrix(ring(4)), log_every=np.int64(4)).t == [4, 8, 10]
+    for bad in (0, -1, 2.5, 3.0, True, "3", None):
+        with pytest.raises(ValueError, match="^log_every must be an integer >= 1$"):
+            run(problem, cfg, mixing_matrix(ring(4)), log_every=bad)
 
 
 def test_recorded_iterates_cover_every_step():

@@ -125,6 +125,20 @@ def test_topk_keeps_the_stable_argsort_set(rows, fraction):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@settings(max_examples=120, deadline=None)
+@given(data=blocked_rows(max_rows=6, max_dim=40),
+       fraction=st.sampled_from([0.01, 0.1, 0.3, 0.5, 0.9, 1.0]), seed=st.integers(0, 2**32))
+def test_random_keeps_exactly_k_entries_of_each_row(data, fraction, seed):
+    rows = data[0]
+    rows[rows == 0.0] = 1.0  # no zeros: a kept entry is a nonzero one
+    comp = parse_compressor(f"random:{fraction}")
+    got = compress_blocks(comp, rows, _rng(seed)).payload
+    k = max(1, int(np.floor(fraction * rows.shape[1])))
+    kept = got != 0.0
+    assert (kept.sum(axis=1) == k).all()
+    assert np.array_equal(got[kept], rows[kept])
+
+
 @settings(max_examples=200, deadline=None)
 @given(d=st.integers(1, 10**7), bits=st.integers(2, 64),
        fraction=st.floats(0.0, 1.0, exclude_min=True), unbiased=st.booleans())

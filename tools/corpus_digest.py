@@ -1,4 +1,4 @@
-"""One sha256 over the outputs of a fixed corpus of small runs.
+"""sha256 digests of the outputs of a fixed corpus of small runs.
 
     PYTHONPATH=src python tools/corpus_digest.py
 
@@ -9,8 +9,12 @@ iteration and every third one, plus a run that diverges mid-run and one
 that starts from NaN. Each run contributes its logged rows, its divergence
 fields, ``max_grad_norm``, ``final_x_mean``, the ledger and its final
 state, ``record.workers`` (the one row of a centralized run, a row per
-node otherwise), every float as ``float.hex``. Two trees that print the
-same digest computed the same corpus bit for bit.
+node otherwise), every float as ``float.hex``.
+
+One line per compressor spec digests the runs of that compressor, so a
+trajectory change shows which families moved; the last line digests the
+whole corpus. Two trees that print the same last line computed the same
+corpus bit for bit.
 """
 
 import hashlib
@@ -66,7 +70,8 @@ def describe(record):
 
 
 def corpus():
-    """``(name, record)`` of every run of the corpus, in a fixed order."""
+    """``(name, spec, record)`` of every run of the corpus, in a fixed
+    order; ``spec`` is the run's compressor."""
     mixing = mixing_matrix(ring(N))
     for kind, problem in problems().items():
         x0 = np.linspace(-0.5, 0.5, problem.dim)
@@ -77,23 +82,28 @@ def corpus():
                     record = run(problem, cfg, mixing, parse_compressor(spec), seed=4,
                                  log_every=log_every, x0=x0)
                     name = "/".join([kind, *map(str, options.values()), spec, str(log_every)])
-                    yield name, record
+                    yield name, spec, record
     quadratic = make_quadratic(N, 7, heterogeneity=1.0, noise_std=0.5, seed=8)
     diverging = OptimizerConfig(eta=50.0, gamma=0.5, iterations=60)
-    yield "diverging", run(quadratic, diverging, mixing, parse_compressor("sign"), seed=4,
-                           x0=np.linspace(-0.5, 0.5, 7))
+    yield "diverging", "sign", run(quadratic, diverging, mixing, parse_compressor("sign"),
+                                   seed=4, x0=np.linspace(-0.5, 0.5, 7))
     nan_start = OptimizerConfig(eta=0.05, gamma=0.5, iterations=20)
-    yield "nan-start", run(quadratic, nan_start, mixing, parse_compressor("gsgd:4"), seed=1,
-                           x0=np.array([0.1, np.nan, 0.2, 0.3, 0.0, 0.0, 0.0]))
+    yield "nan-start", "gsgd:4", run(quadratic, nan_start, mixing, parse_compressor("gsgd:4"),
+                                     seed=1, x0=np.array([0.1, np.nan, 0.2, 0.3, 0.0, 0.0, 0.0]))
 
 
 def main():
     total = hashlib.sha256()
-    runs = 0
-    for name, record in corpus():
-        total.update(f"{name}\n{describe(record)}\n".encode())
-        runs += 1
-    print(f"{total.hexdigest()}  ({runs} runs)")
+    families = {spec: hashlib.sha256() for spec in COMPRESSORS}
+    runs = dict.fromkeys(COMPRESSORS, 0)
+    for name, spec, record in corpus():
+        text = f"{name}\n{describe(record)}\n".encode()
+        total.update(text)
+        families[spec].update(text)
+        runs[spec] += 1
+    for spec, digest in families.items():
+        print(f"{digest.hexdigest()}  ({runs[spec]} runs, {spec})")
+    print(f"{total.hexdigest()}  ({sum(runs.values())} runs)")
     return 0
 
 
