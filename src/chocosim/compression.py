@@ -15,10 +15,10 @@ exactly what the 1-D operator draws. ``topk`` and ``random`` share one
 selection kernel: a row keeps its k largest magnitudes, or its k largest
 uniform keys, drawn as one ``(n, d)`` block per message block.
 
-Payloads are fresh arrays owned by the caller; a kernel never writes to
-its input. The block layout of a row and its wire size depend only on
-``(comp, d, boundaries)``, so :func:`compress_blocks` validates and prices
-each such triple once per process.
+Payloads are fresh arrays owned by the caller, each kernel writing its
+block's slice; a kernel never writes to its input. The block layout of a
+row and its wire size depend only on ``(comp, d, boundaries)``, so
+:func:`compress_blocks` validates and prices each such triple once.
 """
 
 import functools
@@ -113,7 +113,7 @@ def _kept_count(fraction, dim):
     return max(1, int(np.floor(fraction * dim)))
 
 
-def _gsgd(v, bits, unbiased, rng):
+def _gsgd(v, bits, unbiased, rng, out):
     # sqrt(row @ row), the 1-D np.linalg.norm; np.linalg.norm(v, axis=1) and
     # einsum round differently
     norm = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
@@ -129,20 +129,20 @@ def _gsgd(v, bits, unbiased, rng):
     levels = 2.0 ** (bits - 1)
     # norm * sig(v) * floor(levels * |v| / norm + u) / levels, each step in
     # place: a fresh (n, d) temporary costs more than the arithmetic on it.
-    # sig(0) = +1 and sig(NaN) = -1, the signs np.where(v >= 0, 1, -1) gives.
-    out = (~(v >= 0.0)).astype(float)
+    # levels * |v| / norm is formed in out, which then takes sig(v); sig(0)
+    # = +1 and sig(NaN) = -1, the signs np.where(v >= 0, 1, -1) gives.
+    np.abs(v, out=out)
+    out *= levels
+    out /= norm
+    uniforms += out
+    np.copyto(out, ~(v >= 0.0))
     out *= -2.0
     out += 1.0
     out *= norm
-    scaled = np.abs(v)
-    scaled *= levels
-    scaled /= norm
-    uniforms += scaled
     out *= np.floor(uniforms, out=uniforms)
     out /= levels
     if not unbiased:
         out /= _gsgd_tau(bits, v.shape[1])
-    return out
 
 
 def _gsgd_tau(bits, dim):
@@ -150,7 +150,7 @@ def _gsgd_tau(bits, dim):
     return 1.0 + min(dim / levels**2, np.sqrt(dim) / levels)
 
 
-def _sparsify(comp, v, rng):
+def _sparsify(comp, v, rng, out):
     """``topk`` and ``random``: keep each row's k largest scores, ties at the
     k-th largest going to the lowest indices, the set a stable argsort of
     ``-score`` keeps. ``topk`` scores by magnitude (``fmax`` ranks a NaN
@@ -163,42 +163,45 @@ def _sparsify(comp, v, rng):
     (repeated values, a zero row, NaNs ranked last), and the ties are kept
     in index order up to k.
     """
-    d = v.shape[1]
+    n, d = v.shape
     k = _kept_count(comp.fraction, d)
     score = np.fmax(np.abs(v), -1.0) if comp.kind == "topk" else rng.random(v.shape)
-    thr = np.partition(score, d - k, axis=1)[:, d - k, None]
+    part = score.copy()
+    part.partition(d - k, axis=1)
+    thr = part[:, d - k, None]
     keep = score >= thr
-    if not (np.count_nonzero(keep, axis=1) == k).all():
+    # every row keeps at least its k scores >= thr, so n * k means exactly k each
+    if np.count_nonzero(keep) != n * k:
         above = score > thr
         tied = score == thr
         room = k - np.count_nonzero(above, axis=1)[:, None]
         keep = above | (tied & (np.cumsum(tied, axis=1) <= room))
-    out = np.where(keep, v, 0.0)
+    out[...] = 0.0
+    np.copyto(out, v, where=keep)
     if comp.unbiased:
         out *= d / k
-    return out
 
 
-def _sign(v):
+def _sign(v, out):
     # (sum_j |v_ij| / d) * sign(v_ij), each step after |v| in its own result
     scale = np.add.reduce(np.abs(v), axis=1)
     scale /= v.shape[1]
-    out = np.sign(v)
-    return np.multiply(scale[:, None], out, out=out)
+    np.multiply(scale[:, None], np.sign(v, out=out), out=out)
 
 
-def _row_payloads(comp, v, rng):
+def _row_payloads(comp, v, rng, out):
     """Payload of ``comp`` applied to each row of the 2-D ``v``, the rows
-    drawing from ``rng`` in row order."""
+    drawing from ``rng`` in row order, written into ``out`` (same shape)."""
     if comp.kind == "identity":
-        return v.copy()
-    if comp.kind == "sign":
-        return _sign(v)
-    if comp.stochastic and rng is None:
+        np.copyto(out, v)
+    elif comp.kind == "sign":
+        _sign(v, out)
+    elif comp.stochastic and rng is None:
         raise ValueError(f"{comp.kind} compression needs a random generator")
-    if comp.kind == "gsgd":
-        return _gsgd(v, comp.bits, comp.unbiased, rng)
-    return _sparsify(comp, v, rng)
+    elif comp.kind == "gsgd":
+        _gsgd(v, comp.bits, comp.unbiased, rng, out)
+    else:
+        _sparsify(comp, v, rng, out)
 
 
 def compress(comp, x, rng=None):
@@ -252,12 +255,12 @@ def compress_blocks(comp, x, rng=None, boundaries=None):
     if boundaries is not None:
         boundaries = tuple(boundaries)
     blocks, bits = _block_plan(comp, rows.shape[1], boundaries)
-    if len(blocks) == 1:
-        payload = _row_payloads(comp, rows, rng)
+    payload = np.empty_like(rows)
+    if len(blocks) == 1:  # no column views: a small row pays for each one
+        _row_payloads(comp, rows, rng, payload)
     else:
-        payload = np.empty_like(rows)
         for start, stop in blocks:
-            payload[:, start:stop] = _row_payloads(comp, rows[:, start:stop], rng)
+            _row_payloads(comp, rows[:, start:stop], rng, payload[:, start:stop])
     return CompressedMessage(payload=payload if x.ndim == 2 else payload[0],
                              bits=bits * rows.shape[0])
 

@@ -26,7 +26,7 @@ swap, so ``x_prev`` holds the previous iterate in its own buffer, never a
 view of ``x``. The centralized step writes into its one row too; only the
 exact baseline's step replaces ``x``, with the product ``W @ (...)``. So
 ``record.workers`` holds the final state, and whatever keeps an
-iteration's state (the logged rows, ``record_iterates``) copies it.
+iteration's state past the next step (``record_iterates``) copies it.
 
 Baselines: ``decentralized-exact`` (gradient step then exact neighborhood
 averaging, full-precision messages) and ``centralized`` (one shared
@@ -51,13 +51,13 @@ first failing node looked for.
 
 Logged rows are computed in blocks, after the iterations they describe. A
 logged iteration copies its state (``x``, and ``xhat`` for the compressed
-family) into a run-scoped block of about ``LOG_BLOCK_BYTES``. When the
-block is full, the loop ends or the run diverges, stacked calls compute
-every row of the block at once: the node mean, the consensus distance, the
-Lyapunov quantity, the loss and the squared gradient norm at the mean. Each
-value is, bit for bit, the one its row computes alone, so the CSV does not
-change; ``eval_s`` and ``stats_s`` of :attr:`RunRecord.timings` time this
-block work.
+family) into a run-scoped block of about ``LOG_BLOCK_BYTES``, unless it
+fills the block alone. When the block is full, the loop ends or the run
+diverges, stacked calls compute every row of the block at once: the node
+mean, the consensus distance, the Lyapunov quantity, the loss and the
+squared gradient norm at the mean. Each value is, bit for bit, the one its
+row computes alone, so the CSV does not change; ``eval_s`` and ``stats_s``
+of :attr:`RunRecord.timings` time this block work.
 """
 
 import math
@@ -213,6 +213,7 @@ def choco_step(workers, problem, mixing, comp, gamma, eta, streams, t,
         q = compress_blocks(comp, v, rng, boundaries).payload
         np.subtract(v, q, out=v)  # the memory keeps the compression error
         np.add(xhat, q, out=xhat)  # literal receiver-side reconstruction
+        del q  # the payload's storage is free before the gradients are
     else:
         sync_public(x, xhat, comp, rng, boundaries, out=xhat)
 
@@ -249,12 +250,13 @@ class _LoggedRows:
     A state is a copy of ``workers.x``, plus ``workers.xhat`` when the
     algorithm keeps public copies. A block holds ``LOG_BLOCK_BYTES //
     (bytes of one state)`` states, at least one and at most the ``logged``
-    rows of the run. Each row's value is the per-row definition's, bit for
-    bit: ``xbar = x.mean(axis=0)``, ``consensus_distance(x)``,
-    ``lyapunov(workers)``, ``loss_and_gradient(xbar)`` and ``grad @ grad``.
-    The spread ``sum_i ||x_i - xbar||^2`` that both statistics start from is
-    one ``squared_sum`` over the block: the consensus distance is it over n,
-    and psi is it plus the lag ``sum_i ||x_i - xhat_i||^2``. A one-row
+    rows of the run; a one-state block views ``workers``, flushed as added.
+    Each row's value is the per-row definition's, bit for bit: ``xbar =
+    x.mean(axis=0)``, ``consensus_distance(x)``, ``lyapunov(workers)``,
+    ``loss_and_gradient(xbar)`` and ``grad @ grad``. The spread ``sum_i
+    ||x_i - xbar||^2`` that both statistics start from is one
+    ``squared_sum`` over the block: the consensus distance is it over n, and
+    psi is it plus the lag ``sum_i ||x_i - xhat_i||^2``. A one-row
     (centralized) state is its own mean, so its spread and psi are 0.0.
     """
 
@@ -262,8 +264,8 @@ class _LoggedRows:
         self.record, self.problem, self.busiest_charge = record, problem, busiest_charge
         public = workers.xhat is not None
         size = max(1, min(logged, LOG_BLOCK_BYTES // (workers.x.nbytes * (1 + public))))
-        self.x = np.empty((size,) + workers.x.shape)
-        self.xhat = np.empty_like(self.x) if public else None
+        self.x = np.empty((size,) + workers.x.shape) if size > 1 else workers.x[None]
+        self.xhat = (np.empty_like(self.x) if size > 1 else workers.xhat[None]) if public else None
         self.t = []
         self.eval_s = self.stats_s = 0.0
 
@@ -271,9 +273,13 @@ class _LoggedRows:
         """Keep iteration t's state; True when the block is full."""
         tick = time.perf_counter()
         k = len(self.t)
-        self.x[k] = workers.x
-        if self.xhat is not None:
-            self.xhat[k] = workers.xhat
+        if len(self.x) == 1:
+            self.x = workers.x[None]
+            self.xhat = None if self.xhat is None else workers.xhat[None]
+        else:
+            self.x[k] = workers.x
+            if self.xhat is not None:
+                self.xhat[k] = workers.xhat
         self.t.append(t)
         self.stats_s += time.perf_counter() - tick
         return k + 1 == len(self.x)

@@ -19,16 +19,17 @@ A dataset problem computes its loss and gradient in one stacked kernel,
 the definition: ``(k, m, p)`` sample stacks at ``(k, dim)`` rows, where a
 stacked ``np.matmul`` runs one gemm or gemv per row with the operand
 layout of the 2-D call (a gemm in place of a per-row gemv rounds
-differently). ``node_loss``, ``node_gradient`` and ``stochastic_gradient``
-are its one-row calls, on a shard or a minibatch. ``stochastic_gradients``
-is one call on the stacked minibatches, or one call per node when shards
-smaller than ``batch`` make the minibatch sizes unequal.
-``loss_and_gradient`` is one call per shard, and ``loss`` is its first
-half; ``full_gradient`` runs the same shard loop with no loss computed.
-The quadratic's per-node forms are its definitions, and its stacked forms
-equal them bit for bit.
+differently). ``stochastic_gradients`` is one call on the stacked
+minibatches, or one call per node when shards smaller than ``batch`` make
+the minibatch sizes unequal. The full-batch oracles read epoch-0 sample
+stacks gathered once: ``node_loss`` and ``node_gradient`` are one-shard
+calls, and ``loss_and_gradient`` one call per chunk of a few shards and
+row; ``loss`` is its first half, and ``full_gradient`` makes the same
+calls with no loss computed. The quadratic's per-node forms are its
+definitions, and its stacked forms equal them bit for bit.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -37,6 +38,9 @@ import numpy as np
 from .numerics import RandomStream, require_finite, sym_eigenvalues
 
 PARTITION_MODES = ("iid-reshuffled", "fixed-split")
+# sample bytes per full-batch kernel call: a few shards, whose activations
+# stay in cache (two MLP shards of the benchmark; all 16 at once are slower)
+EVAL_CHUNK_BYTES = 2**17
 
 
 @dataclass
@@ -278,6 +282,10 @@ class _DatasetProblem:
     p)`` and ``(k, m)`` sample stacks, ``x`` is ``(k, dim)`` rows, row j's
     gradient on sample set j is written into ``out[j]``, and the ``(k,)``
     losses are returned when ``losses`` is true.
+
+    The epoch-0 shards are gathered once, at construction, into one stack
+    per run of equal shard sizes (``array_split`` deals the larger first: at
+    most two), read in chunks of about ``EVAL_CHUNK_BYTES``, a call each.
     """
 
     def __init__(self, n, features, labels, partition, batch):
@@ -293,17 +301,24 @@ class _DatasetProblem:
             raise ValueError("batch must be >= 1")
         self.partition = partition
         self.batch = int(batch)
-        self._shards_cache = {}
-        self._layout = None
+        self._dealt = None
+        self._chunks, self._nodes = self._stack(*self._deal(0)[1:])
 
-    def _shards(self, epoch):
+    def _deal(self, epoch):
+        """``(shards, sizes, starts, flat)`` of an epoch: each node's sample
+        indices, their counts and starts in ``flat``, their concatenation;
+        kept until another epoch is dealt."""
         if self.partition.mode == "fixed-split":
             epoch = 0
-        if epoch not in self._shards_cache:
-            # evaluation reads epoch 0 while training moves on; keep both
-            self._shards_cache = {e: s for e, s in self._shards_cache.items() if e == 0}
-            self._shards_cache[epoch] = self.partition.shards(epoch)
-        return self._shards_cache[epoch]
+        if self._dealt is None or self._dealt[0] != epoch:
+            shards = self.partition.shards(epoch)
+            sizes = np.array([shard.shape[0] for shard in shards])
+            starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+            self._dealt = (epoch, shards, sizes, starts, np.concatenate(shards))
+        return self._dealt[1:]
+
+    def _shards(self, epoch):
+        return self._deal(epoch)[0]
 
     def _epoch(self, t):
         per_node = self.features.shape[0] // self.n
@@ -314,20 +329,11 @@ class _DatasetProblem:
         shard = self._shards(self._epoch(t))[i]
         return shard[rng.integers(0, shard.shape[0], size=min(self.batch, shard.shape[0]))]
 
-    def _shard_layout(self, shards):
-        """``(sizes, starts, flat)``: each shard's size and start in ``flat``,
-        the shards' concatenation; kept while the epoch's shards are."""
-        if self._layout is None or self._layout[0] is not shards:
-            sizes = np.array([shard.shape[0] for shard in shards])
-            starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
-            self._layout = (shards, sizes, starts, np.concatenate(shards))
-        return self._layout[1:]
-
     def _minibatches(self, rng, t):
         """``(n, m)`` sample indices, row i drawn from node i's shard, as
         :meth:`_minibatch` draws them node after node; ``None``, drawing
         nothing, when the minibatch sizes differ."""
-        sizes, starts, flat = self._shard_layout(self._shards(self._epoch(t)))
+        _, sizes, starts, flat = self._deal(self._epoch(t))
         m = min(self.batch, sizes.min())
         if min(self.batch, sizes.max()) != m:
             return None
@@ -335,74 +341,82 @@ class _DatasetProblem:
         offsets = rng.integers(0, np.repeat(sizes, m), size=n * m).reshape(n, m)
         return flat[starts[:, None] + offsets]
 
-    def _samples(self, idx, x, out, losses=False):
-        """The kernel's one-row call, in the caller's ``np.errstate``: samples
-        ``idx`` at one ``x``, the gradient written into the ``(1, dim)`` row ``out``."""
-        loss = self._kernel(self.features[idx][None], self.labels[idx][None],
-                            np.asarray(x)[None], out, losses)
-        return None if loss is None else float(loss[0])
+    def _stack(self, sizes, starts, flat):
+        """``(chunks, nodes)`` of a split: ``(first node, z, y)`` sample stacks
+        of a few shards each, and each node's ``(z, y)``, in node order."""
+        z, y = self.features[flat], self.labels[flat]
+        chunks, nodes = [], []
+        for m, group in itertools.groupby(sizes.tolist()):
+            count, lo = len(list(group)), starts[len(nodes)]
+            stack = z[lo : lo + count * m].reshape(count, m, z.shape[1])
+            labels = y[lo : lo + count * m].reshape(count, m)
+            step = max(1, EVAL_CHUNK_BYTES // stack[0].nbytes)
+            chunks += [(len(nodes) + j, stack[j : j + step], labels[j : j + step])
+                       for j in range(0, count, step)]
+            nodes += zip(stack, labels)
+        return chunks, nodes
 
-    def _gradient(self, idx, x):
+    def _one(self, z, y, x, losses=False):
+        """The kernel on one ``(m, p)`` sample set at one ``x``: ``(loss,
+        gradient)``, the loss ``None`` without ``losses``."""
         out = np.empty((1, self.dim))
         with np.errstate(over="ignore"):
-            self._samples(idx, x, out)
-        return out[0]
+            loss = self._kernel(z[None], y[None], np.asarray(x)[None], out, losses)
+        return (None if loss is None else float(loss[0])), out[0]
 
     def node_loss(self, i, x):
-        with np.errstate(over="ignore"):
-            return self._samples(self._shards(0)[i], x, np.empty((1, self.dim)), losses=True)
+        return self._one(*self._nodes[i], x, losses=True)[0]
 
     def node_gradient(self, i, x):
-        return self._gradient(self._shards(0)[i], x)
+        return self._one(*self._nodes[i], x)[1]
+
+    def _stochastic_gradient(self, i, x, rng, t):
+        idx = self._minibatch(i, rng, t)
+        return self._one(self.features[idx], self.labels[idx], x)[1]
 
     def stochastic_gradients(self, x_rows, rng, t=0):
         """Row i is ``stochastic_gradient(i, x_rows[i], rng, t)`` of nodes
         drawing in node order, bit for bit: one ``(n, batch)`` index draw
         and one kernel call on the stacked ``(n, m, p)`` batch, or, when the
         minibatch sizes differ, a draw and a kernel call per node."""
-        g = np.empty(x_rows.shape)
         idx = self._minibatches(rng, t)
+        if idx is None:
+            return np.stack([self._stochastic_gradient(i, x, rng, t)
+                             for i, x in enumerate(x_rows)])
+        g = np.empty(x_rows.shape)
         with np.errstate(over="ignore"):
-            if idx is not None:
-                self._kernel(self.features[idx], self.labels[idx], x_rows, g)
-                return g
-            for i in range(x_rows.shape[0]):
-                self._samples(self._minibatch(i, rng, t), x_rows[i], g[i : i + 1])
+            self._kernel(self.features[idx], self.labels[idx], x_rows, g)
         return g
 
     def loss(self, x):
         return self.loss_and_gradient(x)[0]
 
     def full_gradient(self, x):
-        return self._shard_mean(x, losses=False)[1]
+        return self.loss_and_gradient(x, losses=False)[1]
 
-    def loss_and_gradient(self, x):
+    def loss_and_gradient(self, x, losses=True):
         """``(f(x), grad f(x))``: the mean of ``node_loss`` and of
-        ``node_gradient`` over the nodes, each sum in node order, from one
-        kernel call per shard; ``(b, dim)`` rows are evaluated one after
-        another."""
-        return self._shard_mean(x, losses=True)
-
-    def _shard_mean(self, x, losses):
-        """The shard loop of :meth:`loss_and_gradient`; without ``losses``
-        the kernel computes no loss and the loss is ``None``.
-
-        Node 0's gradient is written into the result and every later
-        node's into one reused row, which is added to it in place.
-        """
-        if np.ndim(x) == 2:
-            pairs = [self._shard_mean(row, losses) for row in x]
-            loss = np.array([loss for loss, _ in pairs]) if losses else None
-            return loss, np.stack([g for _, g in pairs])
-        g, piece = np.empty((1, self.dim)), np.empty((1, self.dim))
-        shard_losses = []
+        ``node_gradient`` over the nodes; of each of ``(b, dim)`` rows, a
+        ``(b,)`` loss and ``(b, dim)`` gradients; without ``losses``, no
+        loss is computed and it is ``None``. A row is broadcast over each
+        chunk; its node gradients, written into one ``(n, dim)`` buffer,
+        are added one after another, and its node losses as Python floats,
+        in node order."""
+        rows = np.atleast_2d(x)
+        g, grads, f = np.empty(rows.shape), np.empty((self.n, self.dim)), []
         with np.errstate(over="ignore"):
-            for i, idx in enumerate(self._shards(0)):
-                shard_losses.append(self._samples(idx, x, g if i == 0 else piece, losses))
-                if i:
-                    g += piece
+            for row, acc in zip(rows, g):
+                node_losses, wide = [], np.broadcast_to(row, grads.shape)
+                for node, z, y in self._chunks:
+                    chunk = self._kernel(z, y, wide[: len(z)], grads[node : node + len(z)], losses)
+                    node_losses += chunk.tolist() if losses else []
+                acc[...] = grads[0]
+                for piece in grads[1:]:
+                    acc += piece
+                f.append(sum(node_losses) / self.n)
         g /= self.n
-        return (sum(shard_losses) / self.n if losses else None), g[0]
+        f = (f[0] if np.ndim(x) == 1 else np.array(f)) if losses else None
+        return f, (g[0] if np.ndim(x) == 1 else g)
 
 
 class LogisticProblem(_DatasetProblem):
@@ -433,7 +447,7 @@ class LogisticProblem(_DatasetProblem):
             return np.add.reduce(np.logaddexp(0.0, -margins), axis=1) / z.shape[1] + penalty
 
     def stochastic_gradient(self, i, x, rng, t=0):
-        return self._gradient(self._minibatch(i, rng, t), x)
+        return self._stochastic_gradient(i, x, rng, t)
 
     def smoothness(self):
         gram = self.features.T @ self.features / (4.0 * self.features.shape[0])
@@ -484,7 +498,7 @@ class MlpProblem(_DatasetProblem):
             return np.add.reduce(np.logaddexp(0.0, -y * logits), axis=1) / m
 
     def stochastic_gradient(self, i, x, rng, t=0):
-        return self._gradient(self._minibatch(i, rng, t), x)
+        return self._stochastic_gradient(i, x, rng, t)
 
     def smoothness(self):
         return None  # no closed form; use estimate_constants

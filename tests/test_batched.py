@@ -6,6 +6,7 @@ generator, and the nodes draw from it one after another, in node order."""
 import numpy as np
 import pytest
 
+from chocosim import problems
 from chocosim.compression import bit_cost, compress, compress_blocks, parse_compressor
 from chocosim.consensus import consensus_distance
 from chocosim.metrics import TrafficLedger
@@ -350,6 +351,48 @@ def test_dataset_oracles_equal_the_expressions_as_first_written(make):
     assert problem.loss(block).tolist() == [problem.loss(row) for row in block]
     assert problem.full_gradient(block).tobytes() == np.stack(
         [problem.full_gradient(row) for row in block]).tobytes()
+
+
+@pytest.mark.parametrize("shards_per_call", [1, 2, 3])
+@pytest.mark.parametrize("make", [
+    # 4 shards of 7 samples, then 12 of 6
+    pytest.param(lambda: make_mlp(16, samples=100, batch=32, seed=5), id="mlp-ragged"),
+    pytest.param(lambda: make_logistic(3, dim=4, samples=100, batch=8, seed=2),
+                 id="logistic-unequal-shards"),
+    pytest.param(lambda: make_mlp(8, input_dim=5, hidden=8, samples=202, batch=16,
+                                  mode="fixed-split", by_label=True, seed=5),
+                 id="mlp-by-label"),
+])
+def test_chunked_evaluation_equals_the_node_loop_at_any_chunk_size(make, shards_per_call,
+                                                                   monkeypatch):
+    problem = make()
+    n, width = problem.n, problem.features.shape[1] * 8
+    sizes = [shard.shape[0] for shard in problem._shards(0)]
+    budget = shards_per_call * max(sizes) * width
+    monkeypatch.setattr(problems, "EVAL_CHUNK_BYTES", budget)
+    problem = make()  # the chunks are laid out when the problem is built
+    calls = []
+    kernel = type(problem)._kernel
+
+    def spied(self, z, y, x, out, losses=False):
+        calls.append(z.shape[0])
+        return kernel(self, z, y, x, out, losses)
+
+    monkeypatch.setattr(type(problem), "_kernel", spied)
+    x_rows = 0.5 * np.random.default_rng(4).standard_normal((3, problem.dim))
+    loss, grad = problem.loss_and_gradient(x_rows)
+    # one call per chunk of each run of equal shard sizes, per row
+    chunks = []
+    for m in sorted(set(sizes), reverse=True):
+        step = budget // (m * width)
+        chunks += [min(step, sizes.count(m) - j) for j in range(0, sizes.count(m), step)]
+    assert calls == chunks * 3
+    for x, f_x, g_x in zip(x_rows, loss.tolist(), grad):
+        assert f_x == sum(problem.node_loss(i, x) for i in range(n)) / n
+        g = problem.node_gradient(0, x)
+        for i in range(1, n):
+            g = g + problem.node_gradient(i, x)
+        assert g_x.tobytes() == (g / n).tobytes()
 
 
 def test_shards_are_dealt_once_per_training_epoch(monkeypatch):

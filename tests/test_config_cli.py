@@ -194,6 +194,18 @@ def test_build_topology_specs(tmp_path):
             build_topology(bad)
 
 
+def test_a_disconnected_edge_list_exits_one_with_one_line(tmp_path, capsys):
+    # without its connectivity check the graph would fail later, on its
+    # spectral gap, with a line that does not say what is wrong
+    edges = tmp_path / "g.txt"
+    edges.write_text("0 1\n2 3\n")
+    path = _write_config(tmp_path, topology=f"edgelist:{edges}")  # problem.n is 4
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: graph must be connected to average"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_build_problem_dispatch(tmp_path):
     quad = build_problem({"kind": "quadratic", "n": 4, "dim": 3})
     assert isinstance(quad, QuadraticProblem) and quad.n == 4
@@ -527,6 +539,16 @@ def test_sweep_warns_on_grid_boundary(tmp_path, monkeypatch, capsys):
     assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == 0
     out = capsys.readouterr().out
     assert "boundary" in out
+
+
+def test_sweep_warns_when_the_best_eta_is_the_smallest(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CHOCO_THREADS", "1")
+    # exact line search on 1/2 x^2 is eta = 1, the low edge of this grid
+    path = _sweep_config(tmp_path, eta_grid=[1.0, 1.5, 1.9])
+    assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == 0
+    out = capsys.readouterr().out
+    assert "best: eta=1.0" in out
+    assert "warning: best stepsize lies on the grid boundary; widen eta_grid" in out
 
 
 def test_sweep_all_diverged_exits_two(tmp_path, monkeypatch, capsys):

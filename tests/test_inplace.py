@@ -149,7 +149,7 @@ def test_dataset_full_gradient_skips_the_loss_and_equals_loss_and_gradient(probl
     monkeypatch.setattr(type(problem), "_kernel", spied)
     problem.full_gradient(x)
     problem.full_gradient(rows)
-    assert asked == [False] * (4 + 3 * 4)  # one call per shard, no loss
+    assert asked == [False] * (1 + 3)  # the 4 shards are one chunk: a call per row, no loss
 
 
 def test_tracer_counts_one_call_per_layer_per_iteration(tmp_path, monkeypatch):

@@ -66,6 +66,17 @@ def test_blocked_compression_checks_equal_the_per_vector_loop():
         assert block.detail == check.detail
 
 
+def test_a_bound_check_fails_just_above_its_bound():
+    bound = 1.05
+    assert verify._bound_check("c", bound, bound).passed
+    above = verify._bound_check("c", float(np.nextafter(bound, np.inf)), bound)
+    assert not above.passed and above.margin < 0.0
+    # a zero bound: any positive value fails, the smallest one too
+    assert verify._bound_check("z", 0.0, 0.0).passed
+    above = verify._bound_check("z", 5e-324, 0.0)
+    assert not above.passed and above.margin < 0.0
+
+
 def _per_round_psi(graph, comp_spec, dim, rounds, seed=3, gamma=None):
     # _gossip_trajectory as first written: psi after every round
     mixing = mixing_matrix(graph)

@@ -6,10 +6,11 @@ The corpus is every algorithm (momentum also with Nesterov) x the
 compressors ``identity``, ``sign``, ``topk:0.2``, ``gsgd:4`` and
 ``random:0.3`` x the quadratic, logistic and MLP problems, logged every
 iteration and every third one, plus a run that diverges mid-run and one
-that starts from NaN. Each run contributes its logged rows, its divergence
-fields, ``max_grad_norm``, ``final_x_mean``, the ledger and its final
-state, ``record.workers`` (the one row of a centralized run, a row per
-node otherwise), every float as ``float.hex``.
+that starts from NaN. A second MLP deals 100 samples to the 6 nodes, so
+its shards are ragged (17 and 16 samples). Each run contributes its
+logged rows, its divergence fields, ``max_grad_norm``, ``final_x_mean``,
+the ledger and its final state, ``record.workers`` (the one row of a
+centralized run, a row per node otherwise), every float as ``float.hex``.
 
 One line per compressor spec digests the runs of that compressor, so a
 trajectory change shows which families moved; the last line digests the
@@ -45,6 +46,7 @@ def problems():
         "quadratic": make_quadratic(N, 7, heterogeneity=1.0, noise_std=0.5, seed=8),
         "logistic": make_logistic(N, dim=5, samples=120, batch=8, seed=8),
         "mlp": make_mlp(N, input_dim=3, hidden=4, samples=96, batch=8, seed=8),
+        "mlp-ragged": make_mlp(N, input_dim=3, hidden=4, samples=100, batch=8, seed=8),
     }
 
 
