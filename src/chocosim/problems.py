@@ -5,28 +5,28 @@ additive Gaussian gradient noise, L2-regularized logistic regression on a
 two-blob dataset (minibatch noise), and a one-hidden-layer tanh network
 (non-convex, minibatch noise, per-layer parameter blocks). All expose the
 same oracle interface, so the optimizers never need to know which one they
-are running on: ``stochastic_gradient`` for one node, and
-``stochastic_gradients`` for all nodes' rows at once from one generator
-(every ``rng`` here is a ``numpy.random.Generator``), whose randomness is
-one ``(n, .)`` block (quadratic noise ``(n, dim)``, minibatch indices
-``(n, batch)``), row i for node i. Row i equals
-``stochastic_gradient`` of node i when the nodes draw one after another, in
-node order, from that generator. Logged rows ask ``loss_and_gradient(x)``
-for ``(loss(x), full_gradient(x))``, of one x or of a ``(b, dim)`` block of
-rows. Sums over nodes run in node order.
+are running on: ``stochastic_gradients`` draws stacked rows' gradients from
+one generator (every ``rng`` here is a ``numpy.random.Generator``), row r
+for node ``nodes[r]``, node r without a map, as one ``(k, .)`` block of
+randomness (quadratic noise ``(k, dim)``, minibatch indices ``(k,
+batch)``); row r equals the one-row call ``stochastic_gradient`` when the
+rows draw one after another, in row order. Logged rows ask
+``loss_and_gradient(x)`` for ``(loss(x), full_gradient(x))``, of one x or
+of a ``(b, dim)`` block of rows. Sums over nodes run in node order.
 
 A dataset problem computes its loss and gradient in one stacked kernel,
 the definition: ``(k, m, p)`` sample stacks at ``(k, dim)`` rows, where a
 stacked ``np.matmul`` runs one gemm or gemv per row with the operand
 layout of the 2-D call (a gemm in place of a per-row gemv rounds
 differently). ``stochastic_gradients`` is one call on the stacked
-minibatches, or one call per node when shards smaller than ``batch`` make
+minibatches, or one call per row when shards smaller than ``batch`` make
 the minibatch sizes unequal. The full-batch oracles read epoch-0 sample
 stacks gathered once: ``node_loss`` and ``node_gradient`` are one-shard
 calls, and ``loss_and_gradient`` one call per chunk of a few shards and
 row; ``loss`` is its first half, and ``full_gradient`` makes the same
-calls with no loss computed. The quadratic's per-node forms are its
-definitions, and its stacked forms equal them bit for bit.
+calls with no loss computed. The quadratic's ``node_loss`` and
+``node_gradient`` are its definitions, and its stacked forms equal them bit
+for bit.
 """
 
 import itertools
@@ -255,18 +255,19 @@ class QuadraticProblem:
         return self.loss(x), self.full_gradient(x)
 
     def stochastic_gradient(self, i, x, rng, t=0):
-        noise = self._noise_coord_std * rng.standard_normal(self.dim)
-        return self.node_gradient(i, x) + noise
+        return self.stochastic_gradients(np.asarray(x)[None], rng, t, [i])[0]
 
-    def stochastic_gradients(self, x_rows, rng, t=0):
-        """Node gradients plus one ``(n, dim)`` noise block; row i is
-        ``stochastic_gradient(i, x_rows[i], rng, t)`` of nodes drawing in
-        node order, bit for bit."""
-        n = x_rows.shape[0]
+    def stochastic_gradients(self, x_rows, rng, t=0, nodes=None):
+        """Node gradients plus one ``(k, dim)`` noise block: row r is
+        ``node_gradient(nodes[r], x_rows[r])`` (node r without ``nodes``)
+        plus its row of scaled draws, the rows drawing in row order, bit
+        for bit."""
+        k = x_rows.shape[0]
         # the noise block is drawn into the result and scaled there
-        g = rng.standard_normal(n * self.dim).reshape(n, self.dim)
+        g = rng.standard_normal(k * self.dim).reshape(k, self.dim)
         np.multiply(self._noise_coord_std, g, out=g)
-        r = np.subtract(x_rows, self.node_optima, order="C")
+        optima = self.node_optima if nodes is None else self.node_optima[nodes]
+        r = np.subtract(x_rows, optima, order="C")
         # one gemv per row, as in node_gradient; r @ hessian.T (gemm) rounds differently
         return np.add(np.matmul(self.hessian, r[:, :, None])[:, :, 0], g, out=g)
 
@@ -317,28 +318,24 @@ class _DatasetProblem:
             self._dealt = (epoch, shards, sizes, starts, np.concatenate(shards))
         return self._dealt[1:]
 
-    def _shards(self, epoch):
-        return self._deal(epoch)[0]
-
     def _epoch(self, t):
         per_node = self.features.shape[0] // self.n
         draws_per_epoch = max(1, per_node // self.batch)
         return int(t) // draws_per_epoch
 
-    def _minibatch(self, i, rng, t):
-        shard = self._shards(self._epoch(t))[i]
-        return shard[rng.integers(0, shard.shape[0], size=min(self.batch, shard.shape[0]))]
-
-    def _minibatches(self, rng, t):
-        """``(n, m)`` sample indices, row i drawn from node i's shard, as
-        :meth:`_minibatch` draws them node after node; ``None``, drawing
+    def _minibatches(self, rng, t, nodes):
+        """``(k, m)`` sample indices, row r drawn from the shard of node
+        ``nodes[r]`` (of node r without ``nodes``), ``m = min(batch, shard
+        size)`` uniform draws each, in row order; ``None``, drawing
         nothing, when the minibatch sizes differ."""
         _, sizes, starts, flat = self._deal(self._epoch(t))
+        if nodes is not None:
+            sizes, starts = sizes[nodes], starts[nodes]
         m = min(self.batch, sizes.min())
         if min(self.batch, sizes.max()) != m:
             return None
-        n = sizes.shape[0]
-        offsets = rng.integers(0, np.repeat(sizes, m), size=n * m).reshape(n, m)
+        k = sizes.shape[0]
+        offsets = rng.integers(0, np.repeat(sizes, m), size=k * m).reshape(k, m)
         return flat[starts[:, None] + offsets]
 
     def _stack(self, sizes, starts, flat):
@@ -370,19 +367,16 @@ class _DatasetProblem:
     def node_gradient(self, i, x):
         return self._one(*self._nodes[i], x)[1]
 
-    def _stochastic_gradient(self, i, x, rng, t):
-        idx = self._minibatch(i, rng, t)
-        return self._one(self.features[idx], self.labels[idx], x)[1]
-
-    def stochastic_gradients(self, x_rows, rng, t=0):
-        """Row i is ``stochastic_gradient(i, x_rows[i], rng, t)`` of nodes
-        drawing in node order, bit for bit: one ``(n, batch)`` index draw
-        and one kernel call on the stacked ``(n, m, p)`` batch, or, when the
-        minibatch sizes differ, a draw and a kernel call per node."""
-        idx = self._minibatches(rng, t)
+    def stochastic_gradients(self, x_rows, rng, t=0, nodes=None):
+        """Row r is the minibatch gradient of node ``nodes[r]`` (of node r
+        without ``nodes``) at ``x_rows[r]``: one ``(k, m)`` index draw and
+        one kernel call on the stacked ``(k, m, p)`` batch, or, when the
+        minibatch sizes differ, a one-row call per row, in row order."""
+        idx = self._minibatches(rng, t, nodes)
         if idx is None:
-            return np.stack([self._stochastic_gradient(i, x, rng, t)
-                             for i, x in enumerate(x_rows)])
+            nodes = range(len(x_rows)) if nodes is None else nodes
+            return np.concatenate([self.stochastic_gradients(x[None], rng, t, [i])
+                                   for i, x in zip(nodes, x_rows)])
         g = np.empty(x_rows.shape)
         with np.errstate(over="ignore"):
             self._kernel(self.features[idx], self.labels[idx], x_rows, g)
@@ -447,7 +441,7 @@ class LogisticProblem(_DatasetProblem):
             return np.add.reduce(np.logaddexp(0.0, -margins), axis=1) / z.shape[1] + penalty
 
     def stochastic_gradient(self, i, x, rng, t=0):
-        return self._stochastic_gradient(i, x, rng, t)
+        return self.stochastic_gradients(np.asarray(x)[None], rng, t, [i])[0]
 
     def smoothness(self):
         gram = self.features.T @ self.features / (4.0 * self.features.shape[0])
@@ -498,7 +492,7 @@ class MlpProblem(_DatasetProblem):
             return np.add.reduce(np.logaddexp(0.0, -y * logits), axis=1) / m
 
     def stochastic_gradient(self, i, x, rng, t=0):
-        return self._stochastic_gradient(i, x, rng, t)
+        return self.stochastic_gradients(np.asarray(x)[None], rng, t, [i])[0]
 
     def smoothness(self):
         return None  # no closed form; use estimate_constants
@@ -549,8 +543,15 @@ def estimate_constants(problem, seed=0, trials=8, grad_samples=16,
     differences of the exact full gradient; for quadratics this converges to
     the true largest curvature. ``sigma^2`` and ``G^2`` are sampled at
     ``trials`` random points (``center + radius * gaussian``) by comparing
-    stochastic gradients against the exact per-node gradients.
+    stochastic gradients against the exact per-node gradients: a node's
+    ``grad_samples`` gradients at a point are one stacked oracle call on the
+    node's own stream, and their errors and squared norms are summed in
+    sample order.
     """
+    for name, value in (("trials", trials), ("grad_samples", grad_samples),
+                        ("power_iters", power_iters)):
+        if value < 1:
+            raise ValueError(f"estimate_constants: {name} must be >= 1, got {value}")
     dim = problem.dim
     stream = RandomStream(seed, 0, "estimate")
     rng = stream.generator()  # v and the points; node samples use stream.at(k)
@@ -576,15 +577,18 @@ def estimate_constants(problem, seed=0, trials=8, grad_samples=16,
     g_sq = 0.0
     for trial in range(trials):
         point = center + radius * rng.standard_normal(dim)
+        points = np.tile(point, (grad_samples, 1))
         for i in range(problem.n):
             exact = problem.node_gradient(i, point)
-            node_rng = stream.at(trial * problem.n + i)
-            sq_err = 0.0
-            sq_norm = 0.0
-            for _ in range(grad_samples):
-                g = problem.stochastic_gradient(i, point, node_rng)
-                sq_err += float(np.sum((g - exact) ** 2))
-                sq_norm += float(g @ g)
+            g = problem.stochastic_gradients(points, stream.at(trial * problem.n + i), 0,
+                                             np.full(grad_samples, i))
+            # a per-row pairwise sum and a per-row ddot, as np.sum and g @ g of one row
+            errors = np.add.reduce((g - exact) ** 2, axis=1).tolist()
+            norms = np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0].tolist()
+            sq_err = sq_norm = 0.0
+            for error, norm in zip(errors, norms):
+                sq_err += error
+                sq_norm += norm
             sigma_acc[i] += sq_err / grad_samples
             g_sq = max(g_sq, sq_norm / grad_samples)
     sigma_sq = float(sigma_acc.mean() / trials)

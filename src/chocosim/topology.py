@@ -7,6 +7,8 @@ stochastic matrix used by all gossip updates, together with its spectral
 quantities.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -25,41 +27,44 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one node")
-        seen = set()
-        for i, j in self.edges:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-            if i == j:
-                raise ValueError(f"self-loop ({i}, {j}) not allowed")
-            if i > j:
-                raise ValueError("edges must be stored as (i, j) with i < j")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
+        i, j = self.ends.T
+        # the loop runs only on bad edges: it names the first failing edge
+        # and its first failing rule
+        if ((i < 0) | (i >= j) | (j >= self.n)).any() or len(set(self.edges)) < len(self.edges):
+            seen = set()
+            for i, j in self.edges:
+                if not (0 <= i < self.n and 0 <= j < self.n):
+                    raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
+                if i == j:
+                    raise ValueError(f"self-loop ({i}, {j}) not allowed")
+                if i > j:
+                    raise ValueError("edges must be stored as (i, j) with i < j")
+                if (i, j) in seen:
+                    raise ValueError(f"duplicate edge ({i}, {j})")
+                seen.add((i, j))
+
+    @functools.cached_property
+    def ends(self):
+        """The edges' endpoints as one ``(E, 2)`` integer array."""
+        flat = itertools.chain.from_iterable(self.edges)
+        return np.fromiter(flat, dtype=np.intp).reshape(len(self.edges), 2)
 
     def degrees(self):
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(self.ends.ravel(), minlength=self.n)
 
     def is_connected(self):
-        if self.n == 1:
-            return True
-        adj = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        # roots hook onto the least root across their edges, then pointers
+        # jump to their roots: O(log n) passes where a frontier takes O(diameter)
+        i, j = self.ends.T
+        root = np.arange(self.n)
+        while True:
+            ri, rj = root[i], root[j]
+            np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+            up = root[root]
+            while not np.array_equal(up, root):
+                root, up = up, up[up]
+            if np.array_equal(root[i], root[j]):
+                return not root.any()
 
 
 def _normalize_edges(pairs):
@@ -193,9 +198,9 @@ def mixing_matrix(graph):
         raise ValueError("graph must be connected to average")
     n = graph.n
     deg = graph.degrees()
+    i, j = graph.ends.T
     w = np.zeros((n, n))
-    for i, j in graph.edges:
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     if np.min(np.diagonal(w)) < 0.0:
         raise AssertionError("negative self-weight; degree bookkeeping is broken")

@@ -232,6 +232,13 @@ def test_quadratic_batched_oracle_and_loss_equal_node_loops(n, d):
     rng = RandomStream(9, 0, "grad").at(4)
     assert np.array_equal(batched, np.stack([problem.stochastic_gradient(i, x_rows[i], rng, 4)
                                              for i in range(n)]))
+    # a row-to-node map, repeats and any order: the rows draw in row order
+    nodes = np.random.default_rng(n).integers(0, n, size=n + 3)
+    rows = np.random.default_rng(d + 1).standard_normal((n + 3, d))
+    mapped = problem.stochastic_gradients(rows, RandomStream(9, 0, "grad").at(4), 4, nodes)
+    noise = RandomStream(9, 0, "grad").at(4).standard_normal((n + 3, d))
+    assert mapped.tobytes() == np.stack([problem.node_gradient(i, row) + scale * z
+                                         for i, row, z in zip(nodes, rows, noise)]).tobytes()
     for x in (x_rows[0], x_rows.mean(axis=0), problem.optimum()):
         assert problem.loss(x) == sum(problem.node_loss(i, x) for i in range(n)) / n
 
@@ -300,6 +307,12 @@ def _literal_shard(problem, idx, x):
                                  hidden.T @ dlogit, [dlogit.sum()]])
 
 
+def _literal_minibatch(problem, i, rng, t):
+    # node i's minibatch as first drawn: min(batch, shard size) uniform picks
+    shard = problem.partition.shards(problem._epoch(t))[i]
+    return shard[rng.integers(0, shard.shape[0], size=min(problem.batch, shard.shape[0]))]
+
+
 @pytest.mark.parametrize("make", [
     lambda: make_logistic(4, dim=5, samples=200, batch=8, seed=3),
     pytest.param(lambda: make_logistic(16, dim=32, samples=4096, batch=32, seed=5),
@@ -326,7 +339,7 @@ def test_dataset_oracles_equal_the_expressions_as_first_written(make):
     n = problem.n
     x_rows = 0.5 * np.random.default_rng(2).standard_normal((n, problem.dim))
     x = x_rows.mean(axis=0)
-    pairs = [_literal_shard(problem, idx, x) for idx in problem._shards(0)]
+    pairs = [_literal_shard(problem, idx, x) for idx in problem.partition.shards(0)]
     g = pairs[0][1]
     for _, g_i in pairs[1:]:
         g = g + g_i
@@ -342,15 +355,84 @@ def test_dataset_oracles_equal_the_expressions_as_first_written(make):
         rng = RandomStream(2, 0, "grad").at(t)  # node after node, one generator
         per_node = RandomStream(2, 0, "grad").at(t)
         for i in range(n):
-            idx = problem._minibatch(i, rng, t)
-            literal = _literal_shard(problem, idx, x_rows[i])[1].tobytes()
+            literal = _literal_shard(problem, _literal_minibatch(problem, i, rng, t),
+                                     x_rows[i])[1].tobytes()
             assert batched[i].tobytes() == literal
             assert problem.stochastic_gradient(i, x_rows[i], per_node, t).tobytes() == literal
+        # a row-to-node map, repeats and any order: the rows draw in row order,
+        # as one stacked call or, where the minibatch sizes differ, row by row
+        nodes = np.random.default_rng(t).integers(0, n, size=n + 3)
+        rows = 0.5 * np.random.default_rng(t + 1).standard_normal((n + 3, problem.dim))
+        mapped = problem.stochastic_gradients(rows, RandomStream(2, 0, "grad").at(t), t, nodes)
+        rng = RandomStream(2, 0, "grad").at(t)
+        for i, row, got in zip(nodes, rows, mapped):
+            idx = _literal_minibatch(problem, i, rng, t)
+            assert got.tobytes() == _literal_shard(problem, idx, row)[1].tobytes()
     # a (b, dim) block of rows: each row's values, as it gives them alone
     block = x_rows[:3]
     assert problem.loss(block).tolist() == [problem.loss(row) for row in block]
     assert problem.full_gradient(block).tobytes() == np.stack(
         [problem.full_gradient(row) for row in block]).tobytes()
+
+
+def _literal_estimates(problem, seed=0, trials=8, grad_samples=16, power_iters=120):
+    # estimate_constants as first written, at center 0 and radius 1: one
+    # oracle call per sample, the sums taken sample by sample
+    stream = RandomStream(seed, 0, "estimate")
+    rng = stream.generator()
+    center = np.zeros(problem.dim)
+    eps = 1e-5
+    g0 = problem.full_gradient(center)
+    v = rng.standard_normal(problem.dim)
+    v /= np.linalg.norm(v)
+    l_est = 0.0
+    for _ in range(power_iters):
+        u = (problem.full_gradient(center + eps * v) - g0) / eps
+        norm = np.linalg.norm(u)
+        if norm == 0.0:
+            break
+        l_est = float(u @ v)
+        v = u / norm
+    sigma_acc, g_sq = np.zeros(problem.n), 0.0
+    for trial in range(trials):
+        point = center + rng.standard_normal(problem.dim)
+        for i in range(problem.n):
+            exact = problem.node_gradient(i, point)
+            node_rng = stream.at(trial * problem.n + i)
+            sq_err = sq_norm = 0.0
+            for _ in range(grad_samples):
+                if problem.kind == "quadratic":
+                    noise = problem.noise_std / np.sqrt(problem.dim) * node_rng.standard_normal(
+                        problem.dim)
+                    g = problem.node_gradient(i, point) + noise
+                else:
+                    g = _literal_shard(problem, _literal_minibatch(problem, i, node_rng, 0),
+                                       point)[1]
+                sq_err += float(np.sum((g - exact) ** 2))
+                sq_norm += float(g @ g)
+            sigma_acc[i] += sq_err / grad_samples
+            g_sq = max(g_sq, sq_norm / grad_samples)
+    return abs(l_est), float(sigma_acc.mean() / trials), g_sq
+
+
+@pytest.mark.parametrize("make, kw", [
+    # the four problems of tools/corpus_digest.py, at the default counts
+    (lambda: make_quadratic(6, 7, heterogeneity=1.0, noise_std=0.5, seed=8), {}),
+    (lambda: make_logistic(6, dim=5, samples=120, batch=8, seed=8), {}),
+    (lambda: make_mlp(6, input_dim=3, hidden=4, samples=96, batch=8, seed=8), {}),
+    (lambda: make_mlp(6, input_dim=3, hidden=4, samples=100, batch=8, seed=8), {}),
+    # rows past one pairwise-summation block, shards below the batch
+    (lambda: make_quadratic(3, 300, noise_std=2.0, seed=4),
+     dict(trials=2, grad_samples=5, power_iters=3)),
+    (lambda: make_mlp(16, samples=100, batch=32, seed=5),
+     dict(seed=3, trials=2, grad_samples=3, power_iters=3)),
+])
+def test_estimate_constants_equals_the_per_sample_loop(make, kw):
+    problem = make()
+    est = problems.estimate_constants(problem, **kw)
+    literal = _literal_estimates(problem, **kw)
+    assert [value.hex() for value in (est.l_smooth, est.sigma_sq, est.g_sq)] == [
+        value.hex() for value in literal]
 
 
 @pytest.mark.parametrize("shards_per_call", [1, 2, 3])
@@ -367,7 +449,7 @@ def test_chunked_evaluation_equals_the_node_loop_at_any_chunk_size(make, shards_
                                                                    monkeypatch):
     problem = make()
     n, width = problem.n, problem.features.shape[1] * 8
-    sizes = [shard.shape[0] for shard in problem._shards(0)]
+    sizes = [shard.shape[0] for shard in problem.partition.shards(0)]
     budget = shards_per_call * max(sizes) * width
     monkeypatch.setattr(problems, "EVAL_CHUNK_BYTES", budget)
     problem = make()  # the chunks are laid out when the problem is built

@@ -306,3 +306,13 @@ def test_gradient_bound_at_noiseless_optimum():
     est = estimate_constants(p, seed=2, center=p.optimum(), radius=0.0)
     # exact gradients vanish there, so G^2 reduces to the noise energy
     assert 0.9 * 0.36 < est.g_sq < 1.5 * 0.36
+
+
+@pytest.mark.parametrize("name", ["trials", "grad_samples", "power_iters"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_estimate_constants_rejects_counts_below_one(name, value):
+    # 0 used to divide by zero, average over nothing (NaN) or skip the power
+    # iteration (L = 0); every count names itself in one line instead
+    with pytest.raises(ValueError, match=f"^estimate_constants: {name} must be >= 1, "
+                                         f"got {value}$"):
+        estimate_constants(make_quadratic(2, 3), **{name: value})

@@ -1,4 +1,5 @@
-"""Property tests of the compression operators over generated inputs."""
+"""Property tests over generated inputs: the compression operators, and
+the degrees, connectivity and mixing weights of graphs."""
 
 import math
 
@@ -12,6 +13,8 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from chocosim.compression import (bit_cost, compress, compress_blocks,  # noqa: E402
                                   contraction_factor, parse_compressor)
 from chocosim.numerics import RandomStream  # noqa: E402
+from chocosim.topology import (Graph, from_edge_list, fully_connected,  # noqa: E402
+                               mixing_matrix, ring, torus)
 
 SPECS = ("identity", "sign", "topk:0.3", "topk:0.5", "gsgd:2", "gsgd:4",
          "gsgd:3:unbiased", "random:0.3", "random:0.5:unbiased")
@@ -156,3 +159,91 @@ def test_bit_cost_is_the_readme_table(d, bits, fraction, unbiased):
     }
     for spec, expected in table.items():
         assert bit_cost(parse_compressor(spec), d) == expected, spec
+
+
+# ------------------------------------------------------------------ graphs
+
+def _reference_graph(graph):
+    """``(degrees, connected, w)`` by the per-edge loops they were first
+    written as; ``w`` is None for a disconnected graph."""
+    deg = np.zeros(graph.n, dtype=int)
+    for i, j in graph.edges:
+        deg[i] += 1
+        deg[j] += 1
+    adj = [[] for _ in range(graph.n)]
+    for i, j in graph.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) < graph.n:
+        return deg, False, None
+    w = np.zeros((graph.n, graph.n))
+    for i, j in graph.edges:
+        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return deg, True, w
+
+
+def _reference_validation(n, edges):
+    """The message of the first rule the first failing edge breaks, checked
+    edge by edge; None for a valid edge tuple."""
+    seen = set()
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            return f"edge ({i}, {j}) out of range for n={n}"
+        if i == j:
+            return f"self-loop ({i}, {j}) not allowed"
+        if i > j:
+            return "edges must be stored as (i, j) with i < j"
+        if (i, j) in seen:
+            return f"duplicate edge ({i}, {j})"
+        seen.add((i, j))
+    return None
+
+
+@st.composite
+def graphs(draw):
+    """Edge lists on 1 to 12 nodes (often disconnected, sometimes full),
+    and the ring, torus and full generators."""
+    kind = draw(st.sampled_from(["edges", "edges", "ring", "torus", "full"]))
+    if kind == "ring":
+        return ring(draw(st.integers(2, 40)))
+    if kind == "torus":
+        return torus(draw(st.sampled_from([9, 16, 25, 36])))
+    if kind == "full":
+        return fully_connected(draw(st.integers(1, 24)))
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return from_edge_list(n, draw(st.lists(st.sampled_from(pairs), max_size=3 * n))
+                          if pairs else [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=graphs())
+def test_graph_quantities_equal_the_per_edge_loops(graph):
+    deg, connected, w = _reference_graph(graph)
+    assert graph.degrees().dtype == deg.dtype and np.array_equal(graph.degrees(), deg)
+    assert graph.is_connected() is connected
+    if connected:
+        assert mixing_matrix(graph).w.tobytes() == w.tobytes()
+    else:
+        with pytest.raises(ValueError, match="graph must be connected"):
+            mixing_matrix(graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 6),
+       edges=st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)), max_size=8))
+def test_graph_validation_names_the_first_failing_edge_and_rule(n, edges):
+    expected = _reference_validation(n, edges)
+    if expected is None:
+        assert Graph(n, tuple(edges)).edges == tuple(edges)
+    else:
+        with pytest.raises(ValueError) as info:
+            Graph(n, tuple(edges))
+        assert str(info.value) == expected

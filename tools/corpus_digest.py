@@ -12,6 +12,12 @@ logged rows, its divergence fields, ``max_grad_norm``, ``final_x_mean``,
 the ledger and its final state, ``record.workers`` (the one row of a
 centralized run, a row per node otherwise), every float as ``float.hex``.
 
+The first line digests the set-up a run depends on: the degrees,
+connectivity and mixing matrix (``w``, rho, beta) of ring, torus and full
+graphs at the sizes ``chocosim verify`` builds, a 2-node and a 1-node graph
+and a connected and a disconnected edge list, and ``estimate_constants`` of
+the corpus's four problems.
+
 One line per compressor spec digests the runs of that compressor, so a
 trajectory change shows which families moved; the last line digests the
 whole corpus. Two trees that print the same last line computed the same
@@ -24,8 +30,9 @@ import numpy as np
 
 from chocosim.compression import parse_compressor
 from chocosim.optim import OptimizerConfig, run
-from chocosim.problems import make_logistic, make_mlp, make_quadratic
-from chocosim.topology import mixing_matrix, ring
+from chocosim.problems import estimate_constants, make_logistic, make_mlp, make_quadratic
+from chocosim.topology import from_edge_list, fully_connected, mixing_matrix, ring, torus
+from chocosim.verify import SPECTRAL_GAPS
 
 N = 6
 ITERATIONS = 20
@@ -71,6 +78,34 @@ def describe(record):
     return "\n".join(lines)
 
 
+def graphs():
+    """``(name, graph)`` of the set-up digest, in a fixed order."""
+    builders = {"ring": ring, "torus": torus, "full": fully_connected}
+    for kind, n in [*SPECTRAL_GAPS, ("ring", 8), ("ring", 2), ("full", 1)]:
+        yield f"{kind}:{n}", builders[kind](n)
+    yield "edges", from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4), (0, 5)])
+    yield "edges-disconnected", from_edge_list(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+
+
+def describe_setup():
+    """The set-up outputs as text, floats in ``float.hex``."""
+    lines = []
+    for name, graph in graphs():
+        lines.append(f"{name} degrees:{graph.degrees().tolist()} "
+                     f"connected:{graph.is_connected()}")
+        try:
+            mixing = mixing_matrix(graph)
+        except ValueError as exc:
+            lines.append(f"mixing:{exc}")
+            continue
+        lines.append(f"w:{_hex(mixing.w)} rho:{mixing.rho.hex()} beta:{mixing.beta.hex()}")
+    for kind, problem in problems().items():
+        est = estimate_constants(problem)
+        lines.append(f"{kind} l:{est.l_smooth.hex()} sigma_sq:{est.sigma_sq.hex()} "
+                     f"g_sq:{est.g_sq.hex()}")
+    return "\n".join(lines)
+
+
 def corpus():
     """``(name, spec, record)`` of every run of the corpus, in a fixed
     order; ``spec`` is the run's compressor."""
@@ -95,6 +130,7 @@ def corpus():
 
 
 def main():
+    print(f"{hashlib.sha256(describe_setup().encode()).hexdigest()}  (set-up)")
     total = hashlib.sha256()
     families = {spec: hashlib.sha256() for spec in COMPRESSORS}
     runs = dict.fromkeys(COMPRESSORS, 0)
