@@ -15,10 +15,11 @@ exactly what the 1-D operator draws. ``topk`` and ``random`` share one
 selection kernel: a row keeps its k largest magnitudes, or its k largest
 uniform keys, drawn as one ``(n, d)`` block per message block.
 
-Payloads are fresh arrays owned by the caller, each kernel writing its
-block's slice; a kernel never writes to its input. The block layout of a
-row and its wire size depend only on ``(comp, d, boundaries)``, so
-:func:`compress_blocks` validates and prices each such triple once.
+Payloads are fresh arrays owned by the caller, or a buffer the caller
+passes as ``out``, each kernel writing its block's slice; a kernel never
+writes to its input. The block layout of a row and its wire size depend
+only on ``(comp, d, boundaries)``, so :func:`compress_blocks` validates and
+prices each such triple once, keyed by the compressor's field values.
 """
 
 import functools
@@ -218,11 +219,14 @@ def compress(comp, x, rng=None):
 
 
 @functools.cache
-def _block_plan(comp, d, boundaries):
-    """``(blocks, bits)`` of a row of length ``d``: its ``(start, stop)``
-    blocks and the wire size of one row; ``boundaries`` is a tuple or
-    ``None``. A bad layout raises each time it is asked for (a raising
-    call is not cached)."""
+def _block_plan(kind, bits, fraction, unbiased, d, boundaries):
+    """``(blocks, bits)`` of a row of length ``d`` under the compressor with
+    these field values: its ``(start, stop)`` blocks and the wire size of
+    one row; ``boundaries`` is a tuple or ``None``. The key is the field
+    values, not a :class:`Compressor`, so a hit hashes and compares them
+    without the dataclass's Python-level ``__hash__`` and ``__eq__``. A bad
+    layout raises each time it is asked for (a raising call is not
+    cached)."""
     if d < 1:
         raise ValueError("dim must be >= 1")
     if boundaries is None:
@@ -232,10 +236,10 @@ def _block_plan(comp, d, boundaries):
     blocks = tuple(zip(boundaries[:-1], boundaries[1:]))
     if any(stop <= start for start, stop in blocks):
         raise ValueError("block boundaries must be strictly increasing")
-    return blocks, message_bits(comp, d, boundaries)
+    return blocks, message_bits(Compressor(kind, bits, fraction, unbiased), d, boundaries)
 
 
-def compress_blocks(comp, x, rng=None, boundaries=None):
+def compress_blocks(comp, x, rng=None, boundaries=None, out=None):
     """Compress each block of ``x`` separately, summing bit costs.
 
     ``x`` is one vector or ``(n, d)`` rows, and ``rng`` is one generator for
@@ -246,7 +250,10 @@ def compress_blocks(comp, x, rng=None, boundaries=None):
     parameters are compressed per layer this way, each block carrying its
     own norms/percentiles. Blocks draw in block order, and within a block
     the rows draw in row order: the payload equals :func:`compress` called
-    block by block, row by row, on the one generator.
+    block by block, row by row, on the one generator. The payload is a
+    fresh array, or ``out``, a float buffer of ``x``'s shape that the caller
+    owns and that is not ``x``: every entry is written, with the same
+    floats.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
@@ -254,15 +261,17 @@ def compress_blocks(comp, x, rng=None, boundaries=None):
     rows = x if x.ndim == 2 else x[None, :]
     if boundaries is not None:
         boundaries = tuple(boundaries)
-    blocks, bits = _block_plan(comp, rows.shape[1], boundaries)
-    payload = np.empty_like(rows)
+    blocks, bits = _block_plan(comp.kind, comp.bits, comp.fraction, comp.unbiased,
+                               rows.shape[1], boundaries)
+    if out is None:
+        out = np.empty_like(x)
+    payload = out if x.ndim == 2 else out[None, :]
     if len(blocks) == 1:  # no column views: a small row pays for each one
         _row_payloads(comp, rows, rng, payload)
     else:
         for start, stop in blocks:
             _row_payloads(comp, rows[:, start:stop], rng, payload[:, start:stop])
-    return CompressedMessage(payload=payload if x.ndim == 2 else payload[0],
-                             bits=bits * rows.shape[0])
+    return CompressedMessage(payload=out, bits=bits * rows.shape[0])
 
 
 def bit_cost(comp, dim):

@@ -26,13 +26,15 @@ divergence check is one pass, ``max |x| <= limit``.
 Ownership: :func:`sync_public` and :func:`mix_with_public` return fresh
 arrays and never write to their inputs, unless the caller passes ``out``,
 an ``(n, dim)`` float buffer it owns: the result is then written there,
-with the same floats. :func:`choco_gossip_round` updates a
-:class:`ConsensusState` in place this way: ``state.x`` and ``state.xhat``
-keep their storage from round to round, so a caller that keeps a round's
-values copies them.
+with the same floats. Their temporaries (the compressed payload; ``gamma *
+xhat`` and ``w @ xhat``) go to ``work``, a second such buffer, when the
+caller passes one. :func:`choco_gossip_round` updates a
+:class:`ConsensusState` in place this way, its temporaries in
+``state.scratch``: ``state.x`` and ``state.xhat`` keep their storage from
+round to round, so a caller that keeps a round's values copies them.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,12 +49,17 @@ class ConsensusState:
     """Private values ``x`` and public copies ``xhat``, both ``(n, dim)``.
 
     Public copies start at zero: every node can assume that initial value
-    for every peer without communicating.
+    for every peer without communicating. ``scratch`` is a round's work
+    buffer.
     """
 
     x: np.ndarray
     xhat: np.ndarray
     gamma: float
+    scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty_like(self.x)
 
     @classmethod
     def start(cls, x0, gamma):
@@ -101,22 +108,23 @@ def rate_constant(mixing, delta):
     return mixing.rho**2 * delta / 82.0
 
 
-def mix_with_public(x, xhat, w, gamma, out=None):
+def mix_with_public(x, xhat, w, gamma, out=None, work=None):
     """Gossip increment ``x + gamma * (w @ xhat - xhat)``.
 
     Grouped as ``(x - gamma*xhat) + gamma*(w @ xhat)`` so that with
     ``gamma = 1`` and ``xhat == x`` the result is exactly the float you get
     from ``w @ x``; exact-averaging mode then reduces to plain matrix
     multiplication bit for bit. The result is a fresh array, or ``out``
-    (which may be ``x``, but not ``xhat``); only ``gamma * xhat`` and
-    ``w @ xhat`` are temporaries.
+    (which may be ``x``, but not ``xhat``). ``gamma * xhat`` and then ``w @
+    xhat`` are formed in ``work`` (neither ``x``, ``xhat`` nor ``out``), or
+    in temporaries without it.
     """
-    mixed = np.subtract(x, np.multiply(gamma, xhat), out=out)
-    scaled = w @ xhat
+    mixed = np.subtract(x, np.multiply(gamma, xhat, out=work), out=out)
+    scaled = np.matmul(w, xhat, out=work)
     return np.add(mixed, np.multiply(gamma, scaled, out=scaled), out=mixed)
 
 
-def sync_public(x, xhat, comp, rng, boundaries=None, out=None):
+def sync_public(x, xhat, comp, rng, boundaries=None, out=None, work=None):
     """Compress ``x - xhat`` per node and return the advanced public copies.
 
     ``rng`` is the one generator all rows draw from, or ``None`` for the
@@ -125,10 +133,11 @@ def sync_public(x, xhat, comp, rng, boundaries=None, out=None):
     identical to ``xhat + q``, but it makes lossless compression exactly
     lossless in floating point as well. One array holds ``v``, then the
     error, then the new copy: a fresh one, or ``out`` (which may be
-    ``xhat``, but not ``x``).
+    ``xhat``, but not ``x``). The payload ``q`` is written into ``work``
+    (neither ``x`` nor ``out``), or into a fresh array without it.
     """
     v = np.subtract(x, xhat, out=out)
-    np.subtract(v, compress_blocks(comp, v, rng, boundaries).payload, out=v)
+    np.subtract(v, compress_blocks(comp, v, rng, boundaries, out=work).payload, out=v)
     return np.subtract(x, v, out=v)
 
 
@@ -141,11 +150,12 @@ def choco_gossip_round(state, mixing, comp, rng, boundaries=None):
     """
     if mixing.w.shape[0] != state.n:
         raise ValueError("mixing matrix size does not match state")
-    mix_with_public(state.x, state.xhat, mixing.w, state.gamma, out=state.x)
+    x, xhat, scratch = state.x, state.xhat, state.scratch
+    mix_with_public(x, xhat, mixing.w, state.gamma, out=x, work=scratch)
     # one pass: a NaN maximum compares False, and +-inf exceeds the limit
-    if not np.abs(state.x).max() <= DIVERGENCE_LIMIT:
+    if not np.maximum.reduce(np.abs(x, out=scratch), None) <= DIVERGENCE_LIMIT:
         raise FloatingPointError("gossip iterates diverged")
-    sync_public(state.x, state.xhat, comp, rng, boundaries, out=state.xhat)
+    sync_public(x, xhat, comp, rng, boundaries, out=xhat, work=scratch)
 
 
 def squared_sum(diff):

@@ -28,6 +28,24 @@ exact baseline's step replaces ``x``, with the product ``W @ (...)``. So
 ``record.workers`` holds the final state, and whatever keeps an
 iteration's state past the next step (``record_iterates``) copies it.
 
+``scratch`` holds one temporary at a time, and every one is dead before
+the next is formed. In a compressed-family step it holds, in turn: the
+compressed payload (for error feedback, first ``x - x_prev``), the
+gradients' squares, the momentum terms, ``gamma * xhat`` and then ``W @
+xhat`` inside the mixing, and last ``eta * dir``. The step's own
+arithmetic therefore allocates nothing; the arrays it makes are the
+oracle's gradients and the compression kernels' draws and temporaries.
+When it returns, the run's divergence check takes ``|x|`` in it.
+
+``max_grad_norm`` is folded in blocks. Each iteration writes its rows'
+squared gradient norms, ``(g * g).sum(axis=1)``, into one row of a
+run-owned ``(NORM_BLOCK, n)`` block. The block is folded into the record
+when it is full and when the loop ends, after a divergence too: per
+iteration, the NaN-propagating row maximum and its square root; across
+iterations, the running maximum in order, which a NaN iteration leaves
+unchanged (``np.fmax``). That is, bit for bit, the value of Python's
+``max(running, sqrt(max_i |g_i|^2))`` taken after every iteration.
+
 Baselines: ``decentralized-exact`` (gradient step then exact neighborhood
 averaging, full-precision messages) and ``centralized`` (one shared
 iterate, the single row of its ``Workers``; all workers upload
@@ -83,6 +101,9 @@ ALGORITHMS = (
 # logged states kept for one block of rows: a small state's rows share
 # their calls, and the block stays small against a run's memory
 LOG_BLOCK_BYTES = 2**18
+# iterations whose squared gradient norms are kept before one fold takes
+# their maximum: the fold's calls are paid once per block
+NORM_BLOCK = 64
 
 
 def _is_number(value):
@@ -164,17 +185,22 @@ class Streams:
         self.compress = RandomStream(seed, 0, "compress")
 
 
-def _gradients(problem, x_rows, streams, t, record=None, scratch=None):
+def _gradients(problem, x_rows, streams, t, norms=None, scratch=None):
     """The iteration's stochastic gradients, a fresh ``(n, dim)`` array;
-    ``record.max_grad_norm`` is updated from their squares, formed in
-    ``scratch`` when given."""
+    each row's squared norm, ``(g * g).sum(axis=1)``, is written into
+    ``norms`` when given, the squares formed in ``scratch`` when given."""
     g = problem.stochastic_gradients(x_rows, streams.grad.at(t), t)
-    if record is not None:
-        squares = np.multiply(g, g, out=scratch)
-        # the largest row's (g * g).sum(axis=1), then its exact square root
-        norm = math.sqrt(np.maximum.reduce(np.add.reduce(squares, axis=1)))
-        record.max_grad_norm = max(record.max_grad_norm, norm)
+    if norms is not None:
+        np.add.reduce(np.multiply(g, g, out=scratch), axis=1, out=norms)
     return g
+
+
+def _fold_norms(record, norms):
+    """Fold a block of iterations' squared gradient norms, ``(k, n)`` in
+    iteration order, into ``record.max_grad_norm``, as the module docstring
+    describes."""
+    largest = np.sqrt(np.maximum.reduce(norms, axis=1))
+    record.max_grad_norm = float(np.fmax.reduce(largest, initial=record.max_grad_norm))
 
 
 def _direction(workers, g, cfg):
@@ -194,9 +220,10 @@ def _direction(workers, g, cfg):
 
 
 def choco_step(workers, problem, mixing, comp, gamma, eta, streams, t,
-               cfg=None, boundaries=None, record=None):
+               cfg=None, boundaries=None, norms=None):
     """One iteration of the compressed-gossip family, updating ``workers``
-    in place.
+    in place; ``norms`` (optional, length n) receives the rows' squared
+    gradient norms.
 
     Handles plain, momentum, and error-feedback variants depending on
     ``cfg.algorithm`` (``cfg=None`` means plain).
@@ -210,36 +237,35 @@ def choco_step(workers, problem, mixing, comp, gamma, eta, streams, t,
         # v = (x - x_prev) + memory, formed in memory's storage
         v = np.add(np.subtract(x, workers.x_prev, out=scratch), workers.memory,
                    out=workers.memory)
-        q = compress_blocks(comp, v, rng, boundaries).payload
+        q = compress_blocks(comp, v, rng, boundaries, out=scratch).payload
         np.subtract(v, q, out=v)  # the memory keeps the compression error
         np.add(xhat, q, out=xhat)  # literal receiver-side reconstruction
-        del q  # the payload's storage is free before the gradients are
     else:
-        sync_public(x, xhat, comp, rng, boundaries, out=xhat)
+        sync_public(x, xhat, comp, rng, boundaries, out=xhat, work=scratch)
 
-    g = _gradients(problem, x, streams, t, record, scratch)
+    g = _gradients(problem, x, streams, t, norms, scratch)
     direction = _direction(workers, g, cfg) if cfg is not None else g
     # error feedback writes the new iterate into x_prev's storage, and the two
     # swap: x_prev then holds the iterate this step started from, with no copy
     new = workers.x_prev if feedback else x
-    mix_with_public(x, xhat, mixing.w, gamma, out=new)
+    mix_with_public(x, xhat, mixing.w, gamma, out=new, work=scratch)
     np.subtract(new, np.multiply(eta, direction, out=scratch), out=new)
     if feedback:
         workers.x_prev, workers.x = x, new
 
 
-def decentralized_exact_step(workers, problem, mixing, eta, streams, t, record=None):
+def decentralized_exact_step(workers, problem, mixing, eta, streams, t, norms=None):
     """Uncompressed baseline: local gradient step, then exact averaging."""
-    g = _gradients(problem, workers.x, streams, t, record, workers.scratch)
+    g = _gradients(problem, workers.x, streams, t, norms, workers.scratch)
     workers.x = mixing.w @ (workers.x - eta * g)
 
 
-def centralized_step(workers, problem, eta, streams, t, record=None):
+def centralized_step(workers, problem, eta, streams, t, norms=None):
     """Coordinator baseline: the shared iterate is ``workers.x``'s one row,
     updated in place from n full-precision uploads."""
     # C-ordered copies: a broadcast view would make g F-ordered, and g.mean
     # would sum in another order
-    g = _gradients(problem, np.tile(workers.x, (problem.n, 1)), streams, t, record)
+    g = _gradients(problem, np.tile(workers.x, (problem.n, 1)), streams, t, norms)
     np.subtract(workers.x, eta * g.mean(axis=0), out=workers.x)
 
 
@@ -403,19 +429,28 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
 
     logged = cfg.iterations // log_every + (cfg.iterations % log_every != 0)
     rows = _LoggedRows(record, problem, busiest_charge, workers, logged)
+    # iteration t's squared gradient norms go to row k = t % NORM_BLOCK, and
+    # each full block is folded into record.max_grad_norm
+    norms = np.empty((NORM_BLOCK, n))
+    norm_rows = list(norms)
     step_s = 0.0
     completed = 0
+    k = -1
     for t in range(cfg.iterations):
+        k = t % NORM_BLOCK
         tick = time.perf_counter()
         if centralized:
-            centralized_step(workers, problem, cfg.eta, streams, t, record)
+            centralized_step(workers, problem, cfg.eta, streams, t, norm_rows[k])
         elif cfg.algorithm == "decentralized-exact":
-            decentralized_exact_step(workers, problem, mixing, cfg.eta, streams, t, record)
+            decentralized_exact_step(workers, problem, mixing, cfg.eta, streams, t,
+                                     norm_rows[k])
         else:
             choco_step(workers, problem, mixing, compressor, gamma, cfg.eta,
-                       streams, t, cfg=cfg, boundaries=boundaries, record=record)
+                       streams, t, cfg=cfg, boundaries=boundaries, norms=norm_rows[k])
         tock = time.perf_counter()
         step_s += tock - tick
+        if k + 1 == NORM_BLOCK:
+            _fold_norms(record, norms)
 
         # one pass: a NaN maximum compares False, and +-inf exceeds the limit;
         # the step's work buffer is free again when the step returns
@@ -435,6 +470,8 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
             if rows.add(completed, workers):
                 rows.flush()
     rows.flush()
+    # the rows since the last full block, a diverged iteration's included
+    _fold_norms(record, norms[:(k + 1) % NORM_BLOCK])
 
     record.elapsed_s = time.perf_counter() - started
     record.timings = {"step_s": step_s, "eval_s": rows.eval_s, "stats_s": rows.stats_s}

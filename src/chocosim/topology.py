@@ -10,11 +10,17 @@ quantities.
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numerics import sym_eigenvalues
+
+
+def _is_index_type(kind):
+    # Python and NumPy integers; a bool is an int to Python, not to a graph
+    return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
 
 
 @dataclass(frozen=True)
@@ -27,12 +33,21 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one node")
-        i, j = self.ends.T
+        # the endpoints' types in one pass: integers, not floats or booleans,
+        # which the integer array of ``ends`` would truncate
+        kinds = set(map(type, itertools.chain.from_iterable(self.edges)))
+        valid = all(map(_is_index_type, kinds))
+        if valid:
+            i, j = self.ends.T
+            valid = (not ((i < 0) | (i >= j) | (j >= self.n)).any()
+                     and len(set(self.edges)) == len(self.edges))
         # the loop runs only on bad edges: it names the first failing edge
         # and its first failing rule
-        if ((i < 0) | (i >= j) | (j >= self.n)).any() or len(set(self.edges)) < len(self.edges):
+        if not valid:
             seen = set()
             for i, j in self.edges:
+                if not (_is_index_type(type(i)) and _is_index_type(type(j))):
+                    raise ValueError(f"edge ({i}, {j}) has a non-integer endpoint")
                 if not (0 <= i < self.n and 0 <= j < self.n):
                     raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
                 if i == j:

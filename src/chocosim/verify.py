@@ -5,6 +5,10 @@ Each check returns a name, a pass flag, and a margin (how much headroom was
 left before the check would have failed; 1.0 for exact equalities that hold).
 The CLI ``verify`` subcommand prints one line per check and exits nonzero if
 any fail.
+
+The optimizer runs here log only their last row (``log_every`` equal to
+their iterations), the one row a check reads; a logged row's values do not
+depend on which other rows are logged.
 """
 
 import tempfile
@@ -188,7 +192,7 @@ def _run_quadratic(algorithm, comp_spec, eta, iters, seed=11, gamma="auto", **op
     cfg = OptimizerConfig(algorithm=algorithm, eta=eta, gamma=gamma,
                           iterations=iters, **opt_kw)
     record = run(problem, cfg, mixing=mixing,
-                 compressor=parse_compressor(comp_spec), seed=seed)
+                 compressor=parse_compressor(comp_spec), seed=seed, log_every=iters)
     return problem, mixing, record
 
 
@@ -242,14 +246,16 @@ def suite_convergence():
     gap0 = problem.loss(x0) - problem.f_star()
 
     cfg = OptimizerConfig(algorithm="choco", eta=0.1, gamma="auto", iterations=800)
-    record = run(problem, cfg, mixing=mixing, compressor=comp, seed=4, x0=x0)
+    record = run(problem, cfg, mixing=mixing, compressor=comp, seed=4, x0=x0,
+                 log_every=cfg.iterations)
     gap = record.f_avg[-1] - problem.f_star()
     checks.append(_bound_check("compressed-sgd-descent", gap, 0.2 * gap0,
                                f"gap {gap:.4f} from {gap0:.4f}"))
 
     cfg = OptimizerConfig(algorithm="choco-momentum", eta=0.05, gamma="auto",
                           momentum_factor=0.9, iterations=800)
-    record = run(problem, cfg, mixing=mixing, compressor=comp, seed=4, x0=x0)
+    record = run(problem, cfg, mixing=mixing, compressor=comp, seed=4, x0=x0,
+                 log_every=cfg.iterations)
     gap_m = record.f_avg[-1] - problem.f_star()
     checks.append(_bound_check("momentum-descent", gap_m, 0.2 * gap0,
                                f"gap {gap_m:.4f} from {gap0:.4f}"))
@@ -258,7 +264,8 @@ def suite_convergence():
     noiseless = make_quadratic(8, 8, heterogeneity=1.0, noise_std=0.0, seed=5)
     cfg = OptimizerConfig(algorithm="decentralized-exact", eta=0.5, iterations=400)
     record = run(noiseless, cfg, mixing=mixing,
-                 compressor=parse_compressor("identity"), seed=4, x0=x0)
+                 compressor=parse_compressor("identity"), seed=4, x0=x0,
+                 log_every=cfg.iterations)
     err = float(np.linalg.norm(record.final_x_mean - noiseless.optimum()))
     checks.append(_bound_check("exact-baseline-optimum", err, 1e-6))
 
@@ -283,17 +290,18 @@ def suite_traffic():
     per_msg = 10 + 32
 
     cfg = OptimizerConfig(algorithm="choco", eta=0.05, gamma="auto", iterations=iters)
-    record = run(problem, cfg, mixing=mixing, compressor=comp, seed=2)
+    record = run(problem, cfg, mixing=mixing, compressor=comp, seed=2, log_every=iters)
     checks.append(_exact_check("ring-pairwise-bits",
                                record.ledger.busiest() == iters * 2 * per_msg,
                                f"busiest={record.ledger.busiest()}"))
 
-    record = run(problem, cfg, mixing=mixing, compressor=comp, seed=2, broadcast=True)
+    record = run(problem, cfg, mixing=mixing, compressor=comp, seed=2, broadcast=True,
+                 log_every=iters)
     checks.append(_exact_check("ring-broadcast-bits",
                                record.ledger.busiest() == iters * per_msg))
 
     cfg = OptimizerConfig(algorithm="centralized", eta=0.05, iterations=iters)
-    record = run(problem, cfg, seed=2)
+    record = run(problem, cfg, seed=2, log_every=iters)
     checks.append(_exact_check("centralized-hub-bits",
                                record.ledger.busiest() == iters * 8 * 32 * 10,
                                f"busiest={record.ledger.busiest()}"))

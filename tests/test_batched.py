@@ -11,7 +11,7 @@ from chocosim.compression import bit_cost, compress, compress_blocks, parse_comp
 from chocosim.consensus import consensus_distance
 from chocosim.metrics import TrafficLedger
 from chocosim.numerics import RandomStream
-from chocosim.optim import (ALGORITHMS, LOG_BLOCK_BYTES, OptimizerConfig, Streams,
+from chocosim.optim import (ALGORITHMS, LOG_BLOCK_BYTES, NORM_BLOCK, OptimizerConfig, Streams,
                             resolve_gamma, run)
 from chocosim.problems import Partition, make_logistic, make_mlp, make_quadratic
 from chocosim.topology import mixing_matrix, ring
@@ -534,16 +534,17 @@ def test_array_ledger_calls_are_validated():
 
 def _reference_run(problem, cfg, mixing, comp, seed, broadcast, x0, boundaries):
     """``optim.run`` written node by node and edge by edge, logging every
-    iteration; returns the logged rows, the largest gradient norm, the final
-    node mean, the ledger and every iteration's ``(x, xhat)``. A diverged
-    iteration (an entry NaN, infinite or beyond 1e12) ends the loop before
-    it is charged or logged; its ``(x, xhat)`` is the last state."""
+    iteration; returns the logged rows, the largest gradient norm after each
+    iteration, the final node mean, the ledger and every iteration's ``(x,
+    xhat)``. A diverged iteration (an entry NaN, infinite or beyond 1e12)
+    ends the loop before it is charged or logged; its ``(x, xhat)`` is the
+    last state, and its gradients count in the largest norm."""
     n, d = problem.n, problem.dim
     streams = Streams(seed)
     gamma = resolve_gamma(cfg, mixing, comp, d, boundaries)
     centralized = cfg.algorithm == "centralized"
     ledger = TrafficLedger(n + 1 if centralized else n)
-    rows, states, max_grad = [], [], 0.0
+    rows, states, max_grads, max_grad = [], [], [], 0.0
 
     def gradients(x_rows, t):
         rng = streams.grad.at(t)  # the iteration's generator, nodes in order
@@ -588,6 +589,7 @@ def _reference_run(problem, cfg, mixing, comp, seed, broadcast, x0, boundaries):
             x = ((x - gamma * xhat_next) + gamma * (mixing.w @ xhat_next)) - cfg.eta * direction
             xhat = xhat_next
         max_grad = max(max_grad, float(np.sqrt((g * g).sum(axis=1).max())))
+        max_grads.append(max_grad)
         if not (np.isfinite(x).all() and np.abs(x).max() <= 1e12):
             states.append((x, xhat))
             xbar = x if centralized else x.mean(axis=0)
@@ -614,7 +616,7 @@ def _reference_run(problem, cfg, mixing, comp, seed, broadcast, x0, boundaries):
                      float(grad @ grad), 0.0 if centralized else consensus_distance(x),
                      float(psi), ledger.busiest()))
         states.append((x, xhat))
-    return rows, max_grad, xbar, ledger.per_node, states
+    return rows, max_grads, xbar, ledger.per_node, states
 
 
 def _reference_problem(kind):
@@ -626,11 +628,11 @@ def _reference_problem(kind):
 
 
 def _assert_run_equals_reference(rec, reference):
-    rows, max_grad, final_mean, per_node, states = reference
+    rows, max_grads, final_mean, per_node, states = reference
     got = list(zip(rec.t, rec.f_avg, rec.grad_sq, rec.consensus, rec.psi,
                    rec.bits_busiest))
     assert got == rows
-    assert rec.max_grad_norm == max_grad
+    assert rec.max_grad_norm == max_grads[-1]
     assert np.array_equal(rec.final_x_mean, final_mean, equal_nan=True)
     assert np.array_equal(rec.ledger.per_node, per_node)
     # the state the run ended in, updated in place; the centralized one is one row
@@ -858,14 +860,16 @@ def test_logged_rows_equal_their_definitions_at_every_block_edge(algorithm, kind
     block = _block_size(algorithm, problem)
     # (iterations, log_every): 1 row, a block - 1, a block, a block + 1,
     # several blocks, and a stride that does not divide the iterations
-    cases = [(count, 1) for count in sorted({1, block - 1, block, block + 1, 3 * block + 2})
-             if count > 0] + [(3 * (block + 1) + 1, 3)]
+    edges = {1, block - 1, block, block + 1, 3 * block + 2}
+    if kind == "quadratic":  # the same edges of the gradient-norm fold's block
+        edges |= {NORM_BLOCK - 1, NORM_BLOCK, NORM_BLOCK + 1, 3 * NORM_BLOCK + 2}
+    cases = [(count, 1) for count in sorted(edges) if count > 0] + [(3 * (block + 1) + 1, 3)]
     horizon = max(iterations for iterations, _ in cases)
     cfg = OptimizerConfig(algorithm=algorithm, eta=0.05, gamma=0.3, iterations=horizon,
                           momentum_factor=0.5 if momentum else 0.0,
                           weight_decay=0.01 if momentum else 0.0)
-    reference, _, _, _, states = _reference_run(problem, cfg, mixing, comp, 4, False, x0,
-                                                problem.layer_boundaries)
+    reference, max_grads, _, _, states = _reference_run(problem, cfg, mixing, comp, 4, False,
+                                                        x0, problem.layer_boundaries)
     bits = [row[5] for row in reference]
     blocks = _spy_blocks(problem, monkeypatch)
     for iterations, log_every in cases:
@@ -876,6 +880,7 @@ def test_logged_rows_equal_their_definitions_at_every_block_edge(algorithm, kind
         if ts[-1] != iterations:
             ts.append(iterations)
         assert _logged_rows(rec) == _rows_by_definition(problem, algorithm, states, bits, ts)
+        assert rec.max_grad_norm == max_grads[iterations - 1]
         # the rows really were computed in blocks of that size
         full, rest = divmod(len(ts), block)
         assert blocks == [block] * full + ([rest] if rest else [])
@@ -891,8 +896,8 @@ def test_a_run_diverging_mid_block_logs_the_rows_before_it(algorithm, monkeypatc
     # the centralized ones after more than one of its longer blocks
     eta = 2.08 if algorithm == "centralized" else 2.6
     cfg = OptimizerConfig(algorithm=algorithm, eta=eta, gamma=0.3, iterations=500)
-    reference, _, _, _, states = _reference_run(problem, cfg, mixing, comp, 4, False, x0,
-                                                None)
+    reference, max_grads, _, _, states = _reference_run(problem, cfg, mixing, comp, 4, False,
+                                                        x0, None)
     x_rows = [np.atleast_2d(x) for x, _ in states]
     failed = [t for t, x in enumerate(x_rows, 1) if not np.max(np.abs(x)) <= 1e12]
     diverged_at = failed[0]
@@ -909,3 +914,7 @@ def test_a_run_diverging_mid_block_logs_the_rows_before_it(algorithm, monkeypatc
     assert rec.diverged_node == diverged_node
     bits = [row[5] for row in reference]
     assert _logged_rows(rec) == _rows_by_definition(problem, algorithm, states, bits, ts)
+    # the largest gradient norm counts the diverged iteration's gradients,
+    # drawn inside a fold block
+    assert len(max_grads) == diverged_at and diverged_at % NORM_BLOCK
+    assert rec.max_grad_norm == max_grads[-1]

@@ -295,6 +295,51 @@ def test_compress_blocks_validates_boundaries():
         compress_blocks(comp, x, boundaries=[0, 4, 3, 6])
 
 
+# every corpus spec, plus the unbiased variants
+BUFFER_SPECS = ("identity", "sign", "topk:0.2", "gsgd:4", "random:0.3", "gsgd:2:unbiased",
+                "random:0.4:unbiased")
+# one block, the layout of make_mlp(n, input_dim=3, hidden=4), and a ragged
+# layout with a 1-column block inside
+LAYOUTS = (None, (0, 12, 16, 20, 21), (0, 9, 10, 21))
+
+
+def _buffer_rows():
+    # (6, 21) rows with a zero row and a row of ties
+    x = _rng(31).standard_normal((6, 21))
+    x[2] = 0.0
+    x[4] = np.round(x[4])
+    return x
+
+
+@pytest.mark.parametrize("spec", BUFFER_SPECS)
+def test_compress_blocks_into_a_caller_buffer_equals_the_fresh_payload(spec):
+    comp = parse_compressor(spec)
+    rows = _buffer_rows()
+    for boundaries in LAYOUTS:
+        for x in (rows, rows[1]):
+            x_bytes = x.tobytes()
+            fresh = compress_blocks(comp, x, _rng(5), boundaries)
+            buf = np.full_like(x, np.nan)  # every entry must be written
+            got = compress_blocks(comp, x, _rng(5), boundaries, out=buf)
+            assert got.payload is buf and got.bits == fresh.bits
+            assert buf.tobytes() == fresh.payload.tobytes(), boundaries
+            assert x.tobytes() == x_bytes
+
+
+def test_block_plans_are_keyed_by_the_compressors_values(monkeypatch):
+    x = _buffer_rows()
+    first = compress_blocks(Compressor("topk", fraction=0.2), x, boundaries=LAYOUTS[2])
+
+    def compared(self, other):
+        raise AssertionError("a plan lookup compared two compressors")
+
+    # an equal compressor, a new object, finds the plan without __eq__
+    monkeypatch.setattr(Compressor, "__eq__", compared)
+    again = compress_blocks(Compressor("topk", fraction=0.2), x, boundaries=LAYOUTS[2])
+    assert again.bits == first.bits == 6 * 64 * (1 + 1 + 2)
+    assert again.payload.tobytes() == first.payload.tobytes()
+
+
 def test_compress_requires_one_dimensional_input():
     with pytest.raises(ValueError):
         compress(parse_compressor("sign"), np.ones((2, 3)))

@@ -12,15 +12,19 @@ import numpy as np
 import pytest
 
 from chocosim.compression import compress_blocks, parse_compressor
-from chocosim.consensus import mix_with_public, sync_public
+from chocosim.consensus import ConsensusState, choco_gossip_round, mix_with_public, sync_public
 from chocosim.numerics import RandomStream
 from chocosim.optim import ALGORITHMS, OptimizerConfig, Streams, Workers, choco_step, run
 from chocosim.problems import make_logistic, make_mlp, make_quadratic
 from chocosim.topology import mixing_matrix, ring
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# every corpus spec, plus the unbiased variants
 SPECS = ("identity", "sign", "topk:0.3", "gsgd:4", "random:0.4", "gsgd:2:unbiased",
-         "random:0.4:unbiased")
+         "random:0.4:unbiased", "topk:0.2", "random:0.3")
+# one block, the MLP layout, and a ragged layout with a 1-column block inside
+LAYOUTS = (None, tuple(make_mlp(6, input_dim=3, hidden=4, samples=96, batch=8,
+                                seed=8).layer_boundaries), (0, 9, 10, 21))
 
 
 def _rows(n=6, d=7, seed=2):
@@ -96,14 +100,21 @@ def test_choco_step_runs_on_fresh_workers_without_cfg_or_record():
 @pytest.mark.parametrize("spec", SPECS)
 def test_sync_public_leaves_its_inputs_and_out_gives_the_same_floats(spec):
     comp = parse_compressor(spec)
-    x, xhat = _rows(), 0.5 * _rows(seed=3)
-    x_bytes, xhat_bytes = x.tobytes(), xhat.tobytes()
-    fresh = sync_public(x, xhat, comp, RandomStream(1).at(0))
-    assert x.tobytes() == x_bytes and xhat.tobytes() == xhat_bytes
-    assert not np.shares_memory(fresh, x) and not np.shares_memory(fresh, xhat)
-    into = xhat.copy()
-    got = sync_public(x, into, comp, RandomStream(1).at(0), out=into)
-    assert got is into and got.tobytes() == fresh.tobytes()
+    for boundaries in LAYOUTS:
+        x, xhat = _rows(d=21), 0.5 * _rows(d=21, seed=3)
+        x_bytes, xhat_bytes = x.tobytes(), xhat.tobytes()
+        fresh = sync_public(x, xhat, comp, RandomStream(1).at(0), boundaries)
+        assert x.tobytes() == x_bytes and xhat.tobytes() == xhat_bytes
+        assert not np.shares_memory(fresh, x) and not np.shares_memory(fresh, xhat)
+        into = xhat.copy()
+        got = sync_public(x, into, comp, RandomStream(1).at(0), boundaries, out=into)
+        assert got is into and got.tobytes() == fresh.tobytes()
+        # the step's form: the payload in a work buffer, every entry written
+        into, work = xhat.copy(), np.full_like(x, np.nan)
+        got = sync_public(x, into, comp, RandomStream(1).at(0), boundaries, out=into,
+                          work=work)
+        assert got is into and got.tobytes() == fresh.tobytes(), boundaries
+        assert x.tobytes() == x_bytes
 
 
 def test_mix_with_public_leaves_its_inputs_and_out_gives_the_same_floats():
@@ -113,9 +124,40 @@ def test_mix_with_public_leaves_its_inputs_and_out_gives_the_same_floats():
     fresh = mix_with_public(x, xhat, w, 0.37)
     assert x.tobytes() == x_bytes and xhat.tobytes() == xhat_bytes
     assert w.tobytes() == w_bytes and not np.shares_memory(fresh, x)
-    got = mix_with_public(x, xhat, w, 0.37, out=x)  # the in-place form the step uses
+    # the temporaries in a work buffer, into a fresh result and into x
+    work = np.full_like(x, np.nan)
+    got = mix_with_public(x, xhat, w, 0.37, work=work)
+    assert got.tobytes() == fresh.tobytes() and not np.shares_memory(got, work)
+    assert x.tobytes() == x_bytes and xhat.tobytes() == xhat_bytes
+    got = mix_with_public(x, xhat, w, 0.37, out=x, work=work)  # the form the step uses
     assert got is x and x.tobytes() == fresh.tobytes()
     assert xhat.tobytes() == xhat_bytes
+    x = _rows()
+    got = mix_with_public(x, xhat, w, 0.37, out=x)
+    assert got is x and x.tobytes() == fresh.tobytes()
+    assert xhat.tobytes() == xhat_bytes and w.tobytes() == w_bytes
+
+
+@pytest.mark.parametrize("spec", ["sign", "gsgd:4", "topk:0.3"])
+def test_gossip_rounds_in_the_states_buffers_equal_the_fresh_forms(spec):
+    comp = parse_compressor(spec)
+    mixing = mixing_matrix(ring(6))
+    for boundaries in LAYOUTS:
+        state = ConsensusState.start(_rows(d=21), 0.3)
+        buffers = [a.__array_interface__["data"][0] for a in (state.x, state.xhat,
+                                                               state.scratch)]
+        assert not any(np.shares_memory(a, b) for a, b in
+                       [(state.x, state.xhat), (state.x, state.scratch),
+                        (state.xhat, state.scratch)])
+        x, xhat = state.x.copy(), state.xhat.copy()
+        rng, ref_rng = RandomStream(4).generator(), RandomStream(4).generator()
+        for _ in range(3):
+            choco_gossip_round(state, mixing, comp, rng, boundaries)
+            x = mix_with_public(x, xhat, mixing.w, 0.3)
+            xhat = sync_public(x, xhat, comp, ref_rng, boundaries)
+            assert state.x.tobytes() == x.tobytes() and state.xhat.tobytes() == xhat.tobytes()
+        assert buffers == [a.__array_interface__["data"][0] for a in (state.x, state.xhat,
+                                                                      state.scratch)]
 
 
 def test_block_layout_errors_repeat():

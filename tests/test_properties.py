@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from chocosim.compression import (bit_cost, compress, compress_blocks,  # noqa: E402
@@ -194,6 +194,8 @@ def _reference_validation(n, edges):
     edge by edge; None for a valid edge tuple."""
     seen = set()
     for i, j in edges:
+        if any(type(v) is not int for v in (i, j)):  # a float or a bool
+            return f"edge ({i}, {j}) has a non-integer endpoint"
         if not (0 <= i < n and 0 <= j < n):
             return f"edge ({i}, {j}) out of range for n={n}"
         if i == j:
@@ -236,9 +238,16 @@ def test_graph_quantities_equal_the_per_edge_loops(graph):
             mixing_matrix(graph)
 
 
+# mostly integers; now and then a float (integral or not) or a bool, which
+# an integer array would truncate to an endpoint
+ENDPOINTS = st.one_of(st.integers(-1, 6), st.integers(-1, 6), st.integers(-1, 6),
+                      st.sampled_from([0.5, 2.0, -0.5, True, False]))
+
+
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 6),
-       edges=st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)), max_size=8))
+@given(n=st.integers(1, 6), edges=st.lists(st.tuples(ENDPOINTS, ENDPOINTS), max_size=8))
+@example(n=3, edges=[(0.5, 2)])
+@example(n=3, edges=[(True, 2)])
 def test_graph_validation_names_the_first_failing_edge_and_rule(n, edges):
     expected = _reference_validation(n, edges)
     if expected is None:

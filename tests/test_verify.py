@@ -105,3 +105,22 @@ def test_gossip_trajectory_psi_ends_equal_the_per_round_list():
         assert type(psi[-1]) is type(ref_psi[-1])
         assert np.array_equal(state.x, ref_state.x)
         assert np.array_equal(state.xhat, ref_state.xhat)
+
+
+def test_checks_do_not_depend_on_how_many_rows_their_runs_log(monkeypatch):
+    # the suite's runs log only their last row; logging every row instead
+    # must give the same checks, field for field, so no check reads another
+    expected = verify.run_suite("all")
+    logged, run = [], verify.run
+
+    def every_row(*args, **kwargs):
+        record = run(*args, **dict(kwargs, log_every=1))
+        logged.append(record.rows())
+        return record
+
+    monkeypatch.setattr(verify, "run", every_row)
+    got = verify.run_suite("all")
+    # every iteration of the 11 runs: 40 x 3, 100 x 2, 800 x 2, 400 and 25 x 3
+    assert len(logged) == 11 and sum(logged) == 2395
+    assert [tuple(check) for check in got] == [tuple(check) for check in expected]
+    assert all(type(a.margin) is type(b.margin) for a, b in zip(got, expected))

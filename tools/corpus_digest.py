@@ -19,9 +19,16 @@ and a connected and a disconnected edge list, and ``estimate_constants`` of
 the corpus's four problems.
 
 One line per compressor spec digests the runs of that compressor, so a
-trajectory change shows which families moved; the last line digests the
-whole corpus. Two trees that print the same last line computed the same
-corpus bit for bit.
+trajectory change shows which families moved; the next line digests the
+whole corpus. Two trees that print the same line computed the same corpus
+bit for bit.
+
+The last line digests longer runs, of 150 iterations: more than two blocks
+of the optimizer's gradient-norm fold (64 iterations), so ``max_grad_norm``
+is folded across blocks. Every algorithm x ``sign`` and ``gsgd:4`` x the
+quadratic and MLP problems, logged every iteration and every seventh one,
+plus a run that diverges in the second block. It is a line of its own, so
+the corpus line above stays comparable with trees older than it.
 """
 
 import hashlib
@@ -129,6 +136,27 @@ def corpus():
                                      seed=1, x0=np.array([0.1, np.nan, 0.2, 0.3, 0.0, 0.0, 0.0]))
 
 
+def long_corpus():
+    """``(name, record)`` of every 150-iteration run, in a fixed order."""
+    mixing = mixing_matrix(ring(N))
+    built = problems()
+    for kind in ("quadratic", "mlp"):
+        problem = built[kind]
+        x0 = np.linspace(-0.5, 0.5, problem.dim)
+        for options in CONFIGS:
+            cfg = OptimizerConfig(eta=0.05, gamma=0.3, iterations=150, **options)
+            for spec in ("sign", "gsgd:4"):
+                for log_every in (1, 7):
+                    record = run(problem, cfg, mixing, parse_compressor(spec), seed=4,
+                                 log_every=log_every, x0=x0)
+                    yield "/".join([kind, *map(str, options.values()), spec,
+                                    str(log_every)]), record
+    # eta * L = 2: the iterates pass the divergence limit at iteration 79
+    diverging = OptimizerConfig(eta=2.0, gamma=0.5, iterations=150)
+    yield "diverging-late", run(built["quadratic"], diverging, mixing,
+                                parse_compressor("sign"), seed=4, x0=np.linspace(-0.5, 0.5, 7))
+
+
 def main():
     print(f"{hashlib.sha256(describe_setup().encode()).hexdigest()}  (set-up)")
     total = hashlib.sha256()
@@ -142,6 +170,12 @@ def main():
     for spec, digest in families.items():
         print(f"{digest.hexdigest()}  ({runs[spec]} runs, {spec})")
     print(f"{total.hexdigest()}  ({sum(runs.values())} runs)")
+    long = hashlib.sha256()
+    count = 0
+    for name, record in long_corpus():
+        long.update(f"{name}\n{describe(record)}\n".encode())
+        count += 1
+    print(f"{long.hexdigest()}  ({count} runs of 150 iterations)")
     return 0
 
 
