@@ -8,9 +8,10 @@ never moves.
 
 import numpy as np
 
-from chocosim import (ConsensusState, RandomStream, choco_gossip_round,
-                      consensus_stepsize, contraction_factor, lyapunov,
-                      mixing_matrix, parse_compressor, rate_constant, ring)
+from chocosim import (RandomStream, choco_gossip_round, consensus_stepsize,
+                      contraction_factor, lyapunov, mixing_matrix,
+                      parse_compressor, rate_constant, ring)
+from chocosim.optim import Workers
 
 N, DIM, ROUNDS = 16, 32, 800
 
@@ -25,12 +26,12 @@ for spec in ("identity", "topk:0.25", "sign", "gsgd:4"):
     # lossless messages support undamped gossip; the compressed runs use
     # the conservative theory stepsize
     gamma = 1.0 if spec == "identity" else consensus_stepsize(mixing, delta)
-    state = ConsensusState.start(x0, gamma)
+    state = Workers.start(x0, "choco")
     rng = RandomStream(7, 0, "compress").generator()  # one for all the rounds
     psi0 = lyapunov(state)
     checkpoints = {}
     for t in range(1, ROUNDS + 1):
-        choco_gossip_round(state, mixing, comp, rng)
+        choco_gossip_round(state, mixing, comp, rng, gamma)
         if t in (100, 400, ROUNDS):
             checkpoints[t] = lyapunov(state) / psi0
     drift = np.max(np.abs(state.x.mean(axis=0) - mean0))

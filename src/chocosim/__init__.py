@@ -9,8 +9,7 @@ convergence-per-bit comparisons are apples to apples.
 
 from .compression import bit_cost, compress, contraction_factor, parse_compressor
 from .config import ExperimentConfig, execute_single
-from .consensus import (ConsensusState, choco_gossip_round, consensus_stepsize, lyapunov,
-                        rate_constant)
+from .consensus import choco_gossip_round, consensus_stepsize, lyapunov, rate_constant
 from .numerics import RandomStream
 from .optim import OptimizerConfig, run
 from .problems import make_quadratic
@@ -20,8 +19,8 @@ __version__ = "0.1.0"
 
 # what the README and the demos import; every other name is imported from its module
 __all__ = [
-    "ConsensusState", "ExperimentConfig", "OptimizerConfig", "RandomStream", "bit_cost",
-    "choco_gossip_round", "compress", "consensus_stepsize", "contraction_factor",
-    "execute_single", "fully_connected", "load_edge_list", "lyapunov", "make_quadratic",
-    "mixing_matrix", "parse_compressor", "rate_constant", "ring", "run", "torus",
+    "ExperimentConfig", "OptimizerConfig", "RandomStream", "bit_cost", "choco_gossip_round",
+    "compress", "consensus_stepsize", "contraction_factor", "execute_single",
+    "fully_connected", "load_edge_list", "lyapunov", "make_quadratic", "mixing_matrix",
+    "parse_compressor", "rate_constant", "ring", "run", "torus",
 ]

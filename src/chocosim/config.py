@@ -23,8 +23,8 @@ import numpy as np
 
 from .compression import parse_compressor
 from .metrics import run_id, write_aggregate_csv, write_csv, write_summary
-from .numerics import RandomStream
-from .optim import OptimizerConfig, _is_number, run
+from .numerics import RandomStream, is_number
+from .optim import OptimizerConfig, run
 from .problems import (PARTITION_MODES, load_csv_dataset, make_logistic, make_mlp,
                        make_quadratic)
 from .topology import SIZE_RULES, fully_connected, load_edge_list, mixing_matrix, ring, torus
@@ -73,7 +73,7 @@ def _check(name, value, default):
             raise ConfigError(f"{name} must be an integer")
         ok, rule = value >= 1, ">= 1"
     elif isinstance(default, float):
-        ok, rule = _is_number(value), "a finite number"
+        ok, rule = is_number(value), "a finite number"
     else:
         ok, rule = isinstance(value, str), "a string"
     if not ok:
@@ -136,7 +136,7 @@ class ExperimentConfig(OptimizerConfig):
         for name in ("eta", "gamma"):
             grid = getattr(self, f"{name}_grid")
             if grid is not None and not (isinstance(grid, list) and grid
-                                         and all(map(_is_number, grid))):
+                                         and all(map(is_number, grid))):
                 raise ConfigError(f"{name}_grid must be a non-empty list of numbers")
             try:
                 for value in grid or ():

@@ -21,64 +21,33 @@ The statistics :func:`consensus_distance` and :func:`lyapunov` are made of
 dim)`` block of states, so a caller that needs both for many states (an
 optimizer's logged rows) sums the spread ``sum_i ||x_i - xbar||^2`` once
 per state and forms each from it, with the same floats. A gossip round's
-divergence check is one pass, ``max |x| <= limit``.
+divergence check is one pass, ``max |x| <= limit``, the optimizer's too.
 
 Ownership: :func:`sync_public` and :func:`mix_with_public` return fresh
 arrays and never write to their inputs, unless the caller passes ``out``,
 an ``(n, dim)`` float buffer it owns: the result is then written there,
 with the same floats. Their temporaries (the compressed payload; ``gamma *
 xhat`` and ``w @ xhat``) go to ``work``, a second such buffer, when the
-caller passes one. :func:`choco_gossip_round` updates a
-:class:`ConsensusState` in place this way, its temporaries in
-``state.scratch``: ``state.x`` and ``state.xhat`` keep their storage from
-round to round, so a caller that keeps a round's values copies them.
+caller passes one. :func:`choco_gossip_round` updates a node state this
+way: the optimizer's ``Workers``, of which it reads only the ``x``,
+``xhat`` and ``scratch`` arrays, as :func:`lyapunov` reads ``x`` and
+``xhat``. ``x`` and ``xhat`` keep their storage from round to round, so a
+caller that keeps a round's values copies them.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .compression import compress_blocks
+from .numerics import is_number
 
 # an iterate entry beyond this (or NaN) counts as diverged, here and in optim
 DIVERGENCE_LIMIT = 1e12
 
 
-@dataclass
-class ConsensusState:
-    """Private values ``x`` and public copies ``xhat``, both ``(n, dim)``.
-
-    Public copies start at zero: every node can assume that initial value
-    for every peer without communicating. ``scratch`` is a round's work
-    buffer.
-    """
-
-    x: np.ndarray
-    xhat: np.ndarray
-    gamma: float
-    scratch: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.scratch = np.empty_like(self.x)
-
-    @classmethod
-    def start(cls, x0, gamma):
-        x0 = np.array(x0, dtype=float)
-        if x0.ndim != 2:
-            raise ValueError("x0 must be (n, dim)")
-        if not np.all(np.isfinite(x0)):
-            raise FloatingPointError("non-finite initial values")
-        if gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        return cls(x=x0, xhat=np.zeros_like(x0), gamma=float(gamma))
-
-    @property
-    def n(self):
-        return self.x.shape[0]
-
-    @property
-    def dim(self):
-        return self.x.shape[1]
+def diverged(x, work):
+    """An entry of ``x`` is NaN or beyond the limit: one pass, ``|x|`` in
+    ``work`` (a NaN maximum compares False, and +-inf exceeds the limit)."""
+    return not np.maximum.reduce(np.abs(x, out=work), None) <= DIVERGENCE_LIMIT
 
 
 def consensus_stepsize(mixing, delta):
@@ -141,19 +110,19 @@ def sync_public(x, xhat, comp, rng, boundaries=None, out=None, work=None):
     return np.subtract(x, v, out=v)
 
 
-def choco_gossip_round(state, mixing, comp, rng, boundaries=None):
-    """One full compressed gossip round, updating ``state.x`` and
-    ``state.xhat`` in their own storage.
-
-    ``rng`` is the ``numpy.random.Generator`` of every node, usually kept
-    for the whole gossip run; a stochastic compressor advances it.
-    """
-    if mixing.w.shape[0] != state.n:
+def choco_gossip_round(workers, mixing, comp, rng, gamma, boundaries=None):
+    """One compressed gossip round with stepsize ``gamma``: mix the private
+    values ``workers.x``, check them for divergence, then sync the public
+    copies ``workers.xhat``, each in its own storage, the temporaries in
+    ``workers.scratch``. ``rng`` is every node's generator, usually kept for
+    the whole gossip run; a stochastic compressor advances it."""
+    if not (is_number(gamma) and gamma > 0.0):
+        raise ValueError("gamma must be a positive number")
+    x, xhat, scratch = workers.x, workers.xhat, workers.scratch
+    if mixing.w.shape[0] != x.shape[0]:
         raise ValueError("mixing matrix size does not match state")
-    x, xhat, scratch = state.x, state.xhat, state.scratch
-    mix_with_public(x, xhat, mixing.w, state.gamma, out=x, work=scratch)
-    # one pass: a NaN maximum compares False, and +-inf exceeds the limit
-    if not np.maximum.reduce(np.abs(x, out=scratch), None) <= DIVERGENCE_LIMIT:
+    mix_with_public(x, xhat, mixing.w, gamma, out=x, work=scratch)
+    if diverged(x, scratch):
         raise FloatingPointError("gossip iterates diverged")
     sync_public(x, xhat, comp, rng, boundaries, out=xhat, work=scratch)
 

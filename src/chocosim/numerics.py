@@ -22,6 +22,8 @@ nodes from that one generator: row i of an ``(n, .)`` block is node i's.
 Seeds are non-negative integers.
 """
 
+import math
+import numbers
 import zlib
 
 import numpy as np
@@ -98,6 +100,12 @@ class RandomStream:
         counter = np.zeros(4, dtype=np.uint64)
         counter[2] = iteration + 1
         return np.random.Generator(np.random.Philox(self._key, counter=counter))
+
+
+def is_number(value):
+    """A finite real, not a bool (which Python counts as an int)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def require_finite(arr, context="array"):

@@ -86,10 +86,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compression import Compressor, compress_blocks, contraction_factor, message_bits
-from .consensus import (DIVERGENCE_LIMIT, consensus_stepsize, mix_with_public, squared_sum,
-                        sync_public)
+from .consensus import (DIVERGENCE_LIMIT, consensus_stepsize, diverged, mix_with_public,
+                        squared_sum, sync_public)
 from .metrics import RunRecord, TrafficLedger
-from .numerics import RandomStream
+from .numerics import RandomStream, is_number
 
 ALGORITHMS = (
     "choco",
@@ -106,12 +106,6 @@ LOG_BLOCK_BYTES = 2**18
 NORM_BLOCK = 64
 
 
-def _is_number(value):
-    # a finite real; Python counts booleans as ints, a config must not
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 @dataclass
 class OptimizerConfig:
     algorithm: str = "choco"
@@ -126,21 +120,21 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
-        if not (_is_number(self.eta) and self.eta >= 0.0):
+        if not (is_number(self.eta) and self.eta >= 0.0):
             raise ValueError("eta must be a number >= 0")
-        if not (_is_number(self.momentum_factor) and 0.0 <= self.momentum_factor < 1.0):
+        if not (is_number(self.momentum_factor) and 0.0 <= self.momentum_factor < 1.0):
             raise ValueError("momentum_factor must be a number in [0, 1)")
-        if not (_is_number(self.weight_decay) and self.weight_decay >= 0.0):
+        if not (is_number(self.weight_decay) and self.weight_decay >= 0.0):
             raise ValueError("weight_decay must be a number >= 0")
         if not isinstance(self.nesterov, bool):
             raise ValueError("nesterov must be true or false")
-        if not (isinstance(self.iterations, numbers.Integral) and _is_number(self.iterations)
+        if not (isinstance(self.iterations, numbers.Integral) and is_number(self.iterations)
                 and self.iterations >= 1):
             raise ValueError("iterations must be an integer >= 1")
-        if self.gamma != "auto" and not (_is_number(self.gamma) and self.gamma > 0.0):
+        if self.gamma != "auto" and not (is_number(self.gamma) and self.gamma > 0.0):
             raise ValueError("gamma must be 'auto' or a positive number")
         if self.delta_override is not None and not (
-                _is_number(self.delta_override) and 0.0 < self.delta_override <= 1.0):
+                is_number(self.delta_override) and 0.0 < self.delta_override <= 1.0):
             raise ValueError("delta_override must be a number in (0, 1]")
 
 
@@ -148,7 +142,7 @@ class OptimizerConfig:
 class Workers:
     """A run's state, one row per node (the centralized baseline: one
     shared row), each array owned by the workers and updated in place;
-    ``scratch`` is a step's work buffer."""
+    ``scratch`` is a step's or a gossip round's work buffer."""
 
     x: np.ndarray
     xhat: np.ndarray = None
@@ -161,12 +155,14 @@ class Workers:
         self.scratch = np.empty_like(self.x)
 
     @classmethod
-    def start(cls, x0, n, algorithm):
-        x0 = np.asarray(x0, dtype=float)
-        x = np.tile(x0, (n, 1))
+    def start(cls, rows, algorithm):
+        """``algorithm``'s state at a copy of the ``(n, dim)`` start ``rows``."""
+        x = np.array(rows, dtype=float)
+        if x.ndim != 2:
+            raise ValueError("start rows must be (n, dim)")
         w = cls(x=x)
         if algorithm.startswith("choco"):
-            w.xhat = np.zeros_like(x)
+            w.xhat = np.zeros_like(x)  # a start every node knows without a message
         if algorithm == "choco-momentum":
             w.velocity = np.zeros_like(x)
         if algorithm == "choco-errorfeedback":
@@ -403,7 +399,7 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
             raise ValueError("mixing matrix size != problem node count")
     if compressor is None:
         compressor = Compressor("identity")
-    if not (isinstance(log_every, numbers.Integral) and _is_number(log_every) and log_every >= 1):
+    if not (isinstance(log_every, numbers.Integral) and is_number(log_every) and log_every >= 1):
         raise ValueError("log_every must be an integer >= 1")
 
     n, dim = problem.n, problem.dim
@@ -419,7 +415,7 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
     record.eta = cfg.eta
     started = time.perf_counter()
 
-    workers = Workers.start(x0, 1 if centralized else n, cfg.algorithm)
+    workers = Workers.start(np.tile(x0, (1 if centralized else n, 1)), cfg.algorithm)
     ledger = _iteration_ledger(cfg, n, dim, mixing, compressor, boundaries, broadcast)
     busiest_charge = ledger.busiest()
 
@@ -452,9 +448,8 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
         if k + 1 == NORM_BLOCK:
             _fold_norms(record, norms)
 
-        # one pass: a NaN maximum compares False, and +-inf exceeds the limit;
         # the step's work buffer is free again when the step returns
-        if not np.maximum.reduce(np.abs(workers.x, out=workers.scratch), None) <= DIVERGENCE_LIMIT:
+        if diverged(workers.x, workers.scratch):
             record.diverged = True
             record.diverged_at = t + 1
             # the first row with a NaN, an infinity or an entry beyond the

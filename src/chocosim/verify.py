@@ -18,11 +18,11 @@ import numpy as np
 
 from .compression import (bit_cost, compress, compress_blocks, contraction_factor,
                           parse_compressor, sign_contraction)
-from .consensus import (ConsensusState, choco_gossip_round, consensus_distance,
-                        consensus_stepsize, lyapunov, rate_constant)
+from .consensus import (choco_gossip_round, consensus_distance, consensus_stepsize, lyapunov,
+                        rate_constant)
 from .metrics import CSV_HEADER
 from .numerics import RandomStream
-from .optim import OptimizerConfig, Streams, run, theoretical_stepsize
+from .optim import OptimizerConfig, Streams, Workers, run, theoretical_stepsize
 from .problems import estimate_constants, make_quadratic
 from .topology import fully_connected, mixing_matrix, ring, torus
 
@@ -130,12 +130,12 @@ def _gossip_trajectory(graph, comp_spec, dim, rounds, seed=3, gamma=None):
         gamma = consensus_stepsize(mixing, contraction_factor(comp, dim))
     x0 = RandomStream(seed, 0, "verify").generator().standard_normal(graph.n * dim)
     x0 = x0.reshape(graph.n, dim)
-    state = ConsensusState.start(x0, gamma)
+    state = Workers.start(x0, "choco")
     # one generator for the whole run: each round draws where the last stopped
     rng = RandomStream(seed, 0, "compress").generator()
     psi_start = lyapunov(state)
     for _ in range(rounds):
-        choco_gossip_round(state, mixing, comp, rng)
+        choco_gossip_round(state, mixing, comp, rng, gamma)
     return mixing, state, x0, np.array([psi_start, lyapunov(state)])
 
 

@@ -15,8 +15,8 @@ from chocosim import cli
 from chocosim.compression import (bit_cost, compress, contraction_factor,
                                   parse_compressor)
 from chocosim.config import ExperimentConfig
-from chocosim.consensus import (ConsensusState, choco_gossip_round,
-                                consensus_stepsize, lyapunov, rate_constant)
+from chocosim.consensus import (choco_gossip_round, consensus_stepsize, lyapunov,
+                                rate_constant)
 from chocosim.numerics import RandomStream
 from chocosim.optim import (OptimizerConfig, Streams, Workers, choco_step,
                             consensus_bound, run, theoretical_stepsize)
@@ -96,13 +96,13 @@ def test_criterion_04_gossip_linear_convergence():
         gamma = consensus_stepsize(mixing, delta)
         c = rate_constant(mixing, delta)
 
-        psi0 = lyapunov(ConsensusState.start(x0, gamma))
+        psi0 = lyapunov(Workers.start(x0, "choco"))
         finals = []
         for trial in range(trials):
-            state = ConsensusState.start(x0, gamma)
+            state = Workers.start(x0, "choco")
             rng = RandomStream(trial, 0, "compress").generator()  # one per run, all nodes
             for _ in range(rounds):
-                choco_gossip_round(state, mixing, comp, rng)
+                choco_gossip_round(state, mixing, comp, rng, gamma)
                 drift = float(np.linalg.norm(state.x.mean(axis=0) - mean0))
                 assert drift < 1e-10 * mean_scale, spec
             finals.append(lyapunov(state))
@@ -118,8 +118,8 @@ def test_criterion_05_equivalence_triangle():
     # (a) difference-compression form vs error-feedback form, shared streams
     comp = parse_compressor("sign")
     gamma = consensus_stepsize(mixing, contraction_factor(comp, d))
-    plain = Workers.start(x0, n, "choco")
-    ef = Workers.start(x0, n, "choco-errorfeedback")
+    plain = Workers.start(np.tile(x0, (n, 1)), "choco")
+    ef = Workers.start(np.tile(x0, (n, 1)), "choco-errorfeedback")
     ef_cfg = OptimizerConfig(algorithm="choco-errorfeedback", eta=eta, iterations=100)
     streams_a = Streams(5)
     streams_b = Streams(5)

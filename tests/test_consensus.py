@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from chocosim.compression import contraction_factor, parse_compressor
-from chocosim.consensus import (ConsensusState, choco_gossip_round,
-                                consensus_distance, consensus_stepsize,
-                                lyapunov, mix_with_public, rate_constant,
-                                sync_public)
+from chocosim.consensus import (choco_gossip_round, consensus_distance,
+                                consensus_stepsize, lyapunov, mix_with_public,
+                                rate_constant, sync_public)
 from chocosim.numerics import RandomStream
+from chocosim.optim import Workers
 from chocosim.topology import fully_connected, mixing_matrix, ring
 
 
@@ -15,9 +15,9 @@ def _rng(seed=0):
     return RandomStream(seed, 0, "compress").generator()
 
 
-def _start(n, dim, gamma, seed=0):
+def _start(n, dim, seed=0):
     x0 = RandomStream(seed, 0, "init").generator().standard_normal(n * dim).reshape(n, dim)
-    return ConsensusState.start(x0, gamma), x0
+    return Workers.start(x0, "choco"), x0
 
 
 # ----------------------------------------------------------------- stepsize
@@ -68,13 +68,13 @@ def test_rate_constant_formulas():
 def test_fixed_point_when_all_equal():
     m = mixing_matrix(ring(4))
     x0 = np.tile(np.array([2.0, -1.0]), (4, 1))
-    state = ConsensusState.start(x0, 1.0)
+    state = Workers.start(x0, "choco")
     comp = parse_compressor("identity")
-    choco_gossip_round(state, m, comp, _rng())
+    choco_gossip_round(state, m, comp, _rng(), 1.0)
     # first round: gossip term zero, public copies catch up to x
     np.testing.assert_array_equal(state.x, x0)
     np.testing.assert_array_equal(state.xhat, x0)
-    choco_gossip_round(state, m, comp, _rng())
+    choco_gossip_round(state, m, comp, _rng(), 1.0)
     np.testing.assert_array_equal(state.x, x0)
     np.testing.assert_array_equal(state.xhat, x0)
 
@@ -82,13 +82,13 @@ def test_fixed_point_when_all_equal():
 def test_two_node_hand_simulation():
     # x = (0), (2); identity compression; gamma = 1; W = [[.5,.5],[.5,.5]]
     m = mixing_matrix(fully_connected(2))
-    state = ConsensusState.start(np.array([[0.0], [2.0]]), 1.0)
+    state = Workers.start(np.array([[0.0], [2.0]]), "choco")
     comp = parse_compressor("identity")
-    choco_gossip_round(state, m, comp, _rng())
+    choco_gossip_round(state, m, comp, _rng(), 1.0)
     # round 1: xhat was 0 so x is unchanged; xhat becomes (0), (2)
     np.testing.assert_array_equal(state.x, [[0.0], [2.0]])
     np.testing.assert_array_equal(state.xhat, [[0.0], [2.0]])
-    choco_gossip_round(state, m, comp, _rng())
+    choco_gossip_round(state, m, comp, _rng(), 1.0)
     np.testing.assert_array_equal(state.x, [[1.0], [1.0]])
 
 
@@ -97,25 +97,25 @@ def test_average_preserved_for_every_compressor():
     for spec in ("identity", "sign", "topk:0.3", "random:0.3", "gsgd:4"):
         comp = parse_compressor(spec)
         gamma = consensus_stepsize(m, contraction_factor(comp, 12))
-        state, x0 = _start(8, 12, gamma, seed=3)
+        state, x0 = _start(8, 12, seed=3)
         rng = _rng(seed=3)
         mean0 = x0.mean(axis=0)
         scale = float(np.max(np.abs(mean0))) + 1.0
         for _ in range(100):
-            choco_gossip_round(state, m, comp, rng)
+            choco_gossip_round(state, m, comp, rng, gamma)
             drift = float(np.max(np.abs(state.x.mean(axis=0) - mean0)))
             assert drift < 1e-12 * scale, spec
 
 
 def test_exact_mode_is_plain_matrix_gossip_from_round_two():
     m = mixing_matrix(ring(8))
-    state, _ = _start(8, 5, 1.0, seed=9)
+    state, _ = _start(8, 5, seed=9)
     comp = parse_compressor("identity")
     rng = _rng()
-    choco_gossip_round(state, m, comp, rng)  # warm-up round
+    choco_gossip_round(state, m, comp, rng, 1.0)  # warm-up round
     for _ in range(10):
         prev = state.x.copy()
-        choco_gossip_round(state, m, comp, rng)
+        choco_gossip_round(state, m, comp, rng, 1.0)
         np.testing.assert_array_equal(state.x, m.w @ prev)
 
 
@@ -123,12 +123,12 @@ def test_gossip_contracts_disagreement():
     m = mixing_matrix(ring(8))
     comp = parse_compressor("topk:0.5")
     gamma = consensus_stepsize(m, 0.5)
-    state, x0 = _start(8, 16, gamma, seed=5)
+    state, x0 = _start(8, 16, seed=5)
     psi0 = lyapunov(state)
     c = rate_constant(m, 0.5)
     T = 1500
     for _ in range(T):
-        choco_gossip_round(state, m, comp, _rng(seed=5))
+        choco_gossip_round(state, m, comp, _rng(seed=5), gamma)
     # theory envelope (one-sided) and actual progress
     assert lyapunov(state) <= (1.0 - c) ** T * psi0
     assert consensus_distance(state.x) < consensus_distance(x0)
@@ -136,45 +136,44 @@ def test_gossip_contracts_disagreement():
 
 def test_divergence_guard():
     m = mixing_matrix(ring(4))
-    state, _ = _start(4, 3, 50.0)  # absurd stepsize oscillates and blows up
+    state, _ = _start(4, 3)
     comp = parse_compressor("identity")
     with pytest.raises(FloatingPointError):
-        for _ in range(200):
-            choco_gossip_round(state, m, comp, _rng())
+        for _ in range(200):  # absurd stepsize oscillates and blows up
+            choco_gossip_round(state, m, comp, _rng(), 50.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e12])
 def test_divergence_guard_flags_any_bad_entry(bad):
     m = mixing_matrix(ring(4))
-    state, _ = _start(4, 3, 0.1)
+    state, _ = _start(4, 3)
     state.x[2, 1] = bad  # nothing else is out of range
     with pytest.raises(FloatingPointError):
-        choco_gossip_round(state, m, parse_compressor("identity"), _rng())
+        choco_gossip_round(state, m, parse_compressor("identity"), _rng(), 0.1)
 
 
 def test_divergence_guard_passes_the_limit_itself():
-    state = ConsensusState(x=np.full((2, 1), 1e12), xhat=np.full((2, 1), 1e12), gamma=0.5)
-    choco_gossip_round(state, mixing_matrix(ring(2)), parse_compressor("identity"), _rng())
+    state = Workers(x=np.full((2, 1), 1e12), xhat=np.full((2, 1), 1e12))
+    choco_gossip_round(state, mixing_matrix(ring(2)), parse_compressor("identity"), _rng(), 0.5)
 
 
 # ----------------------------------------------------------------- lyapunov
 
 def test_lyapunov_zero_at_consensus():
     x = np.tile(np.array([1.0, 2.0]), (3, 1))
-    state = ConsensusState(x=x.copy(), xhat=x.copy(), gamma=0.1)
+    state = Workers(x=x.copy(), xhat=x.copy())
     assert lyapunov(state) == 0.0
 
 
 def test_lyapunov_hand_value():
     # x = (0), (2) scalar, xhat = 0: disagreement 2 plus tracking error 4
-    state = ConsensusState(x=np.array([[0.0], [2.0]]),
-                           xhat=np.zeros((2, 1)), gamma=0.1)
+    state = Workers(x=np.array([[0.0], [2.0]]), xhat=np.zeros((2, 1)))
     assert lyapunov(state) == pytest.approx(6.0)
 
 
 def test_lyapunov_dominates_consensus_distance():
     for seed in range(5):
-        state, _ = _start(6, 4, 0.1, seed=seed)
+        state, _ = _start(6, 4, seed=seed)
         state.xhat = RandomStream(seed, 1, "init").generator().standard_normal(24).reshape(6, 4)
         assert lyapunov(state) >= 6 * consensus_distance(state.x) - 1e-12
 
@@ -202,7 +201,48 @@ def test_mix_with_public_matches_naive_formula():
 
 
 def test_state_start_validation():
+    m = mixing_matrix(ring(2))
+    with pytest.raises(ValueError):  # gamma must be positive
+        choco_gossip_round(Workers.start(np.zeros((2, 2)), "choco"), m,
+                           parse_compressor("identity"), _rng(), 0.0)
     with pytest.raises(ValueError):
-        ConsensusState.start(np.zeros((2, 2)), 0.0)  # gamma must be positive
-    with pytest.raises(ValueError):
-        ConsensusState.start(np.zeros(4), 0.5)  # needs (n, d) array
+        Workers.start(np.zeros(4), "choco")  # needs (n, d) array
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, True])
+def test_gossip_round_rejects_a_bad_stepsize_before_touching_the_state(bad):
+    # NaN and inf compare False with `gamma <= 0`, and True is an int to Python
+    state, x0 = _start(4, 3)
+    with pytest.raises(ValueError, match="gamma"):
+        choco_gossip_round(state, mixing_matrix(ring(4)), parse_compressor("identity"),
+                           _rng(), bad)
+    assert np.array_equal(state.x, x0) and not state.xhat.any()
+
+
+@pytest.mark.parametrize("rows", [np.zeros((2, 2, 2)), 1.0])
+def test_workers_start_rejects_rows_that_are_not_2d(rows):
+    with pytest.raises(ValueError, match=r"\(n, dim\)"):
+        Workers.start(rows, "choco")
+
+
+def test_gossip_rounds_leave_the_callers_start_unchanged():
+    # verify's average-preservation check reads x0 after the rounds: a state
+    # that aliased it would move it with the average and hide any drift
+    x0 = RandomStream(6, 0, "init").generator().standard_normal(20).reshape(5, 4)
+    kept = x0.copy()
+    state = Workers.start(x0, "choco")
+    assert not np.shares_memory(state.x, x0)
+    for _ in range(5):
+        choco_gossip_round(state, mixing_matrix(ring(5)), parse_compressor("sign"), _rng(), 0.3)
+    assert not np.array_equal(state.x, kept)
+    assert x0.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_start_row_raises_on_the_first_round(bad):
+    x0 = np.ones((4, 3))
+    x0[1, 2] = bad
+    state = Workers.start(x0, "choco")
+    with pytest.raises(FloatingPointError, match="diverged"):
+        choco_gossip_round(state, mixing_matrix(ring(4)), parse_compressor("identity"),
+                           _rng(), 0.5)

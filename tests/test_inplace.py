@@ -1,5 +1,5 @@
 """The compressed-gossip step updates its state in place, in buffers owned by
-``Workers`` (or by a ``ConsensusState``). What a caller keeps must never
+``Workers``, as does the gossip round. What a caller keeps must never
 share memory with that state, the functions that take an ``out`` buffer
 must not write to their inputs without one, and the in-place forms give
 the same floats as the fresh-array forms."""
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from chocosim.compression import compress_blocks, parse_compressor
-from chocosim.consensus import ConsensusState, choco_gossip_round, mix_with_public, sync_public
+from chocosim.consensus import choco_gossip_round, mix_with_public, sync_public
 from chocosim.numerics import RandomStream
 from chocosim.optim import ALGORITHMS, OptimizerConfig, Streams, Workers, choco_step, run
 from chocosim.problems import make_logistic, make_mlp, make_quadratic
@@ -55,7 +55,7 @@ def test_recorded_iterates_share_no_memory(algorithm):
 
 def test_workers_arrays_are_distinct_buffers():
     for algorithm in ALGORITHMS[:-1]:
-        arrays = _state_arrays(Workers.start(np.arange(3.0), 4, algorithm))
+        arrays = _state_arrays(Workers.start(np.tile(np.arange(3.0), (4, 1)), algorithm))
         assert all(a.shape == (4, 3) for a in arrays)
         assert not any(np.shares_memory(a, b)
                        for k, a in enumerate(arrays) for b in arrays[k + 1:])
@@ -66,7 +66,7 @@ def test_errorfeedback_x_prev_is_a_copy_of_the_previous_iterate():
     mixing = mixing_matrix(ring(6))
     comp = parse_compressor("gsgd:4")
     cfg = OptimizerConfig(algorithm="choco-errorfeedback", eta=0.05, iterations=10)
-    workers = Workers.start(np.linspace(-0.5, 0.5, 7), 6, cfg.algorithm)
+    workers = Workers.start(np.tile(np.linspace(-0.5, 0.5, 7), (6, 1)), cfg.algorithm)
     streams = Streams(3)
     for t in range(4):
         before = workers.x.copy()
@@ -85,7 +85,7 @@ def test_choco_step_runs_on_fresh_workers_without_cfg_or_record():
     mixing = mixing_matrix(ring(4))
     comp = parse_compressor("sign")
     x0 = np.linspace(-1.0, 1.0, 5)
-    workers = Workers.start(x0, 4, "choco")
+    workers = Workers.start(np.tile(x0, (4, 1)), "choco")
     streams = Streams(7)
     x, xhat = np.tile(x0, (4, 1)), np.zeros((4, 5))
     for t in range(5):
@@ -143,7 +143,7 @@ def test_gossip_rounds_in_the_states_buffers_equal_the_fresh_forms(spec):
     comp = parse_compressor(spec)
     mixing = mixing_matrix(ring(6))
     for boundaries in LAYOUTS:
-        state = ConsensusState.start(_rows(d=21), 0.3)
+        state = Workers.start(_rows(d=21), "choco")
         buffers = [a.__array_interface__["data"][0] for a in (state.x, state.xhat,
                                                                state.scratch)]
         assert not any(np.shares_memory(a, b) for a, b in
@@ -152,7 +152,7 @@ def test_gossip_rounds_in_the_states_buffers_equal_the_fresh_forms(spec):
         x, xhat = state.x.copy(), state.xhat.copy()
         rng, ref_rng = RandomStream(4).generator(), RandomStream(4).generator()
         for _ in range(3):
-            choco_gossip_round(state, mixing, comp, rng, boundaries)
+            choco_gossip_round(state, mixing, comp, rng, 0.3, boundaries)
             x = mix_with_public(x, xhat, mixing.w, 0.3)
             xhat = sync_public(x, xhat, comp, ref_rng, boundaries)
             assert state.x.tobytes() == x.tobytes() and state.xhat.tobytes() == xhat.tobytes()

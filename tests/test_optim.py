@@ -42,14 +42,14 @@ def test_optimizer_config_validation():
 
 def test_worker_buffers_per_algorithm():
     x0 = np.arange(3.0)
-    plain = Workers.start(x0, 4, "choco")
+    plain = Workers.start(np.tile(x0, (4, 1)), "choco")
     assert plain.x.shape == (4, 3)
     assert np.all(plain.xhat == 0.0) and plain.velocity is None
-    mom = Workers.start(x0, 4, "choco-momentum")
+    mom = Workers.start(np.tile(x0, (4, 1)), "choco-momentum")
     assert mom.velocity.shape == (4, 3)
-    ef = Workers.start(x0, 4, "choco-errorfeedback")
+    ef = Workers.start(np.tile(x0, (4, 1)), "choco-errorfeedback")
     assert np.all(ef.memory == 0.0) and np.all(ef.x_prev == 0.0)
-    exact = Workers.start(x0, 4, "decentralized-exact")
+    exact = Workers.start(np.tile(x0, (4, 1)), "decentralized-exact")
     assert exact.xhat is None
 
 
@@ -292,6 +292,16 @@ def test_a_wrong_length_start_is_rejected(algorithm, x0):
     cfg = OptimizerConfig(algorithm=algorithm, iterations=2)
     with pytest.raises(ValueError, match=r"x0 must have shape \(3,\), got"):
         run(problem, cfg, mixing_matrix(ring(4)), seed=0, x0=x0)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_run_leaves_the_callers_start_unchanged(algorithm):
+    problem = make_quadratic(4, 3, noise_std=0.5, seed=11)
+    cfg = OptimizerConfig(algorithm=algorithm, eta=0.05, gamma=0.3, iterations=4)
+    x0 = np.array([0.5, -1.0, 2.0])
+    rec = run(problem, cfg, mixing_matrix(ring(4)), parse_compressor("sign"), seed=0, x0=x0)
+    assert x0.tolist() == [0.5, -1.0, 2.0]
+    assert not np.shares_memory(rec.workers.x, x0)
 
 
 def test_errorfeedback_tracks_plain_variant_closely():

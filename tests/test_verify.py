@@ -6,9 +6,9 @@ import numpy as np
 
 from chocosim import verify
 from chocosim.compression import compress, contraction_factor, parse_compressor
-from chocosim.consensus import (ConsensusState, choco_gossip_round, consensus_stepsize,
-                                lyapunov)
+from chocosim.consensus import choco_gossip_round, consensus_stepsize, lyapunov
 from chocosim.numerics import RandomStream
+from chocosim.optim import Workers
 from chocosim.topology import mixing_matrix, ring
 
 
@@ -84,11 +84,11 @@ def _per_round_psi(graph, comp_spec, dim, rounds, seed=3, gamma=None):
     if gamma is None:
         gamma = consensus_stepsize(mixing, contraction_factor(comp, dim))
     x0 = RandomStream(seed, 0, "verify").generator().standard_normal(graph.n * dim)
-    state = ConsensusState.start(x0.reshape(graph.n, dim), gamma)
+    state = Workers.start(x0.reshape(graph.n, dim), "choco")
     rng = RandomStream(seed, 0, "compress").generator()
     psi = [lyapunov(state)]
     for _ in range(rounds):
-        choco_gossip_round(state, mixing, comp, rng)
+        choco_gossip_round(state, mixing, comp, rng, gamma)
         psi.append(lyapunov(state))
     return state, np.array(psi)
 
