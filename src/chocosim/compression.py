@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import is_integer
+
 FLOAT_BITS = 32  # accounted wire width of one scalar / one norm
 _KINDS = ("identity", "gsgd", "random", "topk", "sign")
 _STOCHASTIC_KINDS = ("gsgd", "random")
@@ -50,8 +52,8 @@ class Compressor:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown compressor kind {self.kind!r}")
-        if self.kind == "gsgd" and self.bits < 2:
-            raise ValueError("gsgd needs bits >= 2")
+        if self.kind == "gsgd" and not (is_integer(self.bits) and self.bits >= 2):
+            raise ValueError("gsgd needs an integer bits >= 2")
         if self.kind in ("random", "topk") and not (0.0 < self.fraction <= 1.0):
             raise ValueError("sparsifier fraction must be in (0, 1]")
         if self.unbiased and self.kind not in ("gsgd", "random"):

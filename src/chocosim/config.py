@@ -23,7 +23,7 @@ import numpy as np
 
 from .compression import parse_compressor
 from .metrics import run_id, write_aggregate_csv, write_csv, write_summary
-from .numerics import RandomStream, is_number
+from .numerics import RandomStream, is_integer, is_number
 from .optim import OptimizerConfig, run
 from .problems import (PARTITION_MODES, load_csv_dataset, make_logistic, make_mlp,
                        make_quadratic)
@@ -50,10 +50,6 @@ PROBLEM_FIELDS = {"quadratic": _factory_fields(make_quadratic),
                   "mlp": _factory_fields(make_mlp)}
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check(name, value, default):
     """Raise :class:`ConfigError` unless ``value`` suits field ``name``: true
     or false for a bool default, an integer >= 1 for an int (every integer
@@ -61,7 +57,7 @@ def _check(name, value, default):
     a string for a str. Named exceptions: the seed, a mode and the csv path.
     """
     if name == "problem.seed":
-        ok, rule = _is_int(value) and value >= 0, "a non-negative integer"
+        ok, rule = is_integer(value) and value >= 0, "a non-negative integer"
     elif name in _MODES:
         ok, rule = isinstance(value, str) and value in _MODES[name], f"one of {_MODES[name]}"
     elif name == "problem.csv":
@@ -69,7 +65,7 @@ def _check(name, value, default):
     elif isinstance(default, bool):
         ok, rule = isinstance(value, bool), "true or false"
     elif isinstance(default, int):
-        if not _is_int(value):
+        if not is_integer(value):
             raise ConfigError(f"{name} must be an integer")
         ok, rule = value >= 1, ">= 1"
     elif isinstance(default, float):
@@ -108,7 +104,7 @@ class ExperimentConfig(OptimizerConfig):
                 nodes = build_topology(self.topology, check_only=True)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not (isinstance(self.seeds, list) and self.seeds and all(map(_is_int, self.seeds))):
+        if not (isinstance(self.seeds, list) and self.seeds and all(map(is_integer, self.seeds))):
             raise ConfigError("seeds must be a non-empty list of integers")
         if min(self.seeds) < 0:
             raise ConfigError("seeds must be non-negative integers")
@@ -143,6 +139,8 @@ class ExperimentConfig(OptimizerConfig):
                     OptimizerConfig(**{name: value})
             except ValueError as exc:
                 raise ConfigError(f"{name}_grid: {exc}") from exc
+        # NumPy numbers become the Python numbers the JSON echo reads back as
+        vars(self).update(json.loads(json.dumps(asdict(self), default=np.generic.item)))
 
     @classmethod
     def from_dict(cls, data):

@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numerics import is_integer
+
 CSV_HEADER = "t,f_avg,grad_sq,consensus,psi,bits_busiest,wall_ms"
 
 
@@ -42,8 +44,8 @@ class TrafficLedger:
     """
 
     def __init__(self, n_nodes):
-        if n_nodes < 1:
-            raise ValueError("need at least one node")
+        if not (is_integer(n_nodes) and n_nodes >= 1):
+            raise ValueError("n_nodes must be an integer >= 1")
         self.n_nodes = int(n_nodes)
         self.per_node = np.zeros(self.n_nodes, dtype=np.int64)
 
@@ -154,7 +156,7 @@ def run_id(config_dict, seed):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-def write_summary(records, config_dict, path, extra=None):
+def write_summary(records, config_dict, path):
     """JSON summary for one or more seeds of the same configuration."""
     seeds = [r.seed for r in records]
     payload = {
@@ -169,8 +171,6 @@ def write_summary(records, config_dict, path, extra=None):
                       for r in records},
         "summary": {str(r.seed): summarize(r) for r in records},
     }
-    if extra:
-        payload.update(extra)
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

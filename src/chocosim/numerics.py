@@ -59,20 +59,20 @@ class RandomStream:
     Parameters
     ----------
     seed : int
-        Root seed, any non-negative Python int (64-bit range is typical).
+        Root seed, a non-negative Python or NumPy integer (64-bit range is typical).
     worker : int, optional
-        Index that splits one seed into independent streams.
+        Non-negative index that splits one seed into independent streams.
     purpose : str, optional
         Free-form tag, e.g. ``"grad"`` or ``"compress"``.
     """
 
     def __init__(self, seed, worker=0, purpose="main"):
-        if not isinstance(seed, (int, np.integer)):
+        if not is_integer(seed):
             raise TypeError("seed must be an integer")
         if seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if worker < 0:
-            raise ValueError("worker index must be >= 0")
+        if not (is_integer(worker) and worker >= 0):
+            raise ValueError("worker must be an integer >= 0")
         self.seed = int(seed)
         self.worker = int(worker)
         self.purpose = str(purpose)
@@ -100,6 +100,11 @@ class RandomStream:
         counter = np.zeros(4, dtype=np.uint64)
         counter[2] = iteration + 1
         return np.random.Generator(np.random.Philox(self._key, counter=counter))
+
+
+def is_integer(value):
+    """A Python or NumPy integer, not a bool (which Python counts as an int)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def is_number(value):

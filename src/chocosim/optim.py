@@ -79,7 +79,6 @@ of :attr:`RunRecord.timings` time this block work.
 """
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -89,7 +88,7 @@ from .compression import Compressor, compress_blocks, contraction_factor, messag
 from .consensus import (DIVERGENCE_LIMIT, consensus_stepsize, diverged, mix_with_public,
                         squared_sum, sync_public)
 from .metrics import RunRecord, TrafficLedger
-from .numerics import RandomStream, is_number
+from .numerics import RandomStream, is_integer, is_number
 
 ALGORITHMS = (
     "choco",
@@ -128,8 +127,7 @@ class OptimizerConfig:
             raise ValueError("weight_decay must be a number >= 0")
         if not isinstance(self.nesterov, bool):
             raise ValueError("nesterov must be true or false")
-        if not (isinstance(self.iterations, numbers.Integral) and is_number(self.iterations)
-                and self.iterations >= 1):
+        if not (is_integer(self.iterations) and self.iterations >= 1):
             raise ValueError("iterations must be an integer >= 1")
         if self.gamma != "auto" and not (is_number(self.gamma) and self.gamma > 0.0):
             raise ValueError("gamma must be 'auto' or a positive number")
@@ -399,7 +397,7 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
             raise ValueError("mixing matrix size != problem node count")
     if compressor is None:
         compressor = Compressor("identity")
-    if not (isinstance(log_every, numbers.Integral) and is_number(log_every) and log_every >= 1):
+    if not (is_integer(log_every) and log_every >= 1):
         raise ValueError("log_every must be an integer >= 1")
 
     n, dim = problem.n, problem.dim

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RandomStream, require_finite, sym_eigenvalues
+from .numerics import RandomStream, is_integer, is_number, require_finite, sym_eigenvalues
 
 PARTITION_MODES = ("iid-reshuffled", "fixed-split")
 # sample bytes per full-batch kernel call: a few shards, whose activations
@@ -63,15 +63,17 @@ class Partition:
     def __post_init__(self):
         if self.mode not in PARTITION_MODES:
             raise ValueError(f"unknown partition mode {self.mode!r}")
-        if self.n_samples < self.n_nodes:
-            raise ValueError("need at least one sample per node")
+        if not (is_integer(self.n_nodes) and is_integer(self.n_samples)
+                and 1 <= self.n_nodes <= self.n_samples):
+            raise ValueError("need integers 1 <= n_nodes <= n_samples: a sample per node")
         if self.by_label and self.mode != "fixed-split":
             raise ValueError("by_label only makes sense for fixed-split")
         if self.by_label and self.labels is None:
             raise ValueError("by_label needs labels")
 
     def shards(self, epoch=0):
-        """List of index arrays, one per node, for the given epoch."""
+        """List of index arrays, one per node, for the given epoch, each in
+        increasing order: the order minibatch draws index and full-batch sums run in."""
         if self.mode == "fixed-split":
             if self.by_label:
                 order = np.argsort(self.labels, kind="stable")
@@ -185,12 +187,12 @@ class QuadraticProblem:
     kind = "quadratic"
 
     def __init__(self, n, dim, heterogeneity, noise_std, seed, mu, l_smooth, xstar_scale):
-        if n < 1 or dim < 1:
-            raise ValueError("need n >= 1 nodes and dim >= 1")
-        if not (0.0 < mu <= l_smooth):
-            raise ValueError("need 0 < mu <= l_smooth")
-        if min(heterogeneity, noise_std, xstar_scale) < 0.0:
-            raise ValueError("heterogeneity, noise_std and xstar_scale must be >= 0")
+        if not (is_integer(n) and is_integer(dim) and min(n, dim) >= 1):
+            raise ValueError("need integers n >= 1 nodes and dim >= 1")
+        if not (is_number(mu) and is_number(l_smooth) and 0.0 < mu <= l_smooth):
+            raise ValueError("need numbers 0 < mu <= l_smooth")
+        if not all(is_number(v) and v >= 0.0 for v in (heterogeneity, noise_std, xstar_scale)):
+            raise ValueError("heterogeneity, noise_std and xstar_scale must be numbers >= 0")
         self.n = int(n)
         self.dim = int(dim)
         self.heterogeneity = float(heterogeneity)
@@ -290,6 +292,8 @@ class _DatasetProblem:
     """
 
     def __init__(self, n, features, labels, partition, batch):
+        if not (is_integer(n) and n >= 1):
+            raise ValueError("n must be an integer >= 1")
         self.n = int(n)
         self.features = np.asarray(features, dtype=float)
         self.labels = np.asarray(labels, dtype=float)
@@ -298,8 +302,8 @@ class _DatasetProblem:
             raise ValueError("feature/label row counts differ")
         if not set(np.unique(self.labels).tolist()) <= {-1.0, 1.0}:
             raise ValueError("labels must be -1/+1")
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
+        if not (is_integer(batch) and batch >= 1):
+            raise ValueError("batch must be an integer >= 1")
         self.partition = partition
         self.batch = int(batch)
         self._dealt = None
@@ -425,8 +429,8 @@ class LogisticProblem(_DatasetProblem):
 
     def __init__(self, n, features, labels, partition, reg, batch):
         super().__init__(n, features, labels, partition, batch)
-        if reg < 0.0:
-            raise ValueError("reg must be >= 0")  # below 0 the objective is unbounded
+        if not (is_number(reg) and reg >= 0.0):
+            raise ValueError("reg must be a number >= 0")  # below 0 the objective is unbounded
         self.reg = float(reg)
         self.dim = self.features.shape[1]
         self.layer_boundaries = None
@@ -460,8 +464,8 @@ class MlpProblem(_DatasetProblem):
 
     def __init__(self, n, features, labels, partition, hidden, batch):
         super().__init__(n, features, labels, partition, batch)
-        if hidden < 1:
-            raise ValueError("hidden must be >= 1")
+        if not (is_integer(hidden) and hidden >= 1):
+            raise ValueError("hidden must be an integer >= 1")
         self.hidden = int(hidden)
         p = self.features.shape[1]
         h = self.hidden
@@ -550,8 +554,9 @@ def estimate_constants(problem, seed=0, trials=8, grad_samples=16,
     """
     for name, value in (("trials", trials), ("grad_samples", grad_samples),
                         ("power_iters", power_iters)):
-        if value < 1:
-            raise ValueError(f"estimate_constants: {name} must be >= 1, got {value}")
+        if not (is_integer(value) and value >= 1):
+            rule = ">= 1" if is_integer(value) else "an integer"
+            raise ValueError(f"estimate_constants: {name} must be {rule}, got {value!r}")
     dim = problem.dim
     stream = RandomStream(seed, 0, "estimate")
     rng = stream.generator()  # v and the points; node samples use stream.at(k)

@@ -7,38 +7,42 @@ stochastic matrix used by all gossip updates, together with its spectral
 quantities.
 """
 
-import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import sym_eigenvalues
+from .numerics import is_integer, sym_eigenvalues
 
 
-def _is_index_type(kind):
-    # Python and NumPy integers; a bool is an int to Python, not to a graph
-    return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
+def _count(n):
+    if not is_integer(n):  # a float count is refused, never truncated
+        raise ValueError(f"node count n must be an integer, got {n!r}")
+    return n
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on nodes ``0..n-1``."""
+    """Undirected simple graph on nodes ``0..n-1``; ``ends`` holds the edges'
+    endpoints as one ``(E, 2)`` integer array."""
 
     n: int
     edges: tuple = field(default=())
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
+        if _count(self.n) < 1:
             raise ValueError("graph needs at least one node")
-        # the endpoints' types in one pass: integers, not floats or booleans,
-        # which the integer array of ``ends`` would truncate
-        kinds = set(map(type, itertools.chain.from_iterable(self.edges)))
-        valid = all(map(_is_index_type, kinds))
+        # one endpoint of each type decides for all, so ``ends`` truncates no float or bool
+        flat = tuple(itertools.chain.from_iterable(self.edges))
+        kinds = list(map(type, flat))
+        valid = all(is_integer(flat[kinds.index(kind)]) for kind in set(kinds))
         if valid:
-            i, j = self.ends.T
+            ends = np.fromiter(flat, np.intp, len(flat)).reshape(len(self.edges), 2)
+            del flat, kinds  # E-long temporaries; freed, the set of edges builds faster
+            object.__setattr__(self, "ends", ends)
+            i, j = ends.T
             valid = (not ((i < 0) | (i >= j) | (j >= self.n)).any()
                      and len(set(self.edges)) == len(self.edges))
         # the loop runs only on bad edges: it names the first failing edge
@@ -46,7 +50,7 @@ class Graph:
         if not valid:
             seen = set()
             for i, j in self.edges:
-                if not (_is_index_type(type(i)) and _is_index_type(type(j))):
+                if not (is_integer(i) and is_integer(j)):
                     raise ValueError(f"edge ({i}, {j}) has a non-integer endpoint")
                 if not (0 <= i < self.n and 0 <= j < self.n):
                     raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
@@ -57,12 +61,6 @@ class Graph:
                 if (i, j) in seen:
                     raise ValueError(f"duplicate edge ({i}, {j})")
                 seen.add((i, j))
-
-    @functools.cached_property
-    def ends(self):
-        """The edges' endpoints as one ``(E, 2)`` integer array."""
-        flat = itertools.chain.from_iterable(self.edges)
-        return np.fromiter(flat, dtype=np.intp).reshape(len(self.edges), 2)
 
     def degrees(self):
         return np.bincount(self.ends.ravel(), minlength=self.n)
@@ -82,23 +80,19 @@ class Graph:
                 return not root.any()
 
 
-def _normalize_edges(pairs):
-    out = set()
-    for i, j in pairs:
-        i, j = int(i), int(j)
-        if i == j:
-            raise ValueError(f"self-loop ({i}, {j}) not allowed")
-        out.add((min(i, j), max(i, j)))
-    return tuple(sorted(out))
+def _generated(n, i, j):
+    """Graph on ``n`` nodes from endpoint arrays: each edge once, as sorted ``(min, max)`` ints."""
+    pairs = zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())
+    return Graph(n, tuple(sorted(set(pairs))))
 
 
 def _check_ring(n):
-    if n < 2:
+    if _count(n) < 2:
         raise ValueError("ring needs n >= 2")
 
 
 def _torus_side(n):
-    s = math.isqrt(max(n, 0))  # a negative count is no square either
+    s = math.isqrt(max(_count(n), 0))  # a negative count is no square either
     if s * s != n:
         raise ValueError(f"torus needs a perfect square node count, got {n}")
     if s < 3:
@@ -107,7 +101,7 @@ def _torus_side(n):
 
 
 def _check_full(n):
-    if n < 1:
+    if _count(n) < 1:
         raise ValueError("need n >= 1")
 
 
@@ -119,32 +113,35 @@ SIZE_RULES = {"ring": _check_ring, "torus": _torus_side, "full": _check_full}
 def ring(n):
     """Cycle graph; ``n = 2`` degenerates to a single edge."""
     _check_ring(n)
-    if n == 2:
-        return Graph(2, ((0, 1),))
-    return Graph(n, _normalize_edges((i, (i + 1) % n) for i in range(n)))
+    v = np.arange(n)
+    return _generated(n, v, (v + 1) % n)
 
 
 def torus(n):
     """2-D periodic grid on ``s x s`` nodes where ``n = s*s`` and ``s >= 3``."""
     s = _torus_side(n)
-    pairs = []
-    for r in range(s):
-        for c in range(s):
-            v = r * s + c
-            pairs.append((v, r * s + (c + 1) % s))
-            pairs.append((v, ((r + 1) % s) * s + c))
-    return Graph(n, _normalize_edges(pairs))
+    v = np.arange(n)
+    r, c = np.divmod(v, s)  # node v = r * s + c links to its right and lower neighbors
+    return _generated(n, np.tile(v, 2), np.concatenate([r * s + (c + 1) % s, (r + 1) % s * s + c]))
 
 
 def fully_connected(n):
     """Complete graph; ``n = 1`` is a single isolated node."""
     _check_full(n)
-    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+    i, j = np.triu_indices(n, 1)  # already (min, max) pairs in sorted order
+    return Graph(n, tuple(zip(i.tolist(), j.tolist())))
 
 
 def from_edge_list(n, pairs):
-    """Graph from explicit ``(i, j)`` pairs; symmetric duplicates collapse."""
-    return Graph(n, _normalize_edges(pairs))
+    """Graph from explicit integer ``(i, j)`` pairs; symmetric duplicates collapse."""
+    out = set()
+    for i, j in pairs:
+        if not (is_integer(i) and is_integer(j)):
+            raise ValueError(f"edge ({i}, {j}) has a non-integer endpoint")
+        if i == j:
+            raise ValueError(f"self-loop ({i}, {j}) not allowed")
+        out.add((min(i, j), max(i, j)))
+    return Graph(n, tuple(sorted(out)))
 
 
 def load_edge_list(path, n=None):
@@ -195,10 +192,6 @@ class MixingMatrix:
     w: np.ndarray
     rho: float
     beta: float
-
-    @property
-    def n(self):
-        return self.w.shape[0]
 
 
 def mixing_matrix(graph):

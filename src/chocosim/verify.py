@@ -342,9 +342,7 @@ def run_suite(name):
         return checks
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return [check if check.name.startswith(name + ".") else
-            check._replace(name=f"{name}.{check.name}")
-            for check in SUITES[name]()]
+    return [check._replace(name=f"{name}.{check.name}") for check in SUITES[name]()]
 
 
 def format_report(checks):

@@ -293,6 +293,30 @@ def test_execute_config_writes_all_outputs(tmp_path, monkeypatch):
     assert any(n.endswith("_summary.json") for n in names)
 
 
+def test_numpy_integers_run_as_the_python_ints_they_equal(tmp_path, monkeypatch):
+    # a scripted grid hands NumPy integers over; they are echoed as JSON
+    # numbers, and the run writes the files the Python ints write
+    monkeypatch.setenv("CHOCO_THREADS", "1")
+    outputs = []
+    for kind in (int, np.int64):
+        cfg = ExperimentConfig.from_dict({
+            "topology": "ring:4", "iterations": kind(20), "log_every": kind(3),
+            "seeds": [kind(1), kind(2)], "out": str(tmp_path),
+            "problem": {"kind": "quadratic", "n": kind(4), "dim": 3},
+        })
+        assert all(type(v) is int for v in (cfg.iterations, cfg.log_every, cfg.problem["n"],
+                                            *cfg.seeds))
+        files = {}
+        for path in execute_config(cfg)[1]:
+            with open(path, "rb") as fh:
+                files[os.path.basename(path)] = fh.read()
+        # the summary's wall-clock times are all that may differ
+        summary = json.loads(files.pop(next(n for n in files if n.endswith("_summary.json"))))
+        del summary["elapsed_s"], summary["timings_s"]
+        outputs.append((files, summary))
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------- cli
 
 def test_usage_errors_exit_one(capsys):

@@ -138,13 +138,12 @@ def test_summarize_empty_run():
 def test_write_summary_contents(tmp_path):
     rec = _record([2.0, 1.0])
     path = tmp_path / "summary.json"
-    write_summary([rec], {"eta": 0.1}, path, extra={"note": "x"})
+    write_summary([rec], {"eta": 0.1}, path)
     data = json.loads(path.read_text())
     assert data["config"] == {"eta": 0.1}
     assert data["seeds"] == [1]
     assert data["diverged"] == {"1": False}
     assert data["summary"]["1"]["final_f"] == 1.0
-    assert data["note"] == "x"
     assert data["run_ids"]["1"] == run_id({"eta": 0.1}, 1)
 
 

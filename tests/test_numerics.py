@@ -3,7 +3,12 @@ import zlib
 import numpy as np
 import pytest
 
-from chocosim.numerics import RandomStream, require_finite, sym_eigenvalues
+from chocosim.compression import Compressor
+from chocosim.metrics import TrafficLedger
+from chocosim.numerics import RandomStream, is_integer, require_finite, sym_eigenvalues
+from chocosim.problems import (Partition, estimate_constants, make_logistic, make_mlp,
+                               make_quadratic)
+from chocosim.topology import Graph, from_edge_list, ring
 
 
 # -------------------------------------------------------------- eigenvalues
@@ -221,6 +226,41 @@ def test_negative_seed_is_rejected():
         RandomStream(-1)
     with pytest.raises(ValueError):
         RandomStream(1, worker=-1)
+
+
+def test_is_integer_accepts_python_and_numpy_integers_only():
+    for value in (0, -3, 2**70, np.int64(5), np.uint8(1), np.intp(-1)):
+        assert is_integer(value)
+    for value in (True, np.True_, 1.0, np.float64(2.0), 2.5, "1", None, np.array(1)):
+        assert not is_integer(value)
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: from_edge_list(3, [(0, 1.5), (1, 2)]), ValueError, r"edge \(0, 1.5\)"),
+    (lambda: from_edge_list(3, [(True, 2), (0, 1)]), ValueError, r"edge \(True, 2\)"),
+    # a float equal to an integer would otherwise collapse into that edge unseen
+    (lambda: from_edge_list(3, [(0, 1), (1.0, 0), (1, 2)]), ValueError, r"edge \(1.0, 0\)"),
+    (lambda: Graph(2.5, ((0, 1),)), ValueError, "node count n"),
+    (lambda: ring(2.5), ValueError, "node count n"),
+    (lambda: TrafficLedger(2.9), ValueError, "n_nodes"),
+    (lambda: Compressor("gsgd", bits=2.5), ValueError, "bits"),
+    (lambda: Partition("fixed-split", 2.5, 10), ValueError, "n_nodes"),
+    (lambda: make_mlp(hidden=2.5), ValueError, "hidden"),
+    (lambda: make_logistic(batch=3.7), ValueError, "batch"),
+    (lambda: make_quadratic(noise_std=float("nan")), ValueError, "noise_std"),
+    (lambda: make_quadratic(heterogeneity=float("inf")), ValueError, "heterogeneity"),
+    (lambda: estimate_constants(make_quadratic(2, 3), trials=1.5), ValueError, "trials"),
+    (lambda: RandomStream(True), TypeError, "seed"),
+    (lambda: RandomStream(1, worker=0.7), ValueError, "worker"),
+], ids=["edge-float", "edge-bool", "edge-float-duplicate", "graph-n", "ring-n",
+        "ledger-nodes", "gsgd-bits", "partition-nodes", "mlp-hidden", "logistic-batch",
+        "quadratic-nan-noise", "quadratic-inf-heterogeneity", "estimate-trials",
+        "stream-bool-seed", "stream-worker"])
+def test_constructors_refuse_what_they_used_to_truncate_or_let_through(build, error, match):
+    # each of these was truncated by int(), read as 1, or accepted as a
+    # non-finite real; one integer and one number rule now refuse them
+    with pytest.raises(error, match=match):
+        build()
 
 
 def test_require_finite():

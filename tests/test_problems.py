@@ -148,6 +148,19 @@ def test_shards_exactly_partition_the_dataset():
         np.testing.assert_array_equal(merged, np.arange(25))
 
 
+def test_every_shard_is_strictly_increasing():
+    # minibatch draws index a shard and full-batch sums run in its order, so
+    # the order is part of every dataset trajectory, not only the set
+    labels = np.where(np.arange(40) % 3 == 0, 1.0, -1.0)
+    for part in (Partition("fixed-split", 3, 25, seed=2),
+                 Partition("fixed-split", 4, 40, by_label=True, labels=labels),
+                 Partition("iid-reshuffled", 3, 25, seed=2),
+                 Partition("iid-reshuffled", 7, 100, seed=5)):
+        for epoch in (0, 1, 3, 11):
+            for shard in part.shards(epoch):
+                assert (np.diff(shard) > 0).all()
+
+
 def test_by_label_split_concentrates_classes():
     labels = np.ones(40)
     labels[20:] = -1.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,26 @@ def test_from_edge_list():
     assert from_edge_list(3, [(0, 1), (1, 0), (1, 2)]).edges == ((0, 1), (1, 2))
     with pytest.raises(ValueError):
         from_edge_list(2, [(0, 5)])  # out of range
+
+
+@pytest.mark.parametrize("kind", ["ring", "torus", "full"])
+def test_generated_graphs_store_the_normalized_literal_pairs(kind):
+    # the families are built from index arrays; their edges are the tuple of
+    # Python ints that normalizing the literal pair lists gives
+    def literal(n):
+        if kind == "ring":
+            return [(i, (i + 1) % n) for i in range(n)]
+        if kind == "full":
+            return [(i, j) for i in range(n) for j in range(i + 1, n)]
+        s = math.isqrt(n)
+        return [pair for v in range(n) for pair in
+                ((v, v // s * s + (v % s + 1) % s), (v, (v // s + 1) % s * s + v % s))]
+
+    sizes = {"ring": range(2, 40), "torus": [s * s for s in range(3, 12)], "full": range(1, 40)}
+    for n in sizes[kind]:
+        edges = BUILDERS[kind](n).edges
+        assert edges == from_edge_list(n, literal(n)).edges
+        assert all(type(v) is int for edge in edges for v in edge)
 
 
 def test_connectivity_detection():
