@@ -19,7 +19,8 @@ Payloads are fresh arrays owned by the caller, or a buffer the caller
 passes as ``out``, each kernel writing its block's slice; a kernel never
 writes to its input. The block layout of a row and its wire size depend
 only on ``(comp, d, boundaries)``, so :func:`compress_blocks` validates and
-prices each such triple once, keyed by the compressor's field values.
+prices each such triple once, keyed by the compressor's field values; the
+bits and the worst-case delta read the same validated layout.
 """
 
 import functools
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import is_integer
+from .numerics import is_integer, is_number
 
 FLOAT_BITS = 32  # accounted wire width of one scalar / one norm
 _KINDS = ("identity", "gsgd", "random", "topk", "sign")
@@ -54,8 +55,9 @@ class Compressor:
             raise ValueError(f"unknown compressor kind {self.kind!r}")
         if self.kind == "gsgd" and not (is_integer(self.bits) and self.bits >= 2):
             raise ValueError("gsgd needs an integer bits >= 2")
-        if self.kind in ("random", "topk") and not (0.0 < self.fraction <= 1.0):
-            raise ValueError("sparsifier fraction must be in (0, 1]")
+        if self.kind in ("random", "topk") and not (
+                is_number(self.fraction) and 0.0 < self.fraction <= 1.0):
+            raise ValueError("sparsifier fraction must be a number in (0, 1]")
         if self.unbiased and self.kind not in ("gsgd", "random"):
             raise ValueError(f"{self.kind} has no unbiased variant")
 
@@ -63,15 +65,6 @@ class Compressor:
     def stochastic(self):
         """Whether :func:`compress` draws from its ``rng``."""
         return self.kind in _STOCHASTIC_KINDS
-
-    def spec(self):
-        """Canonical spec string, parseable by :func:`parse_compressor`."""
-        suffix = ":unbiased" if self.unbiased else ""
-        if self.kind == "gsgd":
-            return f"gsgd:{self.bits}{suffix}"
-        if self.kind in ("random", "topk"):
-            return f"{self.kind}:{self.fraction:g}{suffix}"
-        return self.kind
 
 
 @dataclass(frozen=True)
@@ -220,25 +213,36 @@ def compress(comp, x, rng=None):
     return compress_blocks(comp, x, rng)
 
 
-@functools.cache
-def _block_plan(kind, bits, fraction, unbiased, d, boundaries):
-    """``(blocks, bits)`` of a row of length ``d`` under the compressor with
-    these field values: its ``(start, stop)`` blocks and the wire size of
-    one row; ``boundaries`` is a tuple or ``None``. The key is the field
-    values, not a :class:`Compressor`, so a hit hashes and compares them
-    without the dataclass's Python-level ``__hash__`` and ``__eq__``. A bad
-    layout raises each time it is asked for (a raising call is not
-    cached)."""
+def _layout(d, boundaries):
+    """The ``(start, stop)`` blocks, Python ints, of a row of length ``d``
+    (``boundaries`` as in :func:`compress_blocks`): the one reading of a
+    layout, so bits, deltas and payloads take the same blocks and a bad
+    layout fails the same way for each."""
     if d < 1:
         raise ValueError("dim must be >= 1")
     if boundaries is None:
-        boundaries = (0, d)
-    if boundaries[0] != 0 or boundaries[-1] != d:
+        return ((0, d),)
+    if not all(map(is_integer, boundaries)):
+        raise ValueError("block boundaries must be integers")
+    bounds = list(map(int, boundaries))
+    if not bounds or bounds[0] != 0 or bounds[-1] != d:
         raise ValueError("block boundaries must start at 0 and end at the row length")
-    blocks = tuple(zip(boundaries[:-1], boundaries[1:]))
+    blocks = tuple(zip(bounds[:-1], bounds[1:]))
     if any(stop <= start for start, stop in blocks):
         raise ValueError("block boundaries must be strictly increasing")
-    return blocks, message_bits(Compressor(kind, bits, fraction, unbiased), d, boundaries)
+    return blocks
+
+
+@functools.cache
+def _block_plan(kind, bits, fraction, unbiased, d, boundaries):
+    """``(blocks, bits)`` of a row of length ``d`` under the compressor with
+    these field values: its :func:`_layout` and the wire size of one row;
+    ``boundaries`` is a tuple or ``None``. The key is the field values, not
+    a :class:`Compressor`, so a hit hashes and compares them without the
+    dataclass's Python-level ``__hash__`` and ``__eq__``. A bad layout
+    raises each time it is asked for (a raising call is not cached)."""
+    comp = Compressor(kind, bits, fraction, unbiased)
+    return _layout(d, boundaries), message_bits(comp, d, boundaries)
 
 
 def compress_blocks(comp, x, rng=None, boundaries=None, out=None):
@@ -295,10 +299,13 @@ def bit_cost(comp, dim):
 def message_bits(comp, dim, boundaries=None):
     """Wire size of one row of length ``dim`` compressed block by block
     (``boundaries`` as in :func:`compress_blocks`; ``None`` is one block)."""
-    if boundaries is None:
-        return bit_cost(comp, dim)
-    return sum(bit_cost(comp, int(stop - start))
-               for start, stop in zip(boundaries[:-1], boundaries[1:]))
+    return sum(bit_cost(comp, stop - start) for start, stop in _layout(dim, boundaries))
+
+
+def effective_contraction(comp, dim, boundaries=None):
+    """Worst-case compression quality across blocks (min over block deltas),
+    ``boundaries`` as in :func:`message_bits`."""
+    return min(contraction_factor(comp, stop - start) for start, stop in _layout(dim, boundaries))
 
 
 def contraction_factor(comp, dim):

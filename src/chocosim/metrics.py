@@ -39,8 +39,8 @@ class TrafficLedger:
     """Cumulative per-node bit counts.
 
     Each ``add_*`` method charges one message or many: node indices and
-    bits are integers or equal-length arrays, one entry per message, and a
-    node may appear more than once.
+    bits are integers or equal-length integer arrays (not bools), one entry
+    per message, and a node may appear more than once.
     """
 
     def __init__(self, n_nodes):
@@ -68,6 +68,9 @@ class TrafficLedger:
 
     def _check(self, src, dst, bits):
         src, dst, bits = np.asarray(src), np.asarray(dst), np.asarray(bits)
+        # a bool index would be read as a mask, and a float truncated
+        if not all(np.issubdtype(a.dtype, np.integer) for a in (src, dst, bits)):
+            raise ValueError("node indices and bits must be integers")
         # initial=0 keeps the reductions defined when no message is sent
         if (min(src.min(initial=0), dst.min(initial=0)) < 0
                 or max(src.max(initial=0), dst.max(initial=0)) >= self.n_nodes):

@@ -84,7 +84,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compression import Compressor, compress_blocks, contraction_factor, message_bits
+from .compression import Compressor, compress_blocks, effective_contraction, message_bits
 from .consensus import (DIVERGENCE_LIMIT, consensus_stepsize, diverged, mix_with_public,
                         squared_sum, sync_public)
 from .metrics import RunRecord, TrafficLedger
@@ -355,16 +355,6 @@ def _iteration_ledger(cfg, n, dim, mixing, comp, boundaries, broadcast):
         src, dst = np.nonzero(links)
         ledger.add_message(src, dst, bits)
     return ledger
-
-
-def effective_contraction(comp, dim, boundaries=None):
-    """Worst-case compression quality across blocks (min over block deltas)."""
-    if boundaries is None or len(boundaries) <= 2:
-        return contraction_factor(comp, dim)
-    return min(
-        contraction_factor(comp, stop - start)
-        for start, stop in zip(boundaries[:-1], boundaries[1:])
-    )
 
 
 def resolve_gamma(cfg, mixing, comp, dim, boundaries=None):

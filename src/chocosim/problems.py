@@ -66,6 +66,8 @@ class Partition:
         if not (is_integer(self.n_nodes) and is_integer(self.n_samples)
                 and 1 <= self.n_nodes <= self.n_samples):
             raise ValueError("need integers 1 <= n_nodes <= n_samples: a sample per node")
+        if not (is_integer(self.seed) and self.seed >= 0):
+            raise ValueError("partition seed must be a non-negative integer")
         if self.by_label and self.mode != "fixed-split":
             raise ValueError("by_label only makes sense for fixed-split")
         if self.by_label and self.labels is None:
@@ -286,15 +288,15 @@ class _DatasetProblem:
     gradient on sample set j is written into ``out[j]``, and the ``(k,)``
     losses are returned when ``losses`` is true.
 
-    The epoch-0 shards are gathered once, at construction, into one stack
-    per run of equal shard sizes (``array_split`` deals the larger first: at
-    most two), read in chunks of about ``EVAL_CHUNK_BYTES``, a call each.
+    The problem deals its own split: ``n``, ``mode``, ``by_label`` and
+    ``seed`` describe a :class:`Partition` of its features and labels, and
+    the node count ``n`` is that partition's. The epoch-0 shards are
+    gathered once, at construction, into one stack per run of equal shard
+    sizes (``array_split`` deals the larger first: at most two), read in
+    chunks of about ``EVAL_CHUNK_BYTES``, a call each.
     """
 
-    def __init__(self, n, features, labels, partition, batch):
-        if not (is_integer(n) and n >= 1):
-            raise ValueError("n must be an integer >= 1")
-        self.n = int(n)
+    def __init__(self, n, features, labels, mode, by_label, seed, batch):
         self.features = np.asarray(features, dtype=float)
         self.labels = np.asarray(labels, dtype=float)
         require_finite(self.features, "dataset features")
@@ -304,7 +306,9 @@ class _DatasetProblem:
             raise ValueError("labels must be -1/+1")
         if not (is_integer(batch) and batch >= 1):
             raise ValueError("batch must be an integer >= 1")
-        self.partition = partition
+        self.partition = Partition(mode, n, self.features.shape[0], seed=seed, by_label=by_label,
+                                   labels=self.labels if by_label else None)
+        self.n = self.partition.n_nodes
         self.batch = int(batch)
         self._dealt = None
         self._chunks, self._nodes = self._stack(*self._deal(0)[1:])
@@ -427,8 +431,8 @@ class LogisticProblem(_DatasetProblem):
 
     kind = "logistic"
 
-    def __init__(self, n, features, labels, partition, reg, batch):
-        super().__init__(n, features, labels, partition, batch)
+    def __init__(self, n, features, labels, mode, by_label, seed, reg, batch):
+        super().__init__(n, features, labels, mode, by_label, seed, batch)
         if not (is_number(reg) and reg >= 0.0):
             raise ValueError("reg must be a number >= 0")  # below 0 the objective is unbounded
         self.reg = float(reg)
@@ -462,8 +466,8 @@ class MlpProblem(_DatasetProblem):
 
     kind = "mlp"
 
-    def __init__(self, n, features, labels, partition, hidden, batch):
-        super().__init__(n, features, labels, partition, batch)
+    def __init__(self, n, features, labels, mode, by_label, seed, hidden, batch):
+        super().__init__(n, features, labels, mode, by_label, seed, batch)
         if not (is_integer(hidden) and hidden >= 1):
             raise ValueError("hidden must be an integer >= 1")
         self.hidden = int(hidden)
@@ -508,26 +512,21 @@ def make_quadratic(n=8, dim=10, heterogeneity=1.0, noise_std=1.0, seed=0,
                             mu, l_smooth, xstar_scale)
 
 
+def _dataset(data, samples, dim, seed, margin):
+    """The ``data=`` arrays, or the blob dataset when there are none."""
+    return make_blob_dataset(samples, dim, seed=seed, margin=margin) if data is None else data
+
+
 def make_logistic(n=8, dim=10, samples=2000, mode="iid-reshuffled", by_label=False,
                   reg=1e-3, batch=32, seed=0, margin=1.5, data=None):
-    if data is None:
-        features, labels = make_blob_dataset(samples, dim, seed=seed, margin=margin)
-    else:
-        features, labels = data
-    part = Partition(mode, n, features.shape[0], seed=seed,
-                     by_label=by_label, labels=labels if by_label else None)
-    return LogisticProblem(n, features, labels, part, reg=reg, batch=batch)
+    return LogisticProblem(n, *_dataset(data, samples, dim, seed, margin), mode=mode,
+                           by_label=by_label, seed=seed, reg=reg, batch=batch)
 
 
 def make_mlp(n=8, input_dim=8, hidden=16, samples=1024, mode="iid-reshuffled",
              by_label=False, batch=32, seed=0, margin=1.5, data=None):
-    if data is None:
-        features, labels = make_blob_dataset(samples, input_dim, seed=seed, margin=margin)
-    else:
-        features, labels = data
-    part = Partition(mode, n, features.shape[0], seed=seed,
-                     by_label=by_label, labels=labels if by_label else None)
-    return MlpProblem(n, features, labels, part, hidden=hidden, batch=batch)
+    return MlpProblem(n, *_dataset(data, samples, input_dim, seed, margin), mode=mode,
+                      by_label=by_label, seed=seed, hidden=hidden, batch=batch)
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,12 @@ class Graph:
     def __post_init__(self):
         if _count(self.n) < 1:
             raise ValueError("graph needs at least one node")
-        # one endpoint of each type decides for all, so ``ends`` truncates no float or bool
+        # every edge a pair, and one endpoint of each type decides for all, so
+        # ``ends`` reads no other shape and truncates no float or bool
         flat = tuple(itertools.chain.from_iterable(self.edges))
         kinds = list(map(type, flat))
-        valid = all(is_integer(flat[kinds.index(kind)]) for kind in set(kinds))
+        valid = (set(map(len, self.edges)) <= {2}
+                 and all(is_integer(flat[kinds.index(kind)]) for kind in set(kinds)))
         if valid:
             ends = np.fromiter(flat, np.intp, len(flat)).reshape(len(self.edges), 2)
             del flat, kinds  # E-long temporaries; freed, the set of edges builds faster
@@ -49,7 +51,10 @@ class Graph:
         # and its first failing rule
         if not valid:
             seen = set()
-            for i, j in self.edges:
+            for edge in self.edges:
+                if len(edge) != 2:
+                    raise ValueError(f"edge {tuple(edge)} is not a pair of endpoints")
+                i, j = edge
                 if not (is_integer(i) and is_integer(j)):
                     raise ValueError(f"edge ({i}, {j}) has a non-integer endpoint")
                 if not (0 <= i < self.n and 0 <= j < self.n):
@@ -144,11 +149,11 @@ def from_edge_list(n, pairs):
     return Graph(n, tuple(sorted(out)))
 
 
-def load_edge_list(path, n=None):
+def load_edge_list(path):
     """Read a graph from a text file with one ``i j`` pair per line.
 
     Lines starting with ``#`` (and inline ``#`` suffixes) are comments.
-    Indices are 0-based; ``n`` defaults to ``max index + 1``.
+    Indices are 0-based; the node count is ``max index + 1``.
     """
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -166,12 +171,7 @@ def load_edge_list(path, n=None):
             pairs.append((i, j))
     if not pairs:
         raise ValueError(f"{path}: no edges found")
-    inferred = max(max(i, j) for i, j in pairs) + 1
-    if n is None:
-        n = inferred
-    elif n < inferred:
-        raise ValueError(f"{path}: edge index {inferred - 1} exceeds n={n}")
-    return from_edge_list(n, pairs)
+    return from_edge_list(max(max(i, j) for i, j in pairs) + 1, pairs)
 
 
 @dataclass(frozen=True)

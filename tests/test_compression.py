@@ -3,7 +3,8 @@ import pytest
 
 from chocosim.compression import (CompressedMessage, Compressor, bit_cost,
                                   compress, compress_blocks,
-                                  contraction_factor, parse_compressor,
+                                  contraction_factor, effective_contraction,
+                                  message_bits, parse_compressor,
                                   sign_contraction)
 from chocosim.numerics import RandomStream
 
@@ -15,11 +16,16 @@ def _rng(seed=0):
 # -------------------------------------------------------------------- parse
 
 def test_parse_round_trip():
-    for text in ("identity", "sign", "gsgd:4", "gsgd:8:unbiased",
-                 "random:0.25", "random:0.1:unbiased", "topk:0.01"):
+    for text, fields in (("identity", ("identity", 0, 0.0, False)),
+                         ("sign", ("sign", 0, 0.0, False)),
+                         ("gsgd:4", ("gsgd", 4, 0.0, False)),
+                         ("gsgd:8:unbiased", ("gsgd", 8, 0.0, True)),
+                         ("random:0.25", ("random", 0, 0.25, False)),
+                         ("random:0.1:unbiased", ("random", 0, 0.1, True)),
+                         ("topk:0.01", ("topk", 0, 0.01, False))):
         comp = parse_compressor(text)
-        assert comp.spec() == text
-        assert parse_compressor(comp.spec()) == comp
+        assert (comp.kind, comp.bits, comp.fraction, comp.unbiased) == fields
+        assert comp == Compressor(*fields)
 
 
 @pytest.mark.parametrize("bad", [
@@ -338,6 +344,41 @@ def test_block_plans_are_keyed_by_the_compressors_values(monkeypatch):
     again = compress_blocks(Compressor("topk", fraction=0.2), x, boundaries=LAYOUTS[2])
     assert again.bits == first.bits == 6 * 64 * (1 + 1 + 2)
     assert again.payload.tobytes() == first.payload.tobytes()
+
+
+@pytest.mark.parametrize("boundaries, match", [
+    ([0, 5], "start at 0 and end at the row length"),  # half a row
+    ([0, 7, 3, 10], "strictly increasing"),
+    ([0, 5, 5, 10], "strictly increasing"),
+    ([], "start at 0 and end at the row length"),
+    ([0, 5.0, 10], "must be integers"),
+    ([0, True, 10], "must be integers"),
+])
+def test_a_bad_layout_fails_the_same_way_for_bits_delta_and_payload(boundaries, match):
+    sign = parse_compressor("sign")
+    for price in (lambda: message_bits(sign, 10, boundaries),
+                  lambda: effective_contraction(sign, 10, boundaries),
+                  lambda: compress_blocks(sign, np.ones(10), boundaries=boundaries),
+                  lambda: compress_blocks(sign, np.ones((3, 10)), boundaries=boundaries)):
+        with pytest.raises(ValueError, match=match):
+            price()
+
+
+def test_bits_and_delta_read_the_payloads_blocks():
+    x = _buffer_rows()
+    for spec in BUFFER_SPECS:
+        comp = parse_compressor(spec)
+        for boundaries in LAYOUTS:
+            per_row = message_bits(comp, 21, boundaries)
+            assert compress_blocks(comp, x, _rng(5), boundaries).bits == x.shape[0] * per_row
+            blocks = [21] if boundaries is None else np.diff(boundaries).tolist()
+            assert type(per_row) is int and per_row == sum(bit_cost(comp, d) for d in blocks)
+            if not comp.unbiased:
+                assert effective_contraction(comp, 21, boundaries) == min(
+                    contraction_factor(comp, d) for d in blocks)
+    # NumPy integer boundaries price as the Python ints they equal
+    layout = np.array(LAYOUTS[1])
+    assert type(message_bits(parse_compressor("sign"), 21, layout)) is int
 
 
 def test_compress_requires_one_dimensional_input():

@@ -317,6 +317,53 @@ def test_numpy_integers_run_as_the_python_ints_they_equal(tmp_path, monkeypatch)
     assert outputs[0] == outputs[1]
 
 
+def _outputs(out):
+    """Every file under ``out``: bytes, or for a JSON file the parsed
+    document without the ``out`` echo and the wall-clock times."""
+    files = {}
+    for name in sorted(os.listdir(out)):
+        data = (out / name).read_bytes()
+        if name.endswith(".json"):
+            data = json.loads(data)
+            del data["config"]["out"]
+            for key in ("elapsed_s", "timings_s"):
+                data.pop(key, None)
+        files[name] = data
+    return files
+
+
+def test_the_process_pool_writes_what_serial_cells_write(tmp_path, monkeypatch, capsys):
+    import concurrent.futures
+
+    pools = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    path = _write_config(tmp_path, algorithm="choco-errorfeedback", compressor="gsgd:4",
+                         iterations=20, seeds=[1, 2, 3], eta_grid=[0.05, 0.1],
+                         gamma_grid=[0.2, 0.4],
+                         problem={"kind": "mlp", "n": 4, "input_dim": 3, "hidden": 4,
+                                  "samples": 64, "batch": 8})
+    outputs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CHOCO_THREADS", threads)
+        runs, sweeps = tmp_path / f"run{threads}", tmp_path / f"sweep{threads}"
+        assert cli.main(["run", "--config", path, "--out", str(runs)]) == 0
+        assert cli.main(["sweep", "--config", path, "--seed", "1", "--seed", "2",
+                         "--out", str(sweeps)]) == 0
+        outputs[threads] = (_outputs(runs), _outputs(sweeps))
+    capsys.readouterr()
+    assert pools == [2, 2]  # the serial runs make no pool
+    runs, sweeps = outputs["1"]
+    assert len(runs) == 5 and len(sweeps) == 1  # 3 CSVs, the aggregate, the summary
+    assert len(next(iter(sweeps.values()))["cells"]) == 4
+    assert outputs["2"] == outputs["1"]
+
+
 # ---------------------------------------------------------------------- cli
 
 def test_usage_errors_exit_one(capsys):

@@ -59,6 +59,25 @@ def test_ledger_validation():
         TrafficLedger(0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda led: led.add_message(0, 1, 2.5),
+    lambda led: led.add_broadcast(np.array([0, 1]), np.array([8.0, 8.0])),
+    lambda led: led.add_upload(0, 1, True),
+    lambda led: led.add_message(np.array([True, False]), 1, 3),
+    lambda led: led.add_message(0, True, 3),
+    lambda led: led.add_broadcast(1.0, 3),
+    lambda led: led.add_upload(0, 1.0, 3),
+], ids=["float-bits", "float-bits-array", "bool-bits", "bool-mask", "bool-dst", "float-src",
+        "float-hub"])
+def test_ledger_refuses_what_it_would_truncate_or_read_as_a_mask(call):
+    led = TrafficLedger(2)
+    with pytest.raises(ValueError, match="node indices and bits must be integers"):
+        call(led)
+    assert not led.per_node.any()
+    led.add_message(np.int64(0), np.array([1], dtype=np.uint8), np.int32(3))  # any integer dtype
+    assert led.per_node.tolist() == [3, 0]
+
+
 def test_run_traffic_recomputable_from_first_principles():
     # ring(8), pairwise sign messages, d=4: every node sends (4+32) bits to
     # each of its 2 neighbors per iteration

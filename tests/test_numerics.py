@@ -245,6 +245,8 @@ def test_is_integer_accepts_python_and_numpy_integers_only():
     (lambda: TrafficLedger(2.9), ValueError, "n_nodes"),
     (lambda: Compressor("gsgd", bits=2.5), ValueError, "bits"),
     (lambda: Partition("fixed-split", 2.5, 10), ValueError, "n_nodes"),
+    (lambda: Partition("iid-reshuffled", 2, 10, seed=1.5), ValueError, "seed"),
+    (lambda: Compressor("topk", fraction=True), ValueError, "fraction"),
     (lambda: make_mlp(hidden=2.5), ValueError, "hidden"),
     (lambda: make_logistic(batch=3.7), ValueError, "batch"),
     (lambda: make_quadratic(noise_std=float("nan")), ValueError, "noise_std"),
@@ -253,7 +255,8 @@ def test_is_integer_accepts_python_and_numpy_integers_only():
     (lambda: RandomStream(True), TypeError, "seed"),
     (lambda: RandomStream(1, worker=0.7), ValueError, "worker"),
 ], ids=["edge-float", "edge-bool", "edge-float-duplicate", "graph-n", "ring-n",
-        "ledger-nodes", "gsgd-bits", "partition-nodes", "mlp-hidden", "logistic-batch",
+        "ledger-nodes", "gsgd-bits", "partition-nodes", "partition-seed", "topk-bool-fraction",
+        "mlp-hidden", "logistic-batch",
         "quadratic-nan-noise", "quadratic-inf-heterogeneity", "estimate-trials",
         "stream-bool-seed", "stream-worker"])
 def test_constructors_refuse_what_they_used_to_truncate_or_let_through(build, error, match):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from chocosim.numerics import RandomStream, sym_eigenvalues
-from chocosim.problems import (Partition, estimate_constants,
-                               load_csv_dataset, make_blob_dataset,
-                               make_logistic, make_mlp, make_quadratic)
+from chocosim.problems import (LogisticProblem, MlpProblem, Partition,
+                               estimate_constants, load_csv_dataset,
+                               make_blob_dataset, make_logistic, make_mlp,
+                               make_quadratic)
 
 
 def _fd_gradient(fn, x, eps=1e-6):
@@ -298,6 +299,32 @@ def test_mlp_training_reduces_loss():
         x = x - 0.5 * p.full_gradient(x)
     assert p.loss(x) < 0.6 * start
     assert p.smoothness() is None
+
+
+# ---------------------------------------------------------- dataset splits
+
+@pytest.mark.parametrize("cls, factory, extra", [
+    (LogisticProblem, make_logistic, {"reg": 1e-3}),
+    (MlpProblem, make_mlp, {"hidden": 3}),
+], ids=["logistic", "mlp"])
+def test_a_dataset_problem_deals_its_own_split(cls, factory, extra):
+    z, y = make_blob_dataset(66, 4, seed=1, margin=1.0)
+    for mode, by_label in (("fixed-split", False), ("fixed-split", True),
+                           ("iid-reshuffled", False)):
+        split = dict(mode=mode, by_label=by_label, seed=3)
+        p = cls(4, z, y, batch=8, **split, **extra)
+        assert p.n == p.partition.n_nodes == 4
+        # the split covers the problem's own samples, all of them
+        alone = Partition(mode, 4, 66, seed=3, by_label=by_label, labels=y if by_label else None)
+        built = factory(4, data=(z, y), batch=8, **split, **extra)
+        for epoch in (0, 1):
+            shards = [s.tolist() for s in p.partition.shards(epoch)]
+            assert shards == [s.tolist() for s in alone.shards(epoch)]
+            assert shards == [s.tolist() for s in built.partition.shards(epoch)]
+    with pytest.raises(ValueError, match="n_nodes <= n_samples"):
+        cls(67, z, y, batch=8, mode="fixed-split", by_label=False, seed=0, **extra)
+    with pytest.raises(ValueError, match="seed"):
+        cls(4, z, y, batch=8, mode="fixed-split", by_label=False, seed=-1, **extra)
 
 
 # ---------------------------------------------------------------- constants

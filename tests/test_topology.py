@@ -103,8 +103,6 @@ def test_load_edge_list(tmp_path):
     g = load_edge_list(str(path))
     assert g.n == 4
     assert g.edges == ((0, 1), (1, 2), (2, 3))
-    g5 = load_edge_list(str(path), n=5)
-    assert g5.n == 5
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1 2\n")
     with pytest.raises(ValueError):
@@ -209,3 +207,14 @@ def test_graph_validation():
         Graph(3, ((0, 1), (1, 1)))
     with pytest.raises(ValueError):
         Graph(2, ((1, 0),))  # must be stored as i < j
+
+
+@pytest.mark.parametrize("edges, named", [
+    (((0, 1, 2), (3,)), r"edge \(0, 1, 2\)"),  # four endpoints that would fill (2, 2)
+    (((0, 1), (2,)), r"edge \(2,\)"),
+    (((0, 1), (1, 2), [1, 2, 3]), r"edge \(1, 2, 3\)"),
+    (((0, 1), ()), r"edge \(\)"),
+])
+def test_an_edge_that_is_not_a_pair_is_named(edges, named):
+    with pytest.raises(ValueError, match=named + " is not a pair of endpoints"):
+        Graph(4, edges)

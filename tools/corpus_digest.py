@@ -23,12 +23,20 @@ trajectory change shows which families moved; the next line digests the
 whole corpus. Two trees that print the same line computed the same corpus
 bit for bit.
 
-The last line digests longer runs, of 150 iterations: more than two blocks
+The next line digests longer runs, of 150 iterations: more than two blocks
 of the optimizer's gradient-norm fold (64 iterations), so ``max_grad_norm``
 is folded across blocks. Every algorithm x ``sign`` and ``gsgd:4`` x the
 quadratic and MLP problems, logged every iteration and every seventh one,
 plus a run that diverges in the second block. It is a line of its own, so
 the corpus line above stays comparable with trees older than it.
+
+The last line digests dataset problems whose split is dealt another
+way than the corpus's ``iid-reshuffled`` blobs: ``fixed-split`` with and
+without ``by_label`` (ragged too), and problems built from ``data=``
+arrays, a shuffled blob set. Each contributes its epoch-0 and epoch-1
+shards, its ``smoothness()``, its ``estimate_constants`` and three short
+runs (``choco``/``sign``, ``choco-errorfeedback``/``gsgd:4`` and
+``decentralized-exact``). It too is a line of its own.
 """
 
 import hashlib
@@ -37,7 +45,8 @@ import numpy as np
 
 from chocosim.compression import parse_compressor
 from chocosim.optim import OptimizerConfig, run
-from chocosim.problems import estimate_constants, make_logistic, make_mlp, make_quadratic
+from chocosim.problems import (estimate_constants, make_blob_dataset, make_logistic, make_mlp,
+                               make_quadratic)
 from chocosim.topology import from_edge_list, fully_connected, mixing_matrix, ring, torus
 from chocosim.verify import SPECTRAL_GAPS
 
@@ -157,6 +166,44 @@ def long_corpus():
                                 parse_compressor("sign"), seed=4, x0=np.linspace(-0.5, 0.5, 7))
 
 
+def split_problems():
+    """``(name, problem)`` of the split line, in a fixed order."""
+    z, y = make_blob_dataset(110, 4, seed=5, margin=1.0)
+    order = np.random.default_rng(5).permutation(110)
+    data = (z[order], y[order])
+    fixed = dict(mode="fixed-split", batch=8, seed=8)
+    yield "logistic/fixed", make_logistic(N, dim=5, samples=120, **fixed)
+    yield "logistic/fixed/by-label", make_logistic(N, dim=5, samples=120, by_label=True, **fixed)
+    yield "mlp/fixed/ragged", make_mlp(N, input_dim=3, hidden=4, samples=100, **fixed)
+    yield "mlp/fixed/by-label", make_mlp(N, input_dim=3, hidden=4, samples=96, by_label=True,
+                                         **fixed)
+    yield "logistic/data", make_logistic(N, batch=8, seed=8, data=data)
+    yield "mlp/data/by-label", make_mlp(N, hidden=4, by_label=True, data=data, **fixed)
+
+
+def describe_splits(splits):
+    """The outputs of the ``(name, problem)`` pairs of the split line as
+    text, floats in ``float.hex``."""
+    mixing = mixing_matrix(ring(N))
+    runs = (("choco", "sign"), ("choco-errorfeedback", "gsgd:4"),
+            ("decentralized-exact", "identity"))
+    lines = []
+    for name, problem in splits:
+        for epoch in (0, 1):
+            shards = problem.partition.shards(epoch)
+            lines.append(f"{name} epoch {epoch}:{[s.tolist() for s in shards]}")
+        smooth = problem.smoothness()
+        est = estimate_constants(problem)
+        lines.append(f"smoothness:{None if smooth is None else smooth.hex()} "
+                     f"l:{est.l_smooth.hex()} sigma_sq:{est.sigma_sq.hex()} g_sq:{est.g_sq.hex()}")
+        x0 = np.linspace(-0.5, 0.5, problem.dim)
+        for algorithm, spec in runs:
+            cfg = OptimizerConfig(algorithm=algorithm, eta=0.05, gamma=0.3, iterations=ITERATIONS)
+            record = run(problem, cfg, mixing, parse_compressor(spec), seed=4, x0=x0)
+            lines.append(f"{algorithm}/{spec}\n{describe(record)}")
+    return "\n".join(lines)
+
+
 def main():
     print(f"{hashlib.sha256(describe_setup().encode()).hexdigest()}  (set-up)")
     total = hashlib.sha256()
@@ -176,6 +223,9 @@ def main():
         long.update(f"{name}\n{describe(record)}\n".encode())
         count += 1
     print(f"{long.hexdigest()}  ({count} runs of 150 iterations)")
+    splits = list(split_problems())
+    digest = hashlib.sha256(describe_splits(splits).encode()).hexdigest()
+    print(f"{digest}  ({len(splits)} dataset splits)")
     return 0
 
 
