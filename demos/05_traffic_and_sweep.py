@@ -5,6 +5,8 @@ grid-searches the learning rate the way the command line `sweep` does, all
 from one JSON-style config dict.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from chocosim import ExperimentConfig, execute_single
@@ -36,7 +38,7 @@ results = []
 for eta in (0.01, 0.03, 0.1, 0.3, 1.0):
     finals = []
     for seed in config.seeds:
-        r = execute_single(config, seed, eta=eta)
+        r = execute_single(replace(config, eta=eta), seed)
         finals.append(float("inf") if r.diverged else r.f_avg[-1])
     mean = float(np.mean(finals))
     results.append((eta, mean))

@@ -14,15 +14,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .compression import contraction_factor, parse_compressor
-from .config import (ConfigError, ExperimentConfig, build_topology,
-                     execute_config, run_cells)
+from .config import ConfigError, ExperimentConfig, execute_config, run_cells
 from .consensus import consensus_stepsize
 from .metrics import _atomic_write, run_id
-from .topology import load_edge_list, mixing_matrix
+from .topology import build_topology, mixing_matrix
 from .verify import format_report, run_suite
 
 EXIT_OK = 0
@@ -69,10 +68,7 @@ def cmd_run(args):
 
 
 def cmd_topology(args):
-    if args.edge_list:
-        graph = load_edge_list(args.edge_list)
-    else:
-        graph = build_topology(args.spec)
+    graph = build_topology(args.spec)
     mixing = mixing_matrix(graph)
     degrees = graph.degrees()
     print(f"nodes: {graph.n}")
@@ -101,15 +97,12 @@ def cmd_sweep(args):
     etas = config.eta_grid if config.eta_grid is not None else [config.eta]
     gammas = config.gamma_grid if config.gamma_grid is not None else [None]
     cfg_dict = config.to_dict()
-    payloads = []
-    cells = []
-    for eta in etas:
-        for gamma in gammas:
-            cells.append((eta, gamma))
-            for seed in config.seeds:
-                payloads.append({"config": config, "seed": seed,
-                                 "eta": eta, "gamma": gamma})
-    records = run_cells(payloads)
+    cells = [(eta, gamma) for eta in etas for gamma in gammas]
+    # each cell is a config, checked once for all its seeds
+    configs = [replace(config, eta=float(eta),
+                       gamma=config.gamma if gamma is None else float(gamma))
+               for eta, gamma in cells]
+    records = run_cells([(cfg, seed) for cfg in configs for seed in config.seeds])
     per_seed = len(config.seeds)
     results = []
     for idx, (eta, gamma) in enumerate(cells):
@@ -167,9 +160,8 @@ def build_parser():
                        help="count one shared message per node instead of per edge")
 
     p_top = sub.add_parser("topology", help="inspect a communication graph")
-    group = p_top.add_mutually_exclusive_group(required=True)
-    group.add_argument("--spec", help="ring:<n> | torus:<n> | full:<n> | edgelist:<path>")
-    group.add_argument("--edge-list", dest="edge_list", help="path to an edge list file")
+    p_top.add_argument("--spec", required=True,
+                       help="ring:<n> | torus:<n> | full:<n> | edgelist:<path>")
 
     p_sweep = sub.add_parser("sweep", help="grid-search eta_grid x gamma_grid")
     p_sweep.add_argument("--config", required=True, help="path to a JSON config")

@@ -213,18 +213,30 @@ def compress(comp, x, rng=None):
     return compress_blocks(comp, x, rng)
 
 
+def _check_dim(dim):
+    if not is_integer(dim):  # a float or bool row length is refused, never priced
+        raise ValueError(f"dim must be an integer, got {dim!r}")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+
+
+def _integer_bounds(boundaries):
+    # checked on every call: the plan cache compares keys by value, and 5.0 == 5
+    bounds = tuple(boundaries)
+    if not all(map(is_integer, bounds)):
+        raise ValueError("block boundaries must be integers")
+    return bounds
+
+
 def _layout(d, boundaries):
     """The ``(start, stop)`` blocks, Python ints, of a row of length ``d``
     (``boundaries`` as in :func:`compress_blocks`): the one reading of a
     layout, so bits, deltas and payloads take the same blocks and a bad
     layout fails the same way for each."""
-    if d < 1:
-        raise ValueError("dim must be >= 1")
+    _check_dim(d)
     if boundaries is None:
         return ((0, d),)
-    if not all(map(is_integer, boundaries)):
-        raise ValueError("block boundaries must be integers")
-    bounds = list(map(int, boundaries))
+    bounds = list(map(int, _integer_bounds(boundaries)))
     if not bounds or bounds[0] != 0 or bounds[-1] != d:
         raise ValueError("block boundaries must start at 0 and end at the row length")
     blocks = tuple(zip(bounds[:-1], bounds[1:]))
@@ -266,7 +278,7 @@ def compress_blocks(comp, x, rng=None, boundaries=None, out=None):
         raise ValueError("compress_blocks expects a vector or (n, d) rows")
     rows = x if x.ndim == 2 else x[None, :]
     if boundaries is not None:
-        boundaries = tuple(boundaries)
+        boundaries = _integer_bounds(boundaries)
     blocks, bits = _block_plan(comp.kind, comp.bits, comp.fraction, comp.unbiased,
                                rows.shape[1], boundaries)
     if out is None:
@@ -282,8 +294,7 @@ def compress_blocks(comp, x, rng=None, boundaries=None, out=None):
 
 def bit_cost(comp, dim):
     """Analytic wire size in bits of one compressed message of length ``dim``."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _check_dim(dim)
     if comp.kind == "identity":
         return FLOAT_BITS * dim
     if comp.kind == "gsgd":
@@ -316,8 +327,7 @@ def contraction_factor(comp, dim):
     biased gsgd, ``1/dim`` for sign. Unbiased variants have no contraction
     guarantee and raise.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _check_dim(dim)
     if comp.unbiased:
         raise ValueError("unbiased variants do not satisfy the contraction bound")
     if comp.kind == "identity":

@@ -17,7 +17,7 @@ the constructors, which library callers need too.
 import inspect
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .numerics import RandomStream, is_integer, is_number
 from .optim import OptimizerConfig, run
 from .problems import (PARTITION_MODES, load_csv_dataset, make_logistic, make_mlp,
                        make_quadratic)
-from .topology import SIZE_RULES, fully_connected, load_edge_list, mixing_matrix, ring, torus
+from .topology import build_topology, mixing_matrix
 
 THREADS_ENV = "CHOCO_THREADS"
 X0_MODES = ("zeros", "optimum", "gaussian")
@@ -102,6 +102,8 @@ class ExperimentConfig(OptimizerConfig):
             nodes = None
             if self.algorithm != "centralized":
                 nodes = build_topology(self.topology, check_only=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot read topology {self.topology}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if not (isinstance(self.seeds, list) and self.seeds and all(map(is_integer, self.seeds))):
@@ -177,33 +179,6 @@ class ExperimentConfig(OptimizerConfig):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def build_topology(spec, check_only=False):
-    """Graph from a spec string: ``ring:<n> | torus:<n> | full:<n> | edgelist:<path>``.
-
-    ``check_only`` checks the spec by its builder's size rule without
-    building the graph, and returns its node count (``None`` for an edge
-    list, which is read and checked at build time).
-    """
-    parts = str(spec).split(":", 1)
-    if len(parts) != 2:
-        raise ValueError(f"bad topology spec {spec!r}")
-    kind, arg = parts
-    if kind == "edgelist":
-        if check_only:
-            return None  # existence is checked at build time
-        return load_edge_list(arg)
-    try:
-        n = int(arg)
-    except ValueError as exc:
-        raise ValueError(f"bad topology size in {spec!r}") from exc
-    if kind not in SIZE_RULES:
-        raise ValueError(f"unknown topology kind {kind!r}")
-    if check_only:
-        SIZE_RULES[kind](n)
-        return n
-    return {"ring": ring, "torus": torus, "full": fully_connected}[kind](n)
-
-
 def build_problem(spec):
     """Problem instance from the (already merged) problem config dict."""
     spec = dict(spec)
@@ -228,12 +203,8 @@ def resolve_x0(config, problem, seed):
     return config.x0_scale * draw / np.sqrt(problem.dim)
 
 
-def execute_single(config, seed, eta=None, gamma=None):
-    """One (config, seed) run; ``eta``/``gamma`` set a sweep cell's stepsizes,
-    checked as any config is."""
-    cell = {k: float(v) for k, v in (("eta", eta), ("gamma", gamma)) if v is not None}
-    if cell:
-        config = replace(config, **cell)
+def execute_single(config, seed):
+    """One (config, seed) run."""
     problem = build_problem(config.problem)
     mixing = None
     if config.algorithm != "centralized":
@@ -245,9 +216,8 @@ def execute_single(config, seed, eta=None, gamma=None):
                x0=x0, per_layer=config.per_layer)
 
 
-def _cell(payload):
-    record = execute_single(payload["config"], payload["seed"],
-                            eta=payload.get("eta"), gamma=payload.get("gamma"))
+def _cell(cell):
+    record = execute_single(*cell)
     # drop the heavyweight non-result state before shipping across processes
     record.workers = None
     record.ledger = None
@@ -268,16 +238,16 @@ def max_workers(n_jobs):
     return max(1, min(n_jobs, cap))
 
 
-def run_cells(payloads):
-    """Run (config, seed[, eta, gamma]) cells, possibly in parallel."""
-    workers = max_workers(len(payloads))
-    if workers == 1 or len(payloads) == 1:
-        return [_cell(p) for p in payloads]
+def run_cells(cells):
+    """Run ``(config, seed)`` cells, possibly in parallel."""
+    workers = max_workers(len(cells))
+    if workers == 1 or len(cells) == 1:
+        return [_cell(cell) for cell in cells]
     # imported only here: it loads multiprocessing, which a single cell never needs
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_cell, payloads))
+        return list(pool.map(_cell, cells))
 
 
 def execute_config(config, out_dir=None):
@@ -287,8 +257,7 @@ def execute_config(config, out_dir=None):
     """
     out_dir = out_dir or config.out
     cfg_dict = config.to_dict()
-    payloads = [{"config": config, "seed": s} for s in config.seeds]
-    records = run_cells(payloads)
+    records = run_cells([(config, seed) for seed in config.seeds])
     paths = []
     for record in records:
         path = os.path.join(out_dir, f"run_{run_id(cfg_dict, record.seed)}.csv")

@@ -2,7 +2,8 @@
 
 Generators for the standard benchmark families (ring, 2-D torus, fully
 connected) plus an edge-list loader for arbitrary graphs such as small
-social networks. ``mixing_matrix`` turns a graph into the symmetric doubly
+social networks; :func:`build_topology` reads the spec strings that name
+them. ``mixing_matrix`` turns a graph into the symmetric doubly
 stochastic matrix used by all gossip updates, together with its spectral
 quantities.
 """
@@ -20,6 +21,16 @@ def _count(n):
     if not is_integer(n):  # a float count is refused, never truncated
         raise ValueError(f"node count n must be an integer, got {n!r}")
     return n
+
+
+def _pair(edge):
+    """An edge's two integer endpoints; a float or bool is refused, never truncated."""
+    if len(edge) != 2:
+        raise ValueError(f"edge {tuple(edge)} is not a pair of endpoints")
+    i, j = edge
+    if not (is_integer(i) and is_integer(j)):
+        raise ValueError(f"edge ({i}, {j}) has a non-integer endpoint")
+    return i, j
 
 
 @dataclass(frozen=True)
@@ -52,11 +63,7 @@ class Graph:
         if not valid:
             seen = set()
             for edge in self.edges:
-                if len(edge) != 2:
-                    raise ValueError(f"edge {tuple(edge)} is not a pair of endpoints")
-                i, j = edge
-                if not (is_integer(i) and is_integer(j)):
-                    raise ValueError(f"edge ({i}, {j}) has a non-integer endpoint")
+                i, j = _pair(edge)
                 if not (0 <= i < self.n and 0 <= j < self.n):
                     raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
                 if i == j:
@@ -110,11 +117,6 @@ def _check_full(n):
         raise ValueError("need n >= 1")
 
 
-# the size rule of each generated family, which its builder applies; a
-# config checks a ``kind:n`` spec with it without building the graph
-SIZE_RULES = {"ring": _check_ring, "torus": _torus_side, "full": _check_full}
-
-
 def ring(n):
     """Cycle graph; ``n = 2`` degenerates to a single edge."""
     _check_ring(n)
@@ -139,14 +141,8 @@ def fully_connected(n):
 
 def from_edge_list(n, pairs):
     """Graph from explicit integer ``(i, j)`` pairs; symmetric duplicates collapse."""
-    out = set()
-    for i, j in pairs:
-        if not (is_integer(i) and is_integer(j)):
-            raise ValueError(f"edge ({i}, {j}) has a non-integer endpoint")
-        if i == j:
-            raise ValueError(f"self-loop ({i}, {j}) not allowed")
-        out.add((min(i, j), max(i, j)))
-    return Graph(n, tuple(sorted(out)))
+    ends = {tuple(sorted(_pair(edge))) for edge in pairs}  # Graph refuses a self-loop
+    return Graph(n, tuple(sorted(ends)))
 
 
 def load_edge_list(path):
@@ -172,6 +168,37 @@ def load_edge_list(path):
     if not pairs:
         raise ValueError(f"{path}: no edges found")
     return from_edge_list(max(max(i, j) for i, j in pairs) + 1, pairs)
+
+
+# each generated family's size rule, which its builder applies, and its builder
+_GENERATED = {"ring": (_check_ring, ring), "torus": (_torus_side, torus),
+              "full": (_check_full, fully_connected)}
+
+
+def build_topology(spec, check_only=False):
+    """Graph from a spec string: ``ring:<n> | torus:<n> | full:<n> | edgelist:<path>``.
+
+    ``check_only`` returns its node count instead: an edge list is read, a
+    generated family only checked by its size rule (``full:1000`` builds in
+    half a second).
+    """
+    kind, colon, arg = str(spec).partition(":")
+    if not colon:
+        raise ValueError(f"bad topology spec {spec!r}")
+    if kind == "edgelist":
+        graph = load_edge_list(arg)
+        return graph.n if check_only else graph
+    try:
+        n = int(arg)
+    except ValueError as exc:
+        raise ValueError(f"bad topology size in {spec!r}") from exc
+    if kind not in _GENERATED:
+        raise ValueError(f"unknown topology kind {kind!r}")
+    check, build = _GENERATED[kind]
+    if check_only:
+        check(n)
+        return n
+    return build(n)
 
 
 @dataclass(frozen=True)

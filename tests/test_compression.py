@@ -346,22 +346,38 @@ def test_block_plans_are_keyed_by_the_compressors_values(monkeypatch):
     assert again.payload.tobytes() == first.payload.tobytes()
 
 
-@pytest.mark.parametrize("boundaries, match", [
-    ([0, 5], "start at 0 and end at the row length"),  # half a row
-    ([0, 7, 3, 10], "strictly increasing"),
-    ([0, 5, 5, 10], "strictly increasing"),
-    ([], "start at 0 and end at the row length"),
-    ([0, 5.0, 10], "must be integers"),
-    ([0, True, 10], "must be integers"),
+@pytest.mark.parametrize("boundaries, match, dim", [
+    ([0, 5], "start at 0 and end at the row length", 10),  # half a row
+    ([0, 7, 3, 10], "strictly increasing", 10),
+    ([0, 5, 5, 10], "strictly increasing", 10),
+    ([], "start at 0 and end at the row length", 10),
+    ([0, 5.0, 10], "must be integers", 10),
+    ([0, True, 10], "must be integers", 10),
+    (None, "dim must be an integer, got 10.0", 10.0),
+    (None, "dim must be an integer, got True", True),
+    ([0, 5, 10], "dim must be an integer", 10.0),
 ])
-def test_a_bad_layout_fails_the_same_way_for_bits_delta_and_payload(boundaries, match):
+def test_a_bad_layout_fails_the_same_way_for_bits_delta_and_payload(boundaries, match, dim):
     sign = parse_compressor("sign")
-    for price in (lambda: message_bits(sign, 10, boundaries),
-                  lambda: effective_contraction(sign, 10, boundaries),
-                  lambda: compress_blocks(sign, np.ones(10), boundaries=boundaries),
-                  lambda: compress_blocks(sign, np.ones((3, 10)), boundaries=boundaries)):
+    prices = [lambda: message_bits(sign, dim, boundaries),
+              lambda: effective_contraction(sign, dim, boundaries)]
+    if type(dim) is int:
+        prices += [lambda: compress_blocks(sign, np.ones(dim), boundaries=boundaries),
+                   lambda: compress_blocks(sign, np.ones((3, dim)), boundaries=boundaries)]
+    else:  # an array's row length is an int; a float or bool size reaches only the pricing
+        prices += [lambda: bit_cost(sign, dim), lambda: contraction_factor(sign, dim)]
+    for price in prices:
         with pytest.raises(ValueError, match=match):
             price()
+
+
+def test_a_float_boundary_is_refused_after_its_integer_layout_is_planned():
+    # the plan cache compares keys by value, and 5.0 == 5
+    sign = parse_compressor("sign")
+    assert compress_blocks(sign, np.ones(10), boundaries=(0, 5, 10)).bits == 74
+    for boundaries in ((0, 5.0, 10), [0, 5.0, 10], np.array([0, 5.0, 10])):
+        with pytest.raises(ValueError, match="must be integers"):
+            compress_blocks(sign, np.ones(10), boundaries=boundaries)
 
 
 def test_bits_and_delta_read_the_payloads_blocks():

@@ -4,6 +4,8 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +13,13 @@ import pytest
 import chocosim
 from chocosim import cli
 from chocosim import config as config_module
-from chocosim.config import (ConfigError, ExperimentConfig, build_problem,
-                             build_topology, execute_config, max_workers,
-                             resolve_x0)
+from chocosim import topology as topology_module
+from chocosim.config import (ConfigError, ExperimentConfig, build_problem, execute_config,
+                             max_workers, resolve_x0)
 from chocosim.problems import LogisticProblem, QuadraticProblem
+from chocosim.topology import build_topology
+
+SOCIAL = Path(__file__).resolve().parents[1] / "demos" / "data" / "social32.txt"
 
 
 def _write_config(tmp_path, **overrides):
@@ -113,7 +118,10 @@ def test_centralized_needs_no_topology():
     assert cfg.algorithm == "centralized"
 
 
-@pytest.mark.parametrize("topology, nodes", [("ring:16", 16), ("torus:9", 9), ("full:5", 5)])
+@pytest.mark.parametrize("topology, nodes", [
+    ("ring:16", 16), ("torus:9", 9), ("full:5", 5),
+    pytest.param(f"edgelist:{SOCIAL}", 32, id="edgelist:social32.txt-32"),
+])
 def test_topology_node_count_mismatch_exits_one(tmp_path, capsys, monkeypatch, topology, nodes):
     def no_build(spec):
         raise AssertionError("a problem was built")
@@ -124,21 +132,43 @@ def test_topology_node_count_mismatch_exits_one(tmp_path, capsys, monkeypatch, t
     lines = capsys.readouterr().err.strip().splitlines()
     assert lines == [f"error: topology {topology} has {nodes} nodes but problem.n is 4"]
     assert not (tmp_path / "o").exists()
-    # the coordinator baseline ignores the topology; an edge list is checked
-    # when the graph is built
+    # the coordinator baseline ignores the topology
     ExperimentConfig.from_dict({"algorithm": "centralized", "topology": topology})
-    ExperimentConfig.from_dict({"topology": "edgelist:missing.txt"})
+    ExperimentConfig.from_dict({"algorithm": "centralized", "topology": "edgelist:missing.txt"})
 
 
-def _no_graph(n):
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read topology edgelist:{path}: [Errno 2] No such file or directory: '{path}'"),
+    ("0 1\n1 2 3\n", "{path}:2: expected 'i j', got '1 2 3'"),
+    ("0 1\n1 x\n", "{path}:2: non-integer node id"),
+    ("# no edges\n", "{path}: no edges found"),
+    ("0 1\n1 1\n", "self-loop (1, 1) not allowed"),
+], ids=["missing", "three-ids", "non-integer", "no-edges", "self-loop"])
+def test_an_unreadable_edge_list_exits_one_before_any_run(tmp_path, capsys, monkeypatch,
+                                                          text, message):
+    def no_build(spec):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(config_module, "build_problem", no_build)
+    edges = tmp_path / "g.txt"
+    if text is not None:
+        edges.write_text(text)
+    path = _write_config(tmp_path, topology=f"edgelist:{edges}")
+    for command in ("run", "sweep"):
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == ["error: " + message.format(path=edges)]
+        assert not (tmp_path / "o").exists()
+
+
+def _no_graph(*args):
     raise AssertionError("a graph was built")
 
 
 @pytest.mark.parametrize("topology, nodes", [("ring:16", 16), ("torus:9", 9), ("full:5", 5)])
 def test_a_config_counts_its_nodes_without_building_the_graph(tmp_path, capsys, monkeypatch,
                                                               topology, nodes):
-    for builder in ("ring", "torus", "fully_connected"):
-        monkeypatch.setattr(config_module, builder, _no_graph)
+    monkeypatch.setattr(topology_module, "Graph", _no_graph)
     cfg = ExperimentConfig.from_dict({"topology": topology,
                                       "problem": {"kind": "quadratic", "n": nodes}})
     assert cfg.problem["n"] == nodes
@@ -157,8 +187,7 @@ def test_a_config_counts_its_nodes_without_building_the_graph(tmp_path, capsys, 
 ])
 def test_a_bad_topology_size_exits_one_without_building(tmp_path, capsys, monkeypatch,
                                                         topology, message):
-    for builder in ("ring", "torus", "fully_connected"):
-        monkeypatch.setattr(config_module, builder, _no_graph)
+    monkeypatch.setattr(topology_module, "Graph", _no_graph)
     path = _write_config(tmp_path, topology=topology)
     assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
@@ -188,7 +217,7 @@ def test_build_topology_specs(tmp_path):
     edges = tmp_path / "g.txt"
     edges.write_text("0 1\n1 2\n0 2\n")
     assert build_topology(f"edgelist:{edges}").n == 3
-    assert build_topology("edgelist:whatever", check_only=True) is None
+    assert build_topology(f"edgelist:{edges}", check_only=True) == 3
     for bad in ("ring", "ring:x", "mesh:4"):
         with pytest.raises(ValueError):
             build_topology(bad)
@@ -544,8 +573,10 @@ def test_topology_report(tmp_path, capsys):
 
     edges = tmp_path / "g.txt"
     edges.write_text("0 1\n1 2\n2 3\n3 0\n")
-    assert cli.main(["topology", "--edge-list", str(edges)]) == 0
+    assert cli.main(["topology", "--spec", f"edgelist:{edges}"]) == 0
     assert "nodes: 4" in capsys.readouterr().out
+    assert cli.main(["topology", "--edge-list", str(edges)]) == 1  # one spelling
+    capsys.readouterr()
 
     assert cli.main(["topology", "--spec", "ring:1"]) == 1
     capsys.readouterr()
@@ -674,9 +705,9 @@ def test_a_sweep_cell_is_checked_as_any_config():
     config = ExperimentConfig.from_dict({"topology": "ring:4",
                                          "problem": {"kind": "quadratic", "n": 4}})
     with pytest.raises(ConfigError, match="gamma"):
-        config_module.execute_single(config, 1, gamma=0.0)
+        replace(config, gamma=0.0)
     with pytest.raises(ConfigError, match="eta"):
-        config_module.execute_single(config, 1, eta=-1.0)
+        replace(config, eta=-1.0)
 
 
 def test_a_zero_log_every_override_is_refused_not_dropped(tmp_path, capsys):

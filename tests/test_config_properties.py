@@ -4,6 +4,7 @@ with one line naming the field, before anything is written."""
 
 import json
 import math
+import os
 import re
 import shutil
 from dataclasses import fields
@@ -48,7 +49,7 @@ def valid_configs(draw):
     problem["n"] = n = draw(st.integers(2, 16))
     data = {
         "algorithm": draw(st.sampled_from(ALGORITHMS)),
-        "topology": draw(st.sampled_from([f"ring:{n}", f"full:{n}", "edgelist:g.txt"])),
+        "topology": draw(st.sampled_from([f"ring:{n}", f"full:{n}", f"edgelist:path{n}.txt"])),
         "compressor": draw(st.sampled_from(COMPRESSORS)),
         "eta": draw(st.floats(0.0, 10.0)),
         "gamma": draw(st.one_of(st.just("auto"), POSITIVE)),
@@ -74,9 +75,20 @@ def valid_configs(draw):
     return {key: data[key] for key in keep | {"topology", "problem"}}
 
 
+@pytest.fixture(scope="module")
+def edge_lists(tmp_path_factory):
+    """A path graph of each node count ``valid_configs`` draws, as an edge-list file."""
+    root = tmp_path_factory.mktemp("edge_lists")
+    for n in range(2, 17):
+        (root / f"path{n}.txt").write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    return root
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=valid_configs())
-def test_the_echo_round_trips(data):
+def test_the_echo_round_trips(data, edge_lists):
+    # an edge list is read when the config is: it names a file of n nodes
+    data["topology"] = data["topology"].replace("edgelist:", "edgelist:" + os.path.join(edge_lists, ""))
     config = ExperimentConfig.from_dict(data)
     assert ExperimentConfig.from_dict(config.to_dict()) == config
     assert ExperimentConfig.from_json(config.to_json()) == config

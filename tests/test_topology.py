@@ -214,7 +214,9 @@ def test_graph_validation():
     (((0, 1), (2,)), r"edge \(2,\)"),
     (((0, 1), (1, 2), [1, 2, 3]), r"edge \(1, 2, 3\)"),
     (((0, 1), ()), r"edge \(\)"),
+    ([(0, 1, 2)], r"edge \(0, 1, 2\)"),
 ])
 def test_an_edge_that_is_not_a_pair_is_named(edges, named):
-    with pytest.raises(ValueError, match=named + " is not a pair of endpoints"):
-        Graph(4, edges)
+    for build in (Graph, from_edge_list):
+        with pytest.raises(ValueError, match=named + " is not a pair of endpoints"):
+            build(4, edges)
