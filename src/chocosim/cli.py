@@ -148,12 +148,14 @@ def build_parser():
                      description="Decentralized SGD with compressed gossip: "
                                  "simulation and verification tools.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the config arguments that run and sweep share
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", required=True, help="path to a JSON config")
+    configured.add_argument("--seed", type=int, action="append",
+                            help="override config seeds (repeatable)")
+    configured.add_argument("--out", help="override output directory")
 
-    p_run = sub.add_parser("run", help="execute an experiment config")
-    p_run.add_argument("--config", required=True, help="path to a JSON config")
-    p_run.add_argument("--seed", type=int, action="append",
-                       help="override config seeds (repeatable)")
-    p_run.add_argument("--out", help="override output directory")
+    p_run = sub.add_parser("run", parents=[configured], help="execute an experiment config")
     p_run.add_argument("--log-every", type=int, dest="log_every",
                        help="override logging stride")
     p_run.add_argument("--broadcast", action="store_true",
@@ -163,11 +165,7 @@ def build_parser():
     p_top.add_argument("--spec", required=True,
                        help="ring:<n> | torus:<n> | full:<n> | edgelist:<path>")
 
-    p_sweep = sub.add_parser("sweep", help="grid-search eta_grid x gamma_grid")
-    p_sweep.add_argument("--config", required=True, help="path to a JSON config")
-    p_sweep.add_argument("--seed", type=int, action="append",
-                         help="override config seeds (repeatable)")
-    p_sweep.add_argument("--out", help="override output directory")
+    sub.add_parser("sweep", parents=[configured], help="grid-search eta_grid x gamma_grid")
 
     p_verify = sub.add_parser("verify", help="run built-in invariant suites")
     p_verify.add_argument("suite", nargs="?", default="all",

@@ -31,8 +31,9 @@ import numpy as np
 from .numerics import is_integer, is_number
 
 FLOAT_BITS = 32  # accounted wire width of one scalar / one norm
-_KINDS = ("identity", "gsgd", "random", "topk", "sign")
-_STOCHASTIC_KINDS = ("gsgd", "random")
+# each kind and the field its spec argument sets, or None when it takes none
+_KINDS = {"identity": None, "gsgd": "bits", "random": "fraction", "topk": "fraction",
+          "sign": None}
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,7 @@ class Compressor:
     ``fraction`` is the kept-coordinate fraction for ``random``/``topk``.
     ``unbiased`` selects the unscaled (gsgd) or rescaled (random) unbiased
     variants; the default variants are the biased, contraction-friendly ones.
+    A kind that does not take ``bits`` or ``fraction`` leaves it at 0.
     """
 
     kind: str
@@ -53,18 +55,21 @@ class Compressor:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown compressor kind {self.kind!r}")
-        if self.kind == "gsgd" and not (is_integer(self.bits) and self.bits >= 2):
+        takes = _KINDS[self.kind]
+        if takes == "bits" and not (is_integer(self.bits) and self.bits >= 2):
             raise ValueError("gsgd needs an integer bits >= 2")
-        if self.kind in ("random", "topk") and not (
-                is_number(self.fraction) and 0.0 < self.fraction <= 1.0):
+        if takes == "fraction" and not (is_number(self.fraction) and 0.0 < self.fraction <= 1.0):
             raise ValueError("sparsifier fraction must be a number in (0, 1]")
-        if self.unbiased and self.kind not in ("gsgd", "random"):
+        for name in ("bits", "fraction"):
+            if name != takes and getattr(self, name) != 0:
+                raise ValueError(f"{self.kind} takes no {name}")
+        if self.unbiased and not self.stochastic:
             raise ValueError(f"{self.kind} has no unbiased variant")
 
     @property
     def stochastic(self):
         """Whether :func:`compress` draws from its ``rng``."""
-        return self.kind in _STOCHASTIC_KINDS
+        return self.kind in ("gsgd", "random")  # the kinds with an unbiased variant
 
 
 @dataclass(frozen=True)
@@ -76,32 +81,20 @@ class CompressedMessage:
 
 
 def parse_compressor(text):
-    """Parse spec strings like ``gsgd:4``, ``random:0.1:unbiased``, ``sign``."""
-    parts = str(text).strip().split(":")
-    kind = parts[0]
-    unbiased = False
-    if parts and parts[-1] == "unbiased":
-        unbiased = True
-        parts = parts[:-1]
+    """Parse a spec ``kind[:arg][:unbiased]``, like ``gsgd:4``,
+    ``random:0.1:unbiased`` or ``sign``: ``arg`` sets the field the kind
+    takes, read as that field's type, and :class:`Compressor` checks the rest."""
+    kind, *args = str(text).strip().split(":")
+    unbiased = args[-1:] == ["unbiased"]
+    takes = _KINDS.get(kind)
     try:
-        if kind in ("identity", "sign"):
-            if len(parts) != 1 or unbiased:
-                raise ValueError
-            return Compressor(kind=kind)
-        if kind == "gsgd":
-            if len(parts) != 2:
-                raise ValueError
-            return Compressor(kind="gsgd", bits=int(parts[1]), unbiased=unbiased)
-        if kind in ("random", "topk"):
-            if len(parts) != 2 or (unbiased and kind == "topk"):
-                raise ValueError
-            return Compressor(kind=kind, fraction=float(parts[1]), unbiased=unbiased)
+        if len(args) - unbiased != (takes is not None):
+            raise ValueError
+        fields = {takes: type(getattr(Compressor, takes))(args[0])} if takes else {}
+        return Compressor(kind, unbiased=unbiased, **fields)
     except ValueError:
-        pass
-    raise ValueError(
-        f"bad compressor spec {text!r}; expected identity | gsgd:<b>[:unbiased] | "
-        f"random:<a>[:unbiased] | topk:<a> | sign"
-    )
+        raise ValueError(f"bad compressor spec {text!r}; expected identity | gsgd:<b>[:unbiased] "
+                         "| random:<a>[:unbiased] | topk:<a> | sign") from None
 
 
 def _kept_count(fraction, dim):

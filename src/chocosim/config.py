@@ -21,12 +21,12 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from . import problems
 from .compression import parse_compressor
 from .metrics import run_id, write_aggregate_csv, write_csv, write_summary
 from .numerics import RandomStream, is_integer, is_number
 from .optim import OptimizerConfig, run
-from .problems import (PARTITION_MODES, load_csv_dataset, make_logistic, make_mlp,
-                       make_quadratic)
+from .problems import PARTITION_MODES, load_csv_dataset
 from .topology import build_topology, mixing_matrix
 
 THREADS_ENV = "CHOCO_THREADS"
@@ -45,9 +45,10 @@ def _factory_fields(factory):
             for name, param in inspect.signature(factory).parameters.items()}
 
 
-PROBLEM_FIELDS = {"quadratic": _factory_fields(make_quadratic),
-                  "logistic": _factory_fields(make_logistic),
-                  "mlp": _factory_fields(make_mlp)}
+# each kind's factory, looked up in ``problems`` per call (the benchmark tracer wraps it)
+_FACTORIES = {"quadratic": "make_quadratic", "logistic": "make_logistic", "mlp": "make_mlp"}
+PROBLEM_FIELDS = {kind: _factory_fields(getattr(problems, name))
+                  for kind, name in _FACTORIES.items()}
 
 
 def _check(name, value, default):
@@ -182,16 +183,14 @@ class ExperimentConfig(OptimizerConfig):
 def build_problem(spec):
     """Problem instance from the (already merged) problem config dict."""
     spec = dict(spec)
-    kind = spec.pop("kind")
-    if kind == "quadratic":
-        return make_quadratic(**spec)
-    csv_path = spec.pop("csv", None)
-    try:
-        data = load_csv_dataset(csv_path) if csv_path else None
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read problem.csv: {exc}") from exc
-    factory = make_logistic if kind == "logistic" else make_mlp
-    return factory(data=data, **spec)
+    factory = getattr(problems, _FACTORIES[spec.pop("kind")])
+    if "csv" in spec:  # a dataset kind's data, given as a path
+        csv_path = spec.pop("csv")
+        try:
+            spec["data"] = load_csv_dataset(csv_path) if csv_path else None
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read problem.csv: {exc}") from exc
+    return factory(**spec)
 
 
 def resolve_x0(config, problem, seed):

@@ -16,12 +16,11 @@ nodes 0..i-1, so the result equals compressing node by node, in node
 order, from that generator. Traffic is not counted here: every message of
 a row has the analytic size ``message_bits``.
 
-The statistics :func:`consensus_distance` and :func:`lyapunov` are made of
-:func:`squared_sum` terms, and :func:`squared_sum` also takes a ``(b, n,
-dim)`` block of states, so a caller that needs both for many states (an
-optimizer's logged rows) sums the spread ``sum_i ||x_i - xbar||^2`` once
-per state and forms each from it, with the same floats. A gossip round's
-divergence check is one pass, ``max |x| <= limit``, the optimizer's too.
+The node mean, the consensus distance and the Lyapunov quantity psi are
+defined once, by :func:`state_statistics`, for one ``(n, dim)`` state or
+each state of a ``(b, n, dim)`` block (an optimizer's logged rows), and
+divergence once, by :func:`diverged`, which gossip rounds and the
+optimizer both call.
 
 Ownership: :func:`sync_public` and :func:`mix_with_public` return fresh
 arrays and never write to their inputs, unless the caller passes ``out``,
@@ -45,9 +44,17 @@ DIVERGENCE_LIMIT = 1e12
 
 
 def diverged(x, work):
-    """An entry of ``x`` is NaN or beyond the limit: one pass, ``|x|`` in
-    ``work`` (a NaN maximum compares False, and +-inf exceeds the limit)."""
-    return not np.maximum.reduce(np.abs(x, out=work), None) <= DIVERGENCE_LIMIT
+    """The first row of ``x`` with a NaN, an infinity or an entry beyond the
+    limit, or ``None``: one pass over ``|x|``, formed in ``work``, decides (a
+    NaN maximum compares False), and only then are its rows searched."""
+    if np.maximum.reduce(np.abs(x, out=work), None) <= DIVERGENCE_LIMIT:
+        return None
+    return int(np.argmax(~(work <= DIVERGENCE_LIMIT).all(axis=1)))
+
+
+def _check_delta(delta):  # a bool or a string is no delta
+    if not (is_number(delta) and 0.0 < delta <= 1.0):
+        raise ValueError("delta must be a number in (0, 1]")
 
 
 def consensus_stepsize(mixing, delta):
@@ -59,8 +66,7 @@ def consensus_stepsize(mixing, delta):
     non-positive value signals an invalid ``(rho, delta, beta)`` combination.
     """
     rho, beta = mixing.rho, mixing.beta
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta must be in (0, 1]")
+    _check_delta(delta)
     if not (0.0 < rho <= 1.0):
         raise ValueError("rho must be in (0, 1]")
     denom = 16.0 * rho + rho**2 + 4.0 * beta**2 + 2.0 * rho * beta**2 - 8.0 * rho * delta
@@ -72,8 +78,7 @@ def consensus_stepsize(mixing, delta):
 def rate_constant(mixing, delta):
     """Linear contraction rate ``c = rho^2 delta / 82`` of the squared
     consensus error under compressed gossip."""
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta must be in (0, 1]")
+    _check_delta(delta)
     return mixing.rho**2 * delta / 82.0
 
 
@@ -122,35 +127,35 @@ def choco_gossip_round(workers, mixing, comp, rng, gamma, boundaries=None):
     if mixing.w.shape[0] != x.shape[0]:
         raise ValueError("mixing matrix size does not match state")
     mix_with_public(x, xhat, mixing.w, gamma, out=x, work=scratch)
-    if diverged(x, scratch):
+    if diverged(x, scratch) is not None:
         raise FloatingPointError("gossip iterates diverged")
     sync_public(x, xhat, comp, rng, boundaries, out=xhat, work=scratch)
 
 
-def squared_sum(diff):
-    """Sum of squares of each ``(n, dim)`` state of ``diff`` (one state, or a
-    ``(b, n, dim)`` block), the sum both statistics below are made of.
-
-    Each state is summed as one contiguous run of ``n * dim`` elements, in
-    the order ``diff.sum()`` adds them for that state alone.
-    """
+def _squared_sum(diff):
+    # each (n, dim) state's squares, summed as one run in the order diff.sum() adds them
     return (diff ** 2).reshape(diff.shape[:-2] + (-1,)).sum(axis=-1)
 
 
-def lyapunov(state):
-    """Total squared disagreement plus public-copy lag.
+def state_statistics(x, xhat=None):
+    """``(xbar, consensus distance, psi)`` of one ``(n, dim)`` state, or of
+    each state of a ``(b, n, dim)`` block, with the same floats either way:
+    the node mean ``x.sum(axis=-2) / n`` (bitwise ``x.mean(axis=0)``), ``(1/n)
+    sum_i ||x_i - xbar||^2``, and ``psi = sum_i ||x_i - xbar||^2 + sum_i ||x_i
+    - xhat_i||^2``, which contracts by ``(1 - c)`` per round in expectation
+    (without public copies, ``xhat is None``, it has no lag term)."""
+    n = x.shape[-2]
+    xbar = x.sum(axis=-2) / n
+    spread = _squared_sum(x - xbar[..., None, :])
+    psi = spread if xhat is None else spread + _squared_sum(x - xhat)
+    return xbar, spread / n, psi
 
-    ``sum_i ||x_i - xbar||^2 + sum_i ||x_i - xhat_i||^2``; this is the
-    quantity that contracts by ``(1 - c)`` per round in expectation. A
-    ``state`` without public copies (``xhat is None``, exact gossip) has no
-    lag term.
-    """
-    psi = squared_sum(state.x - state.x.mean(axis=0))
-    if state.xhat is not None:
-        psi = psi + squared_sum(state.x - state.xhat)
-    return float(psi)
+
+def lyapunov(state):
+    """psi of a node state's ``x`` and ``xhat`` (:func:`state_statistics`)."""
+    return float(state_statistics(state.x, state.xhat)[2])
 
 
 def consensus_distance(x):
     """Node-averaged squared distance to the node mean, ``(1/n) sum ||x_i - xbar||^2``."""
-    return float(squared_sum(x - x.mean(axis=0)) / x.shape[0])
+    return float(state_statistics(x)[1])

@@ -92,8 +92,10 @@ class RandomStream:
         It depends only on ``(seed, worker, purpose, iteration)``, never on
         how many draws were made from this or any other stream: ``Philox``
         on this stream's key, counter ``(0, 0, iteration + 1, 0)``.
-        ``iteration`` must be in ``[0, 2**64 - 2]``.
+        ``iteration`` must be an integer in ``[0, 2**64 - 2]``.
         """
+        if not is_integer(iteration):  # a float or bool is refused, never truncated
+            raise ValueError(f"iteration must be an integer, got {iteration!r}")
         iteration = int(iteration)
         if not 0 <= iteration < 2**64 - 1:  # t + 1 fills one uint64 word
             raise ValueError("iteration must be in [0, 2**64 - 2]")
@@ -104,7 +106,8 @@ class RandomStream:
 
 def is_integer(value):
     """A Python or NumPy integer, not a bool (which Python counts as an int)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or (  # a plain int skips the slower abstract-class test
+        isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def is_number(value):

@@ -63,19 +63,19 @@ iteration sends the same messages, so one iteration's per-node traffic is
 charged once, by one validated :class:`TrafficLedger` call; after k
 completed iterations every node's total is exactly k times that charge,
 which gives each logged row's ``bits_busiest`` and, when the loop ends,
-the run's ledger. The divergence check is one pass over the iterate,
-``max |x| <= limit`` (a NaN compares False); only when it trips is the
-first failing node looked for.
+the run's ledger. After each step, ``consensus.diverged`` names the first
+failing node, or none.
 
 Logged rows are computed in blocks, after the iterations they describe. A
 logged iteration copies its state (``x``, and ``xhat`` for the compressed
 family) into a run-scoped block of about ``LOG_BLOCK_BYTES``, unless it
 fills the block alone. When the block is full, the loop ends or the run
 diverges, stacked calls compute every row of the block at once: the node
-mean, the consensus distance, the Lyapunov quantity, the loss and the
-squared gradient norm at the mean. Each value is, bit for bit, the one its
-row computes alone, so the CSV does not change; ``eval_s`` and ``stats_s``
-of :attr:`RunRecord.timings` time this block work.
+mean, the consensus distance and the Lyapunov quantity
+(``consensus.state_statistics``), the loss and the squared gradient norm at
+the mean. Each value is, bit for bit, the one its row computes alone, so
+the CSV does not change; ``eval_s`` and ``stats_s`` of
+:attr:`RunRecord.timings` time this block work.
 """
 
 import math
@@ -85,8 +85,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compression import Compressor, compress_blocks, effective_contraction, message_bits
-from .consensus import (DIVERGENCE_LIMIT, consensus_stepsize, diverged, mix_with_public,
-                        squared_sum, sync_public)
+from .consensus import (consensus_stepsize, diverged, mix_with_public, state_statistics,
+                        sync_public)
 from .metrics import RunRecord, TrafficLedger
 from .numerics import RandomStream, is_integer, is_number
 
@@ -271,13 +271,11 @@ class _LoggedRows:
     algorithm keeps public copies. A block holds ``LOG_BLOCK_BYTES //
     (bytes of one state)`` states, at least one and at most the ``logged``
     rows of the run; a one-state block views ``workers``, flushed as added.
-    Each row's value is the per-row definition's, bit for bit: ``xbar =
-    x.mean(axis=0)``, ``consensus_distance(x)``, ``lyapunov(workers)``,
-    ``loss_and_gradient(xbar)`` and ``grad @ grad``. The spread ``sum_i
-    ||x_i - xbar||^2`` that both statistics start from is one
-    ``squared_sum`` over the block: the consensus distance is it over n, and
-    psi is it plus the lag ``sum_i ||x_i - xhat_i||^2``. A one-row
-    (centralized) state is its own mean, so its spread and psi are 0.0.
+    Each row's value is the per-row definition's, bit for bit: the node
+    mean, the consensus distance and psi of ``state_statistics`` over the
+    block, ``loss_and_gradient(xbar)`` and ``grad @ grad``. A one-row
+    (centralized) state is its own mean, so its consensus distance and psi
+    are 0.0.
     """
 
     def __init__(self, record, problem, busiest_charge, workers, logged):
@@ -310,19 +308,16 @@ class _LoggedRows:
         if b == 0:
             return
         tick = time.perf_counter()
-        x = self.x[:b]
-        xbar = x.sum(axis=1) / x.shape[1]  # each state's x.mean(axis=0)
-        spread = squared_sum(x - xbar[:, None, :])
-        consensus = (spread / x.shape[1]).tolist()
-        lag = 0.0 if self.xhat is None else squared_sum(x - self.xhat[:b])
-        psi = (spread + lag).tolist()
+        xbar, consensus, psi = state_statistics(
+            self.x[:b], None if self.xhat is None else self.xhat[:b])
         tock = time.perf_counter()
         f_avg, grad = self.problem.loss_and_gradient(xbar)
         # each row's grad @ grad, the same ddot
         grad_sq = np.matmul(grad[:, None, :], grad[:, :, None])[:, 0, 0]
         self.eval_s += time.perf_counter() - tock
         self.stats_s += tock - tick
-        for t, f, g, c, p in zip(self.t, f_avg.tolist(), grad_sq.tolist(), consensus, psi):
+        for t, f, g, c, p in zip(self.t, f_avg.tolist(), grad_sq.tolist(), consensus.tolist(),
+                                 psi.tolist()):
             self.record.add_row(t=t, f_avg=f, grad_sq=g, consensus=c, psi=p,
                                 bits_busiest=t * self.busiest_charge)
         self.t.clear()
@@ -437,13 +432,12 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
             _fold_norms(record, norms)
 
         # the step's work buffer is free again when the step returns
-        if diverged(workers.x, workers.scratch):
+        failing = diverged(workers.x, workers.scratch)
+        if failing is not None:
             record.diverged = True
             record.diverged_at = t + 1
-            # the first row with a NaN, an infinity or an entry beyond the
-            # limit; the centralized iterate is the coordinator's, ledger slot n
-            failing = ~(np.abs(workers.x) <= DIVERGENCE_LIMIT).all(axis=1)
-            record.diverged_node = n if centralized else int(np.argmax(failing))
+            # the centralized iterate is the coordinator's, ledger slot n
+            record.diverged_node = n if centralized else failing
             break
 
         completed = t + 1
@@ -471,12 +465,15 @@ def tune_stepsize(r0, b, e, d_cap, horizon):
     """Stepsize minimizing the three-term convergence bound.
 
     ``min( sqrt(r0/(b(T+1))), (r0/(e(T+1)))^(1/3), 1/d_cap )`` with zero or
-    infinite terms dropped from the minimum.
+    infinite terms dropped from the minimum (``d_cap`` may be +inf).
     """
-    if min(r0, b, e) < 0.0 or d_cap <= 0.0:
-        raise ValueError("constants must be nonnegative, d_cap positive")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    for name, value in (("r0", r0), ("b", b), ("e", e)):
+        if not (is_number(value) and value >= 0.0):
+            raise ValueError(f"{name} must be a finite number >= 0")
+    if not ((is_number(d_cap) and d_cap > 0.0) or d_cap == math.inf):
+        raise ValueError("d_cap must be a positive number or +inf")
+    if not (is_integer(horizon) and horizon >= 1):
+        raise ValueError("horizon must be an integer >= 1")
     candidates = []
     if b > 0.0:
         candidates.append(math.sqrt(r0 / (b * (horizon + 1))))

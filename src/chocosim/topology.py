@@ -92,6 +92,13 @@ class Graph:
                 return not root.any()
 
 
+def check_connected(graph):
+    """``graph``, if connected: gossip cannot average over a graph that is not."""
+    if not graph.is_connected():
+        raise ValueError("graph must be connected to average")
+    return graph
+
+
 def _generated(n, i, j):
     """Graph on ``n`` nodes from endpoint arrays: each edge once, as sorted ``(min, max)`` ints."""
     pairs = zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())
@@ -178,15 +185,15 @@ _GENERATED = {"ring": (_check_ring, ring), "torus": (_torus_side, torus),
 def build_topology(spec, check_only=False):
     """Graph from a spec string: ``ring:<n> | torus:<n> | full:<n> | edgelist:<path>``.
 
-    ``check_only`` returns its node count instead: an edge list is read, a
-    generated family only checked by its size rule (``full:1000`` builds in
-    half a second).
+    ``check_only`` returns its node count instead: an edge list is read and
+    checked to be connected, a generated family only checked by its size rule
+    (``full:1000`` builds in half a second).
     """
     kind, colon, arg = str(spec).partition(":")
     if not colon:
         raise ValueError(f"bad topology spec {spec!r}")
-    if kind == "edgelist":
-        graph = load_edge_list(arg)
+    if kind == "edgelist":  # the one family that can come disconnected
+        graph = check_connected(load_edge_list(arg))
         return graph.n if check_only else graph
     try:
         n = int(arg)
@@ -229,9 +236,7 @@ def mixing_matrix(graph):
     symmetric by construction and its weights are nonnegative, so it is
     doubly stochastic.
     """
-    if not graph.is_connected():
-        raise ValueError("graph must be connected to average")
-    n = graph.n
+    n = check_connected(graph).n
     deg = graph.degrees()
     i, j = graph.ends.T
     w = np.zeros((n, n))

@@ -22,19 +22,21 @@ def test_parse_round_trip():
                          ("gsgd:8:unbiased", ("gsgd", 8, 0.0, True)),
                          ("random:0.25", ("random", 0, 0.25, False)),
                          ("random:0.1:unbiased", ("random", 0, 0.1, True)),
-                         ("topk:0.01", ("topk", 0, 0.01, False))):
+                         ("topk:0.01", ("topk", 0, 0.01, False)),
+                         ("topk:1", ("topk", 0, 1.0, False))):
         comp = parse_compressor(text)
         assert (comp.kind, comp.bits, comp.fraction, comp.unbiased) == fields
+        assert list(map(type, (comp.bits, comp.fraction))) == [int, float]
         assert comp == Compressor(*fields)
 
 
 @pytest.mark.parametrize("bad", [
     "", "huffman", "gsgd", "gsgd:x", "gsgd:1", "random", "random:0",
     "random:1.5", "topk:0", "topk:0.1:unbiased", "sign:unbiased",
-    "identity:4", "sign:2",
+    "identity:4", "sign:2", "identity:5", "gsgd:4:5", "gsgd:4.0", "unbiased",
 ])
 def test_parse_rejects_bad_specs(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bad compressor spec .*; expected identity \| "):
         parse_compressor(bad)
 
 
@@ -45,6 +47,16 @@ def test_compressor_validation():
         Compressor("topk", fraction=0.5, unbiased=True)
     with pytest.raises(ValueError):
         Compressor("random", fraction=0.0)
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("identity", "fraction", 2.0), ("sign", "bits", 3), ("gsgd", "fraction", 0.5),
+    ("topk", "bits", 4), ("random", "bits", 2), ("identity", "bits", float("nan")),
+])
+def test_a_compressor_refuses_a_field_its_kind_does_not_take(kind, field, value):
+    takes = {"gsgd": {"bits": 4}, "topk": {"fraction": 0.5}, "random": {"fraction": 0.5}}
+    with pytest.raises(ValueError, match=f"{kind} takes no {field}"):
+        Compressor(kind, **takes.get(kind, {}), **{field: value})
 
 
 # ----------------------------------------------------------------- identity

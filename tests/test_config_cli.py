@@ -13,6 +13,7 @@ import pytest
 import chocosim
 from chocosim import cli
 from chocosim import config as config_module
+from chocosim import problems as problems_module
 from chocosim import topology as topology_module
 from chocosim.config import (ConfigError, ExperimentConfig, build_problem, execute_config,
                              max_workers, resolve_x0)
@@ -143,7 +144,10 @@ def test_topology_node_count_mismatch_exits_one(tmp_path, capsys, monkeypatch, t
     ("0 1\n1 x\n", "{path}:2: non-integer node id"),
     ("# no edges\n", "{path}: no edges found"),
     ("0 1\n1 1\n", "self-loop (1, 1) not allowed"),
-], ids=["missing", "three-ids", "non-integer", "no-edges", "self-loop"])
+    # without its connectivity check the graph would fail later, on its
+    # spectral gap, with a line that does not say what is wrong
+    ("0 1\n2 3\n", "graph must be connected to average"),
+], ids=["missing", "three-ids", "non-integer", "no-edges", "self-loop", "disconnected"])
 def test_an_unreadable_edge_list_exits_one_before_any_run(tmp_path, capsys, monkeypatch,
                                                           text, message):
     def no_build(spec):
@@ -223,21 +227,13 @@ def test_build_topology_specs(tmp_path):
             build_topology(bad)
 
 
-def test_a_disconnected_edge_list_exits_one_with_one_line(tmp_path, capsys):
-    # without its connectivity check the graph would fail later, on its
-    # spectral gap, with a line that does not say what is wrong
-    edges = tmp_path / "g.txt"
-    edges.write_text("0 1\n2 3\n")
-    path = _write_config(tmp_path, topology=f"edgelist:{edges}")  # problem.n is 4
-    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.strip().splitlines() == [
-        "error: graph must be connected to average"]
-    assert not (tmp_path / "o").exists()
-
-
-def test_build_problem_dispatch(tmp_path):
+def test_build_problem_dispatch(tmp_path, monkeypatch):
     quad = build_problem({"kind": "quadratic", "n": 4, "dim": 3})
     assert isinstance(quad, QuadraticProblem) and quad.n == 4
+    # the factory is read from ``problems`` per call, where the benchmark's tracer wraps it
+    built = []
+    monkeypatch.setattr(problems_module, "make_mlp", lambda **kw: built.append(kw) or "mlp")
+    assert build_problem({"kind": "mlp", "n": 2}) == "mlp" and built == [{"n": 2}]
 
     csv = tmp_path / "d.csv"
     csv.write_text("1.0,2.0,1\n-1.0,0.5,0\n2.0,1.0,1\n-2.0,0.1,0\n")

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from chocosim.compression import contraction_factor, parse_compressor
-from chocosim.consensus import (choco_gossip_round, consensus_distance,
-                                consensus_stepsize, lyapunov, mix_with_public,
-                                rate_constant, sync_public)
+from chocosim.consensus import (DIVERGENCE_LIMIT, choco_gossip_round, consensus_distance,
+                                consensus_stepsize, diverged, lyapunov, mix_with_public,
+                                rate_constant, state_statistics, sync_public)
 from chocosim.numerics import RandomStream
 from chocosim.optim import Workers
 from chocosim.topology import fully_connected, mixing_matrix, ring
@@ -157,6 +157,18 @@ def test_divergence_guard_passes_the_limit_itself():
     choco_gossip_round(state, mixing_matrix(ring(2)), parse_compressor("identity"), _rng(), 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e12, -2e12])
+def test_diverged_names_the_first_failing_row(bad):
+    x = np.zeros((5, 3))
+    x[1, 2] = -DIVERGENCE_LIMIT  # exactly at the limit: not a failure
+    x[3, 0] = x[4, 1] = bad
+    assert diverged(x, np.empty_like(x)) == 3
+    x[3, 0] = 0.0
+    assert diverged(x, np.empty_like(x)) == 4
+    x[4, 1] = DIVERGENCE_LIMIT
+    assert diverged(x, np.empty_like(x)) is None
+
+
 # ----------------------------------------------------------------- lyapunov
 
 def test_lyapunov_zero_at_consensus():
@@ -180,6 +192,25 @@ def test_lyapunov_dominates_consensus_distance():
 
 def test_consensus_distance_hand_value():
     assert consensus_distance(np.array([[0.0], [2.0]])) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n, dim", [(1, 3), (5, 7), (16, 2177)])
+@pytest.mark.parametrize("public", [True, False])
+def test_block_statistics_equal_each_states_own_bit_for_bit(n, dim, public):
+    # an optimizer's logged rows are the block case, lyapunov and
+    # consensus_distance the one-state case
+    draw = RandomStream(n, dim, "init").generator()
+    x = draw.standard_normal((3, n, dim))
+    xhat = draw.standard_normal((3, n, dim)) if public else None
+    xbar, consensus, psi = state_statistics(x, xhat)
+    for k in range(3):
+        state = Workers(x=x[k], xhat=None if xhat is None else xhat[k])
+        assert xbar[k].tobytes() == x[k].mean(axis=0).tobytes()
+        assert consensus[k].item() == consensus_distance(x[k])
+        assert psi[k].item() == lyapunov(state)
+        one = state_statistics(x[k], state.xhat)
+        assert (one[0].tobytes(), one[1].item(), one[2].item()) == (
+            xbar[k].tobytes(), consensus[k].item(), psi[k].item())
 
 
 # ------------------------------------------------------------ sync building

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from chocosim.compression import Compressor
+from chocosim.consensus import consensus_stepsize, rate_constant
 from chocosim.metrics import TrafficLedger
 from chocosim.numerics import RandomStream, is_integer, require_finite, sym_eigenvalues
+from chocosim.optim import tune_stepsize
 from chocosim.problems import (Partition, estimate_constants, make_logistic, make_mlp,
                                make_quadratic)
-from chocosim.topology import Graph, from_edge_list, ring
+from chocosim.topology import Graph, from_edge_list, mixing_matrix, ring
+
+NAN = float("nan")
 
 
 # -------------------------------------------------------------- eigenvalues
@@ -254,11 +258,25 @@ def test_is_integer_accepts_python_and_numpy_integers_only():
     (lambda: estimate_constants(make_quadratic(2, 3), trials=1.5), ValueError, "trials"),
     (lambda: RandomStream(True), TypeError, "seed"),
     (lambda: RandomStream(1, worker=0.7), ValueError, "worker"),
+    (lambda: RandomStream(1).at(2.7), ValueError, "iteration"),
+    (lambda: RandomStream(1).at(True), ValueError, "iteration"),
+    (lambda: consensus_stepsize(mixing_matrix(ring(4)), True), ValueError, "delta"),
+    (lambda: rate_constant(mixing_matrix(ring(4)), "0.5"), ValueError, "delta"),
+    (lambda: tune_stepsize(1, NAN, 1, 4, 10), ValueError, "^b must"),
+    (lambda: tune_stepsize(NAN, 1, 1, 4, 10), ValueError, "^r0 must"),
+    (lambda: tune_stepsize(1, 1, float("inf"), 4, 10), ValueError, "^e must"),
+    (lambda: tune_stepsize(1, 1, 1, NAN, 10), ValueError, "^d_cap must"),
+    (lambda: tune_stepsize(1, 1, 1, True, 10), ValueError, "^d_cap must"),
+    (lambda: tune_stepsize(1, 1, 1, 4, True), ValueError, "^horizon must"),
+    (lambda: tune_stepsize(1, 1, 1, 4, 1.5), ValueError, "^horizon must"),
 ], ids=["edge-float", "edge-bool", "edge-float-duplicate", "graph-n", "ring-n",
         "ledger-nodes", "gsgd-bits", "partition-nodes", "partition-seed", "topk-bool-fraction",
         "mlp-hidden", "logistic-batch",
         "quadratic-nan-noise", "quadratic-inf-heterogeneity", "estimate-trials",
-        "stream-bool-seed", "stream-worker"])
+        "stream-bool-seed", "stream-worker", "stream-float-iteration", "stream-bool-iteration",
+        "stepsize-bool-delta", "rate-string-delta", "tune-nan-b", "tune-nan-r0", "tune-inf-e",
+        "tune-nan-d-cap", "tune-bool-d-cap",
+        "tune-bool-horizon", "tune-float-horizon"])
 def test_constructors_refuse_what_they_used_to_truncate_or_let_through(build, error, match):
     # each of these was truncated by int(), read as 1, or accepted as a
     # non-finite real; one integer and one number rule now refuse them
