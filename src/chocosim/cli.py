@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, execute_config, run_cells
 from .consensus import consensus_stepsize
-from .metrics import _atomic_write, run_id
+from .metrics import _atomic_write, run_id, summarize
 from .topology import build_topology, mixing_matrix
 from .verify import format_report, run_suite
 
@@ -59,9 +59,10 @@ def cmd_run(args):
         status = "ok"
         if record.diverged:
             status = f"DIVERGED at t={record.diverged_at} (node {record.diverged_node})"
-        final = record.f_avg[-1] if record.f_avg else float("nan")
-        print(f"seed {record.seed}: {status}  rows={len(record.t)}  "
-              f"final_f={final:.6g}  busiest_bits={record.bits_busiest[-1] if record.bits_busiest else 0}")
+        summary = summarize(record)
+        print(f"seed {record.seed}: {status}  rows={summary['rows']}  "
+              f"final_f={summary.get('final_f', float('nan')):.6g}  "
+              f"busiest_bits={summary.get('bits_busiest', 0)}")
     for path in paths:
         print(f"wrote {path}")
     return EXIT_DIVERGED if any(r.diverged for r in records) else EXIT_OK

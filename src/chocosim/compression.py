@@ -56,8 +56,10 @@ class Compressor:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown compressor kind {self.kind!r}")
         takes = _KINDS[self.kind]
-        if takes == "bits" and not (is_integer(self.bits) and self.bits >= 2):
-            raise ValueError("gsgd needs an integer bits >= 2")
+        # a float64 significand holds 53 bits: more levels quantize nothing,
+        # and from 513 bits on the levels' square overflows
+        if takes == "bits" and not (is_integer(self.bits) and 2 <= self.bits <= 64):
+            raise ValueError("gsgd needs an integer bits in [2, 64]")
         if takes == "fraction" and not (is_number(self.fraction) and 0.0 < self.fraction <= 1.0):
             raise ValueError("sparsifier fraction must be a number in (0, 1]")
         for name in ("bits", "fraction"):
@@ -94,7 +96,8 @@ def parse_compressor(text):
         return Compressor(kind, unbiased=unbiased, **fields)
     except ValueError:
         raise ValueError(f"bad compressor spec {text!r}; expected identity | gsgd:<b>[:unbiased] "
-                         "| random:<a>[:unbiased] | topk:<a> | sign") from None
+                         "| random:<a>[:unbiased] | topk:<a> | sign (b: an integer in [2, 64]; "
+                         "a: a number in (0, 1])") from None
 
 
 def _kept_count(fraction, dim):
@@ -280,8 +283,12 @@ def compress_blocks(comp, x, rng=None, boundaries=None, out=None):
     if len(blocks) == 1:  # no column views: a small row pays for each one
         _row_payloads(comp, rows, rng, payload)
     else:
+        # each block in contiguous buffers: in-place ufuncs run slower on strided slices
         for start, stop in blocks:
-            _row_payloads(comp, rows[:, start:stop], rng, payload[:, start:stop])
+            block = rows[:, start:stop].copy()
+            part = np.empty_like(block)
+            _row_payloads(comp, block, rng, part)
+            payload[:, start:stop] = part
     return CompressedMessage(payload=out, bits=bits * rows.shape[0])
 
 

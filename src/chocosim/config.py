@@ -176,9 +176,6 @@ class ExperimentConfig(OptimizerConfig):
         """Full echo including defaults; the canonical round-trip form."""
         return asdict(self)
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def build_problem(spec):
     """Problem instance from the (already merged) problem config dict."""

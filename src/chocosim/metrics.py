@@ -86,7 +86,9 @@ class TrafficLedger:
 
 @dataclass
 class RunRecord:
-    """Logged trajectory of one run plus end-of-run diagnostics."""
+    """Logged trajectory of one run plus end-of-run diagnostics. The six
+    columns of logged rows hold Python ints (``t``, ``bits_busiest``) and
+    floats, which the CSV writers print by repr."""
 
     t: list = field(default_factory=list)
     f_avg: list = field(default_factory=list)
@@ -108,14 +110,6 @@ class RunRecord:
     workers: object = None
     iterates: list = None
 
-    def add_row(self, t, f_avg, grad_sq, consensus, psi, bits_busiest):
-        self.t.append(int(t))
-        self.f_avg.append(float(f_avg))
-        self.grad_sq.append(float(grad_sq))
-        self.consensus.append(float(consensus))
-        self.psi.append(float(psi))
-        self.bits_busiest.append(int(bits_busiest))
-
     def rows(self):
         return len(self.t)
 
@@ -134,17 +128,20 @@ def _atomic_write(path, text):
         raise
 
 
-def write_csv(record, path):
-    """Write the per-iteration rows; atomic so partial files never appear.
-
-    :meth:`RunRecord.add_row` stores Python floats, and the repr of a
-    Python float is its shortest round-trip form: deterministic. The
-    ``wall_ms`` column is the constant 0 placeholder."""
-    rows = zip(record.t, record.f_avg, record.grad_sq, record.consensus, record.psi,
-               record.bits_busiest)
-    lines = [CSV_HEADER, *(f"{t},{f!r},{g!r},{c!r},{p!r},{b},0"
-                           for t, f, g, c, p, b in rows)]
+def _write_columns(path, columns):
+    """Write ``columns``, a dict of equal-length lists of Python ints and
+    floats, as a CSV headed by its keys; atomic so partial files never
+    appear. Each cell is its value's repr: a Python float's is its shortest
+    round-trip form, so the bytes are deterministic."""
+    lines = [",".join(columns), *(",".join(map(repr, row)) for row in zip(*columns.values()))]
     _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def write_csv(record, path):
+    """Write the per-iteration rows; the ``wall_ms`` column is the constant
+    0 placeholder."""
+    columns = {name: getattr(record, name) for name in CSV_HEADER.split(",")[:-1]}
+    _write_columns(path, {**columns, "wall_ms": [0] * len(record.t)})
 
 
 def run_id(config_dict, seed):
@@ -198,7 +195,7 @@ def summarize(record):
 
 
 def aggregate(records):
-    """Per-row mean/std across seeds; rows are aligned by position.
+    """Per-row mean/std across seeds, as lists; rows are aligned by position.
 
     Divergent runs may be shorter; the aggregate stops at the shortest
     record so every reported row averages all seeds.
@@ -206,23 +203,13 @@ def aggregate(records):
     if not records:
         raise ValueError("nothing to aggregate")
     rows = min(r.rows() for r in records)
-    fields = ("f_avg", "grad_sq", "consensus", "psi", "bits_busiest")
-    table = {"t": list(records[0].t[:rows])}
-    for name in fields:
+    table = {"t": records[0].t[:rows]}
+    for name in CSV_HEADER.split(",")[1:-1]:
         data = np.array([getattr(r, name)[:rows] for r in records], dtype=float)
-        table[f"{name}_mean"] = data.mean(axis=0)
-        table[f"{name}_std"] = data.std(axis=0)
+        table[f"{name}_mean"] = data.mean(axis=0).tolist()
+        table[f"{name}_std"] = data.std(axis=0).tolist()
     return table
 
 
 def write_aggregate_csv(records, path):
-    table = aggregate(records)
-    names = list(table.keys())
-    lines = [",".join(names)]
-    for k in range(len(table["t"])):
-        cells = []
-        for name in names:
-            value = table[name][k]
-            cells.append(str(int(value)) if name == "t" else repr(float(value)))
-        lines.append(",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_columns(path, aggregate(records))

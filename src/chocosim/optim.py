@@ -265,7 +265,7 @@ def centralized_step(workers, problem, eta, streams, t, norms=None):
 
 class _LoggedRows:
     """The states of logged iterations, kept until a block of them is full;
-    :meth:`flush` then appends their rows to ``record``.
+    :meth:`flush` then extends each of ``record``'s columns by their rows.
 
     A state is a copy of ``workers.x``, plus ``workers.xhat`` when the
     algorithm keeps public copies. A block holds ``LOG_BLOCK_BYTES //
@@ -316,10 +316,13 @@ class _LoggedRows:
         grad_sq = np.matmul(grad[:, None, :], grad[:, :, None])[:, 0, 0]
         self.eval_s += time.perf_counter() - tock
         self.stats_s += tock - tick
-        for t, f, g, c, p in zip(self.t, f_avg.tolist(), grad_sq.tolist(), consensus.tolist(),
-                                 psi.tolist()):
-            self.record.add_row(t=t, f_avg=f, grad_sq=g, consensus=c, psi=p,
-                                bits_busiest=t * self.busiest_charge)
+        record = self.record
+        record.t += self.t
+        record.f_avg += f_avg.tolist()
+        record.grad_sq += grad_sq.tolist()
+        record.consensus += consensus.tolist()
+        record.psi += psi.tolist()
+        record.bits_busiest += [t * self.busiest_charge for t in self.t]
         self.t.clear()
 
 
@@ -415,44 +418,47 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
     step_s = 0.0
     completed = 0
     k = -1
-    for t in range(cfg.iterations):
-        k = t % NORM_BLOCK
-        tick = time.perf_counter()
-        if centralized:
-            centralized_step(workers, problem, cfg.eta, streams, t, norm_rows[k])
-        elif cfg.algorithm == "decentralized-exact":
-            decentralized_exact_step(workers, problem, mixing, cfg.eta, streams, t,
-                                     norm_rows[k])
-        else:
-            choco_step(workers, problem, mixing, compressor, gamma, cfg.eta,
-                       streams, t, cfg=cfg, boundaries=boundaries, norms=norm_rows[k])
-        tock = time.perf_counter()
-        step_s += tock - tick
-        if k + 1 == NORM_BLOCK:
-            _fold_norms(record, norms)
+    # a diverging run may overflow before the divergence test reports it;
+    # its steps, rows and closing reductions print no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(cfg.iterations):
+            k = t % NORM_BLOCK
+            tick = time.perf_counter()
+            if centralized:
+                centralized_step(workers, problem, cfg.eta, streams, t, norm_rows[k])
+            elif cfg.algorithm == "decentralized-exact":
+                decentralized_exact_step(workers, problem, mixing, cfg.eta, streams, t,
+                                         norm_rows[k])
+            else:
+                choco_step(workers, problem, mixing, compressor, gamma, cfg.eta,
+                           streams, t, cfg=cfg, boundaries=boundaries, norms=norm_rows[k])
+            tock = time.perf_counter()
+            step_s += tock - tick
+            if k + 1 == NORM_BLOCK:
+                _fold_norms(record, norms)
 
-        # the step's work buffer is free again when the step returns
-        failing = diverged(workers.x, workers.scratch)
-        if failing is not None:
-            record.diverged = True
-            record.diverged_at = t + 1
-            # the centralized iterate is the coordinator's, ledger slot n
-            record.diverged_node = n if centralized else failing
-            break
+            # the step's work buffer is free again when the step returns
+            failing = diverged(workers.x, workers.scratch)
+            if failing is not None:
+                record.diverged = True
+                record.diverged_at = t + 1
+                # the centralized iterate is the coordinator's, ledger slot n
+                record.diverged_node = n if centralized else failing
+                break
 
-        completed = t + 1
-        if record_iterates:
-            history.append(workers.x.copy())
-        if completed % log_every == 0 or completed == cfg.iterations:
-            if rows.add(completed, workers):
-                rows.flush()
-    rows.flush()
-    # the rows since the last full block, a diverged iteration's included
-    _fold_norms(record, norms[:(k + 1) % NORM_BLOCK])
+            completed = t + 1
+            if record_iterates:
+                history.append(workers.x.copy())
+            if completed % log_every == 0 or completed == cfg.iterations:
+                if rows.add(completed, workers):
+                    rows.flush()
+        rows.flush()
+        # the rows since the last full block, a diverged iteration's included
+        _fold_norms(record, norms[:(k + 1) % NORM_BLOCK])
+        record.final_x_mean = workers.x.mean(axis=0)
 
     record.elapsed_s = time.perf_counter() - started
     record.timings = {"step_s": step_s, "eval_s": rows.eval_s, "stats_s": rows.stats_s}
-    record.final_x_mean = workers.x.mean(axis=0)
     ledger.per_node *= completed  # every completed iteration charged the same
     record.ledger = ledger
     record.workers = workers

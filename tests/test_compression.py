@@ -20,6 +20,7 @@ def test_parse_round_trip():
                          ("sign", ("sign", 0, 0.0, False)),
                          ("gsgd:4", ("gsgd", 4, 0.0, False)),
                          ("gsgd:8:unbiased", ("gsgd", 8, 0.0, True)),
+                         ("gsgd:64", ("gsgd", 64, 0.0, False)),
                          ("random:0.25", ("random", 0, 0.25, False)),
                          ("random:0.1:unbiased", ("random", 0, 0.1, True)),
                          ("topk:0.01", ("topk", 0, 0.01, False)),
@@ -33,7 +34,7 @@ def test_parse_round_trip():
 @pytest.mark.parametrize("bad", [
     "", "huffman", "gsgd", "gsgd:x", "gsgd:1", "random", "random:0",
     "random:1.5", "topk:0", "topk:0.1:unbiased", "sign:unbiased",
-    "identity:4", "sign:2", "identity:5", "gsgd:4:5", "gsgd:4.0", "unbiased",
+    "identity:4", "sign:2", "identity:5", "gsgd:4:5", "gsgd:4.0", "unbiased", "gsgd:65",
 ])
 def test_parse_rejects_bad_specs(bad):
     with pytest.raises(ValueError, match=r"^bad compressor spec .*; expected identity \| "):
@@ -43,6 +44,8 @@ def test_parse_rejects_bad_specs(bad):
 def test_compressor_validation():
     with pytest.raises(ValueError):
         Compressor("gsgd", bits=1)
+    with pytest.raises(ValueError, match=r"gsgd needs an integer bits in \[2, 64\]"):
+        Compressor("gsgd", bits=65)
     with pytest.raises(ValueError):
         Compressor("topk", fraction=0.5, unbiased=True)
     with pytest.raises(ValueError):

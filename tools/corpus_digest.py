@@ -30,13 +30,17 @@ quadratic and MLP problems, logged every iteration and every seventh one,
 plus a run that diverges in the second block. It is a line of its own, so
 the corpus line above stays comparable with trees older than it.
 
-The last line digests dataset problems whose split is dealt another
+The next line digests dataset problems whose split is dealt another
 way than the corpus's ``iid-reshuffled`` blobs: ``fixed-split`` with and
 without ``by_label`` (ragged too), and problems built from ``data=``
 arrays, a shuffled blob set. Each contributes its epoch-0 and epoch-1
 shards, its ``smoothness()``, its ``estimate_constants`` and three short
 runs (``choco``/``sign``, ``choco-errorfeedback``/``gsgd:4`` and
 ``decentralized-exact``). It too is a line of its own.
+
+The last line is the sha256 of what ``chocosim verify all`` prints, its
+report and a newline, followed by the count of passing checks; it equals
+``chocosim verify all | sha256sum``.
 """
 
 import hashlib
@@ -48,7 +52,7 @@ from chocosim.optim import OptimizerConfig, run
 from chocosim.problems import (estimate_constants, make_blob_dataset, make_logistic, make_mlp,
                                make_quadratic)
 from chocosim.topology import from_edge_list, fully_connected, mixing_matrix, ring, torus
-from chocosim.verify import SPECTRAL_GAPS
+from chocosim.verify import SPECTRAL_GAPS, format_report, run_suite
 
 N = 6
 ITERATIONS = 20
@@ -226,6 +230,9 @@ def main():
     splits = list(split_problems())
     digest = hashlib.sha256(describe_splits(splits).encode()).hexdigest()
     print(f"{digest}  ({len(splits)} dataset splits)")
+    checks = run_suite("all")
+    report = hashlib.sha256((format_report(checks) + "\n").encode()).hexdigest()
+    print(f"{report}  (verify all: {sum(c.passed for c in checks)}/{len(checks)} passed)")
     return 0
 
 
