@@ -14,11 +14,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, execute_config, run_cells
+from .config import (ConfigError, ExperimentConfig, build_setup, execute_config, read_config,
+                     run_cells)
 from .consensus import consensus_stepsize
 from .metrics import _atomic_write, run_id, summarize
 from .topology import build_topology, mixing_matrix
@@ -39,16 +40,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(args):
-    config = ExperimentConfig.from_file(args.config)
-    data = config.to_dict()
-    if getattr(args, "seed", None):
-        data["seeds"] = list(args.seed)
-    if getattr(args, "out", None) is not None:
-        data["out"] = args.out
-    if getattr(args, "log_every", None) is not None:
-        data["log_every"] = args.log_every
-    if getattr(args, "broadcast", False):
-        data["broadcast"] = True
+    """The file's data with each given flag whose dest is a field, validated once."""
+    data = read_config(args.config)
+    if isinstance(data, dict):  # any other root is refused by from_dict
+        names = {f.name for f in fields(ExperimentConfig)}
+        data.update((name, value) for name, value in vars(args).items()
+                    if name in names and value is not None)
     return ExperimentConfig.from_dict(data)
 
 
@@ -56,9 +53,8 @@ def cmd_run(args):
     config = _load_config(args)
     records, paths = execute_config(config)
     for record in records:
-        status = "ok"
-        if record.diverged:
-            status = f"DIVERGED at t={record.diverged_at} (node {record.diverged_node})"
+        status = (f"DIVERGED at t={record.diverged_at} (node {record.diverged_node})"
+                  if record.diverged else "ok")
         summary = summarize(record)
         print(f"seed {record.seed}: {status}  rows={summary['rows']}  "
               f"final_f={summary.get('final_f', float('nan')):.6g}  "
@@ -79,8 +75,7 @@ def cmd_topology(args):
     print(f"operator gap: {mixing.beta:.6f}")
     print("consensus stepsize by compression quality:")
     for delta in (1.0, 0.5, 0.25, 0.1, 0.01):
-        gamma = consensus_stepsize(mixing, delta)
-        print(f"  delta={delta:<5g} gamma={gamma:.6g}")
+        print(f"  delta={delta:<5g} gamma={consensus_stepsize(mixing, delta):.6g}")
     return EXIT_OK
 
 
@@ -95,25 +90,23 @@ def _sweep_metric(record):
 
 def cmd_sweep(args):
     config = _load_config(args)
-    etas = config.eta_grid if config.eta_grid is not None else [config.eta]
-    gammas = config.gamma_grid if config.gamma_grid is not None else [None]
+    etas = config.eta_grid or [config.eta]  # a grid is never empty
+    gammas = config.gamma_grid or [None]
     cfg_dict = config.to_dict()
     cells = [(eta, gamma) for eta in etas for gamma in gammas]
-    # each cell is a config, checked once for all its seeds
+    # each cell is a config, checked once for all its seeds; all share one set-up
     configs = [replace(config, eta=float(eta),
                        gamma=config.gamma if gamma is None else float(gamma))
                for eta, gamma in cells]
-    records = run_cells([(cfg, seed) for cfg in configs for seed in config.seeds])
+    setup = build_setup(config)
+    records = run_cells([(setup, cfg, seed) for cfg in configs for seed in config.seeds])
     per_seed = len(config.seeds)
     results = []
     for idx, (eta, gamma) in enumerate(cells):
         chunk = records[idx * per_seed:(idx + 1) * per_seed]
-        metrics = [_sweep_metric(r) for r in chunk]
-        metric = float(np.mean(metrics))
-        results.append({"eta": eta,
-                        "gamma": "auto" if gamma is None else gamma,
-                        "metric": metric,
-                        "diverged_seeds": sum(r.diverged for r in chunk)})
+        metric = float(np.mean([_sweep_metric(r) for r in chunk]))
+        results.append({"eta": eta, "gamma": "auto" if gamma is None else gamma,
+                        "metric": metric, "diverged_seeds": sum(r.diverged for r in chunk)})
         print(f"eta={eta:<10g} gamma={results[-1]['gamma']:<10} "
               f"metric={metric:.6g} diverged={results[-1]['diverged_seeds']}/{per_seed}")
     finite = [r for r in results if np.isfinite(r["metric"])]
@@ -122,11 +115,10 @@ def cmd_sweep(args):
         return EXIT_DIVERGED
     best = min(finite, key=lambda r: r["metric"])
     print(f"best: eta={best['eta']} gamma={best['gamma']} metric={best['metric']:.6g}")
-    if len(etas) > 1 and best["eta"] in (min(etas), max(etas)):
-        print("warning: best stepsize lies on the grid boundary; widen eta_grid")
-    numeric_gammas = [g for g in gammas if g is not None]
-    if len(numeric_gammas) > 1 and best["gamma"] in (min(numeric_gammas), max(numeric_gammas)):
-        print("warning: best consensus stepsize lies on the grid boundary; widen gamma_grid")
+    for name, what, grid in (("eta", "stepsize", etas),
+                             ("gamma", "consensus stepsize", config.gamma_grid or [])):
+        if len(grid) > 1 and best[name] in (min(grid), max(grid)):
+            print(f"warning: best {what} lies on the grid boundary; widen {name}_grid")
     path = os.path.join(config.out, f"sweep_{run_id(cfg_dict, config.seeds[0])}.json")
     _atomic_write(path, json.dumps({"config": cfg_dict, "cells": results, "best": best},
                                    indent=2, sort_keys=True) + "\n")
@@ -152,14 +144,13 @@ def build_parser():
     # the config arguments that run and sweep share
     configured = argparse.ArgumentParser(add_help=False)
     configured.add_argument("--config", required=True, help="path to a JSON config")
-    configured.add_argument("--seed", type=int, action="append",
+    configured.add_argument("--seed", type=int, action="append", dest="seeds", metavar="SEED",
                             help="override config seeds (repeatable)")
     configured.add_argument("--out", help="override output directory")
 
     p_run = sub.add_parser("run", parents=[configured], help="execute an experiment config")
-    p_run.add_argument("--log-every", type=int, dest="log_every",
-                       help="override logging stride")
-    p_run.add_argument("--broadcast", action="store_true",
+    p_run.add_argument("--log-every", type=int, help="override logging stride")
+    p_run.add_argument("--broadcast", action="store_true", default=None,
                        help="count one shared message per node instead of per edge")
 
     p_top = sub.add_parser("topology", help="inspect a communication graph")

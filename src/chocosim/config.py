@@ -100,9 +100,8 @@ class ExperimentConfig(OptimizerConfig):
         try:
             super().__post_init__()
             parse_compressor(self.compressor)
-            nodes = None
-            if self.algorithm != "centralized":
-                nodes = build_topology(self.topology, check_only=True)
+            nodes = (None if self.algorithm == "centralized"
+                     else build_topology(self.topology, check_only=True))
         except OSError as exc:
             raise ConfigError(f"cannot read topology {self.topology}: {exc}") from exc
         except ValueError as exc:
@@ -149,32 +148,29 @@ class ExperimentConfig(OptimizerConfig):
     def from_dict(cls, data):
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
     @classmethod
-    def from_json(cls, text):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-        return cls.from_dict(data)
-
-    @classmethod
     def from_file(cls, path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_json(text)
+        return cls.from_dict(read_config(path))
 
     def to_dict(self):
         """Full echo including defaults; the canonical round-trip form."""
         return asdict(self)
+
+
+def read_config(path):
+    """A config file's JSON data, not yet validated."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
 def build_problem(spec):
@@ -199,51 +195,58 @@ def resolve_x0(config, problem, seed):
     return config.x0_scale * draw / np.sqrt(problem.dim)
 
 
-def execute_single(config, seed):
-    """One (config, seed) run."""
+def build_setup(config):
+    """``(problem, mixing, compressor)``, shared by a config's seeds and by its
+    sweep cells, which differ only in η and γ: the set-up reads neither."""
     problem = build_problem(config.problem)
-    mixing = None
-    if config.algorithm != "centralized":
-        mixing = mixing_matrix(build_topology(config.topology))
-    comp = parse_compressor(config.compressor)
-    x0 = resolve_x0(config, problem, seed)
+    mixing = (None if config.algorithm == "centralized"
+              else mixing_matrix(build_topology(config.topology)))
+    return problem, mixing, parse_compressor(config.compressor)
+
+
+def _run(setup, config, seed):
+    problem, mixing, comp = setup
     return run(problem, config, mixing=mixing, compressor=comp, seed=seed,
                log_every=config.log_every, broadcast=config.broadcast,
-               x0=x0, per_layer=config.per_layer)
+               x0=resolve_x0(config, problem, seed), per_layer=config.per_layer)
+
+
+def execute_single(config, seed):
+    """One (config, seed) run on a set-up of its own; unlike a cell's, its record is whole."""
+    return _run(build_setup(config), config, seed)
 
 
 def _cell(cell):
-    record = execute_single(*cell)
+    record = _run(*cell)
     # drop the heavyweight non-result state before shipping across processes
-    record.workers = None
-    record.ledger = None
+    record.workers = record.ledger = None
     return record
 
 
 def max_workers(n_jobs):
     cap = os.environ.get(THREADS_ENV)
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV} must be an integer") from exc
-        if cap < 1:
-            raise ConfigError(f"{THREADS_ENV} must be >= 1")
-    else:
-        cap = os.cpu_count() or 1
+    if cap is None:
+        return max(1, min(n_jobs, os.cpu_count() or 1))
+    try:
+        cap = int(cap)
+    except ValueError as exc:
+        raise ConfigError(f"{THREADS_ENV} must be an integer") from exc
+    if cap < 1:
+        raise ConfigError(f"{THREADS_ENV} must be >= 1")
     return max(1, min(n_jobs, cap))
 
 
 def run_cells(cells):
-    """Run ``(config, seed)`` cells, possibly in parallel."""
+    """Run ``(setup, config, seed)`` cells, possibly in parallel: a pool worker
+    unpickles the set-up once per chunk, four chunks per worker to share the load."""
     workers = max_workers(len(cells))
-    if workers == 1 or len(cells) == 1:
+    if workers == 1:
         return [_cell(cell) for cell in cells]
     # imported only here: it loads multiprocessing, which a single cell never needs
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_cell, cells))
+        return list(pool.map(_cell, cells, chunksize=-(-len(cells) // (4 * workers))))
 
 
 def execute_config(config, out_dir=None):
@@ -253,18 +256,15 @@ def execute_config(config, out_dir=None):
     """
     out_dir = out_dir or config.out
     cfg_dict = config.to_dict()
-    records = run_cells([(config, seed) for seed in config.seeds])
-    paths = []
-    for record in records:
-        path = os.path.join(out_dir, f"run_{run_id(cfg_dict, record.seed)}.csv")
+    setup = build_setup(config)
+    records = run_cells([(setup, config, seed) for seed in config.seeds])
+    paths = [os.path.join(out_dir, f"run_{run_id(cfg_dict, seed)}.csv") for seed in config.seeds]
+    for record, path in zip(records, paths):
         write_csv(record, path)
-        paths.append(path)
-    base = run_id(cfg_dict, config.seeds[0])
+    base = os.path.join(out_dir, f"run_{run_id(cfg_dict, config.seeds[0])}")
     if len(records) > 1:
-        agg_path = os.path.join(out_dir, f"run_{base}_aggregate.csv")
-        write_aggregate_csv(records, agg_path)
-        paths.append(agg_path)
-    summary_path = os.path.join(out_dir, f"run_{base}_summary.json")
-    write_summary(records, cfg_dict, summary_path)
-    paths.append(summary_path)
+        paths.append(f"{base}_aggregate.csv")
+        write_aggregate_csv(records, paths[-1])
+    paths.append(f"{base}_summary.json")
+    write_summary(records, cfg_dict, paths[-1])
     return records, paths

@@ -129,11 +129,12 @@ def _atomic_write(path, text):
 
 
 def _write_columns(path, columns):
-    """Write ``columns``, a dict of equal-length lists of Python ints and
-    floats, as a CSV headed by its keys; atomic so partial files never
-    appear. Each cell is its value's repr: a Python float's is its shortest
-    round-trip form, so the bytes are deterministic."""
-    lines = [",".join(columns), *(",".join(map(repr, row)) for row in zip(*columns.values()))]
+    """Write ``columns``, a dict of equal-length columns of ints or floats,
+    as a CSV headed by its keys; atomic so partial files never appear. Each
+    cell is its Python value's repr (a column's ``tolist``): a float's is its
+    shortest round-trip form, so the bytes are deterministic."""
+    values = (np.asarray(column).tolist() for column in columns.values())
+    lines = [",".join(columns), *(",".join(map(repr, row)) for row in zip(*values))]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -175,6 +175,15 @@ def _neg_y_sigmoid(y, margins):
     return -y / (1.0 + np.exp(margins))
 
 
+def _aligned(values):
+    """``values`` copied onto a 64-byte boundary, which malloc leaves to chance:
+    the quadratic's stacked gemv reads its Hessian faster there, same results."""
+    buf = np.empty(values.nbytes + 64, dtype=np.uint8)
+    out = buf[-buf.ctypes.data % 64 :][: values.nbytes].view(float).reshape(values.shape)
+    out[...] = values
+    return out
+
+
 class QuadraticProblem:
     """``f_i(x) = 1/2 (x - s_i)^T H (x - s_i)`` with shared curvature ``H``.
 
@@ -207,19 +216,18 @@ class QuadraticProblem:
         rng = RandomStream(seed, 0, "problem").generator()
         basis, _ = np.linalg.qr(rng.standard_normal(dim * dim).reshape(dim, dim))
         spectrum = np.linspace(mu, l_smooth, dim)
-        # on a 64-byte boundary, which malloc leaves to chance: the stacked
-        # gemv of stochastic_gradients reads it faster, with the same results
-        buf = np.empty(dim * dim * 8 + 64, dtype=np.uint8)
-        start = -buf.ctypes.data % 64
-        self.hessian = buf[start : start + dim * dim * 8].view(float).reshape(dim, dim)
         hessian = basis @ np.diag(spectrum) @ basis.T
-        self.hessian[...] = 0.5 * (hessian + hessian.T)
+        self.hessian = _aligned(0.5 * (hessian + hessian.T))
         xstar = xstar_scale / np.sqrt(dim) * rng.standard_normal(dim)
         offsets = rng.standard_normal(n * dim).reshape(n, dim) / np.sqrt(dim)
         offsets -= offsets.mean(axis=0)
         self.node_optima = xstar + heterogeneity * offsets
         self._optimum = self.node_optima.mean(axis=0)
         self._noise_coord_std = noise_std / np.sqrt(dim)
+
+    def __setstate__(self, state):
+        # an unpickled copy (a pool worker's set-up) is aligned as a built one
+        vars(self).update(state, hessian=_aligned(state["hessian"]))
 
     def optimum(self):
         """Exact global minimizer (the mean of the per-node optima); a copy."""
@@ -314,9 +322,9 @@ class _DatasetProblem:
         self._chunks, self._nodes = self._stack(*self._deal(0)[1:])
 
     def _deal(self, epoch):
-        """``(shards, sizes, starts, flat)`` of an epoch: each node's sample
-        indices, their counts and starts in ``flat``, their concatenation;
-        kept until another epoch is dealt."""
+        """``(shards, sizes, starts, flat)`` of an epoch (each node's sample indices,
+        their counts and starts in ``flat``, their concatenation), cached: the problem's
+        only mutable state, a pure function of the epoch, so runs may share the problem."""
         if self.partition.mode == "fixed-split":
             epoch = 0
         if self._dealt is None or self._dealt[0] != epoch:

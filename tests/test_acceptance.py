@@ -260,7 +260,7 @@ def test_criterion_10_determinism_and_interfaces(tmp_path, monkeypatch, capsys):
     cfg = ExperimentConfig.from_file(str(config_path))
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
     echo = json.dumps(cfg.to_dict())
-    assert json.dumps(ExperimentConfig.from_json(echo).to_dict()) == echo
+    assert json.dumps(ExperimentConfig.from_dict(json.loads(echo)).to_dict()) == echo
 
     # the full invariant suite passes through the CLI entry point
     assert cli.main(["verify", "all"]) == 0

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -65,9 +66,10 @@ def test_unknown_keys_are_rejected():
         ExperimentConfig.from_dict([1, 2])
 
 
-def test_json_errors_carry_position():
+def test_json_errors_carry_position(tmp_path):
+    (tmp_path / "bad.json").write_text("{bad json")
     with pytest.raises(ConfigError, match="line 1 column"):
-        ExperimentConfig.from_json("{bad json")
+        ExperimentConfig.from_file(tmp_path / "bad.json")
 
 
 def test_field_validation():
@@ -389,6 +391,78 @@ def test_the_process_pool_writes_what_serial_cells_write(tmp_path, monkeypatch, 
     assert outputs["2"] == outputs["1"]
 
 
+def _count_calls(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_a_configs_set_up_is_built_once_for_all_its_seeds_and_cells(tmp_path, monkeypatch,
+                                                                     capsys):
+    # one validation reads the edge list, and so does each sweep cell (a
+    # config); the problem, graph, mixing matrix and compressor are built once
+    monkeypatch.setenv("CHOCO_THREADS", "1")
+    calls = dict.fromkeys(["build_problem", "mixing_matrix", "parse_compressor",
+                           "load_edge_list", "is_connected"], 0)
+    for owner in (config_module, topology_module, topology_module.Graph):
+        for name in calls:
+            if name in vars(owner):
+                _count_calls(monkeypatch, owner, name, calls)
+    path = _write_config(tmp_path, topology=f"edgelist:{SOCIAL}", iterations=5, seeds=[1, 2, 3],
+                         eta_grid=[0.05, 0.1], problem={"kind": "quadratic", "n": 32, "dim": 4})
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 0
+    assert calls == {"build_problem": 1, "mixing_matrix": 1, "parse_compressor": 2,
+                     "load_edge_list": 2, "is_connected": 3}
+    calls.update(dict.fromkeys(calls, 0))
+    argv = ["sweep", "--config", path, "--seed", "1", "--seed", "2", "--out", str(tmp_path / "s")]
+    assert cli.main(argv) == 0
+    assert calls == {"build_problem": 1, "mixing_matrix": 1, "parse_compressor": 4,
+                     "load_edge_list": 4, "is_connected": 5}
+    capsys.readouterr()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_no_pool_worker_builds_a_set_up(tmp_path, monkeypatch, capsys):
+    # under fork the workers inherit these wrappers: a worker that built a
+    # problem or a mixing matrix would raise, and the pool re-raises it here
+    import concurrent.futures
+
+    parent = os.getpid()
+    built = []
+
+    def parent_only(real):
+        def guarded(*args):
+            assert os.getpid() == parent, f"{real.__name__} called in a pool worker"
+            built.append(real.__name__)
+            return real(*args)
+        return guarded
+
+    class Forking(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers,
+                             mp_context=multiprocessing.get_context("fork"))
+            built.append("pool")
+
+    for name in ("build_problem", "mixing_matrix"):
+        monkeypatch.setattr(config_module, name, parent_only(getattr(config_module, name)))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Forking)
+    monkeypatch.setenv("CHOCO_THREADS", "2")
+    path = _write_config(tmp_path, algorithm="choco-errorfeedback", compressor="gsgd:4",
+                         iterations=5, seeds=[1, 2, 3], eta_grid=[0.05, 0.1],
+                         problem={"kind": "mlp", "n": 4, "input_dim": 3, "hidden": 4,
+                                  "samples": 64, "batch": 8})
+    for command in ("run", "sweep"):
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
+        assert built == ["build_problem", "mixing_matrix", "pool"]
+        built.clear()
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------- cli
 
 def test_usage_errors_exit_one(capsys):
@@ -689,7 +763,10 @@ def test_bad_values_fail_before_any_run(tmp_path, capsys, monkeypatch, overrides
 
     monkeypatch.setattr(config_module, "build_problem", no_build)
     path = _write_config(tmp_path, **overrides)
-    assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    # a flag replaces the file's value before the one validation, so a bad
+    # "out" is given by the file alone
+    argv = [] if field == "out" else ["--out", str(tmp_path / "o")]
+    assert cli.main([command, "--config", path, *argv]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {field}"), lines
     if field.startswith("problem.") and field != "problem.kind":

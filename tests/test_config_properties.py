@@ -7,14 +7,16 @@ import math
 import os
 import re
 import shutil
+import warnings
 from dataclasses import fields
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from chocosim import cli  # noqa: E402
+from chocosim.compression import _KINDS  # noqa: E402
 from chocosim.config import PROBLEM_FIELDS, X0_MODES, ExperimentConfig  # noqa: E402
 from chocosim.optim import ALGORITHMS  # noqa: E402
 from chocosim.problems import PARTITION_MODES  # noqa: E402
@@ -91,7 +93,7 @@ def test_the_echo_round_trips(data, edge_lists):
     data["topology"] = data["topology"].replace("edgelist:", "edgelist:" + os.path.join(edge_lists, ""))
     config = ExperimentConfig.from_dict(data)
     assert ExperimentConfig.from_dict(config.to_dict()) == config
-    assert ExperimentConfig.from_json(json.dumps(config.to_dict())) == config
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
 
 # ------------------------------------------------------------------ CLI fuzz
@@ -145,3 +147,107 @@ def test_a_bad_problem_value_exits_one_naming_the_field(tmp_path, capsys, monkey
         config["problem"] = dict(BASE_PROBLEMS[kind], **{field: value})
 
     _fuzz(tmp_path, capsys, monkeypatch, field, substitute)
+
+
+# --------------------------------------------- generated configs over the CLI
+
+# what a field may be given instead: extreme numbers, bools, strings and
+# wrong nesting; no large positive integer, which a size field would accept
+WILD = st.sampled_from([0, -1, -2**70, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan,
+                        True, False, "", "x", "1", None, [], [1], [[0.1]], {},
+                        {"kind": "quadratic"}])
+# a runnable problem field's values: sizes kept small, floats in range
+# (every other float field in [0, 2]), no dataset file
+RUNNABLE = {"dim": st.integers(1, 6), "samples": st.integers(9, 120), "batch": st.integers(1, 40),
+            "input_dim": st.integers(1, 4), "hidden": st.integers(1, 4),
+            "mu": st.floats(1e-3, 1.0), "l_smooth": st.floats(1.0, 4.0), "csv": st.none()}
+
+
+def _compressor_specs():
+    """A spec of every kind in ``compression._KINDS``, with an argument of
+    the type it takes (large ones too), another type, or none."""
+    def spec(kind, arg, unbiased):
+        return ":".join([kind, *([] if arg is None else [str(arg)]),
+                         *(["unbiased"] if unbiased else [])])
+
+    bits = st.sampled_from([1, 2, 4, 64, 65, 100, 512, 513, 1000, 1024, 1025, 4096, 10**6, 0.5])
+    fraction = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([1e-300, 1e308, math.nan, "x"]))
+    args = {None: st.sampled_from([None, None, 4]), "bits": bits, "fraction": fraction}
+    return st.sampled_from(sorted(_KINDS)).flatmap(
+        lambda kind: st.builds(spec, st.just(kind), args[_KINDS[kind]],
+                               st.sampled_from([False, False, True])))
+
+
+@st.composite
+def cli_configs(draw):
+    """A config document: fields drawn as for :func:`valid_configs` at run
+    sizes, up to two of them (or the root) then replaced by a wild value."""
+    kind = draw(st.sampled_from(sorted(PROBLEM_FIELDS)))
+    n = draw(st.sampled_from([4, 9]))
+    problem = {"kind": kind, "n": n}
+    for name, default in PROBLEM_FIELDS[kind].items():
+        if name != "n" and draw(st.booleans()):
+            if name not in RUNNABLE and isinstance(default, float):
+                problem[name] = draw(st.floats(0.0, 2.0))
+            else:
+                problem[name] = draw(RUNNABLE.get(name, _problem_field(name, default)))
+    topologies = [f"ring:{n}", f"full:{n}", f"edgelist:path{n}.txt"] + ["torus:9"] * (n == 9)
+    data = {
+        "algorithm": st.sampled_from(ALGORITHMS),
+        # now and then a spec that names no graph, or one of another size
+        "topology": st.sampled_from(topologies * 6 + ["ring:3", "torus:8", "torus:4", "full:0",
+                                                      "edgelist:missing.txt", "star:4"]),
+        "compressor": st.one_of(_compressor_specs(), _compressor_specs(),
+                                st.sampled_from(COMPRESSORS)),
+        "eta": st.floats(0.0, 10.0),
+        "gamma": st.one_of(st.just("auto"), POSITIVE),
+        "momentum_factor": st.floats(0.0, 0.99),
+        "weight_decay": st.floats(0.0, 1.0),
+        "nesterov": st.booleans(),
+        "delta_override": st.one_of(st.none(), POSITIVE),
+        "seeds": st.lists(st.integers(0, 2**64), min_size=1, max_size=2),
+        "log_every": st.integers(1, 4),
+        "broadcast": st.booleans(),
+        "per_layer": st.booleans(),
+        "x0_mode": st.sampled_from(X0_MODES if kind == "quadratic" else ("zeros", "gaussian")),
+        "x0_scale": FINITE,
+        "eta_grid": st.one_of(st.none(), st.lists(st.floats(0.0, 10.0), min_size=1, max_size=2)),
+        "gamma_grid": st.one_of(st.none(), st.lists(POSITIVE, min_size=1, max_size=2)),
+    }
+    keep = draw(st.sets(st.sampled_from(sorted(data))))
+    config = {name: draw(data[name]) for name in sorted(keep | {"topology", "compressor"})}
+    config.update(iterations=3, problem=problem)
+    names = sorted(data) + ["problem"] + [f"problem.{name}" for name in PROBLEM_FIELDS[kind]]
+    for name in draw(st.lists(st.sampled_from(names + ["problem.kind"]),
+                              max_size=draw(st.sampled_from([0, 0, 1, 1, 2])))):
+        owner = problem if name.startswith("problem.") else config
+        owner[name.removeprefix("problem.")] = draw(WILD)
+    # now and then a document whose root is not an object
+    root = draw(st.sampled_from(["object"] * 30 + ["list", "string", "number"]))
+    return {"object": config, "list": [config], "string": "config", "number": 1}[root]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=list(HealthCheck))
+@given(config=cli_configs(), command=st.sampled_from(["run", "sweep"]))
+def test_a_generated_config_exits_cleanly_over_the_cli(config, command, edge_lists, capsys,
+                                                       monkeypatch, tmp_path_factory):
+    monkeypatch.setenv("CHOCO_THREADS", "1")
+    if isinstance(config, dict) and isinstance(config.get("topology"), str):
+        config["topology"] = config["topology"].replace(
+            "edgelist:", "edgelist:" + os.path.join(edge_lists, ""))
+    root = tmp_path_factory.mktemp("cli")
+    path = root / "config.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([command, "--config", str(path), "--out", str(root / "o")])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (code, err)
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err and "Warning" not in err, err
+    if code == 1:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+    if code == 2:
+        ExperimentConfig.from_dict(config)

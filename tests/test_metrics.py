@@ -116,6 +116,14 @@ def test_csv_round_trip_preserves_floats(tmp_path):
     assert cells[6] == "0"
 
 
+def test_numpy_scalars_are_written_as_the_python_numbers_they_equal(tmp_path):
+    # a record built by hand may hold NumPy scalars; each cell is its Python value's repr
+    rec = RunRecord(t=[np.int64(1)], f_avg=[np.float64(0.5)], grad_sq=[0.1], consensus=[0.0],
+                    psi=[0.0], bits_busiest=[np.int64(8)])
+    write_csv(rec, tmp_path / "run.csv")
+    assert (tmp_path / "run.csv").read_text() == f"{CSV_HEADER}\n1,0.5,0.1,0.0,0.0,8,0\n"
+
+
 @pytest.mark.parametrize("algorithm", ["choco", "decentralized-exact", "centralized"])
 @pytest.mark.parametrize("problem", [make_quadratic(4, 3, noise_std=0.5, seed=1),
                                      make_mlp(4, input_dim=3, hidden=2, samples=32, batch=4,

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,18 @@ def test_hessian_spectrum_spans_mu_to_l():
     assert eigs[0] == pytest.approx(2.5, abs=1e-10)
     assert eigs[-1] == pytest.approx(0.2, abs=1e-10)
     assert p.smoothness() == 2.5
+
+
+def test_a_quadratic_keeps_its_hessian_aligned_through_a_pickle():
+    # a pool worker receives its set-up pickled; an unpickled buffer lands on
+    # a 16-byte boundary at best, so eight copies would rarely all be aligned
+    p = make_quadratic(4, 7, seed=1)
+    assert p.hessian.ctypes.data % 64 == 0
+    for _ in range(8):
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy.hessian.ctypes.data % 64 == 0
+        np.testing.assert_array_equal(copy.hessian, p.hessian)
+        np.testing.assert_array_equal(copy.node_optima, p.node_optima)
 
 
 def test_noise_variance_matches_noise_std():

@@ -38,16 +38,33 @@ shards, its ``smoothness()``, its ``estimate_constants`` and three short
 runs (``choco``/``sign``, ``choco-errorfeedback``/``gsgd:4`` and
 ``decentralized-exact``). It too is a line of its own.
 
+The next line digests the config path: what ``config.execute_config``
+writes (the run CSVs, the aggregate CSV and the summary JSON without its
+wall-clock ``elapsed_s`` and ``timings_s``) and what ``chocosim sweep``
+writes, for three multi-seed configs with stepsize grids: a quadratic on
+``demos/data/social32.txt``, an MLP with ``gsgd:4`` and error feedback, and
+a centralized logistic run. Each runs with ``CHOCO_THREADS`` 1 and 2, once
+serially and once through the process pool, and the tool fails unless both
+write the same bytes.
+
 The last line is the sha256 of what ``chocosim verify all`` prints, its
 report and a newline, followed by the count of passing checks; it equals
 ``chocosim verify all | sha256sum``.
 """
 
+import contextlib
 import hashlib
+import io
+import json
+import os
+import shutil
+import tempfile
 
 import numpy as np
 
+from chocosim import cli
 from chocosim.compression import parse_compressor
+from chocosim.config import ExperimentConfig, execute_config
 from chocosim.optim import OptimizerConfig, run
 from chocosim.problems import (estimate_constants, make_blob_dataset, make_logistic, make_mlp,
                                make_quadratic)
@@ -66,6 +83,22 @@ CONFIGS = (
     dict(algorithm="centralized"),
 )
 STATE = ("x", "xhat", "velocity", "memory", "x_prev")
+SOCIAL = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "demos", "data",
+                      "social32.txt")
+# run from a scratch directory holding a copy of the edge list, so no path
+# in the echoed configs depends on where the tree is checked out
+CONFIG_PATH = (
+    {"topology": "edgelist:social32.txt", "compressor": "sign", "eta": 0.05, "iterations": 40,
+     "seeds": [1, 2, 3], "log_every": 4, "eta_grid": [0.02, 0.05], "out": "out",
+     "problem": {"kind": "quadratic", "n": 32, "dim": 6, "noise_std": 0.5}},
+    {"topology": "ring:6", "compressor": "gsgd:4", "algorithm": "choco-errorfeedback",
+     "eta": 0.5, "iterations": 20, "seeds": [1, 2], "x0_mode": "gaussian",
+     "eta_grid": [0.2, 0.5], "gamma_grid": [0.2, 0.4], "out": "out",
+     "problem": {"kind": "mlp", "n": 6, "input_dim": 3, "hidden": 4, "samples": 96, "batch": 8}},
+    {"algorithm": "centralized", "topology": "ring:6", "eta": 0.1, "iterations": 20,
+     "seeds": [1, 2], "eta_grid": [0.05, 0.1], "out": "out",
+     "problem": {"kind": "logistic", "n": 6, "samples": 120, "batch": 8}},
+)
 
 
 def problems():
@@ -208,6 +241,40 @@ def describe_splits(splits):
     return "\n".join(lines)
 
 
+def config_outputs(threads):
+    """``{name: bytes}`` of every file the config path writes for
+    ``CONFIG_PATH`` with ``CHOCO_THREADS=threads``, each summary JSON without
+    its wall-clock times."""
+    cwd, saved = os.getcwd(), os.environ.get("CHOCO_THREADS")
+    files = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copy(SOCIAL, tmp)
+        os.chdir(tmp)
+        os.environ["CHOCO_THREADS"] = str(threads)
+        try:
+            for data in CONFIG_PATH:
+                execute_config(ExperimentConfig.from_dict(data))
+                with open("config.json", "w", encoding="utf-8") as fh:
+                    json.dump(data, fh)
+                with contextlib.redirect_stdout(io.StringIO()):
+                    if cli.main(["sweep", "--config", "config.json"]) != 0:
+                        raise SystemExit(f"sweep failed on {data}")
+            for name in sorted(os.listdir("out")):
+                with open(os.path.join("out", name), "rb") as fh:
+                    files[name] = fh.read()
+                if name.endswith("_summary.json"):
+                    summary = json.loads(files[name])
+                    del summary["elapsed_s"], summary["timings_s"]
+                    files[name] = json.dumps(summary, indent=2, sort_keys=True).encode()
+        finally:
+            os.chdir(cwd)
+            if saved is None:
+                os.environ.pop("CHOCO_THREADS")
+            else:
+                os.environ["CHOCO_THREADS"] = saved
+    return files
+
+
 def main():
     print(f"{hashlib.sha256(describe_setup().encode()).hexdigest()}  (set-up)")
     total = hashlib.sha256()
@@ -230,6 +297,14 @@ def main():
     splits = list(split_problems())
     digest = hashlib.sha256(describe_splits(splits).encode()).hexdigest()
     print(f"{digest}  ({len(splits)} dataset splits)")
+    serial, pooled = config_outputs(1), config_outputs(2)
+    if pooled != serial:
+        raise SystemExit("config path: CHOCO_THREADS=2 wrote other bytes than CHOCO_THREADS=1")
+    digest = hashlib.sha256()
+    for name, data in serial.items():
+        digest.update(name.encode() + b"\n" + data)
+    print(f"{digest.hexdigest()}  (config path: {len(serial)} files, "
+          f"CHOCO_THREADS 1 and 2)")
     checks = run_suite("all")
     report = hashlib.sha256((format_report(checks) + "\n").encode()).hexdigest()
     print(f"{report}  (verify all: {sum(c.passed for c in checks)}/{len(checks)} passed)")
