@@ -25,7 +25,7 @@ from . import problems
 from .compression import parse_compressor
 from .metrics import run_id, write_aggregate_csv, write_csv, write_summary
 from .numerics import RandomStream, is_integer, is_number
-from .optim import OptimizerConfig, run
+from .optim import ALGORITHM_TABLE, OptimizerConfig, run
 from .problems import PARTITION_MODES, load_csv_dataset
 from .topology import build_topology, mixing_matrix
 
@@ -100,8 +100,8 @@ class ExperimentConfig(OptimizerConfig):
         try:
             super().__post_init__()
             parse_compressor(self.compressor)
-            nodes = (None if self.algorithm == "centralized"
-                     else build_topology(self.topology, check_only=True))
+            nodes = (build_topology(self.topology, check_only=True)
+                     if ALGORITHM_TABLE[self.algorithm].on_graph else None)
         except OSError as exc:
             raise ConfigError(f"cannot read topology {self.topology}: {exc}") from exc
         except ValueError as exc:
@@ -199,8 +199,8 @@ def build_setup(config):
     """``(problem, mixing, compressor)``, shared by a config's seeds and by its
     sweep cells, which differ only in η and γ: the set-up reads neither."""
     problem = build_problem(config.problem)
-    mixing = (None if config.algorithm == "centralized"
-              else mixing_matrix(build_topology(config.topology)))
+    mixing = (mixing_matrix(build_topology(config.topology))
+              if ALGORITHM_TABLE[config.algorithm].on_graph else None)
     return problem, mixing, parse_compressor(config.compressor)
 
 

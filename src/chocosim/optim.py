@@ -14,19 +14,21 @@ parts 1 and 2 are independent given ``x^(t)``, and with an identity
 compressor and ``gamma = 1`` the update collapses, float for float, to the
 uncompressed gossip baseline ``x <- W x - eta*g``.
 
-Every algorithm keeps its state in one :class:`Workers`, updated in
-place. It owns its arrays (``x``, ``xhat``, ``velocity``, ``memory``,
+Every algorithm is a row of :data:`ALGORITHM_TABLE`, the one place that
+says what it does, and keeps its state in one :class:`Workers`, in place:
+``x``, the arrays its row lists (``xhat``, ``velocity``, ``memory``,
 ``x_prev``) and one work buffer, ``scratch``, all allocated once per run
 by :meth:`Workers.start`: ``(n, dim)`` rows, or one row for the
-centralized baseline. A compressed-family step writes each new value into
-the storage of the old one, with the same operations in the same order as
-the expressions above (``out=``). Error feedback keeps two iterate
-buffers: the new ``x`` is written into ``x_prev``'s storage and the two
-swap, so ``x_prev`` holds the previous iterate in its own buffer, never a
-view of ``x``. The centralized step writes into its one row too; only the
-exact baseline's step replaces ``x``, with the product ``W @ (...)``. So
-``record.workers`` holds the final state, and whatever keeps an
-iteration's state past the next step (``record_iterates``) copies it.
+centralized baseline. A step branches on the arrays the workers hold. A
+compressed-family step writes each new value into the storage of the old
+one, with the same operations in the same order as the expressions above
+(``out=``). Error feedback keeps two iterate buffers: the new ``x`` is
+written into ``x_prev``'s storage and the two swap, so ``x_prev`` holds
+the previous iterate in its own buffer, never a view of ``x``. The
+centralized step writes into its one row too; only the exact baseline's
+step replaces ``x``, with the product ``W @ (...)``. So ``record.workers``
+holds the final state, and whatever keeps an iteration's state past the
+next step (``record_iterates``) copies it.
 
 ``scratch`` holds one temporary at a time, and every one is dead before
 the next is formed. In a compressed-family step it holds, in turn: the
@@ -80,6 +82,7 @@ the CSV does not change; ``eval_s`` and ``stats_s`` of
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,13 +93,18 @@ from .consensus import (consensus_stepsize, diverged, mix_with_public, state_sta
 from .metrics import RunRecord, TrafficLedger
 from .numerics import RandomStream, is_integer, is_number
 
-ALGORITHMS = (
-    "choco",
-    "choco-momentum",
-    "choco-errorfeedback",
-    "decentralized-exact",
-    "centralized",
-)
+# every algorithm: the arrays it keeps beside x, each started at zeros, in this
+# order; whether it gossips compressed differences through public copies xhat;
+# whether it runs on a graph (else one shared row and a coordinator hub)
+Algorithm = namedtuple("Algorithm", "keeps compressed on_graph")
+ALGORITHM_TABLE = {
+    "choco": Algorithm(("xhat",), True, True),
+    "choco-momentum": Algorithm(("xhat", "velocity"), True, True),
+    "choco-errorfeedback": Algorithm(("xhat", "memory", "x_prev"), True, True),
+    "decentralized-exact": Algorithm((), False, True),
+    "centralized": Algorithm((), False, False),
+}
+ALGORITHMS = tuple(ALGORITHM_TABLE)
 # logged states kept for one block of rows: a small state's rows share
 # their calls, and the block stays small against a run's memory
 LOG_BLOCK_BYTES = 2**18
@@ -159,13 +167,8 @@ class Workers:
         if x.ndim != 2:
             raise ValueError("start rows must be (n, dim)")
         w = cls(x=x)
-        if algorithm.startswith("choco"):
-            w.xhat = np.zeros_like(x)  # a start every node knows without a message
-        if algorithm == "choco-momentum":
-            w.velocity = np.zeros_like(x)
-        if algorithm == "choco-errorfeedback":
-            w.memory = np.zeros_like(x)
-            w.x_prev = np.zeros_like(x)  # the "previous" iterate starts at 0
+        for name in ALGORITHM_TABLE[algorithm].keeps:
+            setattr(w, name, np.zeros_like(x))
         return w
 
 
@@ -198,13 +201,13 @@ def _fold_norms(record, norms):
 
 
 def _direction(workers, g, cfg):
-    """The step direction, computed in ``g``'s storage (the oracle's fresh
-    array) and in ``workers.velocity``, which is updated in place."""
-    if cfg.algorithm != "choco-momentum":
+    """The step direction: ``g`` without a velocity, else computed in ``g``'s
+    storage (the oracle's fresh array) and ``workers.velocity``, in place."""
+    velocity = workers.velocity
+    if velocity is None:
         return g
     # pull = g + weight_decay * x
     pull = np.add(g, np.multiply(cfg.weight_decay, workers.x, out=workers.scratch), out=g)
-    velocity = workers.velocity
     # velocity = pull + momentum_factor * velocity
     np.add(pull, np.multiply(cfg.momentum_factor, velocity, out=velocity), out=velocity)
     if cfg.nesterov:
@@ -219,11 +222,10 @@ def choco_step(workers, problem, mixing, comp, gamma, eta, streams, t,
     in place; ``norms`` (optional, length n) receives the rows' squared
     gradient norms.
 
-    Handles plain, momentum, and error-feedback variants depending on
-    ``cfg.algorithm`` (``cfg=None`` means plain).
+    Plain, momentum or error feedback by the arrays ``workers`` holds;
+    ``cfg`` gives momentum's factors (``None`` will do for other workers).
     """
-    algorithm = cfg.algorithm if cfg is not None else "choco"
-    feedback = algorithm == "choco-errorfeedback"
+    feedback = workers.memory is not None
     x, xhat, scratch = workers.x, workers.xhat, workers.scratch
     # deterministic compressors draw nothing, so their generator is never made
     rng = streams.compress.at(t) if comp.stochastic else None
@@ -238,7 +240,7 @@ def choco_step(workers, problem, mixing, comp, gamma, eta, streams, t,
         sync_public(x, xhat, comp, rng, boundaries, out=xhat, work=scratch)
 
     g = _gradients(problem, x, streams, t, norms, scratch)
-    direction = _direction(workers, g, cfg) if cfg is not None else g
+    direction = _direction(workers, g, cfg)
     # error feedback writes the new iterate into x_prev's storage, and the two
     # swap: x_prev then holds the iterate this step started from, with no copy
     new = workers.x_prev if feedback else x
@@ -335,14 +337,12 @@ def _iteration_ledger(cfg, n, dim, mixing, comp, boundaries, broadcast):
     out-link (pairwise), once in total (``broadcast``), or as an upload to
     the coordinator hub, ledger slot ``n`` (centralized).
     """
-    if cfg.algorithm.startswith("choco"):
-        bits = message_bits(comp, dim, boundaries)
-    else:
-        bits = message_bits(Compressor("identity"), dim)
-    centralized = cfg.algorithm == "centralized"
-    ledger = TrafficLedger(n + 1 if centralized else n)
+    _, compressed, on_graph = ALGORITHM_TABLE[cfg.algorithm]
+    bits = (message_bits(comp, dim, boundaries) if compressed
+            else message_bits(Compressor("identity"), dim))
+    ledger = TrafficLedger(n if on_graph else n + 1)
     nodes = np.arange(n)
-    if centralized:
+    if not on_graph:
         ledger.add_upload(nodes, n, bits)
     elif broadcast:
         ledger.add_broadcast(nodes, bits)
@@ -357,7 +357,7 @@ def _iteration_ledger(cfg, n, dim, mixing, comp, boundaries, broadcast):
 
 def resolve_gamma(cfg, mixing, comp, dim, boundaries=None):
     """Numeric gossip stepsize from the config (theory formula for "auto")."""
-    if cfg.algorithm in ("decentralized-exact", "centralized"):
+    if not ALGORITHM_TABLE[cfg.algorithm].compressed:
         return 1.0
     if cfg.gamma != "auto":
         return float(cfg.gamma)
@@ -377,8 +377,8 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
     and each iteration's post-gossip iterate rows, ``(1, dim)`` for
     centralized (tests and demos; memory scales with T).
     """
-    centralized = cfg.algorithm == "centralized"
-    if not centralized:
+    _, compressed, on_graph = ALGORITHM_TABLE[cfg.algorithm]
+    if on_graph:
         if mixing is None:
             raise ValueError("decentralized algorithms need a mixing matrix")
         if mixing.w.shape[0] != problem.n:
@@ -401,7 +401,7 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
     record.eta = cfg.eta
     started = time.perf_counter()
 
-    workers = Workers.start(np.tile(x0, (1 if centralized else n, 1)), cfg.algorithm)
+    workers = Workers.start(np.tile(x0, (n if on_graph else 1, 1)), cfg.algorithm)
     ledger = _iteration_ledger(cfg, n, dim, mixing, compressor, boundaries, broadcast)
     busiest_charge = ledger.busiest()
 
@@ -424,9 +424,9 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
         for t in range(cfg.iterations):
             k = t % NORM_BLOCK
             tick = time.perf_counter()
-            if centralized:
+            if not on_graph:
                 centralized_step(workers, problem, cfg.eta, streams, t, norm_rows[k])
-            elif cfg.algorithm == "decentralized-exact":
+            elif not compressed:
                 decentralized_exact_step(workers, problem, mixing, cfg.eta, streams, t,
                                          norm_rows[k])
             else:
@@ -443,7 +443,7 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
                 record.diverged = True
                 record.diverged_at = t + 1
                 # the centralized iterate is the coordinator's, ledger slot n
-                record.diverged_node = n if centralized else failing
+                record.diverged_node = failing if on_graph else n
                 break
 
             completed = t + 1

@@ -319,7 +319,7 @@ class _DatasetProblem:
         self.n = self.partition.n_nodes
         self.batch = int(batch)
         self._dealt = None
-        self._chunks, self._nodes = self._stack(*self._deal(0)[1:])
+        self._chunks = self._stack(*self._deal(0)[1:])
 
     def _deal(self, epoch):
         """``(shards, sizes, starts, flat)`` of an epoch (each node's sample indices,
@@ -355,33 +355,35 @@ class _DatasetProblem:
         return flat[starts[:, None] + offsets]
 
     def _stack(self, sizes, starts, flat):
-        """``(chunks, nodes)`` of a split: ``(first node, z, y)`` sample stacks
-        of a few shards each, and each node's ``(z, y)``, in node order."""
+        """A split's ``(first node, z, y)`` sample stacks, a few shards each, in node order."""
         z, y = self.features[flat], self.labels[flat]
-        chunks, nodes = [], []
+        chunks, first = [], 0
         for m, group in itertools.groupby(sizes.tolist()):
-            count, lo = len(list(group)), starts[len(nodes)]
+            count, lo = len(list(group)), starts[first]
             stack = z[lo : lo + count * m].reshape(count, m, z.shape[1])
             labels = y[lo : lo + count * m].reshape(count, m)
             step = max(1, EVAL_CHUNK_BYTES // stack[0].nbytes)
-            chunks += [(len(nodes) + j, stack[j : j + step], labels[j : j + step])
+            chunks += [(first + j, stack[j : j + step], labels[j : j + step])
                        for j in range(0, count, step)]
-            nodes += zip(stack, labels)
-        return chunks, nodes
+            first += count
+        return chunks
 
-    def _one(self, z, y, x, losses=False):
-        """The kernel on one ``(m, p)`` sample set at one ``x``: ``(loss,
-        gradient)``, the loss ``None`` without ``losses``."""
+    def _one(self, i, x, losses=False):
+        """The kernel on node i's epoch-0 samples, a view into their chunk, at
+        one ``x``: ``(loss, gradient)``, the loss ``None`` without ``losses``."""
+        i = range(self.n)[i]  # a list's index rules
+        first, z, y = next(chunk for chunk in reversed(self._chunks) if chunk[0] <= i)
+        j = slice(i - first, i - first + 1)
         out = np.empty((1, self.dim))
         with np.errstate(over="ignore"):
-            loss = self._kernel(z[None], y[None], np.asarray(x)[None], out, losses)
+            loss = self._kernel(z[j], y[j], np.asarray(x)[None], out, losses)
         return (None if loss is None else float(loss[0])), out[0]
 
     def node_loss(self, i, x):
-        return self._one(*self._nodes[i], x, losses=True)[0]
+        return self._one(i, x, losses=True)[0]
 
     def node_gradient(self, i, x):
-        return self._one(*self._nodes[i], x)[1]
+        return self._one(i, x)[1]
 
     def stochastic_gradients(self, x_rows, rng, t=0, nodes=None):
         """Row r is the minibatch gradient of node ``nodes[r]`` (of node r

@@ -403,8 +403,9 @@ def _count_calls(monkeypatch, owner, name, calls):
 
 def test_a_configs_set_up_is_built_once_for_all_its_seeds_and_cells(tmp_path, monkeypatch,
                                                                      capsys):
-    # one validation reads the edge list, and so does each sweep cell (a
-    # config); the problem, graph, mixing matrix and compressor are built once
+    # one validation reads the edge list and checks it connected, and set-up
+    # builds the problem, graph, mixing matrix (which checks the graph) and
+    # compressor once; a sweep cell is a copy of the checked config
     monkeypatch.setenv("CHOCO_THREADS", "1")
     calls = dict.fromkeys(["build_problem", "mixing_matrix", "parse_compressor",
                            "load_edge_list", "is_connected"], 0)
@@ -416,12 +417,12 @@ def test_a_configs_set_up_is_built_once_for_all_its_seeds_and_cells(tmp_path, mo
                          eta_grid=[0.05, 0.1], problem={"kind": "quadratic", "n": 32, "dim": 4})
     assert cli.main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 0
     assert calls == {"build_problem": 1, "mixing_matrix": 1, "parse_compressor": 2,
-                     "load_edge_list": 2, "is_connected": 3}
+                     "load_edge_list": 2, "is_connected": 2}
     calls.update(dict.fromkeys(calls, 0))
     argv = ["sweep", "--config", path, "--seed", "1", "--seed", "2", "--out", str(tmp_path / "s")]
     assert cli.main(argv) == 0
-    assert calls == {"build_problem": 1, "mixing_matrix": 1, "parse_compressor": 4,
-                     "load_edge_list": 4, "is_connected": 5}
+    assert calls == {"build_problem": 1, "mixing_matrix": 1, "parse_compressor": 2,
+                     "load_edge_list": 2, "is_connected": 2}
     capsys.readouterr()
 
 
@@ -738,7 +739,8 @@ def test_verify_subcommand(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
     assert cli.main(["verify", "nonsense"]) == 1
-    capsys.readouterr()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown suite 'nonsense'")
 
 
 @pytest.mark.parametrize("overrides, field", [

@@ -7,9 +7,9 @@ from chocosim.compression import parse_compressor
 from chocosim.metrics import (CSV_HEADER, RunRecord, TrafficLedger, aggregate,
                               run_id, summarize, write_aggregate_csv,
                               write_csv, write_summary)
-from chocosim.optim import OptimizerConfig, run
+from chocosim.optim import ALGORITHMS, OptimizerConfig, run
 from chocosim.problems import make_mlp, make_quadratic
-from chocosim.topology import mixing_matrix, ring
+from chocosim.topology import Graph, mixing_matrix, ring
 
 
 def _record(values, bits=None):
@@ -86,6 +86,27 @@ def test_run_traffic_recomputable_from_first_principles():
     expected = 13 * 2 * (4 + 32)
     np.testing.assert_array_equal(rec.ledger.per_node, [expected] * 8)
     assert rec.bits_busiest[-1] == expected
+
+
+@pytest.mark.parametrize("broadcast", [False, True])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_traffic_follows_each_nodes_degree(algorithm, broadcast):
+    # a star with a tail: node 0 links to 1, 2 and 3, and 3 to 4, so a charge
+    # that ignored the degree would show. d = 4: a sign message is 4 + 32 bits,
+    # a full-precision row 4 * 32
+    graph = Graph(5, ((0, 1), (0, 2), (0, 3), (3, 4)))
+    degrees = [3, 1, 1, 2, 1]
+    iterations = 3
+    cfg = OptimizerConfig(algorithm=algorithm, eta=0.01, gamma=0.2, iterations=iterations)
+    rec = run(make_quadratic(5, 4, seed=2), cfg, mixing_matrix(graph), parse_compressor("sign"),
+              seed=0, broadcast=broadcast)
+    if algorithm == "centralized":  # every node uploads to the hub, ledger slot n
+        expected = [iterations * 128] * 5 + [5 * iterations * 128]
+    else:
+        bits = 128 if algorithm == "decentralized-exact" else 4 + 32
+        expected = [iterations * bits * (1 if broadcast else degree) for degree in degrees]
+    assert rec.ledger.per_node.tolist() == expected
+    assert rec.bits_busiest[-1] == max(expected)
 
 
 # ------------------------------------------------------------------ records

@@ -7,8 +7,8 @@ import pytest
 from chocosim.compression import parse_compressor
 from chocosim.consensus import consensus_stepsize
 from chocosim.numerics import RandomStream
-from chocosim.optim import (ALGORITHMS, OptimizerConfig, Workers, consensus_bound,
-                            effective_contraction, resolve_gamma, run,
+from chocosim.optim import (ALGORITHM_TABLE, ALGORITHMS, OptimizerConfig, Workers,
+                            consensus_bound, effective_contraction, resolve_gamma, run,
                             theoretical_stepsize, tune_stepsize)
 from chocosim.problems import make_logistic, make_quadratic
 from chocosim.topology import Graph, fully_connected, mixing_matrix, ring
@@ -51,6 +51,12 @@ def test_worker_buffers_per_algorithm():
     assert np.all(ef.memory == 0.0) and np.all(ef.x_prev == 0.0)
     exact = Workers.start(np.tile(x0, (4, 1)), "decentralized-exact")
     assert exact.xhat is None
+    # each algorithm holds exactly the arrays its table row lists
+    for algorithm in ALGORITHMS:
+        workers = Workers.start(np.tile(x0, (4, 1)), algorithm)
+        held = [name for name in ("xhat", "velocity", "memory", "x_prev")
+                if getattr(workers, name) is not None]
+        assert held == list(ALGORITHM_TABLE[algorithm].keeps)
 
 
 # ------------------------------------------------------- baseline identities

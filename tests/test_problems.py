@@ -292,6 +292,20 @@ def test_mlp_gradient_matches_finite_differences():
     _check_gradients(p, rtol=1e-4, eps=1e-5)
 
 
+def test_a_dataset_problem_pickles_its_samples_about_twice():
+    # the features and labels, and the epoch-0 stacks the full-batch oracles
+    # read, node i's samples among them: a per-node list beside them is a third
+    p = make_logistic(8, dim=10, samples=2000, batch=8, seed=1)
+    size = len(pickle.dumps(p))
+    assert size < 2.5 * (p.features.nbytes + p.labels.nbytes)
+    copy = pickle.loads(pickle.dumps(p))
+    x = np.linspace(-1.0, 1.0, 10)
+    assert [copy.node_loss(i, x) for i in range(8)] == [p.node_loss(i, x) for i in range(8)]
+    assert p.node_loss(-1, x) == p.node_loss(7, x)
+    with pytest.raises(IndexError):
+        p.node_gradient(8, x)
+
+
 def test_mlp_parameter_layout():
     p = make_mlp(2, input_dim=4, hidden=3, samples=40, seed=4)
     assert p.dim == 3 * 4 + 3 + 3 + 1
