@@ -80,13 +80,12 @@ def cmd_topology(args):
     return EXIT_OK
 
 
-def _sweep_metric(record):
-    """Final objective, or final disagreement for gradient-free runs."""
+def _sweep_metric(record, gossip_only):
+    """Final objective, or final disagreement psi in a sweep of pure gossip
+    (every eta 0), so that every cell of a sweep is scored alike."""
     if record.diverged or not record.f_avg:
         return float("inf")
-    if record.eta == 0.0:
-        return record.psi[-1]
-    return record.f_avg[-1]
+    return record.psi[-1] if gossip_only else record.f_avg[-1]
 
 
 def cmd_sweep(args):
@@ -102,10 +101,11 @@ def cmd_sweep(args):
     setup = build_setup(config)
     records = run_cells([(setup, cfg, seed) for cfg in configs for seed in config.seeds])
     per_seed = len(config.seeds)
+    gossip_only = not any(etas)
     results = []
     for idx, (eta, gamma) in enumerate(cells):
         chunk = records[idx * per_seed:(idx + 1) * per_seed]
-        metric = float(np.mean([_sweep_metric(r) for r in chunk]))
+        metric = float(np.mean([_sweep_metric(r, gossip_only) for r in chunk]))
         results.append({"eta": eta, "gamma": "auto" if gamma is None else gamma,
                         "metric": metric, "diverged_seeds": sum(r.diverged for r in chunk)})
         print(f"eta={eta:<10g} gamma={results[-1]['gamma']:<10} "

@@ -323,9 +323,9 @@ def contraction_factor(comp, dim):
     """Compression quality ``delta`` in (0, 1] used by stepsize formulas.
 
     Worst-case value for the configured operator at dimension ``dim``:
-    1 for identity, the kept fraction for the sparsifiers, ``1/tau`` for
-    biased gsgd, ``1/dim`` for sign. Unbiased variants have no contraction
-    guarantee and raise.
+    1 for identity, ``k/dim`` for the sparsifiers, k the count they keep
+    and :func:`bit_cost` prices, ``1/tau`` for biased gsgd, ``1/dim`` for
+    sign. Unbiased variants have no contraction guarantee and raise.
     """
     _check_dim(dim)
     if comp.unbiased:
@@ -333,7 +333,7 @@ def contraction_factor(comp, dim):
     if comp.kind == "identity":
         return 1.0
     if comp.kind in ("random", "topk"):
-        return comp.fraction
+        return _kept_count(comp.fraction, dim) / dim
     if comp.kind == "gsgd":
         return 1.0 / _gsgd_tau(comp.bits, dim)
     return 1.0 / dim

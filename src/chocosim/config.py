@@ -225,8 +225,9 @@ def _cell(cell):
 
 def max_workers(n_jobs):
     cap = os.environ.get(THREADS_ENV)
-    if cap is None:
-        return max(1, min(n_jobs, os.cpu_count() or 1))
+    if cap is None:  # the CPUs this process may run on, where the platform says (Linux)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        return max(1, min(n_jobs, cpus or 1))
     try:
         cap = int(cap)
     except ValueError as exc:

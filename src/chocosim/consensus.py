@@ -62,16 +62,13 @@ def consensus_stepsize(mixing, delta):
 
     ``rho^2 * delta / (16 rho + rho^2 + 4 beta^2 + 2 rho beta^2 - 8 rho delta)``
     with ``rho`` the spectral gap and ``beta = ||I - W||_2``. Always in
-    (0, 1] for valid inputs; the denominator is checked anyway because a
-    non-positive value signals an invalid ``(rho, delta, beta)`` combination.
+    (0, 1] for valid inputs.
     """
     rho, beta = mixing.rho, mixing.beta
     _check_delta(delta)
     if not (0.0 < rho <= 1.0):
         raise ValueError("rho must be in (0, 1]")
     denom = 16.0 * rho + rho**2 + 4.0 * beta**2 + 2.0 * rho * beta**2 - 8.0 * rho * delta
-    if denom <= 0.0:
-        raise ValueError(f"invalid stepsize denominator {denom}")
     return rho**2 * delta / denom
 
 

@@ -88,6 +88,11 @@ def test_sign_on_constant_vector_is_exact():
     assert sign_contraction(x) == 1.0
 
 
+def test_sign_contraction_of_zeros_is_one():
+    # Q(0) = 0 is exact: the zero vector loses nothing
+    assert sign_contraction(np.zeros(5)) == 1.0
+
+
 def test_sign_contraction_identity():
     # ||x - Q(x)||^2 == (1 - delta(x)) ||x||^2 with delta(x) = ||x||_1^2/(d ||x||_2^2)
     x = _rng(3).standard_normal(50)
@@ -261,6 +266,30 @@ def test_contraction_factor_closed_forms():
     assert contraction_factor(parse_compressor("topk:0.1"), 100) == 0.1
     assert contraction_factor(parse_compressor("random:0.3"), 100) == 0.3
     assert contraction_factor(parse_compressor("sign"), 100) == 0.01
+    # a sparsifier's delta is k/d, k = max(1, floor(a*d)) the count it keeps
+    assert contraction_factor(parse_compressor("topk:0.3"), 5) == 0.2
+    assert contraction_factor(parse_compressor("random:0.3"), 5) == 0.2
+    assert contraction_factor(parse_compressor("topk:0.01"), 10) == 0.1  # k clamps to 1
+    assert contraction_factor(parse_compressor("topk:0.29"), 100) == 0.28  # 0.29 * 100 < 29
+    # the benchmark MLP's layers: its 64-wide blocks keep 6
+    layers = [0, 2048, 2112, 2176, 2177]
+    assert effective_contraction(parse_compressor("topk:0.1"), 2177, layers) == 0.09375
+
+
+def test_sparsifier_delta_is_what_a_draw_keeps():
+    # topk:0.3 keeps 1 of 5 equal entries: error ratio 0.8 = 1 - delta, on every draw
+    comp = parse_compressor("topk:0.3")
+    x = np.ones(5)
+    err = float(np.sum((x - compress(comp, x).payload) ** 2))
+    assert err / float(x @ x) <= 1.0 - contraction_factor(comp, 5)
+    # random:0.3 keeps 1 of 5 entries: the mean error ratio is 0.8 = 1 - delta
+    comp = parse_compressor("random:0.3")
+    rng = _rng(29)
+    x = rng.standard_normal((300, 5))
+    q = compress_blocks(comp, x, rng).payload
+    ratios = np.sum((x - q) ** 2, axis=1) / np.sum(x ** 2, axis=1)
+    bound = (1.0 - contraction_factor(comp, 5)) + 3.0 * ratios.std() / np.sqrt(len(ratios))
+    assert ratios.mean() <= bound
 
 
 def test_contraction_factor_rejects_unbiased():
@@ -415,6 +444,8 @@ def test_bits_and_delta_read_the_payloads_blocks():
 def test_compress_requires_one_dimensional_input():
     with pytest.raises(ValueError):
         compress(parse_compressor("sign"), np.ones((2, 3)))
+    with pytest.raises(ValueError, match=r"^compress_blocks expects a vector or \(n, d\) rows$"):
+        compress_blocks(parse_compressor("sign"), np.ones((2, 3, 4)))
 
 
 def test_message_type_fields():

@@ -17,7 +17,7 @@ from chocosim import config as config_module
 from chocosim import problems as problems_module
 from chocosim import topology as topology_module
 from chocosim.config import (ConfigError, ExperimentConfig, build_problem, execute_config,
-                             max_workers, resolve_x0)
+                             execute_single, max_workers, resolve_x0)
 from chocosim.problems import LogisticProblem, QuadraticProblem
 from chocosim.topology import build_topology
 
@@ -302,6 +302,12 @@ def test_worker_cap_respects_environment(monkeypatch):
         max_workers(4)
     monkeypatch.delenv("CHOCO_THREADS")
     assert max_workers(1) == 1
+
+
+def test_worker_cap_counts_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("CHOCO_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert max_workers(8) == 1
 
 
 def test_execute_config_writes_all_outputs(tmp_path, monkeypatch):
@@ -722,6 +728,32 @@ def test_sweep_warns_when_the_best_eta_is_the_smallest(tmp_path, monkeypatch, ca
     out = capsys.readouterr().out
     assert "best: eta=1.0" in out
     assert "warning: best stepsize lies on the grid boundary; widen eta_grid" in out
+
+
+def test_a_sweep_scores_every_cell_by_one_quantity(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CHOCO_THREADS", "1")
+    sweep = dict(topology="ring:8", iterations=200, seeds=[1, 2],
+                 problem={"kind": "quadratic", "n": 8, "dim": 6})
+    # an eta grid holding 0 beside positive values is scored by f_avg throughout:
+    # the psi of the eta = 0 cell would rank it first
+    path = _write_config(tmp_path, eta_grid=[0.0, 0.05, 0.1], **sweep)
+    assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == 0
+    out = capsys.readouterr().out
+    metrics = [float(m) for m in re.findall(r"metric=(\S+) diverged", out)]
+    assert len(metrics) == 3 and min(metrics) > 0.2
+    assert "best: eta=0.05" in out and "warning" not in out
+    # a gamma sweep of pure gossip (every eta 0) is scored by the final psi
+    path = _write_config(tmp_path, eta_grid=[0.0], gamma_grid=[0.1, 0.3], x0_mode="gaussian",
+                         **sweep)
+    assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "g")]) == 0
+    capsys.readouterr()
+    sweep_file = next(p for p in os.listdir(tmp_path / "g") if p.startswith("sweep_"))
+    cells = json.loads((tmp_path / "g" / sweep_file).read_text())["cells"]
+    data = json.loads(Path(path).read_text())
+    for cell in cells:
+        cfg = ExperimentConfig.from_dict({**data, "eta": 0.0, "gamma": cell["gamma"]})
+        psi = [execute_single(cfg, seed).psi[-1] for seed in (1, 2)]
+        assert cell["metric"] == float(np.mean(psi)) > 0.0
 
 
 def test_sweep_all_diverged_exits_two(tmp_path, monkeypatch, capsys):

@@ -7,7 +7,7 @@ from chocosim.consensus import (DIVERGENCE_LIMIT, choco_gossip_round, consensus_
                                 rate_constant, state_statistics, sync_public)
 from chocosim.numerics import RandomStream
 from chocosim.optim import Workers
-from chocosim.topology import fully_connected, mixing_matrix, ring
+from chocosim.topology import MixingMatrix, fully_connected, mixing_matrix, ring
 
 
 def _rng(seed=0):
@@ -52,6 +52,9 @@ def test_stepsize_validates_inputs():
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             consensus_stepsize(m, bad)
+    # only a hand-built matrix can carry such a gap: mixing_matrix's rho lies in (0, 1]
+    with pytest.raises(ValueError, match=r"^rho must be in \(0, 1\]$"):
+        consensus_stepsize(MixingMatrix(m.w, 1.5, m.beta), 0.5)
 
 
 # ------------------------------------------------------------ rate constant
@@ -238,6 +241,9 @@ def test_state_start_validation():
                            parse_compressor("identity"), _rng(), 0.0)
     with pytest.raises(ValueError):
         Workers.start(np.zeros(4), "choco")  # needs (n, d) array
+    with pytest.raises(ValueError, match="^mixing matrix size does not match state$"):
+        choco_gossip_round(Workers.start(np.zeros((3, 2)), "choco"), mixing_matrix(ring(4)),
+                           parse_compressor("identity"), _rng(), 0.5)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, True])

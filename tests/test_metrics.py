@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chocosim.compression import parse_compressor
-from chocosim.metrics import (CSV_HEADER, RunRecord, TrafficLedger, aggregate,
+from chocosim.metrics import (CSV_HEADER, RunRecord, TrafficLedger, _atomic_write, aggregate,
                               run_id, summarize, write_aggregate_csv,
                               write_csv, write_summary)
 from chocosim.optim import ALGORITHMS, OptimizerConfig, run
@@ -168,6 +168,15 @@ def test_csv_write_is_atomic(tmp_path):
     leftovers = [p for p in path.parent.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
     assert path.read_text().count("\n") == 2
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path):
+    # the rename onto a directory fails after the temporary file is written
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(IsADirectoryError, match="Is a directory"):
+        _atomic_write(str(tmp_path / "taken"), "text\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert list((tmp_path / "taken").iterdir()) == []
 
 
 def test_run_id_is_stable_and_seed_sensitive():

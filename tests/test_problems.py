@@ -230,6 +230,18 @@ def test_load_csv_dataset(tmp_path):
         load_csv_dataset(path)
 
 
+@pytest.mark.parametrize("content, reason", [
+    ("a,b,label\n", "no data rows"),
+    ("1.0,2.0,1\nnan,4.0,0\n", "features must be finite"),
+])
+def test_load_csv_dataset_refuses_no_rows_and_nonfinite_features(tmp_path, content, reason):
+    path = tmp_path / "data.csv"
+    path.write_text(content)
+    with pytest.raises(ValueError) as info:
+        load_csv_dataset(path)
+    assert str(info.value) == f"{path}: {reason}"
+
+
 @pytest.mark.parametrize("content, row, reason", [
     ("1,2,1\n3,x,0\n", 2, "'3,x,0' holds a cell that is not a number"),
     ("1,2,1\n3,4\n", 2, "2 columns, the first data row has 3"),
@@ -353,6 +365,10 @@ def test_a_dataset_problem_deals_its_own_split(cls, factory, extra):
         cls(67, z, y, batch=8, mode="fixed-split", by_label=False, seed=0, **extra)
     with pytest.raises(ValueError, match="seed"):
         cls(4, z, y, batch=8, mode="fixed-split", by_label=False, seed=-1, **extra)
+    with pytest.raises(ValueError, match="^feature/label row counts differ$"):
+        factory(4, data=(z, y[:-1]), batch=8, **extra)
+    with pytest.raises(ValueError, match="^labels must be -1/[+]1$"):
+        factory(4, data=(z, y + 1.0), batch=8, **extra)  # labels {0, 2}
 
 
 # ---------------------------------------------------------------- constants

@@ -81,9 +81,8 @@ def test_per_draw_contraction_bound(spec, x, seed):
         # ||x - Q(x)||^2 = ||x||^2 - ||x||_1^2 / d <= (1 - 1/d) ||x||^2 on every input
         assert err <= (1.0 - contraction_factor(comp, d)) * sq + slack
     elif comp.kind == "topk":
-        # keeping the k largest magnitudes keeps at least k/d of the energy
-        kept = max(1, int(np.floor(comp.fraction * d)))
-        assert err <= (1.0 - kept / d) * sq + slack
+        # keeping the k largest magnitudes keeps at least delta = k/d of the energy
+        assert err <= (1.0 - contraction_factor(comp, d)) * sq + slack
     elif comp.kind == "random":
         # a draw keeps at most k coordinates exactly (rescaled by d/k when unbiased)
         kept = max(1, int(np.floor(comp.fraction * d)))

@@ -207,6 +207,10 @@ def test_graph_validation():
         Graph(3, ((0, 1), (1, 1)))
     with pytest.raises(ValueError):
         Graph(2, ((1, 0),))  # must be stored as i < j
+    with pytest.raises(ValueError, match="^graph needs at least one node$"):
+        Graph(0)
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+        Graph(3, ((0, 1), (0, 1)))
 
 
 @pytest.mark.parametrize("edges, named", [

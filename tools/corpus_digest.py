@@ -38,6 +38,15 @@ shards, its ``smoothness()``, its ``estimate_constants`` and three short
 runs (``choco``/``sign``, ``choco-errorfeedback``/``gsgd:4`` and
 ``decentralized-exact``). It too is a line of its own.
 
+The next line digests how each compressor is priced: ``bit_cost`` and
+``contraction_factor`` at every row length from 1 to 64, and
+``message_bits`` and ``effective_contraction`` on two layer layouts, the
+corpus MLP's and one shaped like ``perfbench``'s MLP (input 32, hidden 64),
+for the corpus's five compressor specs plus ``topk:0.1``, ``random:0.1``,
+``topk:0.01`` and ``gsgd:2``. No run of this tool reads a sparsifier's
+delta where fraction x row length is not an integer, so this line is where
+a change to how a compressor is priced shows.
+
 The next line digests the config path: what ``config.execute_config``
 writes (the run CSVs, the aggregate CSV and the summary JSON without its
 wall-clock ``elapsed_s`` and ``timings_s``) and what ``chocosim sweep``
@@ -63,7 +72,8 @@ import tempfile
 import numpy as np
 
 from chocosim import cli
-from chocosim.compression import parse_compressor
+from chocosim.compression import (bit_cost, contraction_factor, effective_contraction,
+                                  message_bits, parse_compressor)
 from chocosim.config import ExperimentConfig, execute_config
 from chocosim.optim import OptimizerConfig, run
 from chocosim.problems import (estimate_constants, make_blob_dataset, make_logistic, make_mlp,
@@ -241,6 +251,23 @@ def describe_splits(splits):
     return "\n".join(lines)
 
 
+def describe_pricing(specs):
+    """Each spec's bits and delta at row lengths 1 to 64 and on two layer
+    layouts, as text, floats in ``float.hex``."""
+    # the corpus MLP's blocks (input 3, hidden 4) and perfbench's (input 32, hidden 64)
+    layouts = ([0, 12, 16, 20, 21], [0, 2048, 2112, 2176, 2177])
+    dims = range(1, 65)
+    lines = []
+    for spec in specs:
+        comp = parse_compressor(spec)
+        lines.append(f"{spec} bits:{[bit_cost(comp, d) for d in dims]} "
+                     f"delta:{_hex([contraction_factor(comp, d) for d in dims])}")
+        for layout in layouts:
+            lines.append(f"{layout} bits:{message_bits(comp, layout[-1], layout)} delta:"
+                         f"{_hex(effective_contraction(comp, layout[-1], layout))}")
+    return "\n".join(lines)
+
+
 def config_outputs(threads):
     """``{name: bytes}`` of every file the config path writes for
     ``CONFIG_PATH`` with ``CHOCO_THREADS=threads``, each summary JSON without
@@ -297,6 +324,9 @@ def main():
     splits = list(split_problems())
     digest = hashlib.sha256(describe_splits(splits).encode()).hexdigest()
     print(f"{digest}  ({len(splits)} dataset splits)")
+    priced = (*COMPRESSORS, "topk:0.1", "random:0.1", "topk:0.01", "gsgd:2")
+    digest = hashlib.sha256(describe_pricing(priced).encode()).hexdigest()
+    print(f"{digest}  (bits and delta of {len(priced)} compressors)")
     serial, pooled = config_outputs(1), config_outputs(2)
     if pooled != serial:
         raise SystemExit("config path: CHOCO_THREADS=2 wrote other bytes than CHOCO_THREADS=1")
