@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import is_integer, is_number
+from .numerics import is_integer, is_number, row_dots
 
 FLOAT_BITS = 32  # accounted wire width of one scalar / one norm
 # each kind and the field its spec argument sets, or None when it takes none
@@ -106,9 +106,7 @@ def _kept_count(fraction, dim):
 
 
 def _gsgd(v, bits, unbiased, rng, out):
-    # sqrt(row @ row), the 1-D np.linalg.norm; np.linalg.norm(v, axis=1) and
-    # einsum round differently
-    norm = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+    norm = np.sqrt(row_dots(v))  # each row's 1-D np.linalg.norm
     zero = norm == 0.0
     if zero.any():
         drawn = np.flatnonzero(~zero)  # a zero row draws nothing

@@ -110,6 +110,15 @@ class ExperimentConfig(OptimizerConfig):
             raise ConfigError("seeds must be a non-empty list of integers")
         if min(self.seeds) < 0:
             raise ConfigError("seeds must be non-negative integers")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError("seeds must be distinct")
+        # an option the algorithm's row never reads is refused, not ignored
+        row = ALGORITHM_TABLE[self.algorithm]
+        unread = () if "velocity" in row.keeps else ("momentum_factor", "weight_decay", "nesterov")
+        unread += () if row.compressed else ("gamma", "delta_override", "gamma_grid")
+        for f in fields(self):
+            if f.name in unread and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{f.name} is not read by algorithm {self.algorithm!r}")
 
         if not isinstance(self.problem, dict) or "kind" not in self.problem:
             raise ConfigError("problem must be an object with a 'kind' key")

@@ -1,5 +1,5 @@
-"""Shared numerical kernel: deterministic random streams and the symmetric
-eigenvalues of LAPACK's ``eigvalsh``, with no cap on the matrix size.
+"""Shared numerical kernel: deterministic random streams, two order-pinned
+reductions, and LAPACK's symmetric eigenvalues, with no cap on the size.
 
 Conventions used across the package: vectors are 1-D ``float64`` arrays,
 per-node iterate blocks are ``(n_nodes, dim)`` ``float64`` arrays, square
@@ -121,6 +121,21 @@ def require_finite(arr, context="array"):
     if not np.all(np.isfinite(arr)):
         raise FloatingPointError(f"non-finite values in {context}")
     return arr
+
+
+def sum_in_order(terms):
+    """``terms[0] + terms[1] + ...`` along axis 0, each row added to the
+    total before it, so no sum's order depends on NumPy's layout or Python's
+    version. ``terms.sum(axis=0)`` adds pairwise along a contiguous axis: a
+    ``(16, 1)`` column's sum differs from this in most random draws,
+    ``(16, 2)``'s never. Python's ``sum()`` compensates floats from 3.12 on."""
+    return np.add.accumulate(terms)[-1]
+
+
+def row_dots(rows):
+    """Each row's ``row @ row``, the 1-D ddot (``np.linalg.norm`` of a vector is
+    its root); ``einsum`` and ``np.linalg.norm(rows, axis=1)`` round differently."""
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
 
 
 def sym_eigenvalues(a):

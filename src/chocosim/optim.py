@@ -91,7 +91,7 @@ from .compression import Compressor, compress_blocks, effective_contraction, mes
 from .consensus import (consensus_stepsize, diverged, mix_with_public, state_statistics,
                         sync_public)
 from .metrics import RunRecord, TrafficLedger
-from .numerics import RandomStream, is_integer, is_number
+from .numerics import RandomStream, is_integer, is_number, row_dots
 
 # every algorithm: the arrays it keeps beside x, each started at zeros, in this
 # order; whether it gossips compressed differences through public copies xhat;
@@ -314,8 +314,7 @@ class _LoggedRows:
             self.x[:b], None if self.xhat is None else self.xhat[:b])
         tock = time.perf_counter()
         f_avg, grad = self.problem.loss_and_gradient(xbar)
-        # each row's grad @ grad, the same ddot
-        grad_sq = np.matmul(grad[:, None, :], grad[:, :, None])[:, 0, 0]
+        grad_sq = row_dots(grad)
         self.eval_s += time.perf_counter() - tock
         self.stats_s += tock - tick
         record = self.record

@@ -12,7 +12,8 @@ randomness (quadratic noise ``(k, dim)``, minibatch indices ``(k,
 batch)``); row r equals the one-row call ``stochastic_gradient`` when the
 rows draw one after another, in row order. Logged rows ask
 ``loss_and_gradient(x)`` for ``(loss(x), full_gradient(x))``, of one x or
-of a ``(b, dim)`` block of rows. Sums over nodes run in node order.
+of a ``(b, dim)`` block of rows. Node losses and gradients are summed with
+``numerics.sum_in_order``: node by node, each added to the total before it.
 
 A dataset problem computes its loss and gradient in one stacked kernel,
 the definition: ``(k, m, p)`` sample stacks at ``(k, dim)`` rows, where a
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RandomStream, is_integer, is_number, require_finite, sym_eigenvalues
+from .numerics import (RandomStream, is_integer, is_number, require_finite, row_dots,
+                       sum_in_order, sym_eigenvalues)
 
 PARTITION_MODES = ("iid-reshuffled", "fixed-split")
 # sample bytes per full-batch kernel call: a few shards, whose activations
@@ -242,14 +244,12 @@ class QuadraticProblem:
 
     def loss(self, x):
         # every node_loss at once, of one x or of each of (b, dim) rows:
-        # stacked products evaluate r_i @ H @ r_i as the 1-D expression
-        # does, and each sum runs in node order
+        # stacked products evaluate r_i @ H @ r_i as the 1-D expression does
         x = np.asarray(x)
         r = (x[..., None, :] - self.node_optima).reshape(-1, 1, self.dim)
         quad = np.matmul(np.matmul(r, self.hessian), r.reshape(-1, self.dim, 1))
-        halves = (0.5 * quad[:, 0, 0]).reshape(-1, self.n).tolist()
-        losses = [sum(row) / self.n for row in halves]
-        return losses[0] if x.ndim == 1 else np.array(losses)
+        losses = sum_in_order((0.5 * quad[:, 0, 0]).reshape(-1, self.n).T) / self.n
+        return float(losses[0]) if x.ndim == 1 else losses
 
     def node_gradient(self, i, x):
         return self.hessian @ (x - self.node_optima[i])
@@ -411,23 +411,20 @@ class _DatasetProblem:
         ``node_gradient`` over the nodes; of each of ``(b, dim)`` rows, a
         ``(b,)`` loss and ``(b, dim)`` gradients; without ``losses``, no
         loss is computed and it is ``None``. A row is broadcast over each
-        chunk; its node gradients, written into one ``(n, dim)`` buffer,
-        are added one after another, and its node losses as Python floats,
-        in node order."""
+        chunk; its node gradients and losses, written into an ``(n, dim)``
+        and an ``(n,)`` buffer, are each summed in node order."""
         rows = np.atleast_2d(x)
-        g, grads, f = np.empty(rows.shape), np.empty((self.n, self.dim)), []
+        g, grads = np.empty(rows.shape), np.empty((self.n, self.dim))
+        f, node_losses = np.empty(len(rows)), np.empty(self.n)
         with np.errstate(over="ignore"):
-            for row, acc in zip(rows, g):
-                node_losses, wide = [], np.broadcast_to(row, grads.shape)
+            for k, row in enumerate(rows):
+                wide = np.broadcast_to(row, grads.shape)
                 for node, z, y in self._chunks:
                     chunk = self._kernel(z, y, wide[: len(z)], grads[node : node + len(z)], losses)
-                    node_losses += chunk.tolist() if losses else []
-                acc[...] = grads[0]
-                for piece in grads[1:]:
-                    acc += piece
-                f.append(sum(node_losses) / self.n)
+                    node_losses[node : node + len(z)] = chunk if losses else 0.0
+                g[k], f[k] = sum_in_order(grads), sum_in_order(node_losses) / self.n
         g /= self.n
-        f = (f[0] if np.ndim(x) == 1 else np.array(f)) if losses else None
+        f = (float(f[0]) if np.ndim(x) == 1 else f) if losses else None
         return f, (g[0] if np.ndim(x) == 1 else g)
 
 
@@ -454,8 +451,7 @@ class LogisticProblem(_DatasetProblem):
         weights = _neg_y_sigmoid(y, margins)
         np.add(np.matmul(weights[:, None, :], z)[:, 0, :] / z.shape[1], self.reg * x, out=out)
         if losses:
-            # 0.5 reg times each row's x @ x, the same ddot
-            penalty = 0.5 * self.reg * np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
+            penalty = 0.5 * self.reg * row_dots(x)
             return np.add.reduce(np.logaddexp(0.0, -margins), axis=1) / z.shape[1] + penalty
 
     def stochastic_gradient(self, i, x, rng, t=0):
@@ -596,14 +592,9 @@ def estimate_constants(problem, seed=0, trials=8, grad_samples=16,
             exact = problem.node_gradient(i, point)
             g = problem.stochastic_gradients(points, stream.at(trial * problem.n + i), 0,
                                              np.full(grad_samples, i))
-            # a per-row pairwise sum and a per-row ddot, as np.sum and g @ g of one row
-            errors = np.add.reduce((g - exact) ** 2, axis=1).tolist()
-            norms = np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0].tolist()
-            sq_err = sq_norm = 0.0
-            for error, norm in zip(errors, norms):
-                sq_err += error
-                sq_norm += norm
-            sigma_acc[i] += sq_err / grad_samples
-            g_sq = max(g_sq, sq_norm / grad_samples)
+            # each row's pairwise sum, as np.sum of one row
+            errors = np.add.reduce((g - exact) ** 2, axis=1)
+            sigma_acc[i] += sum_in_order(errors) / grad_samples
+            g_sq = max(g_sq, float(sum_in_order(row_dots(g))) / grad_samples)
     sigma_sq = float(sigma_acc.mean() / trials)
     return ConstantEstimates(l_smooth=l_est, sigma_sq=sigma_sq, g_sq=g_sq)

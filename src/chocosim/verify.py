@@ -21,7 +21,7 @@ from .compression import (bit_cost, compress, compress_blocks, contraction_facto
 from .consensus import (choco_gossip_round, consensus_distance, consensus_stepsize, lyapunov,
                         rate_constant)
 from .metrics import CSV_HEADER
-from .numerics import RandomStream
+from .numerics import RandomStream, row_dots, sum_in_order
 from .optim import OptimizerConfig, Streams, Workers, run, theoretical_stepsize
 from .problems import estimate_constants, make_quadratic
 from .topology import build_topology, fully_connected, mixing_matrix, ring
@@ -67,8 +67,7 @@ def suite_compression():
         delta = contraction_factor(comp, d)
         x = rng.standard_normal(50 * d).reshape(50, d)  # 50 draws of d, in order
         err = ((x - compress_blocks(comp, x).payload) ** 2).sum(axis=1)
-        sq = np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]  # each x @ x, one ddot
-        worst = max((err / ((1.0 - delta) * sq)).tolist())
+        worst = max((err / ((1.0 - delta) * row_dots(x))).tolist())
         checks.append(_bound_check(f"{spec}-energy", worst, 1.0 + 1e-12,
                                    f"worst err ratio {worst:.6f}"))
 
@@ -96,11 +95,8 @@ def suite_compression():
     trials = 3000
     x = rng.standard_normal(8)
     e = compress_blocks(comp, np.tile(x, (trials, 1)), rng).payload - x
-    # a running sum adds the trials one after another, the order of acc += e
-    acc = np.cumsum(e, axis=0)[-1]
-    sq = np.cumsum(e * e, axis=0)[-1]
-    mean = acc / trials
-    se = np.sqrt(np.maximum(sq / trials - mean ** 2, 1e-30) / trials)
+    mean = sum_in_order(e) / trials
+    se = np.sqrt(np.maximum(sum_in_order(e * e) / trials - mean ** 2, 1e-30) / trials)
     z = float(np.max(np.abs(mean) / se))
     checks.append(_bound_check("random-unbiased-mean", z, 4.0, f"max z {z:.2f}"))
 

@@ -3,6 +3,9 @@ equal, bit for bit, the per-node loop it replaced. The references below are
 those loops, written out literally: an iteration's randomness comes from one
 generator, and the nodes draw from it one after another, in node order."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,12 @@ from chocosim.topology import mixing_matrix, ring
 
 SPECS = ("identity", "sign", "topk:0.2", "topk:0.5", "gsgd:2", "gsgd:4",
          "gsgd:4:unbiased", "random:0.3", "random:0.3:unbiased")
+
+
+def _in_order(values):
+    # the floats added one after another, the order the loss docstrings
+    # promise; Python's sum() compensates floats from 3.12 on
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def _rng(seed=0):
@@ -240,7 +249,7 @@ def test_quadratic_batched_oracle_and_loss_equal_node_loops(n, d):
     assert mapped.tobytes() == np.stack([problem.node_gradient(i, row) + scale * z
                                          for i, row, z in zip(nodes, rows, noise)]).tobytes()
     for x in (x_rows[0], x_rows.mean(axis=0), problem.optimum()):
-        assert problem.loss(x) == sum(problem.node_loss(i, x) for i in range(n)) / n
+        assert problem.loss(x) == _in_order(problem.node_loss(i, x) for i in range(n)) / n
 
 
 @pytest.mark.parametrize("make", [
@@ -278,7 +287,7 @@ def test_dataset_batched_oracle_equals_node_loop(make):
                                   problem.stochastic_gradient(i, x_rows[i], rng, t))
     for x in (x_rows[0], x_rows.mean(axis=0)):
         loss, grad = problem.loss_and_gradient(x)
-        assert loss == sum(problem.node_loss(i, x) for i in range(n)) / n
+        assert loss == _in_order(problem.node_loss(i, x) for i in range(n)) / n
         g = problem.node_gradient(0, x)
         for i in range(1, n):
             g = g + problem.node_gradient(i, x)
@@ -343,7 +352,7 @@ def test_dataset_oracles_equal_the_expressions_as_first_written(make):
     g = pairs[0][1]
     for _, g_i in pairs[1:]:
         g = g + g_i
-    f = sum(loss_i for loss_i, _ in pairs) / n
+    f = _in_order(loss_i for loss_i, _ in pairs) / n
     loss, grad = problem.loss_and_gradient(x)
     assert loss == f and problem.loss(x) == f
     assert grad.tobytes() == problem.full_gradient(x).tobytes() == (g / n).tobytes()
@@ -470,7 +479,7 @@ def test_chunked_evaluation_equals_the_node_loop_at_any_chunk_size(make, shards_
         chunks += [min(step, sizes.count(m) - j) for j in range(0, sizes.count(m), step)]
     assert calls == chunks * 3
     for x, f_x, g_x in zip(x_rows, loss.tolist(), grad):
-        assert f_x == sum(problem.node_loss(i, x) for i in range(n)) / n
+        assert f_x == _in_order(problem.node_loss(i, x) for i in range(n)) / n
         g = problem.node_gradient(0, x)
         for i in range(1, n):
             g = g + problem.node_gradient(i, x)
@@ -612,7 +621,7 @@ def _reference_run(problem, cfg, mixing, comp, seed, broadcast, x0, boundaries):
             psi = ((x - xbar) ** 2).sum()
             if cfg.algorithm.startswith("choco"):
                 psi = psi + ((x - xhat) ** 2).sum()
-        rows.append((t + 1, sum(problem.node_loss(i, xbar) for i in range(n)) / n,
+        rows.append((t + 1, _in_order(problem.node_loss(i, xbar) for i in range(n)) / n,
                      float(grad @ grad), 0.0 if centralized else consensus_distance(x),
                      float(psi), ledger.busiest()))
         states.append((x, xhat))
@@ -718,7 +727,7 @@ def _literal_choco_until_divergence(problem, mixing, comp, gamma, eta, iteration
         xbar = x.mean(axis=0)
         grad = problem.full_gradient(xbar)
         psi = ((x - xbar) ** 2).sum() + ((x - xhat) ** 2).sum()
-        rows.append((t + 1, sum(problem.node_loss(i, xbar) for i in range(n)) / n,
+        rows.append((t + 1, _in_order(problem.node_loss(i, xbar) for i in range(n)) / n,
                      float(grad @ grad), consensus_distance(x), float(psi),
                      ledger.busiest()))
     return rows, ledger.per_node, None, None

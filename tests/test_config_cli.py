@@ -808,6 +808,45 @@ def test_bad_values_fail_before_any_run(tmp_path, capsys, monkeypatch, overrides
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("overrides, argv", [
+    ({"seeds": [1, 1, 2]}, []),
+    ({"seeds": [3]}, ["--seed", "1", "--seed", "1"]),
+])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_repeated_seeds_exit_one_before_any_run(tmp_path, capsys, overrides, argv, command):
+    # a repeated seed would be run, written and averaged twice
+    path = _write_config(tmp_path, **overrides)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "o"), *argv]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == ["error: seeds must be distinct"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, value, reader, others", [
+    ("momentum_factor", 0.9, "choco-momentum", ["choco", "choco-errorfeedback", "centralized"]),
+    ("weight_decay", 0.5, "choco-momentum", ["choco", "decentralized-exact"]),
+    ("nesterov", True, "choco-momentum", ["choco", "centralized"]),
+    ("gamma", 0.3, "choco", ["centralized", "decentralized-exact"]),
+    ("delta_override", 0.5, "choco-errorfeedback", ["centralized", "decentralized-exact"]),
+    ("gamma_grid", [0.1, 0.2, 0.4], "choco-momentum", ["centralized", "decentralized-exact"]),
+])
+def test_an_option_the_algorithm_never_reads_exits_one(tmp_path, capsys, name, value, reader,
+                                                       others):
+    # its row in ALGORITHM_TABLE decides: momentum's options need a velocity,
+    # gamma's a compressed algorithm; an option left at its default passes
+    default = getattr(ExperimentConfig(), name)
+    ExperimentConfig.from_dict({"algorithm": reader, name: value, "topology": "ring:4",
+                                "problem": {"kind": "quadratic", "n": 4}})
+    for algorithm in others:
+        path = _write_config(tmp_path, algorithm=algorithm, **{name: default})
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        path = _write_config(tmp_path, algorithm=algorithm, **{name: value})
+        capsys.readouterr()
+        assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {name} is not read by algorithm {algorithm!r}"]
+    assert not (tmp_path / "s").exists()
+
+
 def test_a_sweep_cell_is_checked_as_any_config():
     config = ExperimentConfig.from_dict({"topology": "ring:4",
                                          "problem": {"kind": "quadratic", "n": 4}})

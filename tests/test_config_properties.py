@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 from chocosim import cli  # noqa: E402
 from chocosim.compression import _KINDS  # noqa: E402
 from chocosim.config import PROBLEM_FIELDS, X0_MODES, ExperimentConfig  # noqa: E402
-from chocosim.optim import ALGORITHMS  # noqa: E402
+from chocosim.optim import ALGORITHM_TABLE, ALGORITHMS  # noqa: E402
 from chocosim.problems import PARTITION_MODES  # noqa: E402
 
 COMPRESSORS = ("identity", "sign", "topk:0.3", "gsgd:4", "gsgd:2:unbiased", "random:0.5")
@@ -60,7 +60,7 @@ def valid_configs(draw):
         "nesterov": draw(st.booleans()),
         "iterations": draw(st.integers(1, 10**6)),
         "delta_override": draw(st.one_of(st.none(), POSITIVE)),
-        "seeds": draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=3)),
+        "seeds": draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=3, unique=True)),
         "log_every": draw(st.integers(1, 100)),
         "broadcast": draw(st.booleans()),
         "per_layer": draw(st.booleans()),
@@ -72,8 +72,14 @@ def valid_configs(draw):
         "gamma_grid": draw(st.one_of(st.none(), st.lists(POSITIVE, min_size=1))),
         "problem": problem,
     }
-    # any subset of the keys is a config; the rest take their defaults
+    # any subset of the keys is a config; the rest take their defaults. An
+    # option group is kept only for an algorithm whose row reads it
     keep = draw(st.sets(st.sampled_from(sorted(data))))
+    row = ALGORITHM_TABLE[data["algorithm"] if "algorithm" in keep else ExperimentConfig.algorithm]
+    if "velocity" not in row.keeps:
+        keep -= {"momentum_factor", "weight_decay", "nesterov"}
+    if not row.compressed:
+        keep -= {"gamma", "delta_override", "gamma_grid"}
     return {key: data[key] for key in keep | {"topology", "problem"}}
 
 

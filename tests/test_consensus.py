@@ -197,7 +197,7 @@ def test_consensus_distance_hand_value():
     assert consensus_distance(np.array([[0.0], [2.0]])) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("n, dim", [(1, 3), (5, 7), (16, 2177)])
+@pytest.mark.parametrize("n, dim", [(1, 3), (5, 7), (16, 1), (16, 2177)])
 @pytest.mark.parametrize("public", [True, False])
 def test_block_statistics_equal_each_states_own_bit_for_bit(n, dim, public):
     # an optimizer's logged rows are the block case, lyapunov and

@@ -1,3 +1,5 @@
+import functools
+import operator
 import zlib
 
 import numpy as np
@@ -6,13 +8,32 @@ import pytest
 from chocosim.compression import Compressor
 from chocosim.consensus import consensus_stepsize, rate_constant
 from chocosim.metrics import TrafficLedger
-from chocosim.numerics import RandomStream, is_integer, require_finite, sym_eigenvalues
+from chocosim.numerics import (RandomStream, is_integer, require_finite, row_dots, sum_in_order,
+                               sym_eigenvalues)
 from chocosim.optim import tune_stepsize
 from chocosim.problems import (Partition, estimate_constants, make_logistic, make_mlp,
                                make_quadratic)
 from chocosim.topology import Graph, from_edge_list, mixing_matrix, ring
 
 NAN = float("nan")
+
+
+# --------------------------------------------------------------- reductions
+
+def test_sum_in_order_adds_row_after_row_where_numpy_sum_does_not():
+    columns = RandomStream(0, 0, "sum").generator().standard_normal((20, 16, 1))
+    loops = [functools.reduce(operator.add, column) for column in columns]
+    for column, loop in zip(columns, loops):
+        assert sum_in_order(column).tobytes() == loop.tobytes()
+    # NumPy adds a one-column block pairwise, not in row order
+    assert any(column.sum(axis=0).tobytes() != loop.tobytes()
+               for column, loop in zip(columns, loops))
+
+
+def test_row_dots_are_each_rows_ddot():
+    rows = RandomStream(1, 0, "dots").generator().standard_normal((6, 7))
+    assert row_dots(rows).tolist() == [row @ row for row in rows]
+    assert row_dots(rows[:, ::2]).tolist() == [row @ row for row in rows[:, ::2]]
 
 
 # -------------------------------------------------------------- eigenvalues

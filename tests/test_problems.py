@@ -1,8 +1,12 @@
+import math
 import pickle
 
 import numpy as np
 import pytest
 
+from chocosim import problems
+from chocosim.config import ExperimentConfig, execute_single
+from chocosim.metrics import write_csv
 from chocosim.numerics import RandomStream, sym_eigenvalues
 from chocosim.problems import (LogisticProblem, MlpProblem, Partition,
                                estimate_constants, load_csv_dataset,
@@ -400,3 +404,40 @@ def test_estimate_constants_rejects_counts_below_one(name, value):
     with pytest.raises(ValueError, match=f"^estimate_constants: {name} must be >= 1, "
                                          f"got {value}$"):
         estimate_constants(make_quadratic(2, 3), **{name: value})
+
+
+def _compensated_sum(values, start=0):
+    # CPython 3.12's sum() of floats: Neumaier's compensated summation
+    total, compensation = float(start), 0.0
+    for value in values:
+        added = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - added) + value
+        else:
+            compensation += (value - added) + total
+        total = added
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_outputs_do_not_depend_on_the_builtin_sum(monkeypatch, tmp_path):
+    assert _compensated_sum([1e16, 1.0, -1e16]) == 1.0  # in order, the 1.0 is lost
+    quadratic = make_quadratic(n=16, dim=10, seed=3)
+    datasets = (make_logistic(n=8, dim=6, samples=400, seed=3),
+                make_mlp(n=8, input_dim=4, hidden=5, samples=400, seed=3))
+    config = ExperimentConfig.from_dict({"topology": "ring:16", "compressor": "sign",
+                                         "iterations": 200,
+                                         "problem": {"kind": "quadratic", "n": 16, "dim": 10}})
+
+    def outputs():
+        draw = RandomStream(5, 0, "rows").generator()
+        out = [quadratic.loss(draw.standard_normal((40, quadratic.dim))).tobytes()]
+        for problem in datasets:
+            f, g = problem.loss_and_gradient(draw.standard_normal((40, problem.dim)))
+            out += [f.tobytes(), g.tobytes()]
+        write_csv(execute_single(config, 1), tmp_path / "run.csv")
+        return out + [(tmp_path / "run.csv").read_bytes()]
+
+    before = outputs()
+    # Python 3.12's sum() in place of this Python's: a module global shadows the builtin
+    monkeypatch.setattr(problems, "sum", _compensated_sum, raising=False)
+    assert outputs() == before

@@ -169,20 +169,30 @@ def describe_setup():
     return "\n".join(lines)
 
 
-def corpus():
-    """``(name, spec, record)`` of every run of the corpus, in a fixed
-    order; ``spec`` is the run's compressor."""
+def run_matrix(kinds, specs, iterations, strides):
+    """``(name, spec, record)`` of each problem kind x ``CONFIGS`` x
+    compressor spec x log stride, in that order; ``spec`` is the run's
+    compressor."""
     mixing = mixing_matrix(ring(N))
-    for kind, problem in problems().items():
+    built = problems()
+    for kind in kinds:
+        problem = built[kind]
         x0 = np.linspace(-0.5, 0.5, problem.dim)
         for options in CONFIGS:
-            cfg = OptimizerConfig(eta=0.05, gamma=0.3, iterations=ITERATIONS, **options)
-            for spec in COMPRESSORS:
-                for log_every in (1, 3):
+            cfg = OptimizerConfig(eta=0.05, gamma=0.3, iterations=iterations, **options)
+            for spec in specs:
+                for log_every in strides:
                     record = run(problem, cfg, mixing, parse_compressor(spec), seed=4,
                                  log_every=log_every, x0=x0)
                     name = "/".join([kind, *map(str, options.values()), spec, str(log_every)])
                     yield name, spec, record
+
+
+def corpus():
+    """``(name, spec, record)`` of every run of the corpus, in a fixed order."""
+    yield from run_matrix(("quadratic", "logistic", "mlp", "mlp-ragged"), COMPRESSORS,
+                          ITERATIONS, (1, 3))
+    mixing = mixing_matrix(ring(N))
     quadratic = make_quadratic(N, 7, heterogeneity=1.0, noise_std=0.5, seed=8)
     diverging = OptimizerConfig(eta=50.0, gamma=0.5, iterations=60)
     yield "diverging", "sign", run(quadratic, diverging, mixing, parse_compressor("sign"),
@@ -193,24 +203,14 @@ def corpus():
 
 
 def long_corpus():
-    """``(name, record)`` of every 150-iteration run, in a fixed order."""
-    mixing = mixing_matrix(ring(N))
-    built = problems()
-    for kind in ("quadratic", "mlp"):
-        problem = built[kind]
-        x0 = np.linspace(-0.5, 0.5, problem.dim)
-        for options in CONFIGS:
-            cfg = OptimizerConfig(eta=0.05, gamma=0.3, iterations=150, **options)
-            for spec in ("sign", "gsgd:4"):
-                for log_every in (1, 7):
-                    record = run(problem, cfg, mixing, parse_compressor(spec), seed=4,
-                                 log_every=log_every, x0=x0)
-                    yield "/".join([kind, *map(str, options.values()), spec,
-                                    str(log_every)]), record
+    """``(name, spec, record)`` of every 150-iteration run, in a fixed order."""
+    yield from run_matrix(("quadratic", "mlp"), ("sign", "gsgd:4"), 150, (1, 7))
     # eta * L = 2: the iterates pass the divergence limit at iteration 79
     diverging = OptimizerConfig(eta=2.0, gamma=0.5, iterations=150)
-    yield "diverging-late", run(built["quadratic"], diverging, mixing,
-                                parse_compressor("sign"), seed=4, x0=np.linspace(-0.5, 0.5, 7))
+    quadratic = make_quadratic(N, 7, heterogeneity=1.0, noise_std=0.5, seed=8)
+    yield "diverging-late", "sign", run(quadratic, diverging, mixing_matrix(ring(N)),
+                                        parse_compressor("sign"), seed=4,
+                                        x0=np.linspace(-0.5, 0.5, 7))
 
 
 def split_problems():
@@ -317,7 +317,7 @@ def main():
     print(f"{total.hexdigest()}  ({sum(runs.values())} runs)")
     long = hashlib.sha256()
     count = 0
-    for name, record in long_corpus():
+    for name, _, record in long_corpus():
         long.update(f"{name}\n{describe(record)}\n".encode())
         count += 1
     print(f"{long.hexdigest()}  ({count} runs of 150 iterations)")
