@@ -15,25 +15,27 @@ exactly what the 1-D operator draws. ``topk`` and ``random`` share one
 selection kernel: a row keeps its k largest magnitudes, or its k largest
 uniform keys, drawn as one ``(n, d)`` block per message block.
 
+Every kind is one row of :data:`COMPRESSOR_TABLE`, the one place that says
+what it does, and its kernel: adding a kind adds a kernel and a row.
+
 Payloads are fresh arrays owned by the caller, or a buffer the caller
 passes as ``out``, each kernel writing its block's slice; a kernel never
 writes to its input. The block layout of a row and its wire size depend
 only on ``(comp, d, boundaries)``, so :func:`compress_blocks` validates and
-prices each such triple once, keyed by the compressor's field values; the
-bits and the worst-case delta read the same validated layout.
+prices each such triple once, keyed by the compressor's field values and
+the bounds' values and types; the bits and the worst-case delta read the
+same validated layout.
 """
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numerics import is_integer, is_number, row_dots
 
 FLOAT_BITS = 32  # accounted wire width of one scalar / one norm
-# each kind and the field its spec argument sets, or None when it takes none
-_KINDS = {"identity": None, "gsgd": "bits", "random": "fraction", "topk": "fraction",
-          "sign": None}
 
 
 @dataclass(frozen=True)
@@ -45,17 +47,20 @@ class Compressor:
     ``unbiased`` selects the unscaled (gsgd) or rescaled (random) unbiased
     variants; the default variants are the biased, contraction-friendly ones.
     A kind that does not take ``bits`` or ``fraction`` leaves it at 0.
+    ``stochastic``, set from the kind's row and neither compared nor hashed,
+    is whether :func:`compress` draws from its ``rng``.
     """
 
     kind: str
     bits: int = 0
     fraction: float = 0.0
     unbiased: bool = False
+    stochastic: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in COMPRESSOR_TABLE:
             raise ValueError(f"unknown compressor kind {self.kind!r}")
-        takes = _KINDS[self.kind]
+        takes = COMPRESSOR_TABLE[self.kind].takes
         # a float64 significand holds 53 bits: more levels quantize nothing,
         # and from 513 bits on the levels' square overflows
         if takes == "bits" and not (is_integer(self.bits) and 2 <= self.bits <= 64):
@@ -65,13 +70,9 @@ class Compressor:
         for name in ("bits", "fraction"):
             if name != takes and getattr(self, name) != 0:
                 raise ValueError(f"{self.kind} takes no {name}")
-        if self.unbiased and not self.stochastic:
+        object.__setattr__(self, "stochastic", COMPRESSOR_TABLE[self.kind].stochastic)
+        if self.unbiased and not self.stochastic:  # the kinds that draw have an unbiased variant
             raise ValueError(f"{self.kind} has no unbiased variant")
-
-    @property
-    def stochastic(self):
-        """Whether :func:`compress` draws from its ``rng``."""
-        return self.kind in ("gsgd", "random")  # the kinds with an unbiased variant
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def parse_compressor(text):
     takes, read as that field's type, and :class:`Compressor` checks the rest."""
     kind, *args = str(text).strip().split(":")
     unbiased = args[-1:] == ["unbiased"]
-    takes = _KINDS.get(kind)
+    takes = COMPRESSOR_TABLE[kind].takes if kind in COMPRESSOR_TABLE else None
     try:
         if len(args) - unbiased != (takes is not None):
             raise ValueError
@@ -100,12 +101,12 @@ def parse_compressor(text):
                          "a: a number in (0, 1])") from None
 
 
-def _kept_count(fraction, dim):
+def _kept_count(comp, dim):
     # floor(a*d), clamped so the operator never degenerates to zero
-    return max(1, int(np.floor(fraction * dim)))
+    return max(1, int(np.floor(comp.fraction * dim)))
 
 
-def _gsgd(v, bits, unbiased, rng, out):
+def _gsgd(comp, v, rng, out):
     norm = np.sqrt(row_dots(v))  # each row's 1-D np.linalg.norm
     zero = norm == 0.0
     if zero.any():
@@ -116,7 +117,7 @@ def _gsgd(v, bits, unbiased, rng, out):
     else:
         uniforms = rng.random(v.size).reshape(v.shape)
     norm = norm[:, None]
-    levels = 2.0 ** (bits - 1)
+    levels = 2.0 ** (comp.bits - 1)
     # norm * sig(v) * floor(levels * |v| / norm + u) / levels, each step in
     # place: a fresh (n, d) temporary costs more than the arithmetic on it.
     # levels * |v| / norm is formed in out, which then takes sig(v); sig(0)
@@ -131,8 +132,8 @@ def _gsgd(v, bits, unbiased, rng, out):
     out *= norm
     out *= np.floor(uniforms, out=uniforms)
     out /= levels
-    if not unbiased:
-        out /= _gsgd_tau(bits, v.shape[1])
+    if not comp.unbiased:
+        out /= _gsgd_tau(comp.bits, v.shape[1])
 
 
 def _gsgd_tau(bits, dim):
@@ -143,9 +144,10 @@ def _gsgd_tau(bits, dim):
 def _sparsify(comp, v, rng, out):
     """``topk`` and ``random``: keep each row's k largest scores, ties at the
     k-th largest going to the lowest indices, the set a stable argsort of
-    ``-score`` keeps. ``topk`` scores by magnitude (``fmax`` ranks a NaN
-    below every number, as the sort does); ``random`` by uniform keys drawn
-    as one block, whose row i is what a per-row ``rng.random(d)`` draws.
+    ``-score`` keeps. The deterministic ``topk`` scores by magnitude
+    (``fmax`` ranks a NaN below every number, as the sort does); the
+    stochastic ``random`` by uniform keys drawn as one block, whose row i is
+    what a per-row ``rng.random(d)`` draws.
 
     Fast path: when every row has exactly k scores ``>= thr`` (the k-th
     largest), as continuous scores almost always do, those entries are that
@@ -154,8 +156,8 @@ def _sparsify(comp, v, rng, out):
     in index order up to k.
     """
     n, d = v.shape
-    k = _kept_count(comp.fraction, d)
-    score = np.fmax(np.abs(v), -1.0) if comp.kind == "topk" else rng.random(v.shape)
+    k = _kept_count(comp, d)
+    score = rng.random(v.shape) if comp.stochastic else np.fmax(np.abs(v), -1.0)
     part = score.copy()
     part.partition(d - k, axis=1)
     thr = part[:, d - k, None]
@@ -172,26 +174,33 @@ def _sparsify(comp, v, rng, out):
         out *= d / k
 
 
-def _sign(v, out):
+def _sign(comp, v, rng, out):
     # (sum_j |v_ij| / d) * sign(v_ij), each step after |v| in its own result
     scale = np.add.reduce(np.abs(v), axis=1)
     scale /= v.shape[1]
     np.multiply(scale[:, None], np.sign(v, out=out), out=out)
 
 
-def _row_payloads(comp, v, rng, out):
-    """Payload of ``comp`` applied to each row of the 2-D ``v``, the rows
-    drawing from ``rng`` in row order, written into ``out`` (same shape)."""
-    if comp.kind == "identity":
-        np.copyto(out, v)
-    elif comp.kind == "sign":
-        _sign(v, out)
-    elif comp.stochastic and rng is None:
-        raise ValueError(f"{comp.kind} compression needs a random generator")
-    elif comp.kind == "gsgd":
-        _gsgd(v, comp.bits, comp.unbiased, rng, out)
-    else:
-        _sparsify(comp, v, rng, out)
+# every kind: the field its spec argument sets, or None when it takes none;
+# whether its kernel draws from the rng; its kernel(comp, v, rng, out), which
+# writes the payload of each row of the 2-D v into out, the rows drawing from
+# rng in row order; the wire bits(comp, d) of one block of length d; and the
+# worst-case delta(comp, d) of one such block
+Kind = namedtuple("Kind", "takes stochastic kernel bits delta")
+COMPRESSOR_TABLE = {
+    "identity": Kind(None, False, lambda comp, v, rng, out: np.copyto(out, v),
+                     lambda comp, d: FLOAT_BITS * d, lambda comp, d: 1.0),
+    "gsgd": Kind("bits", True, _gsgd, lambda comp, d: comp.bits * d + FLOAT_BITS,
+                 lambda comp, d: 1.0 / _gsgd_tau(comp.bits, d)),
+    "random": Kind("fraction", True, _sparsify, lambda comp, d: FLOAT_BITS * _kept_count(comp, d),
+                   lambda comp, d: _kept_count(comp, d) / d),
+    # value plus coordinate index per kept entry
+    "topk": Kind("fraction", False, _sparsify,
+                 lambda comp, d: 2 * FLOAT_BITS * _kept_count(comp, d),
+                 lambda comp, d: _kept_count(comp, d) / d),
+    # one bit per coordinate plus the L1 norm
+    "sign": Kind(None, False, _sign, lambda comp, d: d + FLOAT_BITS, lambda comp, d: 1.0 / d),
+}
 
 
 def compress(comp, x, rng=None):
@@ -214,14 +223,6 @@ def _check_dim(dim):
         raise ValueError("dim must be >= 1")
 
 
-def _integer_bounds(boundaries):
-    # checked on every call: the plan cache compares keys by value, and 5.0 == 5
-    bounds = tuple(boundaries)
-    if not all(map(is_integer, bounds)):
-        raise ValueError("block boundaries must be integers")
-    return bounds
-
-
 def _layout(d, boundaries):
     """The ``(start, stop)`` blocks, Python ints, of a row of length ``d``
     (``boundaries`` as in :func:`compress_blocks`): the one reading of a
@@ -230,7 +231,10 @@ def _layout(d, boundaries):
     _check_dim(d)
     if boundaries is None:
         return ((0, d),)
-    bounds = list(map(int, _integer_bounds(boundaries)))
+    bounds = list(boundaries)
+    if not all(map(is_integer, bounds)):
+        raise ValueError("block boundaries must be integers")
+    bounds = list(map(int, bounds))
     if not bounds or bounds[0] != 0 or bounds[-1] != d:
         raise ValueError("block boundaries must start at 0 and end at the row length")
     blocks = tuple(zip(bounds[:-1], bounds[1:]))
@@ -240,13 +244,15 @@ def _layout(d, boundaries):
 
 
 @functools.cache
-def _block_plan(kind, bits, fraction, unbiased, d, boundaries):
+def _block_plan(kind, bits, fraction, unbiased, d, boundaries, types):
     """``(blocks, bits)`` of a row of length ``d`` under the compressor with
     these field values: its :func:`_layout` and the wire size of one row;
-    ``boundaries`` is a tuple or ``None``. The key is the field values, not
-    a :class:`Compressor`, so a hit hashes and compares them without the
-    dataclass's Python-level ``__hash__`` and ``__eq__``. A bad layout
-    raises each time it is asked for (a raising call is not cached)."""
+    ``boundaries`` is a tuple or ``None``, ``types`` its bounds' types. The
+    key is the field values, not a :class:`Compressor`, so a hit hashes and
+    compares them without the dataclass's Python-level ``__hash__`` and
+    ``__eq__``; the types are in it because 5.0 == 5 and True == 1, so a
+    float or bool bound misses. A layout is validated on a miss, and a bad
+    one raises each time it is asked for (a raising call is not cached)."""
     comp = Compressor(kind, bits, fraction, unbiased)
     return _layout(d, boundaries), message_bits(comp, d, boundaries)
 
@@ -272,20 +278,27 @@ def compress_blocks(comp, x, rng=None, boundaries=None, out=None):
         raise ValueError("compress_blocks expects a vector or (n, d) rows")
     rows = x if x.ndim == 2 else x[None, :]
     if boundaries is not None:
-        boundaries = _integer_bounds(boundaries)
-    blocks, bits = _block_plan(comp.kind, comp.bits, comp.fraction, comp.unbiased,
-                               rows.shape[1], boundaries)
+        boundaries = tuple(boundaries)
+    try:
+        blocks, bits = _block_plan(comp.kind, comp.bits, comp.fraction, comp.unbiased,
+                                   rows.shape[1], boundaries, tuple(map(type, boundaries or ())))
+    except TypeError:  # an unhashable bound is refused as any bound that is no integer
+        _layout(rows.shape[1], boundaries)
+        raise
+    kernel = COMPRESSOR_TABLE[comp.kind].kernel
+    if comp.stochastic and rng is None:
+        raise ValueError(f"{comp.kind} compression needs a random generator")
     if out is None:
         out = np.empty_like(x)
     payload = out if x.ndim == 2 else out[None, :]
     if len(blocks) == 1:  # no column views: a small row pays for each one
-        _row_payloads(comp, rows, rng, payload)
+        kernel(comp, rows, rng, payload)
     else:
         # each block in contiguous buffers: in-place ufuncs run slower on strided slices
         for start, stop in blocks:
             block = rows[:, start:stop].copy()
             part = np.empty_like(block)
-            _row_payloads(comp, block, rng, part)
+            kernel(comp, block, rng, part)
             payload[:, start:stop] = part
     return CompressedMessage(payload=out, bits=bits * rows.shape[0])
 
@@ -293,16 +306,7 @@ def compress_blocks(comp, x, rng=None, boundaries=None, out=None):
 def bit_cost(comp, dim):
     """Analytic wire size in bits of one compressed message of length ``dim``."""
     _check_dim(dim)
-    if comp.kind == "identity":
-        return FLOAT_BITS * dim
-    if comp.kind == "gsgd":
-        return comp.bits * dim + FLOAT_BITS
-    if comp.kind == "random":
-        return FLOAT_BITS * _kept_count(comp.fraction, dim)
-    if comp.kind == "topk":
-        # value plus coordinate index per kept entry
-        return 2 * FLOAT_BITS * _kept_count(comp.fraction, dim)
-    return dim + FLOAT_BITS  # sign: one bit per coordinate plus the L1 norm
+    return COMPRESSOR_TABLE[comp.kind].bits(comp, dim)
 
 
 def message_bits(comp, dim, boundaries=None):
@@ -328,13 +332,7 @@ def contraction_factor(comp, dim):
     _check_dim(dim)
     if comp.unbiased:
         raise ValueError("unbiased variants do not satisfy the contraction bound")
-    if comp.kind == "identity":
-        return 1.0
-    if comp.kind in ("random", "topk"):
-        return _kept_count(comp.fraction, dim) / dim
-    if comp.kind == "gsgd":
-        return 1.0 / _gsgd_tau(comp.bits, dim)
-    return 1.0 / dim
+    return COMPRESSOR_TABLE[comp.kind].delta(comp, dim)
 
 
 def sign_contraction(x):

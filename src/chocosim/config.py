@@ -119,6 +119,10 @@ class ExperimentConfig(OptimizerConfig):
         for f in fields(self):
             if f.name in unread and getattr(self, f.name) != f.default:
                 raise ConfigError(f"{f.name} is not read by algorithm {self.algorithm!r}")
+        # only the theory stepsize reads delta_override; a grid gives every sweep cell a number
+        numeric = self.gamma != "auto" or self.gamma_grid is not None
+        if self.delta_override is not None and numeric:
+            raise ConfigError("delta_override is read only with gamma 'auto' and no gamma_grid")
 
         if not isinstance(self.problem, dict) or "kind" not in self.problem:
             raise ConfigError("problem must be an object with a 'kind' key")

@@ -77,7 +77,8 @@ mean, the consensus distance and the Lyapunov quantity
 (``consensus.state_statistics``), the loss and the squared gradient norm at
 the mean. Each value is, bit for bit, the one its row computes alone, so
 the CSV does not change; ``eval_s`` and ``stats_s`` of
-:attr:`RunRecord.timings` time this block work.
+:attr:`RunRecord.timings` time this block work, and ``step_s`` is the rest
+of the loop's time.
 """
 
 import math
@@ -291,7 +292,6 @@ class _LoggedRows:
 
     def add(self, t, workers):
         """Keep iteration t's state; True when the block is full."""
-        tick = time.perf_counter()
         k = len(self.t)
         if len(self.x) == 1:
             self.x = workers.x[None]
@@ -301,7 +301,6 @@ class _LoggedRows:
             if self.xhat is not None:
                 self.xhat[k] = workers.xhat
         self.t.append(t)
-        self.stats_s += time.perf_counter() - tick
         return k + 1 == len(self.x)
 
     def flush(self):
@@ -414,15 +413,14 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
     # each full block is folded into record.max_grad_norm
     norms = np.empty((NORM_BLOCK, n))
     norm_rows = list(norms)
-    step_s = 0.0
     completed = 0
     k = -1
+    loop_started = time.perf_counter()
     # a diverging run may overflow before the divergence test reports it;
     # its steps, rows and closing reductions print no warning
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(cfg.iterations):
             k = t % NORM_BLOCK
-            tick = time.perf_counter()
             if not on_graph:
                 centralized_step(workers, problem, cfg.eta, streams, t, norm_rows[k])
             elif not compressed:
@@ -431,8 +429,6 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
             else:
                 choco_step(workers, problem, mixing, compressor, gamma, cfg.eta,
                            streams, t, cfg=cfg, boundaries=boundaries, norms=norm_rows[k])
-            tock = time.perf_counter()
-            step_s += tock - tick
             if k + 1 == NORM_BLOCK:
                 _fold_norms(record, norms)
 
@@ -456,7 +452,10 @@ def run(problem, cfg, mixing=None, compressor=None, seed=0, log_every=1,
         _fold_norms(record, norms[:(k + 1) % NORM_BLOCK])
         record.final_x_mean = workers.x.mean(axis=0)
 
-    record.elapsed_s = time.perf_counter() - started
+    ended = time.perf_counter()
+    record.elapsed_s = ended - started
+    # the loop's time less its logged rows' is the steps' and their bookkeeping's
+    step_s = ended - loop_started - rows.eval_s - rows.stats_s
     record.timings = {"step_s": step_s, "eval_s": rows.eval_s, "stats_s": rows.stats_s}
     ledger.per_node *= completed  # every completed iteration charged the same
     record.ledger = ledger

@@ -318,7 +318,14 @@ class _DatasetProblem:
                                    labels=self.labels if by_label else None)
         self.n = self.partition.n_nodes
         self.batch = int(batch)
-        self._dealt = None
+        self.__setstate__({})  # the derived split and stacks, as an unpickled copy builds them
+
+    def __getstate__(self):
+        # the samples pickle once: the dealt split and its stacks are derived from them
+        return {k: v for k, v in vars(self).items() if k not in ("_dealt", "_chunks")}
+
+    def __setstate__(self, state):
+        vars(self).update(state, _dealt=None)
         self._chunks = self._stack(*self._deal(0)[1:])
 
     def _deal(self, epoch):

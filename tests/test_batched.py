@@ -5,11 +5,12 @@ generator, and the nodes draw from it one after another, in node order."""
 
 import functools
 import operator
+import time
 
 import numpy as np
 import pytest
 
-from chocosim import problems
+from chocosim import optim, problems
 from chocosim.compression import bit_cost, compress, compress_blocks, parse_compressor
 from chocosim.consensus import consensus_distance
 from chocosim.metrics import TrafficLedger
@@ -802,6 +803,24 @@ def test_run_times_its_layers_outside_the_rows(algorithm):
     assert all(v >= 0.0 for v in rec.timings.values())
     assert rec.timings["step_s"] > 0.0
     assert sum(rec.timings.values()) <= rec.elapsed_s
+
+
+def test_run_reads_the_clock_around_its_loop_not_around_each_step(monkeypatch):
+    # step_s is the loop's time less the rows' block work, so a longer run
+    # with the same one block of rows reads the clock as often
+    reads = []
+    clock = time.perf_counter
+    monkeypatch.setattr(optim.time, "perf_counter", lambda: reads.append(1) or clock())
+    counts = []
+    for iterations in (10, 40):
+        reads.clear()
+        cfg = OptimizerConfig(algorithm="choco-momentum", eta=0.05, gamma=0.5,
+                              iterations=iterations)
+        rec = run(make_quadratic(4, 3, seed=2), cfg, mixing_matrix(ring(4)),
+                  parse_compressor("sign"), seed=1, log_every=iterations // 2)
+        assert rec.t == [iterations // 2, iterations]
+        counts.append(len(reads))
+    assert counts[0] == counts[1]
 
 
 # ------------------------------------------------------ logged rows in blocks

@@ -1,7 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from chocosim.compression import (CompressedMessage, Compressor, bit_cost,
+from chocosim import compression
+from chocosim.compression import (COMPRESSOR_TABLE, CompressedMessage, Compressor, Kind, bit_cost,
                                   compress, compress_blocks,
                                   contraction_factor, effective_contraction,
                                   message_bits, parse_compressor,
@@ -424,6 +427,24 @@ def test_a_float_boundary_is_refused_after_its_integer_layout_is_planned():
             compress_blocks(sign, np.ones(10), boundaries=boundaries)
 
 
+def test_a_planned_layout_is_validated_once_and_a_bad_one_every_time(monkeypatch):
+    sign = parse_compressor("sign")
+    for _ in range(2):  # a float, a bool or an unhashable bound misses the plan cache
+        for boundaries in ([0, 3.0, 10], (0, True, 10), [0, [3], 10]):
+            with pytest.raises(ValueError, match="^block boundaries must be integers$"):
+                compress_blocks(sign, np.ones(10), boundaries=boundaries)
+    planned = compress_blocks(sign, np.ones((2, 10)), boundaries=[0, 3, 10])
+    checked = []
+    monkeypatch.setattr(compression, "is_integer", lambda value: checked.append(value) or True)
+    for boundaries in ([0, 3, 10], (0, 3, 10), np.array([0, 3, 10]), np.array([0, 3, 10])):
+        checked.clear()
+        again = compress_blocks(sign, np.ones((2, 10)), boundaries=boundaries)
+        assert again.bits == planned.bits == 2 * (3 + 32 + 7 + 32)
+        assert again.payload.tobytes() == planned.payload.tobytes()
+    # NumPy bounds key a plan of their own, validated on its first call only
+    assert checked == []
+
+
 def test_bits_and_delta_read_the_payloads_blocks():
     x = _buffer_rows()
     for spec in BUFFER_SPECS:
@@ -452,3 +473,42 @@ def test_message_type_fields():
     msg = compress(parse_compressor("sign"), np.ones(3))
     assert isinstance(msg, CompressedMessage)
     assert isinstance(msg.bits, int)
+
+
+# -------------------------------------------------------------------- table
+
+@pytest.mark.parametrize("spec", BUFFER_SPECS)
+def test_stochastic_is_the_rows_flag_and_is_what_compress_draws(spec):
+    comp = parse_compressor(spec)
+    assert comp.stochastic is COMPRESSOR_TABLE[comp.kind].stochastic
+    rng = _rng(3)
+    compress(comp, np.linspace(-1.0, 1.0, 9), rng)
+    assert (rng.random() != _rng(3).random()) is comp.stochastic
+    # the flag is not a field value: equality, hashing, repr and pickling are as before
+    twin = Compressor(comp.kind, comp.bits, comp.fraction, comp.unbiased)
+    assert comp == twin and hash(comp) == hash((comp.kind, comp.bits, comp.fraction,
+                                                comp.unbiased))
+    assert repr(comp) == (f"Compressor(kind={comp.kind!r}, bits={comp.bits!r}, "
+                          f"fraction={comp.fraction!r}, unbiased={comp.unbiased!r})")
+    assert pickle.loads(pickle.dumps(comp)).stochastic is comp.stochastic
+
+
+def test_a_new_kind_is_one_kernel_and_one_row(monkeypatch):
+    def halve(comp, v, rng, out):
+        np.multiply(v, 0.5, out=out)
+
+    monkeypatch.setitem(COMPRESSOR_TABLE, "half", Kind(None, False, halve,
+                                                        lambda comp, d: 16 * d + 1,
+                                                        lambda comp, d: 0.75))
+    comp = parse_compressor("half")
+    assert comp == Compressor("half") and not comp.stochastic
+    x = np.arange(10.0).reshape(2, 5)
+    msg = compress_blocks(comp, x, boundaries=[0, 2, 5])
+    assert msg.payload.tobytes() == (x / 2).tobytes()
+    assert msg.bits == 2 * message_bits(comp, 5, [0, 2, 5]) == 2 * (33 + 49)
+    assert effective_contraction(comp, 5, [0, 2, 5]) == contraction_factor(comp, 5) == 0.75
+    for bad in ("half:3", "half:unbiased"):
+        with pytest.raises(ValueError, match="bad compressor spec"):
+            parse_compressor(bad)
+    with pytest.raises(ValueError, match="half takes no fraction"):
+        Compressor("half", fraction=0.5)

@@ -847,6 +847,22 @@ def test_an_option_the_algorithm_never_reads_exits_one(tmp_path, capsys, name, v
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("overrides", [{"gamma": 0.3}, {"gamma_grid": [0.1, 0.2, 0.4]},
+                                       {"gamma": 0.3, "gamma_grid": [0.2]}])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_delta_override_without_the_theory_stepsize_exits_one(tmp_path, capsys, overrides,
+                                                              command):
+    # a numeric gamma is used as given, and a grid gives every cell a numeric gamma
+    path = _write_config(tmp_path, algorithm="choco", delta_override=0.5)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 0
+    path = _write_config(tmp_path, algorithm="choco", delta_override=0.5, **overrides)
+    capsys.readouterr()
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: delta_override is read only with gamma 'auto' and no gamma_grid"]
+    assert not (tmp_path / "s").exists()
+
+
 def test_a_sweep_cell_is_checked_as_any_config():
     config = ExperimentConfig.from_dict({"topology": "ring:4",
                                          "problem": {"kind": "quadratic", "n": 4}})

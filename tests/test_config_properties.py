@@ -16,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from chocosim import cli  # noqa: E402
-from chocosim.compression import _KINDS  # noqa: E402
+from chocosim.compression import COMPRESSOR_TABLE  # noqa: E402
 from chocosim.config import PROBLEM_FIELDS, X0_MODES, ExperimentConfig  # noqa: E402
 from chocosim.optim import ALGORITHM_TABLE, ALGORITHMS  # noqa: E402
 from chocosim.problems import PARTITION_MODES  # noqa: E402
@@ -80,6 +80,10 @@ def valid_configs(draw):
         keep -= {"momentum_factor", "weight_decay", "nesterov"}
     if not row.compressed:
         keep -= {"gamma", "delta_override", "gamma_grid"}
+    # delta_override only for the theory stepsize: gamma "auto" and no grid
+    gamma_grid = data["gamma_grid"] if "gamma_grid" in keep else None
+    if "gamma" in keep and data["gamma"] != "auto" or gamma_grid is not None:
+        keep.discard("delta_override")
     return {key: data[key] for key in keep | {"topology", "problem"}}
 
 
@@ -170,8 +174,8 @@ RUNNABLE = {"dim": st.integers(1, 6), "samples": st.integers(9, 120), "batch": s
 
 
 def _compressor_specs():
-    """A spec of every kind in ``compression._KINDS``, with an argument of
-    the type it takes (large ones too), another type, or none."""
+    """A spec of every kind in ``compression.COMPRESSOR_TABLE``, with an
+    argument of the type it takes (large ones too), another type, or none."""
     def spec(kind, arg, unbiased):
         return ":".join([kind, *([] if arg is None else [str(arg)]),
                          *(["unbiased"] if unbiased else [])])
@@ -179,8 +183,8 @@ def _compressor_specs():
     bits = st.sampled_from([1, 2, 4, 64, 65, 100, 512, 513, 1000, 1024, 1025, 4096, 10**6, 0.5])
     fraction = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([1e-300, 1e308, math.nan, "x"]))
     args = {None: st.sampled_from([None, None, 4]), "bits": bits, "fraction": fraction}
-    return st.sampled_from(sorted(_KINDS)).flatmap(
-        lambda kind: st.builds(spec, st.just(kind), args[_KINDS[kind]],
+    return st.sampled_from(sorted(COMPRESSOR_TABLE)).flatmap(
+        lambda kind: st.builds(spec, st.just(kind), args[COMPRESSOR_TABLE[kind].takes],
                                st.sampled_from([False, False, True])))
 
 

@@ -1,14 +1,19 @@
 """Every name a ``chocosim`` module imports at module level is read in that
 module; ``__init__.py`` imports to re-export. Every module-level private
-name (one leading underscore) is read by some module of the package. Only
-the stdlib ``ast`` reads the sources: no linter is needed."""
+name (one leading underscore) is read by some module of the package. No
+module compares a value with an algorithm name or a compressor kind: what
+an algorithm or a kind does is read from its table row. Only the stdlib
+``ast`` reads the sources: no linter is needed."""
 
 import ast
 from pathlib import Path
 
 import chocosim
+from chocosim.compression import COMPRESSOR_TABLE
+from chocosim.optim import ALGORITHM_TABLE
 
 SOURCES = sorted(Path(chocosim.__file__).parent.glob("*.py"))
+TABLE_NAMES = frozenset(ALGORITHM_TABLE) | frozenset(COMPRESSOR_TABLE)
 
 
 def _trees():
@@ -78,3 +83,35 @@ def test_the_check_finds_unread_private_code():
     b = ast.parse("from a import _used\nimport a\na._Row()\n")
     assert _unread_privates({"a.py": a, "b.py": b}) == [("a.py", 2, "_table"),
                                                         ("a.py", 7, "_dead")]
+
+
+def _table_name_comparisons(tree, names=TABLE_NAMES):
+    """``(line, name)`` of each ``==``, ``!=``, ``in`` or ``not in`` whose
+    operand is one of ``names`` as a string constant, or a tuple, list or set
+    of constants holding one."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops)):
+            continue
+        for operand in [node.left, *node.comparators]:
+            listed = isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+            items = operand.elts if listed else [operand]
+            found += [(node.lineno, item.value) for item in items
+                      if isinstance(item, ast.Constant) and item.value in names]
+    return sorted(found)
+
+
+def test_no_module_compares_with_an_algorithm_name_or_a_compressor_kind():
+    found = {name: _table_name_comparisons(tree) for name, tree in _trees().items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_check_finds_a_comparison_with_a_table_name():
+    tree = ast.parse('if comp.kind == "topk":\n    pass\n'
+                     'flag = kind in ("gsgd", "other")\n'
+                     'other = "choco" != algorithm or name not in ["sign"]\n'
+                     'fine = kind == "auto" or kind is "topk" or Compressor("identity")\n'
+                     'also = {"choco": 1}["choco"] < 2\n')
+    assert _table_name_comparisons(tree) == [(1, "topk"), (3, "gsgd"), (4, "choco"),
+                                             (4, "sign")]

@@ -4,13 +4,13 @@ import zlib
 import numpy as np
 import pytest
 
-from chocosim.compression import parse_compressor
+from chocosim.compression import message_bits, parse_compressor
 from chocosim.consensus import consensus_stepsize
 from chocosim.numerics import RandomStream
 from chocosim.optim import (ALGORITHM_TABLE, ALGORITHMS, OptimizerConfig, Workers,
                             consensus_bound, effective_contraction, resolve_gamma, run,
                             theoretical_stepsize, tune_stepsize)
-from chocosim.problems import make_logistic, make_quadratic
+from chocosim.problems import make_logistic, make_mlp, make_quadratic
 from chocosim.topology import Graph, fully_connected, mixing_matrix, ring
 
 
@@ -320,6 +320,39 @@ def test_errorfeedback_tracks_plain_variant_closely():
              mixing, comp, seed=5)
     np.testing.assert_allclose(ef.final_x_mean, plain.final_x_mean, rtol=1e-8,
                                atol=1e-10)
+
+
+class _OneBlock:
+    """``problem`` as a run sees it, with no layer boundaries; its kernel still reads them."""
+
+    layer_boundaries = None
+
+    def __init__(self, problem):
+        self.problem = problem
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
+
+
+def test_per_layer_false_compresses_each_row_as_one_block():
+    def problem():
+        return make_mlp(4, input_dim=3, hidden=4, samples=64, batch=8, seed=1)
+
+    comp = parse_compressor("gsgd:4")  # a per-block norm: layers price and draw otherwise
+    cfg = OptimizerConfig(algorithm="choco", eta=0.1, iterations=20)
+    mixing = mixing_matrix(ring(4))
+    whole = run(problem(), cfg, mixing, comp, seed=3, per_layer=False)
+    same = run(_OneBlock(problem()), cfg, mixing, comp, seed=3)
+    layered = run(problem(), cfg, mixing, comp, seed=3)
+    for name in ("gamma", "f_avg", "grad_sq", "consensus", "psi", "bits_busiest"):
+        assert getattr(whole, name) == getattr(same, name), name
+    assert whole.workers.x.tobytes() == same.workers.x.tobytes()
+    assert whole.workers.xhat.tobytes() == same.workers.xhat.tobytes()
+    # every iteration, every node sends one one-block message on each of its two links
+    one_block = message_bits(comp, whole.workers.x.shape[1])
+    assert np.array_equal(whole.ledger.per_node, np.full(4, 20 * 2 * one_block))
+    assert layered.ledger.busiest() > whole.ledger.busiest()
+    assert layered.f_avg != whole.f_avg
 
 
 def test_broadcast_mode_charges_less_traffic_on_a_ring():

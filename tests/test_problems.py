@@ -322,6 +322,24 @@ def test_a_dataset_problem_pickles_its_samples_about_twice():
         p.node_gradient(8, x)
 
 
+@pytest.mark.parametrize("problem", [
+    make_logistic(8, dim=10, samples=2000, batch=8, seed=1),
+    make_mlp(16, input_dim=32, hidden=64, samples=4096, seed=1),
+], ids=["logistic", "mlp"])
+def test_a_dataset_problem_pickles_its_samples_once(problem):
+    # the split and its stacks are rebuilt on unpickling, with the same floats
+    size = len(pickle.dumps(problem))
+    assert size < 1.1 * (problem.features.nbytes + problem.labels.nbytes)
+    problem._deal(5)  # a later epoch's split is not pickled either
+    copy = pickle.loads(pickle.dumps(problem))
+    x = np.linspace(-1.0, 1.0, 3 * problem.dim).reshape(3, problem.dim)
+    for got, want in zip(copy.loss_and_gradient(x), problem.loss_and_gradient(x)):
+        assert got.tobytes() == want.tobytes()
+    rng = RandomStream(2, 0, "grad")
+    assert copy.stochastic_gradients(x[[0] * problem.n], rng.at(9), 9).tobytes() == \
+        problem.stochastic_gradients(x[[0] * problem.n], rng.at(9), 9).tobytes()
+
+
 def test_mlp_parameter_layout():
     p = make_mlp(2, input_dim=4, hidden=3, samples=40, seed=4)
     assert p.dim == 3 * 4 + 3 + 3 + 1
