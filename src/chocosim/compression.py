@@ -294,11 +294,11 @@ def compress_blocks(comp, x, rng=None, boundaries=None, out=None):
     if len(blocks) == 1:  # no column views: a small row pays for each one
         kernel(comp, rows, rng, payload)
     else:
-        # each block in contiguous buffers: in-place ufuncs run slower on strided slices
+        # each block read through a view and written into a contiguous buffer:
+        # in-place ufuncs run slower on a strided payload slice
         for start, stop in blocks:
-            block = rows[:, start:stop].copy()
-            part = np.empty_like(block)
-            kernel(comp, block, rng, part)
+            part = np.empty((rows.shape[0], stop - start))
+            kernel(comp, rows[:, start:stop], rng, part)
             payload[:, start:stop] = part
     return CompressedMessage(payload=out, bits=bits * rows.shape[0])
 

@@ -21,11 +21,12 @@ stacked ``np.matmul`` runs one gemm or gemv per row with the operand
 layout of the 2-D call (a gemm in place of a per-row gemv rounds
 differently). ``stochastic_gradients`` is one call on the stacked
 minibatches, or one call per row when shards smaller than ``batch`` make
-the minibatch sizes unequal. The full-batch oracles read epoch-0 sample
-stacks gathered once: ``node_loss`` and ``node_gradient`` are one-shard
-calls, and ``loss_and_gradient`` one call per chunk of a few shards and
-row; ``loss`` is its first half, and ``full_gradient`` makes the same
-calls with no loss computed. The quadratic's ``node_loss`` and
+the minibatch sizes unequal. A dataset problem holds each sample once, in
+epoch-0 deal order, and the full-batch oracles read views of that store:
+``node_loss`` and ``node_gradient`` are one-shard calls, and
+``loss_and_gradient`` one call per chunk of a few shards and row;
+``loss`` is its first half, and ``full_gradient`` makes the same calls
+with no loss computed. The quadratic's ``node_loss`` and
 ``node_gradient`` are its definitions, and its stacked forms equal them bit
 for bit.
 """
@@ -162,11 +163,13 @@ def load_csv_dataset(path):
     z, y = raw[:, :-1], raw[:, -1]
     if not np.isfinite(z).all():
         raise ValueError(f"{path}: features must be finite")
-    values = set(np.unique(y).tolist())
-    if values <= {0.0, 1.0}:
+    # compared directly: np.unique would import numpy.ma
+    if ((y == 0.0) | (y == 1.0)).all():
         y = 2.0 * y - 1.0
-    elif not values <= {-1.0, 1.0}:
-        raise ValueError(f"{path}: labels must be 0/1 or -1/+1, got {sorted(values)}")
+    elif not ((y == -1.0) | (y == 1.0)).all():
+        got = np.sort(y)  # its distinct values, as np.unique lists them: one NaN, last
+        got = got[np.append(True, (got[1:] != got[:-1]) & ~np.isnan(got[:-1]))].tolist()
+        raise ValueError(f"{path}: labels must be 0/1 or -1/+1, got {got}")
     return z, y
 
 
@@ -297,61 +300,88 @@ class _DatasetProblem:
     losses are returned when ``losses`` is true.
 
     The problem deals its own split: ``n``, ``mode``, ``by_label`` and
-    ``seed`` describe a :class:`Partition` of its features and labels, and
-    the node count ``n`` is that partition's. The epoch-0 shards are
-    gathered once, at construction, into one stack per run of equal shard
-    sizes (``array_split`` deals the larger first: at most two), read in
-    chunks of about ``EVAL_CHUNK_BYTES``, a call each.
+    ``seed`` describe the :attr:`partition` of its samples, and the node
+    count ``n`` is that partition's. Each sample is held once, in a store
+    laid out in epoch-0 deal order: node 0's shard, then node 1's, each in
+    increasing sample order. The full-batch oracles read it as one stack per
+    run of equal shard sizes (``array_split`` deals the larger first: at
+    most two), in chunks of about ``EVAL_CHUNK_BYTES``, a call each; every
+    stack is a view of the store. A minibatch gathers its samples from the
+    store by the store rows of its epoch's split. ``features`` and
+    ``labels`` are the samples in input order, gathered on each access.
     """
 
     def __init__(self, n, features, labels, mode, by_label, seed, batch):
-        self.features = np.asarray(features, dtype=float)
-        self.labels = np.asarray(labels, dtype=float)
-        require_finite(self.features, "dataset features")
-        if self.features.shape[0] != self.labels.shape[0]:
+        features = np.asarray(features, dtype=float)
+        labels = np.asarray(labels, dtype=float)
+        require_finite(features, "dataset features")
+        if features.shape[0] != labels.shape[0]:
             raise ValueError("feature/label row counts differ")
-        if not set(np.unique(self.labels).tolist()) <= {-1.0, 1.0}:
+        if not ((labels == -1.0) | (labels == 1.0)).all():
             raise ValueError("labels must be -1/+1")
         if not (is_integer(batch) and batch >= 1):
             raise ValueError("batch must be an integer >= 1")
-        self.partition = Partition(mode, n, self.features.shape[0], seed=seed, by_label=by_label,
-                                   labels=self.labels if by_label else None)
-        self.n = self.partition.n_nodes
+        self._split = dict(mode=mode, n_nodes=n, n_samples=features.shape[0], seed=seed,
+                           by_label=by_label)
+        partition = Partition(**self._split, labels=labels if by_label else None)
+        self.n = partition.n_nodes
         self.batch = int(batch)
-        self.__setstate__({})  # the derived split and stacks, as an unpickled copy builds them
+        shards = partition.shards(0)
+        self._sizes = np.array([shard.shape[0] for shard in shards])  # every epoch's
+        self._starts = np.concatenate(([0], np.cumsum(self._sizes[:-1])))
+        # the store: row j holds sample dealt[j], and sample i sits in row _where[i]
+        dealt = np.concatenate(shards)
+        self._z, self._y = features[dealt], labels[dealt]
+        self._where = np.empty_like(dealt)
+        self._where[dealt] = np.arange(dealt.shape[0])
+        self.__setstate__({})  # the stacks and the epoch-0 split, as an unpickled copy builds them
 
     def __getstate__(self):
-        # the samples pickle once: the dealt split and its stacks are derived from them
+        # the samples pickle once, in the store with each one's row: the stacks and split derive
         return {k: v for k, v in vars(self).items() if k not in ("_dealt", "_chunks")}
 
     def __setstate__(self, state):
-        vars(self).update(state, _dealt=None)
-        self._chunks = self._stack(*self._deal(0)[1:])
+        vars(self).update(state)
+        self._dealt = (0, np.arange(self._y.shape[0]))  # epoch 0 is the store's own order
+        self._chunks = self._stack()
+
+    @property
+    def features(self):
+        """The features in input order, gathered from the store: a fresh array."""
+        return self._z[self._where]
+
+    @property
+    def labels(self):
+        """The labels in input order, gathered from the store: a fresh array."""
+        return self._y[self._where]
+
+    @property
+    def partition(self):
+        """The :class:`Partition` of the samples, built on each access; a
+        ``by_label`` split reads :attr:`labels`."""
+        return Partition(**self._split, labels=self.labels if self._split["by_label"] else None)
 
     def _deal(self, epoch):
-        """``(shards, sizes, starts, flat)`` of an epoch (each node's sample indices,
-        their counts and starts in ``flat``, their concatenation), cached: the problem's
-        only mutable state, a pure function of the epoch, so runs may share the problem."""
-        if self.partition.mode == "fixed-split":
+        """The store rows of an epoch's shards, node after node, cached: the
+        problem's only mutable state, a pure function of the epoch, so runs may
+        share the problem. Every epoch's shards have the sizes ``_sizes``."""
+        if self._split["mode"] == "fixed-split":
             epoch = 0
-        if self._dealt is None or self._dealt[0] != epoch:
-            shards = self.partition.shards(epoch)
-            sizes = np.array([shard.shape[0] for shard in shards])
-            starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
-            self._dealt = (epoch, shards, sizes, starts, np.concatenate(shards))
-        return self._dealt[1:]
+        if self._dealt[0] != epoch:
+            self._dealt = (epoch, self._where[np.concatenate(self.partition.shards(epoch))])
+        return self._dealt[1]
 
     def _epoch(self, t):
-        per_node = self.features.shape[0] // self.n
+        per_node = self._y.shape[0] // self.n
         draws_per_epoch = max(1, per_node // self.batch)
         return int(t) // draws_per_epoch
 
     def _minibatches(self, rng, t, nodes):
-        """``(k, m)`` sample indices, row r drawn from the shard of node
+        """``(k, m)`` store rows, row r drawn from the shard of node
         ``nodes[r]`` (of node r without ``nodes``), ``m = min(batch, shard
         size)`` uniform draws each, in row order; ``None``, drawing
         nothing, when the minibatch sizes differ."""
-        _, sizes, starts, flat = self._deal(self._epoch(t))
+        rows, sizes, starts = self._deal(self._epoch(t)), self._sizes, self._starts
         if nodes is not None:
             sizes, starts = sizes[nodes], starts[nodes]
         m = min(self.batch, sizes.min())
@@ -359,14 +389,14 @@ class _DatasetProblem:
             return None
         k = sizes.shape[0]
         offsets = rng.integers(0, np.repeat(sizes, m), size=k * m).reshape(k, m)
-        return flat[starts[:, None] + offsets]
+        return rows[starts[:, None] + offsets]
 
-    def _stack(self, sizes, starts, flat):
-        """A split's ``(first node, z, y)`` sample stacks, a few shards each, in node order."""
-        z, y = self.features[flat], self.labels[flat]
+    def _stack(self):
+        """The store's ``(first node, z, y)`` stacks, a few shards each, in node order."""
+        z, y = self._z, self._y
         chunks, first = [], 0
-        for m, group in itertools.groupby(sizes.tolist()):
-            count, lo = len(list(group)), starts[first]
+        for m, group in itertools.groupby(self._sizes.tolist()):
+            count, lo = len(list(group)), self._starts[first]
             stack = z[lo : lo + count * m].reshape(count, m, z.shape[1])
             labels = y[lo : lo + count * m].reshape(count, m)
             step = max(1, EVAL_CHUNK_BYTES // stack[0].nbytes)
@@ -404,7 +434,7 @@ class _DatasetProblem:
                                    for i, x in zip(nodes, x_rows)])
         g = np.empty(x_rows.shape)
         with np.errstate(over="ignore"):
-            self._kernel(self.features[idx], self.labels[idx], x_rows, g)
+            self._kernel(self._z[idx], self._y[idx], x_rows, g)
         return g
 
     def loss(self, x):
@@ -450,7 +480,7 @@ class LogisticProblem(_DatasetProblem):
         if not (is_number(reg) and reg >= 0.0):
             raise ValueError("reg must be a number >= 0")  # below 0 the objective is unbounded
         self.reg = float(reg)
-        self.dim = self.features.shape[1]
+        self.dim = self._z.shape[1]
         self.layer_boundaries = None
 
     def _kernel(self, z, y, x, out, losses=False):
@@ -465,7 +495,8 @@ class LogisticProblem(_DatasetProblem):
         return self.stochastic_gradients(np.asarray(x)[None], rng, t, [i])[0]
 
     def smoothness(self):
-        gram = self.features.T @ self.features / (4.0 * self.features.shape[0])
+        z = self.features  # input order: the Gram matrix's sums run in it
+        gram = z.T @ z / (4.0 * z.shape[0])
         return float(sym_eigenvalues(0.5 * (gram + gram.T))[0]) + self.reg
 
 
@@ -474,7 +505,9 @@ class MlpProblem(_DatasetProblem):
 
     Parameters are packed into a flat vector in blocks
     ``[W1, b1, w2, b2]``; ``layer_boundaries`` exposes the block edges so
-    compression can treat each layer separately.
+    compression can treat each layer separately. The kernel reads its own
+    copy of the edges, so ``layer_boundaries = None`` (one block) leaves
+    the losses and gradients as they are.
     """
 
     kind = "mlp"
@@ -484,17 +517,18 @@ class MlpProblem(_DatasetProblem):
         if not (is_integer(hidden) and hidden >= 1):
             raise ValueError("hidden must be an integer >= 1")
         self.hidden = int(hidden)
-        p = self.features.shape[1]
+        p = self._z.shape[1]
         h = self.hidden
         self.dim = h * p + h + h + 1
         self.layer_boundaries = [0, h * p, h * p + h, h * p + 2 * h, self.dim]
+        self._bounds = tuple(self.layer_boundaries)  # the kernel's: see the class docstring
 
     def _kernel(self, z, y, x, out, losses=False):
         """Forward and backward in place: ``out`` is written block by block,
         and the hidden activations are overwritten once the ``w2`` block is
         done with them."""
         k, m, p = z.shape
-        h, b = self.hidden, self.layer_boundaries
+        h, b = self.hidden, self._bounds
         w2 = x[:, b[2] : b[3]]
         hidden = np.matmul(z, x[:, b[0] : b[1]].reshape(k, h, p).transpose(0, 2, 1))
         hidden += x[:, None, b[1] : b[2]]

@@ -322,18 +322,6 @@ def test_errorfeedback_tracks_plain_variant_closely():
                                atol=1e-10)
 
 
-class _OneBlock:
-    """``problem`` as a run sees it, with no layer boundaries; its kernel still reads them."""
-
-    layer_boundaries = None
-
-    def __init__(self, problem):
-        self.problem = problem
-
-    def __getattr__(self, name):
-        return getattr(self.problem, name)
-
-
 def test_per_layer_false_compresses_each_row_as_one_block():
     def problem():
         return make_mlp(4, input_dim=3, hidden=4, samples=64, batch=8, seed=1)
@@ -342,7 +330,9 @@ def test_per_layer_false_compresses_each_row_as_one_block():
     cfg = OptimizerConfig(algorithm="choco", eta=0.1, iterations=20)
     mixing = mixing_matrix(ring(4))
     whole = run(problem(), cfg, mixing, comp, seed=3, per_layer=False)
-    same = run(_OneBlock(problem()), cfg, mixing, comp, seed=3)
+    bare = problem()
+    bare.layer_boundaries = None  # the kernel keeps its own parameter layout
+    same = run(bare, cfg, mixing, comp, seed=3)
     layered = run(problem(), cfg, mixing, comp, seed=3)
     for name in ("gamma", "f_avg", "grad_sq", "consensus", "psi", "bits_busiest"):
         assert getattr(whole, name) == getattr(same, name), name

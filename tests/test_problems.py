@@ -1,9 +1,14 @@
 import math
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import chocosim
 from chocosim import problems
 from chocosim.config import ExperimentConfig, execute_single
 from chocosim.metrics import write_csv
@@ -338,6 +343,113 @@ def test_a_dataset_problem_pickles_its_samples_once(problem):
     rng = RandomStream(2, 0, "grad")
     assert copy.stochastic_gradients(x[[0] * problem.n], rng.at(9), 9).tobytes() == \
         problem.stochastic_gradients(x[[0] * problem.n], rng.at(9), 9).tobytes()
+
+
+def _arrays(value):
+    """Every array in ``value``, through tuples, lists and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("factory, n, dim, samples, split", [
+    (make_mlp, 4, 3, 64, dict(mode="fixed-split", hidden=4)),
+    (make_logistic, 8, 5, 200, dict(mode="fixed-split", by_label=True)),
+    (make_logistic, 4, 5, 200, dict(mode="iid-reshuffled")),
+    (make_mlp, 16, 8, 100, dict(mode="iid-reshuffled", hidden=4)),  # 4 shards of 7, 12 of 6
+    (make_logistic, 3, 4, 100, dict(mode="fixed-split")),  # 34, 33, 33
+], ids=["fixed-split", "by-label", "iid-reshuffled", "unequal-shards", "unequal-fixed"])
+@pytest.mark.parametrize("unpickled", [False, True], ids=["built", "unpickled"])
+def test_a_dataset_problem_holds_each_sample_once(factory, n, dim, samples, split, unpickled):
+    z, y = make_blob_dataset(samples, dim, seed=2, margin=1.0)
+    problem = factory(n, data=(z, y), batch=8, seed=3, **split)
+    if unpickled:
+        problem = pickle.loads(pickle.dumps(problem))
+    # the store: the samples once, in epoch-0 deal order
+    dealt = np.concatenate(problem.partition.shards(0))
+    assert problem._z.tobytes() == z[dealt].tobytes()
+    assert problem._y.tobytes() == y[dealt].tobytes()
+    # the full-batch stacks are views of it, and a later epoch's split adds no samples
+    for _, z_stack, y_stack in problem._chunks:
+        assert np.shares_memory(z_stack, problem._z) and np.shares_memory(y_stack, problem._y)
+    problem._deal(5)
+    floats = [a for a in _arrays(vars(problem)) if a.dtype.kind == "f"]
+    assert floats and all(np.shares_memory(a, problem._z) or np.shares_memory(a, problem._y)
+                          for a in floats)
+    assert not any(np.shares_memory(a, z) or np.shares_memory(a, y) for a in _arrays(vars(problem)))
+    # the input order, gathered on each access, read-only
+    assert problem.features.tobytes() == z.tobytes() and problem.labels.tobytes() == y.tobytes()
+    assert not np.shares_memory(problem.features, problem._z)
+    with pytest.raises(AttributeError):
+        problem.features = z
+    with pytest.raises(AttributeError):
+        problem.labels = y
+
+
+def test_no_dataset_problem_imports_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, about 0.4 MB and 10 ms of set-up; the label checks compare
+    (tmp_path / "zero_one.csv").write_text("x,y,label\n1.0,2.0,1\n-1.0,0.5,0\n2.0,1.0,1\n-2.0,0.1,0\n")
+    (tmp_path / "sign.csv").write_text("1.0,2.0,1\n-1.0,0.5,-1\n2.0,1.0,1\n-2.0,0.1,-1\n")
+    code = textwrap.dedent(f"""
+        import sys
+        from chocosim.config import build_problem
+        from chocosim.problems import make_logistic, make_mlp
+        make_logistic(4, samples=64, batch=8)
+        make_mlp(4, samples=64, batch=8, mode="fixed-split", by_label=True)
+        build_problem({{"kind": "logistic", "n": 2, "csv": {str(tmp_path / "zero_one.csv")!r}}})
+        build_problem({{"kind": "mlp", "n": 2, "csv": {str(tmp_path / "sign.csv")!r}}})
+        print("numpy.ma" in sys.modules)
+    """)
+    source = os.path.dirname(os.path.dirname(chocosim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("bad", [0.0, 0.5, 2.0, -2.0, np.nan, np.inf])
+def test_labels_other_than_plus_or_minus_one_are_refused(bad):
+    z, y = make_blob_dataset(40, 3, seed=1, margin=1.0)
+    y[7] = bad
+    for factory in (make_logistic, make_mlp):
+        with pytest.raises(ValueError, match="^labels must be -1/[+]1$"):
+            factory(4, data=(z, y), batch=8)
+
+
+@pytest.mark.parametrize("labels, values", [
+    ("0,1,2", "[0.0, 1.0, 2.0]"),
+    ("-1,0,1", "[-1.0, 0.0, 1.0]"),
+    ("1,0.5,1", "[0.5, 1.0]"),
+    ("-1,-1,2", "[-1.0, 2.0]"),
+    ("1,nan,0,nan", "[0.0, 1.0, nan]"),
+])
+def test_csv_labels_other_than_zero_one_or_plus_minus_one_are_refused(tmp_path, labels, values):
+    path = tmp_path / "data.csv"
+    path.write_text("".join(f"{j}.0,2.0,{label}\n" for j, label in enumerate(labels.split(","))))
+    with pytest.raises(ValueError) as info:
+        load_csv_dataset(path)
+    assert str(info.value) == f"{path}: labels must be 0/1 or -1/+1, got {values}"
+
+
+def test_an_mlp_without_layer_boundaries_computes_the_same_floats():
+    # the kernel's parameter layout is its own: layer_boundaries is the compressor's
+    default = make_mlp(4, input_dim=3, hidden=4, samples=64, batch=8, seed=1)
+    whole = make_mlp(4, input_dim=3, hidden=4, samples=64, batch=8, seed=1)
+    whole.layer_boundaries = None
+    x = np.linspace(-1.0, 1.0, 4 * default.dim).reshape(4, default.dim)
+    for got, want in zip(whole.loss_and_gradient(x), default.loss_and_gradient(x)):
+        assert got.tobytes() == want.tobytes()
+    for t in (0, 9):
+        rng = RandomStream(2, 0, "grad")
+        assert whole.stochastic_gradients(x, rng.at(t), t).tobytes() == \
+            default.stochastic_gradients(x, rng.at(t), t).tobytes()
+    assert whole.node_loss(2, x[0]) == default.node_loss(2, x[0])
 
 
 def test_mlp_parameter_layout():
