@@ -17,7 +17,7 @@ def describe(name, graph):
     mixing = mixing_matrix(graph)
     degrees = graph.degrees()
     gamma = consensus_stepsize(mixing, 0.1)  # e.g. keeping 10% of coordinates
-    print(f"{name:<12} n={graph.n:<4} edges={len(graph.edges):<5} "
+    print(f"{name:<12} n={graph.n:<4} edges={len(graph.ends):<5} "
           f"deg={int(degrees.min())}..{int(degrees.max())}  "
           f"rho={mixing.rho:<10.6f} beta={mixing.beta:<8.4f} "
           f"gamma(delta=0.1)={gamma:.6f}")

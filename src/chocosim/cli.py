@@ -70,7 +70,7 @@ def cmd_topology(args):
     mixing = mixing_matrix(graph)
     degrees = graph.degrees()
     print(f"nodes: {graph.n}")
-    print(f"edges: {len(graph.edges)}")
+    print(f"edges: {len(graph.ends)}")
     print(f"degree: min {int(degrees.min())} max {int(degrees.max())}")
     print(f"spectral gap: {mixing.rho:.6f}")
     print(f"operator gap: {mixing.beta:.6f}")

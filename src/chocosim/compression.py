@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import is_integer, is_number, row_dots
+from .numerics import is_integer, is_number, numeral, row_dots
 
 FLOAT_BITS = 32  # accounted wire width of one scalar / one norm
 
@@ -85,15 +85,15 @@ class CompressedMessage:
 
 def parse_compressor(text):
     """Parse a spec ``kind[:arg][:unbiased]``, like ``gsgd:4``,
-    ``random:0.1:unbiased`` or ``sign``: ``arg`` sets the field the kind
-    takes, read as that field's type, and :class:`Compressor` checks the rest."""
+    ``random:0.1:unbiased`` or ``sign``: ``arg``, a plain ASCII numeral, sets the
+    field the kind takes, and :class:`Compressor` checks the rest."""
     kind, *args = str(text).strip().split(":")
     unbiased = args[-1:] == ["unbiased"]
     takes = COMPRESSOR_TABLE[kind].takes if kind in COMPRESSOR_TABLE else None
     try:
         if len(args) - unbiased != (takes is not None):
             raise ValueError
-        fields = {takes: type(getattr(Compressor, takes))(args[0])} if takes else {}
+        fields = {takes: numeral(args[0], type(getattr(Compressor, takes)))} if takes else {}
         return Compressor(kind, unbiased=unbiased, **fields)
     except ValueError:
         raise ValueError(f"bad compressor spec {text!r}; expected identity | gsgd:<b>[:unbiased] "

@@ -27,7 +27,7 @@ from .metrics import run_id, write_aggregate_csv, write_csv, write_summary
 from .numerics import RandomStream, is_integer, is_number
 from .optim import ALGORITHM_TABLE, OptimizerConfig, run
 from .problems import PARTITION_MODES, load_csv_dataset
-from .topology import build_topology, mixing_matrix
+from .topology import build_topology, check_connected, mixing_matrix
 
 THREADS_ENV = "CHOCO_THREADS"
 X0_MODES = ("zeros", "optimum", "gaussian")
@@ -100,7 +100,7 @@ class ExperimentConfig(OptimizerConfig):
         try:
             super().__post_init__()
             parse_compressor(self.compressor)
-            nodes = (build_topology(self.topology, check_only=True)
+            nodes = (check_connected(build_topology(self.topology)).n
                      if ALGORITHM_TABLE[self.algorithm].on_graph else None)
         except OSError as exc:
             raise ConfigError(f"cannot read topology {self.topology}: {exc}") from exc
@@ -165,10 +165,6 @@ class ExperimentConfig(OptimizerConfig):
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
-
-    @classmethod
-    def from_file(cls, path):
-        return cls.from_dict(read_config(path))
 
     def to_dict(self):
         """Full echo including defaults; the canonical round-trip form."""

@@ -110,6 +110,13 @@ def is_integer(value):
         isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
+def numeral(text, kind=int):
+    """``kind(text)``, refusing the underscores and non-ASCII digits it would read."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{text!r} is not a plain ASCII numeral")
+    return kind(text)
+
+
 def is_number(value):
     """A finite real, not a bool (which Python counts as an int)."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)

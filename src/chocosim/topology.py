@@ -1,20 +1,19 @@
 """Communication graphs and their gossip mixing matrices.
 
-Generators for the standard benchmark families (ring, 2-D torus, fully
-connected) plus an edge-list loader for arbitrary graphs such as small
-social networks; :func:`build_topology` reads the spec strings that name
-them. ``mixing_matrix`` turns a graph into the symmetric doubly
-stochastic matrix used by all gossip updates, together with its spectral
-quantities.
+A graph is its node count and one ``(E, 2)`` array of edge endpoints. The
+ring, 2-D torus and fully connected generators and the edge-list reader
+share one normalization: each edge becomes ``(min, max)``, rows are sorted
+lexicographically and repeats are dropped. :func:`build_topology` reads the
+spec strings that name them. ``mixing_matrix`` turns a graph into the
+symmetric doubly stochastic matrix of all gossip updates, with its spectrum.
 """
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import is_integer, sym_eigenvalues
+from .numerics import is_integer, numeral, sym_eigenvalues
 
 
 def _count(n):
@@ -33,46 +32,61 @@ def _pair(edge):
     return i, j
 
 
-@dataclass(frozen=True)
+def _integer_rows(edges):
+    """``edges`` as a fresh ``(E, 2)`` intp array, or None unless each is a pair of integers."""
+    if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
+        return edges.astype(np.intp)
+    flat = [v for edge in edges for v in edge] if set(map(len, edges)) <= {2} else [None]
+    return np.array(flat, np.intp).reshape(-1, 2) if all(map(is_integer, flat)) else None
+
+
+def _distinct(i, j):
+    """The edges ``(i[k], j[k])`` as ``(min, max)`` rows, sorted lexicographically, each once."""
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    new = np.ones(len(lo), bool)
+    new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    return np.stack([lo[new], hi[new]], axis=1)
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph on nodes ``0..n-1``; ``ends`` holds the edges'
-    endpoints as one ``(E, 2)`` integer array."""
+    """Undirected simple graph on nodes ``0..n-1``, compared by identity. ``ends``,
+    integer pairs or an integer ``(E, 2)`` array, is held as one read-only ``(E, 2)``
+    intp array of rows ``(i, j)``, ``i < j``, none repeated; ``edges`` is the tuple
+    of ``(i, j)`` Python ints, built when read. One vectorized pass checks ``ends``;
+    the edges are walked, as given, only to name the first failing edge and rule."""
 
     n: int
-    edges: tuple = field(default=())
-    ends: np.ndarray = field(init=False, repr=False, compare=False)
+    ends: np.ndarray = ()
 
     def __post_init__(self):
         if _count(self.n) < 1:
             raise ValueError("graph needs at least one node")
-        # every edge a pair, and one endpoint of each type decides for all, so
-        # ``ends`` reads no other shape and truncates no float or bool
-        flat = tuple(itertools.chain.from_iterable(self.edges))
-        kinds = list(map(type, flat))
-        valid = (set(map(len, self.edges)) <= {2}
-                 and all(is_integer(flat[kinds.index(kind)]) for kind in set(kinds)))
-        if valid:
-            ends = np.fromiter(flat, np.intp, len(flat)).reshape(len(self.edges), 2)
-            del flat, kinds  # E-long temporaries; freed, the set of edges builds faster
-            object.__setattr__(self, "ends", ends)
+        ends = _integer_rows(self.ends)
+        if ends is not None:
             i, j = ends.T
-            valid = (not ((i < 0) | (i >= j) | (j >= self.n)).any()
-                     and len(set(self.edges)) == len(self.edges))
-        # the loop runs only on bad edges: it names the first failing edge
-        # and its first failing rule
-        if not valid:
-            seen = set()
-            for edge in self.edges:
-                i, j = _pair(edge)
-                if not (0 <= i < self.n and 0 <= j < self.n):
-                    raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-                if i == j:
-                    raise ValueError(f"self-loop ({i}, {j}) not allowed")
-                if i > j:
-                    raise ValueError("edges must be stored as (i, j) with i < j")
-                if (i, j) in seen:
-                    raise ValueError(f"duplicate edge ({i}, {j})")
-                seen.add((i, j))
+            if not ((i < 0) | (i >= j) | (j >= self.n)).any() and len(_distinct(i, j)) == len(i):
+                ends.flags.writeable = False
+                object.__setattr__(self, "ends", ends)
+                return
+        seen = set()
+        for edge in self.ends:
+            i, j = _pair(edge)
+            if not (0 <= i < self.n and 0 <= j < self.n):
+                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
+            if i == j:
+                raise ValueError(f"self-loop ({i}, {j}) not allowed")
+            if i > j:
+                raise ValueError("edges must be stored as (i, j) with i < j")
+            if (i, j) in seen:
+                raise ValueError(f"duplicate edge ({i}, {j})")
+            seen.add((i, j))
+
+    @property
+    def edges(self):
+        return tuple(map(tuple, self.ends.tolist()))
 
     def degrees(self):
         return np.bincount(self.ends.ravel(), minlength=self.n)
@@ -99,65 +113,47 @@ def check_connected(graph):
     return graph
 
 
-def _generated(n, i, j):
-    """Graph on ``n`` nodes from endpoint arrays: each edge once, as sorted ``(min, max)`` ints."""
-    pairs = zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())
-    return Graph(n, tuple(sorted(set(pairs))))
-
-
-def _check_ring(n):
+def ring(n):
+    """Cycle graph; ``n = 2`` degenerates to a single edge."""
     if _count(n) < 2:
         raise ValueError("ring needs n >= 2")
+    v = np.arange(n)
+    return Graph(n, _distinct(v, (v + 1) % n))
 
 
-def _torus_side(n):
+def torus(n):
+    """2-D periodic grid on ``s x s`` nodes where ``n = s*s`` and ``s >= 3``."""
     s = math.isqrt(max(_count(n), 0))  # a negative count is no square either
     if s * s != n:
         raise ValueError(f"torus needs a perfect square node count, got {n}")
     if s < 3:
         raise ValueError("torus needs side length >= 3 (wrap-around edges collide below that)")
-    return s
-
-
-def _check_full(n):
-    if _count(n) < 1:
-        raise ValueError("need n >= 1")
-
-
-def ring(n):
-    """Cycle graph; ``n = 2`` degenerates to a single edge."""
-    _check_ring(n)
-    v = np.arange(n)
-    return _generated(n, v, (v + 1) % n)
-
-
-def torus(n):
-    """2-D periodic grid on ``s x s`` nodes where ``n = s*s`` and ``s >= 3``."""
-    s = _torus_side(n)
     v = np.arange(n)
     r, c = np.divmod(v, s)  # node v = r * s + c links to its right and lower neighbors
-    return _generated(n, np.tile(v, 2), np.concatenate([r * s + (c + 1) % s, (r + 1) % s * s + c]))
+    right, down = r * s + (c + 1) % s, (r + 1) % s * s + c
+    return Graph(n, _distinct(np.tile(v, 2), np.concatenate([right, down])))
 
 
 def fully_connected(n):
     """Complete graph; ``n = 1`` is a single isolated node."""
-    _check_full(n)
-    i, j = np.triu_indices(n, 1)  # already (min, max) pairs in sorted order
-    return Graph(n, tuple(zip(i.tolist(), j.tolist())))
+    if _count(n) < 1:
+        raise ValueError("need n >= 1")
+    return Graph(n, _distinct(*np.triu_indices(n, 1)))
 
 
 def from_edge_list(n, pairs):
-    """Graph from explicit integer ``(i, j)`` pairs; symmetric duplicates collapse."""
-    ends = {tuple(sorted(_pair(edge))) for edge in pairs}  # Graph refuses a self-loop
-    return Graph(n, tuple(sorted(ends)))
+    """Graph from explicit integer ``(i, j)`` pairs or an integer ``(E, 2)``
+    array; both orientations of an edge, and repeats, collapse into one."""
+    ends = _integer_rows(pairs)
+    if ends is None:  # names the first edge that is not a pair of integers
+        for edge in pairs:
+            _pair(edge)
+    return Graph(n, _distinct(*ends.T))
 
 
 def load_edge_list(path):
-    """Read a graph from a text file with one ``i j`` pair per line.
-
-    Lines starting with ``#`` (and inline ``#`` suffixes) are comments.
-    Indices are 0-based; the node count is ``max index + 1``.
-    """
+    """Read a graph from a text file with one ``i j`` pair per line; ``#`` starts a
+    comment. Indices are 0-based plain ASCII numerals; the node count is ``max index + 1``."""
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -168,43 +164,29 @@ def load_edge_list(path):
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'i j', got {raw.strip()!r}")
             try:
-                i, j = int(parts[0]), int(parts[1])
+                pairs.append((numeral(parts[0]), numeral(parts[1])))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-integer node id") from exc
-            pairs.append((i, j))
     if not pairs:
         raise ValueError(f"{path}: no edges found")
     return from_edge_list(max(max(i, j) for i, j in pairs) + 1, pairs)
 
 
-# each generated family's size rule, which its builder applies, and its builder
-_GENERATED = {"ring": (_check_ring, ring), "torus": (_torus_side, torus),
-              "full": (_check_full, fully_connected)}
-
-
-def build_topology(spec, check_only=False):
-    """Graph from a spec string: ``ring:<n> | torus:<n> | full:<n> | edgelist:<path>``.
-
-    ``check_only`` returns its node count instead: an edge list is read and
-    checked to be connected (:func:`mixing_matrix` checks a built one), a
-    generated family only by its size rule (``full:1000`` builds in 0.5 s).
-    """
+def build_topology(spec):
+    """Graph from a spec string: ``ring:<n> | torus:<n> | full:<n> | edgelist:<path>``,
+    where ``<n>`` is a plain ASCII integer numeral."""
     kind, colon, arg = str(spec).partition(":")
     if not colon:
         raise ValueError(f"bad topology spec {spec!r}")
-    if kind == "edgelist":  # the one family that can come disconnected
-        graph = load_edge_list(arg)
-        return check_connected(graph).n if check_only else graph
+    if kind == "edgelist":
+        return load_edge_list(arg)
     try:
-        n = int(arg)
+        n = numeral(arg)
     except ValueError as exc:
         raise ValueError(f"bad topology size in {spec!r}") from exc
-    if kind not in _GENERATED:
+    build = {"ring": ring, "torus": torus, "full": fully_connected}.get(kind)
+    if build is None:
         raise ValueError(f"unknown topology kind {kind!r}")
-    check, build = _GENERATED[kind]
-    if check_only:
-        check(n)
-        return n
     return build(n)
 
 

@@ -14,7 +14,7 @@ import pytest
 from chocosim import cli
 from chocosim.compression import (bit_cost, compress, contraction_factor,
                                   parse_compressor)
-from chocosim.config import ExperimentConfig
+from chocosim.config import ExperimentConfig, read_config
 from chocosim.consensus import (choco_gossip_round, consensus_stepsize, lyapunov,
                                 rate_constant)
 from chocosim.numerics import RandomStream
@@ -257,7 +257,7 @@ def test_criterion_10_determinism_and_interfaces(tmp_path, monkeypatch, capsys):
         (tmp_path / "b" / csv_b[0]).read_bytes()
 
     # config round-trip stability
-    cfg = ExperimentConfig.from_file(str(config_path))
+    cfg = ExperimentConfig.from_dict(read_config(str(config_path)))
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
     echo = json.dumps(cfg.to_dict())
     assert json.dumps(ExperimentConfig.from_dict(json.loads(echo)).to_dict()) == echo

@@ -44,6 +44,14 @@ def test_parse_rejects_bad_specs(bad):
         parse_compressor(bad)
 
 
+@pytest.mark.parametrize("spec", ["gsgd:1_6", "gsgd:\u0664", "gsgd:\uff14", "random:0.1_0",
+                                  "topk:0.\u0661", "random:\u0660.5:unbiased"])
+def test_spec_arguments_are_plain_ascii_numerals(spec):
+    # int() and float() read these as 16, 4, 4, 0.1, 0.1 and 0.5; a spec refuses them
+    with pytest.raises(ValueError, match=r"^bad compressor spec .*; expected identity \| "):
+        parse_compressor(spec)
+
+
 def test_compressor_validation():
     with pytest.raises(ValueError):
         Compressor("gsgd", bits=1)

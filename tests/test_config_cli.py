@@ -17,7 +17,7 @@ from chocosim import config as config_module
 from chocosim import problems as problems_module
 from chocosim import topology as topology_module
 from chocosim.config import (ConfigError, ExperimentConfig, build_problem, execute_config,
-                             execute_single, max_workers, resolve_x0)
+                             execute_single, max_workers, read_config, resolve_x0)
 from chocosim.problems import LogisticProblem, QuadraticProblem
 from chocosim.topology import build_topology
 
@@ -69,7 +69,7 @@ def test_unknown_keys_are_rejected():
 def test_json_errors_carry_position(tmp_path):
     (tmp_path / "bad.json").write_text("{bad json")
     with pytest.raises(ConfigError, match="line 1 column"):
-        ExperimentConfig.from_file(tmp_path / "bad.json")
+        ExperimentConfig.from_dict(read_config(tmp_path / "bad.json"))
 
 
 def test_field_validation():
@@ -172,9 +172,7 @@ def _no_graph(*args):
 
 
 @pytest.mark.parametrize("topology, nodes", [("ring:16", 16), ("torus:9", 9), ("full:5", 5)])
-def test_a_config_counts_its_nodes_without_building_the_graph(tmp_path, capsys, monkeypatch,
-                                                              topology, nodes):
-    monkeypatch.setattr(topology_module, "Graph", _no_graph)
+def test_a_config_counts_the_nodes_of_the_graph_it_builds(tmp_path, capsys, topology, nodes):
     cfg = ExperimentConfig.from_dict({"topology": topology,
                                       "problem": {"kind": "quadratic", "n": nodes}})
     assert cfg.problem["n"] == nodes
@@ -203,6 +201,26 @@ def test_a_bad_topology_size_exits_one_without_building(tmp_path, capsys, monkey
         build_topology(topology)
 
 
+@pytest.mark.parametrize("topology", ["ring:1_6", "full:\u0663", "torus:\uff19", "ring:+1_6"])
+def test_a_topology_size_is_a_plain_ascii_numeral(tmp_path, capsys, topology):
+    # int() reads these as 16, 3, 9 and 16; the spec refuses them
+    message = f"bad topology size in {topology!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_topology(topology)
+    path = _write_config(tmp_path, topology=topology)
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+    assert cli.main(["topology", "--spec", topology]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+
+
+def test_a_compressor_argument_is_a_plain_ascii_numeral(tmp_path, capsys):
+    path = _write_config(tmp_path, compressor="gsgd:1_6")
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: bad compressor spec 'gsgd:1_6'")
+    assert not (tmp_path / "o").exists()
+
+
 def test_importing_the_package_loads_no_process_pool():
     # the pool is imported where several cells open one
     code = ("import sys, chocosim; "
@@ -223,7 +241,6 @@ def test_build_topology_specs(tmp_path):
     edges = tmp_path / "g.txt"
     edges.write_text("0 1\n1 2\n0 2\n")
     assert build_topology(f"edgelist:{edges}").n == 3
-    assert build_topology(f"edgelist:{edges}", check_only=True) == 3
     for bad in ("ring", "ring:x", "mesh:4"):
         with pytest.raises(ValueError):
             build_topology(bad)
@@ -572,7 +589,7 @@ def test_divergence_names_iteration_and_node_in_the_summary(tmp_path, monkeypatc
     printed = capsys.readouterr().out
     summary = next(p for p in os.listdir(out) if p.endswith("summary.json"))
     data = json.loads((out / summary).read_text())
-    record = config_module.execute_single(ExperimentConfig.from_file(path), 1)
+    record = config_module.execute_single(ExperimentConfig.from_dict(read_config(path)), 1)
     assert record.diverged and 1 <= record.diverged_at < 50
     assert 0 <= record.diverged_node < 4
     assert data["diverged_at"] == {"1": record.diverged_at}

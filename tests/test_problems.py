@@ -403,14 +403,39 @@ def test_no_dataset_problem_imports_numpy_ma(tmp_path):
         make_mlp(4, samples=64, batch=8, mode="fixed-split", by_label=True)
         build_problem({{"kind": "logistic", "n": 2, "csv": {str(tmp_path / "zero_one.csv")!r}}})
         build_problem({{"kind": "mlp", "n": 2, "csv": {str(tmp_path / "sign.csv")!r}}})
-        print("numpy.ma" in sys.modules)
     """)
+    assert not _loads_numpy_ma(code)
+
+
+def test_no_graph_set_up_or_verify_run_imports_numpy_ma(tmp_path):
+    # the graph normalization finds repeated edges by lexsort, not np.unique
+    (tmp_path / "g.txt").write_text("0 1\n1 2\n2 0\n2 1\n")
+    code = textwrap.dedent(f"""
+        from chocosim import verify
+        from chocosim.config import ExperimentConfig, build_setup
+        from chocosim.topology import (from_edge_list, fully_connected, load_edge_list,
+                                       mixing_matrix, ring, torus)
+        for graph in (ring(16), torus(64), fully_connected(8), from_edge_list(3, [(1, 0), (2, 1)]),
+                      load_edge_list({str(tmp_path / "g.txt")!r})):
+            mixing_matrix(graph)
+        for topology, n in (("ring:16", 16), ("torus:64", 64), ("full:8", 8)):
+            build_setup(ExperimentConfig.from_dict(
+                {{"topology": topology, "problem": {{"kind": "quadratic", "n": n}}}}))
+        assert all(check.passed for check in verify.run_suite("all"))
+    """)
+    assert not _loads_numpy_ma(code)
+
+
+def _loads_numpy_ma(code):
+    """Whether running ``code`` in a fresh interpreter imports ``numpy.ma``
+    (about 0.4 MB and 10 ms of set-up)."""
     source = os.path.dirname(os.path.dirname(chocosim.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    code += "\nimport sys; print('numpy.ma' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
 
 
 @pytest.mark.parametrize("bad", [0.0, 0.5, 2.0, -2.0, np.nan, np.inf])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -224,3 +225,46 @@ def test_an_edge_that_is_not_a_pair_is_named(edges, named):
     for build in (Graph, from_edge_list):
         with pytest.raises(ValueError, match=named + " is not a pair of endpoints"):
             build(4, edges)
+
+
+def test_an_integer_array_edge_list_equals_the_pair_path():
+    pairs = [(2, 1), (1, 2), (0, 1), (1, 0), (3, 0), (0, 3), (2, 3)]
+    for dtype in (np.int32, np.int64, np.uint8, np.intp):
+        graph = from_edge_list(4, np.array(pairs, dtype=dtype))
+        assert graph.edges == from_edge_list(4, pairs).edges == ((0, 1), (0, 3), (1, 2), (2, 3))
+        assert graph.ends.dtype == np.intp and graph.ends.tobytes() == ring(4).ends.tobytes()
+    # an array is refused with the message its pairs get as a tuple
+    for bad in (np.array([(0, 1), (0.5, 2)]), np.array([(0, 1), (2, 3.0)]),
+                np.array([(True, False)]), np.array([(0, 1), (1, 1)], dtype=float)):
+        for build in (Graph, from_edge_list):
+            with pytest.raises(ValueError) as from_array:
+                build(4, bad)
+            with pytest.raises(ValueError) as from_pairs:
+                build(4, tuple(map(tuple, bad.tolist())))
+            assert str(from_array.value) == str(from_pairs.value)
+
+
+def test_a_graph_holds_its_count_and_one_read_only_endpoint_array():
+    graph = Graph(4, np.array([(1, 2), (0, 3), (0, 1)]))
+    assert set(vars(graph)) == {"n", "ends"}
+    assert graph.edges == ((1, 2), (0, 3), (0, 1))  # the rows as given, once valid
+    assert all(type(v) is int for edge in graph.edges for v in edge)
+    with pytest.raises(ValueError, match="read-only"):
+        graph.ends[0, 0] = 3
+    given = np.array([(0, 1)])
+    held = Graph(2, given)
+    given[0] = (1, 0)  # the graph holds a copy
+    assert held.edges == ((0, 1),)
+    assert Graph(1).ends.shape == (0, 2) and Graph(1).edges == ()
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+        Graph(3, np.array([(0, 1), (1, 2), (0, 1)]))
+    with pytest.raises(ValueError, match=r"^edge \(0, 5\) out of range for n=3$"):
+        Graph(3, np.array([(0, 1), (0, 5)]))
+
+
+@pytest.mark.parametrize("ids", ["0 1_0", "0 ١", "０ 1", "0 +1_0"])
+def test_edge_list_ids_are_plain_ascii_numerals(tmp_path, ids):
+    path = tmp_path / "g.txt"
+    path.write_text(f"0 2\n{ids}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: non-integer node id$"):
+        load_edge_list(str(path))
