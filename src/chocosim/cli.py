@@ -19,8 +19,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .config import (ConfigError, ExperimentConfig, build_setup, execute_config, read_config,
-                     run_cells)
+from .config import ConfigError, ExperimentConfig, execute_config, read_config, run_cells
 from .consensus import consensus_stepsize
 from .metrics import _atomic_write, run_id, summarize
 from .topology import build_topology, mixing_matrix
@@ -98,8 +97,7 @@ def cmd_sweep(args):
     configs = [copy.copy(config) for _ in cells]
     for cfg, (eta, gamma) in zip(configs, cells):
         cfg.eta, cfg.gamma = float(eta), config.gamma if gamma is None else float(gamma)
-    setup = build_setup(config)
-    records = run_cells([(setup, cfg, seed) for cfg in configs for seed in config.seeds])
+    records = run_cells(config, configs)
     per_seed = len(config.seeds)
     gossip_only = not any(etas)
     results = []

@@ -87,7 +87,7 @@ def parse_compressor(text):
     """Parse a spec ``kind[:arg][:unbiased]``, like ``gsgd:4``,
     ``random:0.1:unbiased`` or ``sign``: ``arg``, a plain ASCII numeral, sets the
     field the kind takes, and :class:`Compressor` checks the rest."""
-    kind, *args = str(text).strip().split(":")
+    kind, *args = str(text).split(":")
     unbiased = args[-1:] == ["unbiased"]
     takes = COMPRESSOR_TABLE[kind].takes if kind in COMPRESSOR_TABLE else None
     try:

@@ -17,7 +17,7 @@ the constructors, which library callers need too.
 import inspect
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -99,9 +99,9 @@ class ExperimentConfig(OptimizerConfig):
                 _check(f.name, getattr(self, f.name), f.default)
         try:
             super().__post_init__()
-            parse_compressor(self.compressor)
-            nodes = (check_connected(build_topology(self.topology)).n
-                     if ALGORITHM_TABLE[self.algorithm].on_graph else None)
+            self._compressor = parse_compressor(self.compressor)
+            row = ALGORITHM_TABLE[self.algorithm]
+            self._graph = check_connected(build_topology(self.topology)) if row.on_graph else None
         except OSError as exc:
             raise ConfigError(f"cannot read topology {self.topology}: {exc}") from exc
         except ValueError as exc:
@@ -113,7 +113,6 @@ class ExperimentConfig(OptimizerConfig):
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigError("seeds must be distinct")
         # an option the algorithm's row never reads is refused, not ignored
-        row = ALGORITHM_TABLE[self.algorithm]
         unread = () if "velocity" in row.keeps else ("momentum_factor", "weight_decay", "nesterov")
         unread += () if row.compressed else ("gamma", "delta_override", "gamma_grid")
         for f in fields(self):
@@ -137,8 +136,8 @@ class ExperimentConfig(OptimizerConfig):
         self.problem = {"kind": kind, **defaults, **self.problem}
         for name, default in defaults.items():
             _check(f"problem.{name}", self.problem[name], default)
-        if nodes is not None and nodes != self.problem["n"]:
-            raise ConfigError(f"topology {self.topology} has {nodes} nodes "
+        if self._graph is not None and self._graph.n != self.problem["n"]:
+            raise ConfigError(f"topology {self.topology} has {self._graph.n} nodes "
                               f"but problem.n is {self.problem['n']!r}")
         if self.x0_mode == "optimum" and kind != "quadratic":
             raise ConfigError("x0_mode 'optimum' needs the quadratic problem")
@@ -156,6 +155,10 @@ class ExperimentConfig(OptimizerConfig):
                 raise ConfigError(f"{name}_grid: {exc}") from exc
         # NumPy numbers become the Python numbers the JSON echo reads back as
         vars(self).update(json.loads(json.dumps(asdict(self), default=np.generic.item)))
+
+    def __getstate__(self):
+        # build_setup's graph and compressor, kept outside the fields, go to no pickle or copy
+        return {k: v for k, v in vars(self).items() if k not in ("_graph", "_compressor")}
 
     @classmethod
     def from_dict(cls, data):
@@ -187,9 +190,8 @@ def build_problem(spec):
     spec = dict(spec)
     factory = getattr(problems, _FACTORIES[spec.pop("kind")])
     if "csv" in spec:  # a dataset kind's data, given as a path
-        csv_path = spec.pop("csv")
         try:
-            spec["data"] = load_csv_dataset(csv_path) if csv_path else None
+            spec["data"] = load_csv_dataset(path) if (path := spec.pop("csv")) else None
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read problem.csv: {exc}") from exc
     return factory(**spec)
@@ -206,11 +208,12 @@ def resolve_x0(config, problem, seed):
 
 def build_setup(config):
     """``(problem, mixing, compressor)``, shared by a config's seeds and by its
-    sweep cells, which differ only in η and γ: the set-up reads neither."""
-    problem = build_problem(config.problem)
-    mixing = (mixing_matrix(build_topology(config.topology))
-              if ALGORITHM_TABLE[config.algorithm].on_graph else None)
-    return problem, mixing, parse_compressor(config.compressor)
+    sweep cells, which differ only in η and γ: the set-up reads neither. The graph and
+    compressor are the ones the config check kept (a copy or an unpickled config, which
+    keeps neither, is checked again); only the problem and the mixing matrix are built."""
+    config = config if "_graph" in vars(config) else replace(config)
+    problem, graph = build_problem(config.problem), config._graph
+    return problem, None if graph is None else mixing_matrix(graph), config._compressor
 
 
 def _run(setup, config, seed):
@@ -227,8 +230,7 @@ def execute_single(config, seed):
 
 def _cell(cell):
     record = _run(*cell)
-    # drop the heavyweight non-result state before shipping across processes
-    record.workers = record.ledger = None
+    record.workers = record.ledger = None  # heavyweight non-result state, not sent back
     return record
 
 
@@ -246,9 +248,11 @@ def max_workers(n_jobs):
     return max(1, min(n_jobs, cap))
 
 
-def run_cells(cells):
-    """Run ``(setup, config, seed)`` cells, possibly in parallel: a pool worker
-    unpickles the set-up once per chunk, four chunks per worker to share the load."""
+def run_cells(config, configs=None):
+    """Records of ``configs`` (default ``[config]``) over ``config``'s seeds on its one set-up,
+    maybe in a pool: a worker unpickles the set-up once per chunk, four chunks per worker."""
+    setup = build_setup(config)
+    cells = [(setup, cfg, seed) for cfg in configs or [config] for seed in config.seeds]
     workers = max_workers(len(cells))
     if workers == 1:
         return [_cell(cell) for cell in cells]
@@ -260,14 +264,11 @@ def run_cells(cells):
 
 
 def execute_config(config, out_dir=None):
-    """Run all seeds of a config and write CSVs plus the JSON summary.
-
-    Returns ``(records, paths)``; any diverged record means CLI exit 2.
-    """
+    """Run all seeds of a config and write CSVs plus the JSON summary: ``(records,
+    paths)``; any diverged record means CLI exit 2."""
     out_dir = out_dir or config.out
     cfg_dict = config.to_dict()
-    setup = build_setup(config)
-    records = run_cells([(setup, config, seed) for seed in config.seeds])
+    records = run_cells(config)
     paths = [os.path.join(out_dir, f"run_{run_id(cfg_dict, seed)}.csv") for seed in config.seeds]
     for record, path in zip(records, paths):
         write_csv(record, path)

@@ -111,8 +111,8 @@ def is_integer(value):
 
 
 def numeral(text, kind=int):
-    """``kind(text)``, refusing the underscores and non-ASCII digits it would read."""
-    if "_" in text or not text.isascii():
+    """``kind(text)``, refusing the underscores, non-ASCII digits and outer whitespace it takes."""
+    if "_" in text or not text.isascii() or text != text.strip():
         raise ValueError(f"{text!r} is not a plain ASCII numeral")
     return kind(text)
 

@@ -24,6 +24,7 @@ def _count(n):
 
 def _pair(edge):
     """An edge's two integer endpoints; a float or bool is refused, never truncated."""
+    edge = edge.tolist() if isinstance(edge, np.ndarray) else edge  # named in Python numbers
     if len(edge) != 2:
         raise ValueError(f"edge {tuple(edge)} is not a pair of endpoints")
     i, j = edge

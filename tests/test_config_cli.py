@@ -1,11 +1,13 @@
+import copy
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,9 @@ from chocosim import cli
 from chocosim import config as config_module
 from chocosim import problems as problems_module
 from chocosim import topology as topology_module
-from chocosim.config import (ConfigError, ExperimentConfig, build_problem, execute_config,
-                             execute_single, max_workers, read_config, resolve_x0)
+from chocosim.config import (ConfigError, ExperimentConfig, build_problem, build_setup,
+                             execute_config, execute_single, max_workers, read_config,
+                             resolve_x0)
 from chocosim.problems import LogisticProblem, QuadraticProblem
 from chocosim.topology import build_topology
 
@@ -201,9 +204,10 @@ def test_a_bad_topology_size_exits_one_without_building(tmp_path, capsys, monkey
         build_topology(topology)
 
 
-@pytest.mark.parametrize("topology", ["ring:1_6", "full:\u0663", "torus:\uff19", "ring:+1_6"])
+@pytest.mark.parametrize("topology", ["ring:1_6", "full:\u0663", "torus:\uff19", "ring:+1_6",
+                                      "ring: 16", "full:4 "])
 def test_a_topology_size_is_a_plain_ascii_numeral(tmp_path, capsys, topology):
-    # int() reads these as 16, 3, 9 and 16; the spec refuses them
+    # int() reads these as 16, 3, 9, 16, 16 and 4; the spec refuses them
     message = f"bad topology size in {topology!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_topology(topology)
@@ -215,10 +219,12 @@ def test_a_topology_size_is_a_plain_ascii_numeral(tmp_path, capsys, topology):
 
 
 def test_a_compressor_argument_is_a_plain_ascii_numeral(tmp_path, capsys):
-    path = _write_config(tmp_path, compressor="gsgd:1_6")
-    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith("error: bad compressor spec 'gsgd:1_6'")
-    assert not (tmp_path / "o").exists()
+    # int(), float() and a stripped spec read these as gsgd:16, gsgd:4, topk:0.1 and sign
+    for compressor in ("gsgd:1_6", "gsgd: 4", "topk:0.1 ", " sign"):
+        path = _write_config(tmp_path, compressor=compressor)
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: bad compressor spec {compressor!r}")
+        assert not (tmp_path / "o").exists()
 
 
 def test_importing_the_package_loads_no_process_pool():
@@ -426,27 +432,60 @@ def _count_calls(monkeypatch, owner, name, calls):
 
 def test_a_configs_set_up_is_built_once_for_all_its_seeds_and_cells(tmp_path, monkeypatch,
                                                                      capsys):
-    # one validation reads the edge list and checks it connected, and set-up
-    # builds the problem, graph, mixing matrix (which checks the graph) and
-    # compressor once; a sweep cell is a copy of the checked config
+    # the config check reads the edge list, checks it connected and parses the
+    # compressor, and keeps both; set-up builds the problem and the mixing matrix
+    # (which checks the graph again) once; a sweep cell is a copy of the checked config
     monkeypatch.setenv("CHOCO_THREADS", "1")
     calls = dict.fromkeys(["build_problem", "mixing_matrix", "parse_compressor",
-                           "load_edge_list", "is_connected"], 0)
+                           "load_edge_list", "is_connected", "fully_connected"], 0)
     for owner in (config_module, topology_module, topology_module.Graph):
         for name in calls:
             if name in vars(owner):
                 _count_calls(monkeypatch, owner, name, calls)
     path = _write_config(tmp_path, topology=f"edgelist:{SOCIAL}", iterations=5, seeds=[1, 2, 3],
                          eta_grid=[0.05, 0.1], problem={"kind": "quadratic", "n": 32, "dim": 4})
+    once = {"build_problem": 1, "mixing_matrix": 1, "parse_compressor": 1,
+            "load_edge_list": 1, "is_connected": 2, "fully_connected": 0}
     assert cli.main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 0
-    assert calls == {"build_problem": 1, "mixing_matrix": 1, "parse_compressor": 2,
-                     "load_edge_list": 2, "is_connected": 2}
+    assert calls == once
     calls.update(dict.fromkeys(calls, 0))
     argv = ["sweep", "--config", path, "--seed", "1", "--seed", "2", "--out", str(tmp_path / "s")]
     assert cli.main(argv) == 0
-    assert calls == {"build_problem": 1, "mixing_matrix": 1, "parse_compressor": 2,
-                     "load_edge_list": 2, "is_connected": 2}
+    assert calls == once
+    calls.update(dict.fromkeys(calls, 0))
+    path = _write_config(tmp_path, topology="full:8", iterations=5,
+                         problem={"kind": "quadratic", "n": 8, "dim": 4})
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "full")]) == 0
+    assert calls == {**once, "load_edge_list": 0, "fully_connected": 1}
     capsys.readouterr()
+
+
+def test_a_checked_configs_pickles_and_copies_carry_its_fields_alone():
+    # the check keeps its graph and compressor for build_setup; a pool cell's
+    # pickle and a sweep cell's copy carry the fields, as before they were kept
+    config = ExperimentConfig.from_dict({"topology": "full:64", "seeds": [1, 2, 3],
+                                         "problem": {"kind": "quadratic", "n": 64}})
+    assert config._graph.n == 64 and config._compressor.kind == "identity"
+    names = {f.name for f in fields(ExperimentConfig)}
+    assert set(vars(pickle.loads(pickle.dumps(config)))) == names
+    assert set(vars(copy.copy(config))) == names
+    assert copy.copy(config) == config
+    # the cells run_cells sends a pool pickled to 40,017 bytes before the check
+    # kept anything (Python 3.11, NumPy 2.4); the graph's 2,016 edges would add 32 KB
+    setup = build_setup(config)
+    cells = [(setup, config, seed) for seed in config.seeds]
+    assert abs(len(pickle.dumps(cells, protocol=4)) - 40_017) <= 64
+
+
+def test_a_copied_or_unpickled_config_is_checked_again_to_run_alone(tmp_path):
+    path = _write_config(tmp_path, topology=f"edgelist:{SOCIAL}", iterations=5,
+                         problem={"kind": "quadratic", "n": 32, "dim": 4})
+    config = ExperimentConfig.from_dict(read_config(path))
+    expected = execute_single(config, 1)
+    for twin in (copy.copy(config), pickle.loads(pickle.dumps(config))):
+        assert twin == config and "_graph" not in vars(twin)
+        record = execute_single(twin, 1)
+        assert (record.f_avg, record.psi) == (expected.f_avg, expected.psi)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

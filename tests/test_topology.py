@@ -227,6 +227,13 @@ def test_an_edge_that_is_not_a_pair_is_named(edges, named):
             build(4, edges)
 
 
+def test_an_array_row_that_is_not_a_pair_is_named_in_python_ints():
+    # as the tuple form names it, not in NumPy scalar reprs
+    for build in (Graph, from_edge_list):
+        with pytest.raises(ValueError, match=r"^edge \(0, 1, 2\) is not a pair of endpoints$"):
+            build(4, np.array([(0, 1, 2)]))
+
+
 def test_an_integer_array_edge_list_equals_the_pair_path():
     pairs = [(2, 1), (1, 2), (0, 1), (1, 0), (3, 0), (0, 3), (2, 3)]
     for dtype in (np.int32, np.int64, np.uint8, np.intp):
