@@ -22,6 +22,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, execute_config, read_config, run_cells
 from .consensus import consensus_stepsize
 from .metrics import _atomic_write, run_id, summarize
+from .numerics import numeral
 from .topology import build_topology, mixing_matrix
 from .verify import format_report, run_suite
 
@@ -139,12 +140,12 @@ def build_parser():
     # the config arguments that run and sweep share
     configured = argparse.ArgumentParser(add_help=False)
     configured.add_argument("--config", required=True, help="path to a JSON config")
-    configured.add_argument("--seed", type=int, action="append", dest="seeds", metavar="SEED",
+    configured.add_argument("--seed", type=numeral, action="append", dest="seeds", metavar="SEED",
                             help="override config seeds (repeatable)")
     configured.add_argument("--out", help="override output directory")
 
     p_run = sub.add_parser("run", parents=[configured], help="execute an experiment config")
-    p_run.add_argument("--log-every", type=int, help="override logging stride")
+    p_run.add_argument("--log-every", type=numeral, help="override logging stride")
     p_run.add_argument("--broadcast", action="store_true", default=None,
                        help="count one shared message per node instead of per edge")
 

@@ -216,21 +216,17 @@ def compress(comp, x, rng=None):
     return compress_blocks(comp, x, rng)
 
 
-def _check_dim(dim):
-    if not is_integer(dim):  # a float or bool row length is refused, never priced
-        raise ValueError(f"dim must be an integer, got {dim!r}")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-
-
 def _layout(d, boundaries):
     """The ``(start, stop)`` blocks, Python ints, of a row of length ``d``
     (``boundaries`` as in :func:`compress_blocks`): the one reading of a
     layout, so bits, deltas and payloads take the same blocks and a bad
     layout fails the same way for each."""
-    _check_dim(d)
+    if not is_integer(d):  # a float or bool row length is refused, never priced
+        raise ValueError(f"dim must be an integer, got {d!r}")
+    if d < 1:
+        raise ValueError("dim must be >= 1")
     if boundaries is None:
-        return ((0, d),)
+        return ((0, int(d)),)
     bounds = list(boundaries)
     if not all(map(is_integer, bounds)):
         raise ValueError("block boundaries must be integers")
@@ -254,7 +250,7 @@ def _block_plan(kind, bits, fraction, unbiased, d, boundaries, types):
     float or bool bound misses. A layout is validated on a miss, and a bad
     one raises each time it is asked for (a raising call is not cached)."""
     comp = Compressor(kind, bits, fraction, unbiased)
-    return _layout(d, boundaries), message_bits(comp, d, boundaries)
+    return _layout(d, boundaries), bit_cost(comp, d, boundaries)
 
 
 def compress_blocks(comp, x, rng=None, boundaries=None, out=None):
@@ -303,36 +299,29 @@ def compress_blocks(comp, x, rng=None, boundaries=None, out=None):
     return CompressedMessage(payload=out, bits=bits * rows.shape[0])
 
 
-def bit_cost(comp, dim):
-    """Analytic wire size in bits of one compressed message of length ``dim``."""
-    _check_dim(dim)
-    return COMPRESSOR_TABLE[comp.kind].bits(comp, dim)
+def bit_cost(comp, dim, boundaries=None):
+    """Analytic wire size in bits, a Python int, of one row of length ``dim``
+    compressed block by block (``boundaries`` as in :func:`compress_blocks`;
+    ``None`` is one block)."""
+    bits = COMPRESSOR_TABLE[comp.kind].bits
+    return sum(bits(comp, stop - start) for start, stop in _layout(dim, boundaries))
 
 
-def message_bits(comp, dim, boundaries=None):
-    """Wire size of one row of length ``dim`` compressed block by block
-    (``boundaries`` as in :func:`compress_blocks`; ``None`` is one block)."""
-    return sum(bit_cost(comp, stop - start) for start, stop in _layout(dim, boundaries))
-
-
-def effective_contraction(comp, dim, boundaries=None):
-    """Worst-case compression quality across blocks (min over block deltas),
-    ``boundaries`` as in :func:`message_bits`."""
-    return min(contraction_factor(comp, stop - start) for start, stop in _layout(dim, boundaries))
-
-
-def contraction_factor(comp, dim):
+def contraction_factor(comp, dim, boundaries=None):
     """Compression quality ``delta`` in (0, 1] used by stepsize formulas.
 
-    Worst-case value for the configured operator at dimension ``dim``:
-    1 for identity, ``k/dim`` for the sparsifiers, k the count they keep
-    and :func:`bit_cost` prices, ``1/tau`` for biased gsgd, ``1/dim`` for
-    sign. Unbiased variants have no contraction guarantee and raise.
+    Worst-case value for the configured operator on a row of length ``dim``,
+    the least over its blocks (``boundaries`` as in :func:`bit_cost`): 1 for
+    identity, ``k/d`` for the sparsifiers, k the count they keep of a block
+    of length d and :func:`bit_cost` prices, ``1/tau`` for biased gsgd,
+    ``1/d`` for sign. Unbiased variants have no contraction guarantee and
+    raise.
     """
-    _check_dim(dim)
+    blocks = _layout(dim, boundaries)
     if comp.unbiased:
         raise ValueError("unbiased variants do not satisfy the contraction bound")
-    return COMPRESSOR_TABLE[comp.kind].delta(comp, dim)
+    delta = COMPRESSOR_TABLE[comp.kind].delta
+    return min(delta(comp, stop - start) for start, stop in blocks)
 
 
 def sign_contraction(x):

@@ -24,7 +24,7 @@ import numpy as np
 from . import problems
 from .compression import parse_compressor
 from .metrics import run_id, write_aggregate_csv, write_csv, write_summary
-from .numerics import RandomStream, is_integer, is_number
+from .numerics import RandomStream, is_integer, is_number, numeral
 from .optim import ALGORITHM_TABLE, OptimizerConfig, run
 from .problems import PARTITION_MODES, load_csv_dataset
 from .topology import build_topology, check_connected, mixing_matrix
@@ -240,7 +240,7 @@ def max_workers(n_jobs):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         return max(1, min(n_jobs, cpus or 1))
     try:
-        cap = int(cap)
+        cap = numeral(cap)
     except ValueError as exc:
         raise ConfigError(f"{THREADS_ENV} must be an integer") from exc
     if cap < 1:

@@ -14,7 +14,7 @@ row. The stochastic compressors draw all rows from one
 ``numpy.random.Generator``, ``rng``, node i's draw coming after those of
 nodes 0..i-1, so the result equals compressing node by node, in node
 order, from that generator. Traffic is not counted here: every message of
-a row has the analytic size ``message_bits``.
+a row has the analytic size :func:`~chocosim.compression.bit_cost`.
 
 The node mean, the consensus distance and the Lyapunov quantity psi are
 defined once, by :func:`state_statistics`, for one ``(n, dim)`` state or

@@ -88,7 +88,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compression import Compressor, compress_blocks, effective_contraction, message_bits
+from .compression import Compressor, bit_cost, compress_blocks, contraction_factor
 from .consensus import (consensus_stepsize, diverged, mix_with_public, state_statistics,
                         sync_public)
 from .metrics import RunRecord, TrafficLedger
@@ -336,8 +336,8 @@ def _iteration_ledger(cfg, n, dim, mixing, comp, boundaries, broadcast):
     the coordinator hub, ledger slot ``n`` (centralized).
     """
     _, compressed, on_graph = ALGORITHM_TABLE[cfg.algorithm]
-    bits = (message_bits(comp, dim, boundaries) if compressed
-            else message_bits(Compressor("identity"), dim))
+    bits = (bit_cost(comp, dim, boundaries) if compressed
+            else bit_cost(Compressor("identity"), dim))
     ledger = TrafficLedger(n if on_graph else n + 1)
     nodes = np.arange(n)
     if not on_graph:
@@ -361,7 +361,7 @@ def resolve_gamma(cfg, mixing, comp, dim, boundaries=None):
         return float(cfg.gamma)
     delta = cfg.delta_override
     if delta is None:
-        delta = effective_contraction(comp, dim, boundaries)
+        delta = contraction_factor(comp, dim, boundaries)
     return consensus_stepsize(mixing, delta)
 
 

@@ -5,10 +5,8 @@ import pytest
 
 from chocosim import compression
 from chocosim.compression import (COMPRESSOR_TABLE, CompressedMessage, Compressor, Kind, bit_cost,
-                                  compress, compress_blocks,
-                                  contraction_factor, effective_contraction,
-                                  message_bits, parse_compressor,
-                                  sign_contraction)
+                                  compress, compress_blocks, contraction_factor,
+                                  parse_compressor, sign_contraction)
 from chocosim.numerics import RandomStream
 
 
@@ -284,7 +282,7 @@ def test_contraction_factor_closed_forms():
     assert contraction_factor(parse_compressor("topk:0.29"), 100) == 0.28  # 0.29 * 100 < 29
     # the benchmark MLP's layers: its 64-wide blocks keep 6
     layers = [0, 2048, 2112, 2176, 2177]
-    assert effective_contraction(parse_compressor("topk:0.1"), 2177, layers) == 0.09375
+    assert contraction_factor(parse_compressor("topk:0.1"), 2177, layers) == 0.09375
 
 
 def test_sparsifier_delta_is_what_a_draw_keeps():
@@ -414,13 +412,12 @@ def test_block_plans_are_keyed_by_the_compressors_values(monkeypatch):
 ])
 def test_a_bad_layout_fails_the_same_way_for_bits_delta_and_payload(boundaries, match, dim):
     sign = parse_compressor("sign")
-    prices = [lambda: message_bits(sign, dim, boundaries),
-              lambda: effective_contraction(sign, dim, boundaries)]
+    prices = [lambda: bit_cost(sign, dim, boundaries),
+              lambda: contraction_factor(sign, dim, boundaries)]
+    # an array's row length is an int; a float or bool size reaches only the pricing
     if type(dim) is int:
         prices += [lambda: compress_blocks(sign, np.ones(dim), boundaries=boundaries),
                    lambda: compress_blocks(sign, np.ones((3, dim)), boundaries=boundaries)]
-    else:  # an array's row length is an int; a float or bool size reaches only the pricing
-        prices += [lambda: bit_cost(sign, dim), lambda: contraction_factor(sign, dim)]
     for price in prices:
         with pytest.raises(ValueError, match=match):
             price()
@@ -458,16 +455,17 @@ def test_bits_and_delta_read_the_payloads_blocks():
     for spec in BUFFER_SPECS:
         comp = parse_compressor(spec)
         for boundaries in LAYOUTS:
-            per_row = message_bits(comp, 21, boundaries)
+            per_row = bit_cost(comp, 21, boundaries)
             assert compress_blocks(comp, x, _rng(5), boundaries).bits == x.shape[0] * per_row
             blocks = [21] if boundaries is None else np.diff(boundaries).tolist()
             assert type(per_row) is int and per_row == sum(bit_cost(comp, d) for d in blocks)
             if not comp.unbiased:
-                assert effective_contraction(comp, 21, boundaries) == min(
+                assert contraction_factor(comp, 21, boundaries) == min(
                     contraction_factor(comp, d) for d in blocks)
-    # NumPy integer boundaries price as the Python ints they equal
+    # NumPy integer boundaries and row lengths price as the Python ints they equal
     layout = np.array(LAYOUTS[1])
-    assert type(message_bits(parse_compressor("sign"), 21, layout)) is int
+    assert type(bit_cost(parse_compressor("sign"), 21, layout)) is int
+    assert type(bit_cost(parse_compressor("sign"), np.int64(21))) is int
 
 
 def test_compress_requires_one_dimensional_input():
@@ -513,8 +511,8 @@ def test_a_new_kind_is_one_kernel_and_one_row(monkeypatch):
     x = np.arange(10.0).reshape(2, 5)
     msg = compress_blocks(comp, x, boundaries=[0, 2, 5])
     assert msg.payload.tobytes() == (x / 2).tobytes()
-    assert msg.bits == 2 * message_bits(comp, 5, [0, 2, 5]) == 2 * (33 + 49)
-    assert effective_contraction(comp, 5, [0, 2, 5]) == contraction_factor(comp, 5) == 0.75
+    assert msg.bits == 2 * bit_cost(comp, 5, [0, 2, 5]) == 2 * (33 + 49)
+    assert contraction_factor(comp, 5, [0, 2, 5]) == contraction_factor(comp, 5) == 0.75
     for bad in ("half:3", "half:unbiased"):
         with pytest.raises(ValueError, match="bad compressor spec"):
             parse_compressor(bad)

@@ -320,9 +320,13 @@ def test_worker_cap_respects_environment(monkeypatch):
     monkeypatch.setenv("CHOCO_THREADS", "0")
     with pytest.raises(ConfigError):
         max_workers(4)
-    monkeypatch.setenv("CHOCO_THREADS", "many")
-    with pytest.raises(ConfigError):
-        max_workers(4)
+    # a plain ASCII numeral, as a spec's sizes are: int() would read 10, 2 and 3
+    for cap in ("many", "1_0", " 2", "3\n", "\uff13"):
+        monkeypatch.setenv("CHOCO_THREADS", cap)
+        with pytest.raises(ConfigError, match="^CHOCO_THREADS must be an integer$"):
+            max_workers(4)
+    monkeypatch.setenv("CHOCO_THREADS", "1")
+    assert max_workers(4) == 1
     monkeypatch.delenv("CHOCO_THREADS")
     assert max_workers(1) == 1
 
@@ -533,6 +537,18 @@ def test_usage_errors_exit_one(capsys):
     assert cli.main(["run"]) == 1
     assert cli.main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["--seed", "1_0"], ["--seed", " 2"], ["--seed", "x"],
+                                  ["--seed", "1", "--log-every", "0_5"],
+                                  ["--log-every", "5 "], ["--log-every", "\uff15"]])
+def test_a_seed_or_stride_flag_is_a_plain_ascii_numeral(tmp_path, capsys, argv):
+    # int() would read 10, 2, 5 and 5: each is refused as "x" is, before any run
+    path = _write_config(tmp_path)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", path, "--out", str(out)] + argv) == 1
+    assert "invalid numeral value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_config_exits_one(tmp_path, capsys):

@@ -4,11 +4,11 @@ import zlib
 import numpy as np
 import pytest
 
-from chocosim.compression import message_bits, parse_compressor
+from chocosim.compression import bit_cost, contraction_factor, parse_compressor
 from chocosim.consensus import consensus_stepsize
 from chocosim.numerics import RandomStream
 from chocosim.optim import (ALGORITHM_TABLE, ALGORITHMS, OptimizerConfig, Workers,
-                            consensus_bound, effective_contraction, resolve_gamma, run,
+                            consensus_bound, resolve_gamma, run,
                             theoretical_stepsize, tune_stepsize)
 from chocosim.problems import make_logistic, make_mlp, make_quadratic
 from chocosim.topology import Graph, fully_connected, mixing_matrix, ring
@@ -219,13 +219,13 @@ def test_resolve_gamma_paths():
         consensus_stepsize(mixing, 0.5))
 
 
-def test_effective_contraction_minimizes_over_blocks():
+def test_contraction_factor_minimizes_over_blocks():
     sign = parse_compressor("sign")
-    assert effective_contraction(sign, 100) == pytest.approx(0.01)
-    assert effective_contraction(sign, 110, [0, 10, 110]) == pytest.approx(0.01)
-    assert effective_contraction(sign, 110, [0, 100, 110]) == pytest.approx(0.01)
+    assert contraction_factor(sign, 100) == pytest.approx(0.01)
+    assert contraction_factor(sign, 110, [0, 10, 110]) == pytest.approx(0.01)
+    assert contraction_factor(sign, 110, [0, 100, 110]) == pytest.approx(0.01)
     ident = parse_compressor("identity")
-    assert effective_contraction(ident, 110, [0, 10, 110]) == 1.0
+    assert contraction_factor(ident, 110, [0, 10, 110]) == 1.0
 
 
 # ----------------------------------------------------------------- run loop
@@ -339,7 +339,7 @@ def test_per_layer_false_compresses_each_row_as_one_block():
     assert whole.workers.x.tobytes() == same.workers.x.tobytes()
     assert whole.workers.xhat.tobytes() == same.workers.xhat.tobytes()
     # every iteration, every node sends one one-block message on each of its two links
-    one_block = message_bits(comp, whole.workers.x.shape[1])
+    one_block = bit_cost(comp, whole.workers.x.shape[1])
     assert np.array_equal(whole.ledger.per_node, np.full(4, 20 * 2 * one_block))
     assert layered.ledger.busiest() > whole.ledger.busiest()
     assert layered.f_avg != whole.f_avg

@@ -39,13 +39,13 @@ runs (``choco``/``sign``, ``choco-errorfeedback``/``gsgd:4`` and
 ``decentralized-exact``). It too is a line of its own.
 
 The next line digests how each compressor is priced: ``bit_cost`` and
-``contraction_factor`` at every row length from 1 to 64, and
-``message_bits`` and ``effective_contraction`` on two layer layouts, the
-corpus MLP's and one shaped like ``perfbench``'s MLP (input 32, hidden 64),
-for the corpus's five compressor specs plus ``topk:0.1``, ``random:0.1``,
-``topk:0.01`` and ``gsgd:2``. No run of this tool reads a sparsifier's
-delta where fraction x row length is not an integer, so this line is where
-a change to how a compressor is priced shows.
+``contraction_factor`` of one block at every row length from 1 to 64, and
+of a row on two layer layouts, the corpus MLP's and one shaped like
+``perfbench``'s MLP (input 32, hidden 64), for the corpus's five compressor
+specs plus ``topk:0.1``, ``random:0.1``, ``topk:0.01`` and ``gsgd:2``. No
+run of this tool reads a sparsifier's delta where fraction x row length is
+not an integer, so this line is where a change to how a compressor is
+priced shows.
 
 The next line digests the config path: what ``config.execute_config``
 writes (the run CSVs, the aggregate CSV and the summary JSON without its
@@ -72,8 +72,7 @@ import tempfile
 import numpy as np
 
 from chocosim import cli
-from chocosim.compression import (bit_cost, contraction_factor, effective_contraction,
-                                  message_bits, parse_compressor)
+from chocosim.compression import bit_cost, contraction_factor, parse_compressor
 from chocosim.config import ExperimentConfig, execute_config
 from chocosim.optim import OptimizerConfig, run
 from chocosim.problems import (estimate_constants, make_blob_dataset, make_logistic, make_mlp,
@@ -263,8 +262,8 @@ def describe_pricing(specs):
         lines.append(f"{spec} bits:{[bit_cost(comp, d) for d in dims]} "
                      f"delta:{_hex([contraction_factor(comp, d) for d in dims])}")
         for layout in layouts:
-            lines.append(f"{layout} bits:{message_bits(comp, layout[-1], layout)} delta:"
-                         f"{_hex(effective_contraction(comp, layout[-1], layout))}")
+            lines.append(f"{layout} bits:{bit_cost(comp, layout[-1], layout)} delta:"
+                         f"{_hex(contraction_factor(comp, layout[-1], layout))}")
     return "\n".join(lines)
 
 
