@@ -7,7 +7,8 @@ Subcommands:
 * ``sweep``    grid-search stepsizes for a config and report the best cell
 * ``verify``   run the built-in invariant suites
 
-Exit codes: 0 success, 1 usage or config error, 2 divergence.
+Exit codes: 0 success, 1 usage or config error (a set-up too big for
+memory included), 2 divergence.
 """
 
 import argparse
@@ -172,7 +173,7 @@ def main(argv=None):
                 "sweep": cmd_sweep, "verify": cmd_verify}
     try:
         return handlers[args.command](args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

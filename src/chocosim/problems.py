@@ -9,8 +9,8 @@ are running on: ``stochastic_gradients`` draws stacked rows' gradients from
 one generator (every ``rng`` here is a ``numpy.random.Generator``), row r
 for node ``nodes[r]``, node r without a map, as one ``(k, .)`` block of
 randomness (quadratic noise ``(k, dim)``, minibatch indices ``(k,
-batch)``); row r equals the one-row call ``stochastic_gradient`` when the
-rows draw one after another, in row order. Logged rows ask
+batch)``); row r draws what the one-row call ``stochastic_gradient`` draws
+when the rows draw one after another, in row order. Logged rows ask
 ``loss_and_gradient(x)`` for ``(loss(x), full_gradient(x))``, of one x or
 of a ``(b, dim)`` block of rows. Node losses and gradients are summed with
 ``numerics.sum_in_order``: node by node, each added to the total before it.
@@ -18,8 +18,8 @@ of a ``(b, dim)`` block of rows. Node losses and gradients are summed with
 A dataset problem computes its loss and gradient in one stacked kernel,
 the definition: ``(k, m, p)`` sample stacks at ``(k, dim)`` rows, where a
 stacked ``np.matmul`` runs one gemm or gemv per row with the operand
-layout of the 2-D call (a gemm in place of a per-row gemv rounds
-differently). ``stochastic_gradients`` is one call on the stacked
+layout of the 2-D call, so each row equals its one-row call bit for bit.
+``stochastic_gradients`` is one call on the stacked
 minibatches, or one call per row when shards smaller than ``batch`` make
 the minibatch sizes unequal. A dataset problem holds each sample once, in
 epoch-0 deal order, and the full-batch oracles read views of that store:
@@ -27,8 +27,9 @@ epoch-0 deal order, and the full-batch oracles read views of that store:
 ``loss_and_gradient`` one call per chunk of a few shards and row;
 ``loss`` is its first half, and ``full_gradient`` makes the same calls
 with no loss computed. The quadratic's ``node_loss`` and
-``node_gradient`` are its definitions, and its stacked forms equal them bit
-for bit.
+``node_gradient`` are its definitions, and ``loss`` and ``full_gradient``
+equal them bit for bit; its stochastic oracle is one gemm of the stacked
+residuals, which rounds within a few ulps of ``node_gradient``.
 """
 
 import itertools
@@ -180,15 +181,6 @@ def _neg_y_sigmoid(y, margins):
     return -y / (1.0 + np.exp(margins))
 
 
-def _aligned(values):
-    """``values`` copied onto a 64-byte boundary, which malloc leaves to chance:
-    the quadratic's stacked gemv reads its Hessian faster there, same results."""
-    buf = np.empty(values.nbytes + 64, dtype=np.uint8)
-    out = buf[-buf.ctypes.data % 64 :][: values.nbytes].view(float).reshape(values.shape)
-    out[...] = values
-    return out
-
-
 class QuadraticProblem:
     """``f_i(x) = 1/2 (x - s_i)^T H (x - s_i)`` with shared curvature ``H``.
 
@@ -222,17 +214,13 @@ class QuadraticProblem:
         basis, _ = np.linalg.qr(rng.standard_normal(dim * dim).reshape(dim, dim))
         spectrum = np.linspace(mu, l_smooth, dim)
         hessian = basis @ np.diag(spectrum) @ basis.T
-        self.hessian = _aligned(0.5 * (hessian + hessian.T))
+        self.hessian = 0.5 * (hessian + hessian.T)
         xstar = xstar_scale / np.sqrt(dim) * rng.standard_normal(dim)
         offsets = rng.standard_normal(n * dim).reshape(n, dim) / np.sqrt(dim)
         offsets -= offsets.mean(axis=0)
         self.node_optima = xstar + heterogeneity * offsets
         self._optimum = self.node_optima.mean(axis=0)
         self._noise_coord_std = noise_std / np.sqrt(dim)
-
-    def __setstate__(self, state):
-        # an unpickled copy (a pool worker's set-up) is aligned as a built one
-        vars(self).update(state, hessian=_aligned(state["hessian"]))
 
     def optimum(self):
         """Exact global minimizer (the mean of the per-node optima); a copy."""
@@ -274,17 +262,17 @@ class QuadraticProblem:
 
     def stochastic_gradients(self, x_rows, rng, t=0, nodes=None):
         """Node gradients plus one ``(k, dim)`` noise block: row r is
-        ``node_gradient(nodes[r], x_rows[r])`` (node r without ``nodes``)
-        plus its row of scaled draws, the rows drawing in row order, bit
-        for bit."""
+        ``(x_rows[r] - s_i) H`` for node ``i = nodes[r]`` (node r without
+        ``nodes``) plus its row of scaled draws, the rows drawing in row
+        order. The ``k`` rows are one gemm ``r @ H`` (H is symmetric), which
+        rounds unlike ``node_gradient``'s gemv, within a few ulps."""
         k = x_rows.shape[0]
         # the noise block is drawn into the result and scaled there
         g = rng.standard_normal(k * self.dim).reshape(k, self.dim)
         np.multiply(self._noise_coord_std, g, out=g)
         optima = self.node_optima if nodes is None else self.node_optima[nodes]
         r = np.subtract(x_rows, optima, order="C")
-        # one gemv per row, as in node_gradient; r @ hessian.T (gemm) rounds differently
-        return np.add(np.matmul(self.hessian, r[:, :, None])[:, :, 0], g, out=g)
+        return np.add(np.matmul(r, self.hessian), g, out=g)
 
     def smoothness(self):
         return self.l_smooth

@@ -1,7 +1,9 @@
 """One iteration runs on all nodes' rows at once; every batched layer must
 equal, bit for bit, the per-node loop it replaced. The references below are
 those loops, written out literally: an iteration's randomness comes from one
-generator, and the nodes draw from it one after another, in node order."""
+generator, and the nodes draw from it one after another, in node order. The
+quadratic's stochastic oracle is the one exception: its definition is one
+product of the stacked residuals with the Hessian, written out as that."""
 
 import functools
 import operator
@@ -226,29 +228,42 @@ def test_batched_compression_needs_a_generator():
 
 # ------------------------------------------------------------------ problems
 
+def _literal_gradients(problem, x_rows, rng, t=0, nodes=None):
+    """The stochastic gradients of rows drawing in row order from one
+    generator, row r for node ``nodes[r]`` (node r without ``nodes``): a
+    dataset problem's one-row oracle call per row; a quadratic's one ``(k,
+    dim)`` noise block, then the residuals times the symmetric Hessian in
+    one product plus the scaled noise."""
+    nodes = range(len(x_rows)) if nodes is None else nodes
+    if problem.kind != "quadratic":
+        return np.stack([problem.stochastic_gradient(i, x, rng, t)
+                         for i, x in zip(nodes, x_rows)])
+    noise = rng.standard_normal((len(x_rows), problem.dim))
+    scale = problem.noise_std / np.sqrt(problem.dim)
+    return (x_rows - problem.node_optima[list(nodes)]) @ problem.hessian + scale * noise
+
+
 @pytest.mark.parametrize("n", [1, 16, 64])
 @pytest.mark.parametrize("d", [1, 10, 200])
 def test_quadratic_batched_oracle_and_loss_equal_node_loops(n, d):
     problem = make_quadratic(n, d, heterogeneity=1.0, noise_std=0.7, seed=n + d)
     x_rows = np.random.default_rng(d).standard_normal((n, d))
     batched = problem.stochastic_gradients(x_rows, RandomStream(9, 0, "grad").at(4), 4)
-    # the iteration's noise block, drawn once; then the gradients node by node
-    noise = RandomStream(9, 0, "grad").at(4).standard_normal((n, d))
-    scale = problem.noise_std / np.sqrt(d)
-    looped = np.stack([problem.node_gradient(i, x_rows[i]) + scale * noise[i]
-                       for i in range(n)])
-    assert np.array_equal(batched, looped)
-    # the per-node oracle, nodes drawing in order from the one generator
-    rng = RandomStream(9, 0, "grad").at(4)
-    assert np.array_equal(batched, np.stack([problem.stochastic_gradient(i, x_rows[i], rng, 4)
-                                             for i in range(n)]))
+    # the iteration's noise block, drawn once; then the gradients in one product
+    literal = _literal_gradients(problem, x_rows, RandomStream(9, 0, "grad").at(4))
+    assert batched.tobytes() == literal.tobytes()
+    # the per-node oracle is the one-row case: nodes drawing in order from
+    # one generator draw the block's noise rows
+    rng, ref = RandomStream(9, 0, "grad").at(4), RandomStream(9, 0, "grad").at(4)
+    for i in range(n):
+        assert (problem.stochastic_gradient(i, x_rows[i], rng, 4).tobytes()
+                == _literal_gradients(problem, x_rows[i : i + 1], ref, 4, [i])[0].tobytes())
     # a row-to-node map, repeats and any order: the rows draw in row order
     nodes = np.random.default_rng(n).integers(0, n, size=n + 3)
     rows = np.random.default_rng(d + 1).standard_normal((n + 3, d))
     mapped = problem.stochastic_gradients(rows, RandomStream(9, 0, "grad").at(4), 4, nodes)
-    noise = RandomStream(9, 0, "grad").at(4).standard_normal((n + 3, d))
-    assert mapped.tobytes() == np.stack([problem.node_gradient(i, row) + scale * z
-                                         for i, row, z in zip(nodes, rows, noise)]).tobytes()
+    assert mapped.tobytes() == _literal_gradients(problem, rows, RandomStream(9, 0, "grad").at(4),
+                                                  4, nodes).tobytes()
     for x in (x_rows[0], x_rows.mean(axis=0), problem.optimum()):
         assert problem.loss(x) == _in_order(problem.node_loss(i, x) for i in range(n)) / n
 
@@ -387,7 +402,8 @@ def test_dataset_oracles_equal_the_expressions_as_first_written(make):
 
 def _literal_estimates(problem, seed=0, trials=8, grad_samples=16, power_iters=120):
     # estimate_constants as first written, at center 0 and radius 1: one
-    # oracle call per sample, the sums taken sample by sample
+    # oracle call per sample (a quadratic's gradient rows in the oracle's
+    # gemm form), the sums taken sample by sample
     stream = RandomStream(seed, 0, "estimate")
     rng = stream.generator()
     center = np.zeros(problem.dim)
@@ -410,11 +426,14 @@ def _literal_estimates(problem, seed=0, trials=8, grad_samples=16, power_iters=1
             exact = problem.node_gradient(i, point)
             node_rng = stream.at(trial * problem.n + i)
             sq_err = sq_norm = 0.0
-            for _ in range(grad_samples):
+            if problem.kind == "quadratic":
+                # the node's gradient at the point: a row per sample of one product
+                rows = (np.tile(point, (grad_samples, 1)) - problem.node_optima[i]) @ problem.hessian
+            for sample in range(grad_samples):
                 if problem.kind == "quadratic":
                     noise = problem.noise_std / np.sqrt(problem.dim) * node_rng.standard_normal(
                         problem.dim)
-                    g = problem.node_gradient(i, point) + noise
+                    g = rows[sample] + noise
                 else:
                     g = _literal_shard(problem, _literal_minibatch(problem, i, node_rng, 0),
                                        point)[1]
@@ -557,11 +576,7 @@ def _reference_run(problem, cfg, mixing, comp, seed, broadcast, x0, boundaries):
     rows, states, max_grads, max_grad = [], [], [], 0.0
 
     def gradients(x_rows, t):
-        rng = streams.grad.at(t)  # the iteration's generator, nodes in order
-        g = np.empty((n, d))
-        for i in range(n):
-            g[i] = problem.stochastic_gradient(i, x_rows[i], rng, t)
-        return g
+        return _literal_gradients(problem, x_rows, streams.grad.at(t), t)
 
     def compress_nodes(v, t):
         return _per_row(comp, v, streams.compress.at(t) if comp.stochastic else None,
@@ -711,10 +726,7 @@ def _literal_choco_until_divergence(problem, mixing, comp, gamma, eta, iteration
         q, bits = _per_row(comp, v, streams.compress.at(t) if comp.stochastic else None,
                            None)
         xhat_next = x - (v - q)
-        rng = streams.grad.at(t)
-        g = np.empty((n, d))
-        for i in range(n):
-            g[i] = problem.stochastic_gradient(i, x[i], rng, t)
+        g = _literal_gradients(problem, x, streams.grad.at(t), t)
         x = ((x - gamma * xhat_next) + gamma * (mixing.w @ xhat_next)) - eta * g
         xhat = xhat_next
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1e12:

@@ -218,6 +218,17 @@ def test_a_topology_size_is_a_plain_ascii_numeral(tmp_path, capsys, topology):
     assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
 
 
+def test_a_set_up_too_big_for_memory_exits_one_with_one_line(tmp_path, capsys):
+    # the 5e8 x 5e8 Hessian's 2e18 bytes lie far beyond any host's address
+    # space and below NumPy's 2**63-byte limit: its allocation fails at once
+    path = _write_config(tmp_path, problem={"kind": "quadratic", "n": 4, "dim": 500_000_000})
+    for command in ("run", "sweep"):
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), lines
+        assert not (tmp_path / "o").exists()
+
+
 def test_a_compressor_argument_is_a_plain_ascii_numeral(tmp_path, capsys):
     # int(), float() and a stripped spec read these as gsgd:16, gsgd:4, topk:0.1 and sign
     for compressor in ("gsgd:1_6", "gsgd: 4", "topk:0.1 ", " sign"):

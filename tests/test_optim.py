@@ -92,8 +92,9 @@ def test_centralized_single_step_hand_example():
 
 
 def test_centralized_matches_the_literal_gradient_loop():
-    # bitwise: the n gradients sit in C-ordered (n, d) rows, and their mean
-    # sums in that order (n >= 8 takes NumPy's unrolled summation path)
+    # bitwise: the n gradients are the C-ordered (n, d) rows of one product,
+    # and their mean sums in that order (n >= 8 takes NumPy's unrolled
+    # summation path)
     n, d, eta, steps = 16, 7, 0.1, 5
     problem = make_quadratic(n, d, heterogeneity=1.0, noise_std=0.5, seed=3)
     x0 = np.linspace(-1.0, 1.0, d)
@@ -106,9 +107,7 @@ def test_centralized_matches_the_literal_gradient_loop():
     x = x0.copy()
     for t in range(steps):
         noise = streams.grad.at(t).standard_normal((n, d))  # the iteration's block
-        g = np.empty((n, d))
-        for i in range(n):
-            g[i] = problem.node_gradient(i, x) + scale * noise[i]
+        g = (np.tile(x, (n, 1)) - problem.node_optima) @ problem.hessian + scale * noise
         x = x - eta * g.mean(axis=0)
         np.testing.assert_array_equal(rec.iterates[t + 1], x[None, :])
     np.testing.assert_array_equal(rec.final_x_mean, x)
@@ -132,7 +131,7 @@ def test_lossless_gossip_matches_matrix_recursion():
     for t in range(1, 12):
         x = rec.iterates[t]
         noise = streams.grad.at(t).standard_normal((4, problem.dim))  # the iteration's block
-        g = np.stack([problem.node_gradient(i, x[i]) + scale * noise[i] for i in range(4)])
+        g = (x - problem.node_optima) @ problem.hessian + scale * noise
         np.testing.assert_array_equal(rec.iterates[t + 1], mixing.w @ x - 0.1 * g)
 
 
