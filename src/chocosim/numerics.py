@@ -6,20 +6,20 @@ per-node iterate blocks are ``(n_nodes, dim)`` ``float64`` arrays, square
 matrices are ``(n, n)`` ``float64`` arrays. Helpers here raise instead of
 letting NaN/Inf propagate silently.
 
-Random streams are counter based (``Philox``). A stream ``(seed, worker,
-purpose)`` has one key, from NumPy's ``SeedSequence(seed,
-spawn_key=(worker, crc32(purpose)))``, and holds nothing else: every draw
-comes from a ``numpy.random.Generator`` on that key. Set-up code (problem,
-dataset, starting point, constant estimates) draws from
+This is the one module that builds NumPy random objects; the others draw
+from the generators of a :class:`RandomStream`, counter based (``Philox``).
+A stream ``(seed, worker, purpose)`` holds one key and nothing else, hashed
+once out of NumPy's ``SeedSequence(seed, spawn_key=(worker,
+crc32(purpose)))``. Set-up code (problem, dataset, starting point,
+constant estimates, each ``verify`` check) draws from
 :meth:`RandomStream.generator`, counter 0, which advances the low counter
-words only. Iteration ``t`` is addressed by the counter instead:
-:meth:`RandomStream.at` returns a generator on the same key with counter
-word 2 set to ``t + 1``, which no set-up draw and no other iteration
-reaches. The key's two words are hashed out of the ``SeedSequence`` once
-per stream, not once per generator. A run keeps one stream per purpose
-(``grad``, ``compress``), and each iteration draws the randomness of all n
-nodes from that one generator: row i of an ``(n, .)`` block is node i's.
-Seeds are non-negative integers.
+words only. An index (iteration ``t``, a dataset's epoch) is addressed by
+the counter instead: :meth:`RandomStream.at` returns a generator on the
+same key with counter word 2 set to ``t + 1``, which no set-up draw and no
+other index reaches. A run keeps one stream per purpose (``grad``,
+``compress``, a dataset's ``shuffle``), and each iteration draws the
+randomness of all n nodes from one generator: row i of an ``(n, .)`` block
+is node i's. Seeds are non-negative integers.
 """
 
 import math

@@ -54,7 +54,7 @@ class Partition:
     ``fixed-split`` deals the samples out once (optionally sorted by label,
     which concentrates classes on few nodes and maximizes heterogeneity) and
     never changes. ``iid-reshuffled`` redraws a fresh random split for every
-    epoch index, keyed only by ``(seed, epoch)``.
+    epoch index, from ``RandomStream(seed, 0, "shuffle").at(epoch)`` alone.
     """
 
     mode: str
@@ -80,16 +80,15 @@ class Partition:
     def shards(self, epoch=0):
         """List of index arrays, one per node, for the given epoch, each in
         increasing order: the order minibatch draws index and full-batch sums run in."""
+        if not is_integer(epoch):  # a float or bool is refused, never truncated
+            raise ValueError(f"epoch must be an integer, got {epoch!r}")
         if self.mode == "fixed-split":
             if self.by_label:
                 order = np.argsort(self.labels, kind="stable")
             else:
                 order = np.arange(self.n_samples)
         else:
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=(int(epoch),)))
-            )
-            order = rng.permutation(self.n_samples)
+            order = RandomStream(self.seed, 0, "shuffle").at(epoch).permutation(self.n_samples)
         return [np.sort(chunk) for chunk in np.array_split(order, self.n_nodes)]
 
 
@@ -213,7 +212,7 @@ class QuadraticProblem:
         rng = RandomStream(seed, 0, "problem").generator()
         basis, _ = np.linalg.qr(rng.standard_normal(dim * dim).reshape(dim, dim))
         spectrum = np.linspace(mu, l_smooth, dim)
-        hessian = basis @ np.diag(spectrum) @ basis.T
+        hessian = (basis * spectrum) @ basis.T  # basis @ diag(spectrum) @ basis.T, bit for bit
         self.hessian = 0.5 * (hessian + hessian.T)
         xstar = xstar_scale / np.sqrt(dim) * rng.standard_normal(dim)
         offsets = rng.standard_normal(n * dim).reshape(n, dim) / np.sqrt(dim)
@@ -360,6 +359,8 @@ class _DatasetProblem:
         return self._dealt[1]
 
     def _epoch(self, t):
+        if not is_integer(t):  # a float or bool is refused, never truncated
+            raise ValueError(f"iteration must be an integer, got {t!r}")
         per_node = self._y.shape[0] // self.n
         draws_per_epoch = max(1, per_node // self.batch)
         return int(t) // draws_per_epoch

@@ -51,20 +51,20 @@ def _exact_check(name, ok, detail=""):
 def suite_compression():
     """Contraction and bit-cost checks of the compression operators.
 
-    Each Monte-Carlo check compresses its draws as one ``(trials, d)`` block
-    in one :func:`compress_blocks` call. A block's rows draw from the one
-    generator in row order, and its inputs are drawn as one block too, so
-    every payload, error and ratio is, bit for bit, the one a loop of
-    per-vector :func:`compress` calls gives.
+    Each Monte-Carlo check draws from its own generator, ``RandomStream(7, 0,
+    "verify." + name).generator()`` for the check's ``name``, so none depends on
+    another's draw count. It draws its inputs as one block, then compresses its
+    ``(trials, d)`` block in one :func:`compress_blocks` call, rows drawing in
+    row order: every payload is the one a per-vector :func:`compress` loop gives.
     """
     checks = []
-    rng = RandomStream(7, 0, "verify").at(0)
     d = 32
 
     # deterministic operators respect their worst-case energy guarantee per draw
     for spec in ("sign", "topk:0.25"):
         comp = parse_compressor(spec)
         delta = contraction_factor(comp, d)
+        rng = RandomStream(7, 0, f"verify.{spec}-energy").generator()
         x = rng.standard_normal(50 * d).reshape(50, d)  # 50 draws of d, in order
         err = ((x - compress_blocks(comp, x).payload) ** 2).sum(axis=1)
         worst = max((err / ((1.0 - delta) * row_dots(x))).tolist())
@@ -72,7 +72,7 @@ def suite_compression():
                                    f"worst err ratio {worst:.6f}"))
 
     # the per-input sign factor is an equality, not just a bound
-    x = rng.standard_normal(d)
+    x = RandomStream(7, 0, "verify.sign-energy-identity").generator().standard_normal(d)
     comp = parse_compressor("sign")
     err = float(np.sum((x - compress(comp, x).payload) ** 2))
     predicted = (1.0 - sign_contraction(x)) * float(x @ x)
@@ -83,6 +83,7 @@ def suite_compression():
     for spec, trials in (("random:0.25", 600), ("gsgd:4", 600)):
         comp = parse_compressor(spec)
         delta = contraction_factor(comp, d)
+        rng = RandomStream(7, 0, f"verify.{spec}-mean-energy").generator()
         x = rng.standard_normal(d)
         q = compress_blocks(comp, np.tile(x, (trials, 1)), rng).payload
         errs = ((x - q) ** 2).sum(axis=1)
@@ -93,6 +94,7 @@ def suite_compression():
     # unbiased sparsification: per-coordinate mean error within 4 standard errors
     comp = parse_compressor("random:0.25:unbiased")
     trials = 3000
+    rng = RandomStream(7, 0, "verify.random-unbiased-mean").generator()
     x = rng.standard_normal(8)
     e = compress_blocks(comp, np.tile(x, (trials, 1)), rng).payload - x
     mean = sum_in_order(e) / trials

@@ -2,8 +2,10 @@
 module; ``__init__.py`` imports to re-export. Every module-level private
 name (one leading underscore) is read by some module of the package. No
 module compares a value with an algorithm name or a compressor kind: what
-an algorithm or a kind does is read from its table row. Only the stdlib
-``ast`` reads the sources: no linter is needed."""
+an algorithm or a kind does is read from its table row. No module but
+``numerics`` touches ``numpy.random``: every draw comes from a generator
+of a ``RandomStream``. Only the stdlib ``ast`` reads the sources: no linter
+is needed."""
 
 import ast
 from pathlib import Path
@@ -115,3 +117,54 @@ def test_the_check_finds_a_comparison_with_a_table_name():
                      'also = {"choco": 1}["choco"] < 2\n')
     assert _table_name_comparisons(tree) == [(1, "topk"), (3, "gsgd"), (4, "choco"),
                                              (4, "sign")]
+
+
+def _in_numpy_random(module):
+    return module == "numpy.random" or module.startswith("numpy.random.")
+
+
+def _numpy_random_uses(tree):
+    """``(line, what)`` of each import from ``numpy.random`` (``from numpy
+    import random`` too) and each ``.random`` read on ``np``, ``numpy`` or
+    another name the module binds to ``numpy``. Docstrings and comments that
+    name ``numpy.random.Generator`` are not code, so they are not found."""
+    numpy_names = {"np", "numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            numpy_names.update(alias.asname for alias in node.names
+                               if alias.name == "numpy" and alias.asname)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if _in_numpy_random(alias.name)]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if _in_numpy_random(node.module):
+                found.append((node.lineno, node.module))
+            elif node.module == "numpy" and any(a.name == "random" for a in node.names):
+                found.append((node.lineno, "numpy.random"))
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name) and node.value.id in numpy_names):
+            found.append((node.lineno, f"{node.value.id}.random"))
+    return sorted(found)
+
+
+def test_only_numerics_touches_numpy_random():
+    # one RNG convention: every other module draws from RandomStream's generators
+    found = {name: _numpy_random_uses(tree) for name, tree in _trees().items()
+             if name != "numerics.py"}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+    assert _numpy_random_uses(_trees()["numerics.py"]) != []
+
+
+def test_the_check_finds_a_numpy_random_use():
+    tree = ast.parse('"""Draws from a ``numpy.random.Generator``."""\n'
+                     "import numpy as xp\nimport numpy.random\n"
+                     "from numpy.random import default_rng\n"
+                     "from numpy.random.bit_generator import SeedSequence\n"
+                     "from numpy import random, zeros\n"
+                     "rng = xp.random.Generator(np.random.Philox(numpy.random.SeedSequence(1)))\n"
+                     "fine = rng.random(3) + zeros(2) + random.random()  # np.random.default_rng\n")
+    assert _numpy_random_uses(tree) == [
+        (3, "numpy.random"), (4, "numpy.random"), (5, "numpy.random.bit_generator"),
+        (6, "numpy.random"), (7, "np.random"), (7, "numpy.random"), (7, "xp.random")]

@@ -13,7 +13,7 @@ from chocosim import problems
 from chocosim.config import ExperimentConfig, execute_single
 from chocosim.metrics import write_csv
 from chocosim.numerics import RandomStream, sym_eigenvalues
-from chocosim.problems import (LogisticProblem, MlpProblem, Partition,
+from chocosim.problems import (PARTITION_MODES, LogisticProblem, MlpProblem, Partition,
                                estimate_constants, load_csv_dataset,
                                make_blob_dataset, make_logistic, make_mlp,
                                make_quadratic)
@@ -101,6 +101,18 @@ def test_a_quadratic_round_trips_through_a_pickle():
     np.testing.assert_array_equal(copy.node_optima, p.node_optima)
 
 
+@pytest.mark.parametrize("n, dim, seed", [(6, 7, 8), (16, 10, 1), (16, 10, 3), (64, 200, 1),
+                                          (64, 200, 3)])
+def test_the_hessian_equals_the_two_product_expression(n, dim, seed):
+    # scaling the basis's columns is the product with diag(spectrum) less its
+    # exact zero terms: the corpus's and the benchmark's sizes, byte for byte
+    p = make_quadratic(n, dim, seed=seed)
+    rng = RandomStream(seed, 0, "problem").generator()
+    basis, _ = np.linalg.qr(rng.standard_normal(dim * dim).reshape(dim, dim))
+    hessian = basis @ np.diag(np.linspace(p.mu, p.l_smooth, dim)) @ basis.T
+    assert p.hessian.tobytes() == (0.5 * (hessian + hessian.T)).tobytes()
+
+
 def test_noise_variance_matches_noise_std():
     p = make_quadratic(2, 20, noise_std=0.7, seed=7)
     rng = RandomStream(7, 0, "grad").generator()
@@ -175,6 +187,33 @@ def test_reshuffled_split_changes_by_epoch_but_is_reproducible():
     again = Partition("iid-reshuffled", 4, 100, seed=0).shards(1)
     for a, b in zip(e1, again):
         np.testing.assert_array_equal(a, b)
+
+
+def test_an_epoch_permutes_on_the_shuffle_stream():
+    # the epoch addresses the counter of the problem seed's "shuffle" stream
+    for seed, n, samples, epoch in ((0, 4, 100, 0), (3, 7, 100, 5), (8, 6, 120, 2**40)):
+        order = RandomStream(seed, 0, "shuffle").at(epoch).permutation(samples)
+        want = [np.sort(chunk) for chunk in np.array_split(order, n)]
+        got = Partition("iid-reshuffled", n, samples, seed=seed).shards(np.int64(epoch))
+        assert [s.tolist() for s in got] == [s.tolist() for s in want]
+
+
+@pytest.mark.parametrize("mode", PARTITION_MODES)
+@pytest.mark.parametrize("epoch", [1.5, 1.0, True, np.float64(2.0)])
+def test_a_non_integer_epoch_is_refused_not_truncated(mode, epoch):
+    with pytest.raises(ValueError, match="epoch must be an integer"):
+        Partition(mode, 4, 100, seed=0).shards(epoch)
+
+
+@pytest.mark.parametrize("factory", [make_logistic, make_mlp])
+@pytest.mark.parametrize("t", [1.5, 1.0, True])
+def test_a_dataset_oracle_refuses_a_non_integer_iteration(factory, t):
+    problem = factory(4, samples=200, batch=8, seed=3)
+    x = np.zeros((4, problem.dim))
+    with pytest.raises(ValueError, match="iteration must be an integer"):
+        problem.stochastic_gradients(x, RandomStream(1, 0, "grad").at(1), t)
+    with pytest.raises(ValueError, match="iteration must be an integer"):
+        problem.stochastic_gradient(0, x[0], RandomStream(1, 0, "grad").at(1), t)
 
 
 def test_shards_exactly_partition_the_dataset():

@@ -13,14 +13,14 @@ from chocosim.topology import mixing_matrix, ring
 
 
 def _per_vector_compression_checks():
-    # suite_compression's Monte-Carlo checks as first written: one compress
-    # call per draw, every draw from the one generator in turn
+    # suite_compression's Monte-Carlo checks as first written, one compress
+    # call per draw, each check drawing in turn from the stream of its name
     checks = []
-    rng = RandomStream(7, 0, "verify").at(0)
     d = 32
     for spec in ("sign", "topk:0.25"):
         comp = parse_compressor(spec)
         delta = contraction_factor(comp, d)
+        rng = RandomStream(7, 0, f"verify.{spec}-energy").generator()
         worst = -np.inf
         for _ in range(50):
             x = rng.standard_normal(d)
@@ -28,10 +28,10 @@ def _per_vector_compression_checks():
             worst = max(worst, err / ((1.0 - delta) * float(x @ x)))
         checks.append(verify._bound_check(f"{spec}-energy", worst, 1.0 + 1e-12,
                                           f"worst err ratio {worst:.6f}"))
-    rng.standard_normal(d)  # the sign-energy-identity draw
     for spec, trials in (("random:0.25", 600), ("gsgd:4", 600)):
         comp = parse_compressor(spec)
         delta = contraction_factor(comp, d)
+        rng = RandomStream(7, 0, f"verify.{spec}-mean-energy").generator()
         x = rng.standard_normal(d)
         errs = [float(np.sum((x - compress(comp, x, rng=rng).payload) ** 2))
                 for _ in range(trials)]
@@ -40,6 +40,7 @@ def _per_vector_compression_checks():
                                           f"mean err ratio {ratio:.4f}"))
     comp = parse_compressor("random:0.25:unbiased")
     trials = 3000
+    rng = RandomStream(7, 0, "verify.random-unbiased-mean").generator()
     x = rng.standard_normal(8)
     acc = np.zeros(8)
     sq = np.zeros(8)
@@ -64,6 +65,21 @@ def test_blocked_compression_checks_equal_the_per_vector_loop():
         assert type(block.margin) is type(check.margin)
         assert block.margin == check.margin
         assert block.detail == check.detail
+
+
+def test_each_compression_check_draws_from_the_stream_of_its_name(monkeypatch):
+    # one generator per Monte-Carlo check, keyed by the name the report
+    # prints, so no check's draws depend on how many another one took
+    keys, generator = [], RandomStream.generator
+
+    def recorded(self):
+        keys.append((self.seed, self.worker, self.purpose))
+        return generator(self)
+
+    monkeypatch.setattr(RandomStream, "generator", recorded)
+    names = [check.name for check in verify.suite_compression() if check.name != "bit-costs"]
+    assert len(names) == 6
+    assert keys == [(7, 0, f"verify.{name}") for name in names]
 
 
 def test_a_bound_check_fails_just_above_its_bound():

@@ -18,10 +18,12 @@ graphs at the sizes ``chocosim verify`` builds, a 2-node and a 1-node graph
 and a connected and a disconnected edge list, and ``estimate_constants`` of
 the corpus's four problems.
 
-One line per compressor spec digests the runs of that compressor, so a
-trajectory change shows which families moved; the next line digests the
-whole corpus. Two trees that print the same line computed the same corpus
-bit for bit.
+One line per compressor spec digests the runs of that compressor, and one
+line per problem family the runs on that problem (``quadratic`` with the
+diverging and NaN-start runs, ``logistic``, ``mlp`` and ``mlp-ragged``), so a
+trajectory change shows which compressors and which problems moved; the
+next line digests the whole corpus. Two trees that print the same line
+computed the same corpus bit for bit.
 
 The next line digests longer runs, of 150 iterations: more than two blocks
 of the optimizer's gradient-norm fold (64 iterations), so ``max_grad_norm``
@@ -83,6 +85,7 @@ from chocosim.verify import SPECTRAL_GAPS, format_report, run_suite
 N = 6
 ITERATIONS = 20
 COMPRESSORS = ("identity", "sign", "topk:0.2", "gsgd:4", "random:0.3")
+KINDS = ("quadratic", "logistic", "mlp", "mlp-ragged")  # the keys of problems()
 CONFIGS = (
     dict(algorithm="choco"),
     dict(algorithm="choco-momentum", momentum_factor=0.5, weight_decay=0.01),
@@ -189,8 +192,7 @@ def run_matrix(kinds, specs, iterations, strides):
 
 def corpus():
     """``(name, spec, record)`` of every run of the corpus, in a fixed order."""
-    yield from run_matrix(("quadratic", "logistic", "mlp", "mlp-ragged"), COMPRESSORS,
-                          ITERATIONS, (1, 3))
+    yield from run_matrix(KINDS, COMPRESSORS, ITERATIONS, (1, 3))
     mixing = mixing_matrix(ring(N))
     quadratic = make_quadratic(N, 7, heterogeneity=1.0, noise_std=0.5, seed=8)
     diverging = OptimizerConfig(eta=50.0, gamma=0.5, iterations=60)
@@ -304,16 +306,21 @@ def config_outputs(threads):
 def main():
     print(f"{hashlib.sha256(describe_setup().encode()).hexdigest()}  (set-up)")
     total = hashlib.sha256()
-    families = {spec: hashlib.sha256() for spec in COMPRESSORS}
-    runs = dict.fromkeys(COMPRESSORS, 0)
+    families = {key: hashlib.sha256() for key in (*COMPRESSORS, *KINDS)}
+    runs = dict.fromkeys(families, 0)
     for name, spec, record in corpus():
         text = f"{name}\n{describe(record)}\n".encode()
         total.update(text)
-        families[spec].update(text)
-        runs[spec] += 1
-    for spec, digest in families.items():
-        print(f"{digest.hexdigest()}  ({runs[spec]} runs, {spec})")
-    print(f"{total.hexdigest()}  ({sum(runs.values())} runs)")
+        kind = name.split("/")[0]
+        kind = kind if kind in KINDS else "quadratic"  # the diverging and NaN-start runs
+        for key in (spec, kind):
+            families[key].update(text)
+            runs[key] += 1
+    for spec in COMPRESSORS:
+        print(f"{families[spec].hexdigest()}  ({runs[spec]} runs, {spec})")
+    for kind in KINDS:
+        print(f"{families[kind].hexdigest()}  ({runs[kind]} runs, {kind} problem)")
+    print(f"{total.hexdigest()}  ({sum(runs[spec] for spec in COMPRESSORS)} runs)")
     long = hashlib.sha256()
     count = 0
     for name, _, record in long_corpus():
