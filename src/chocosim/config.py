@@ -32,6 +32,24 @@ from .topology import build_topology, check_connected, mixing_matrix
 THREADS_ENV = "CHOCO_THREADS"
 X0_MODES = ("zeros", "optimum", "gaussian")
 _MODES = {"x0_mode": X0_MODES, "problem.mode": PARTITION_MODES}
+# options read only under a condition: names, whether a checked config reads them, and the
+# refusal of one set off its default where unread. Not rows: the baselines ignore compressor,
+# per_layer, broadcast and topology (documented), and only a sweep reads the grids
+READ_IF = (
+    (("momentum_factor", "weight_decay", "nesterov"),
+     lambda c: "velocity" in ALGORITHM_TABLE[c.algorithm].keeps,
+     "{name} is not read by algorithm {c.algorithm!r}"),
+    (("gamma", "delta_override", "gamma_grid"), lambda c: ALGORITHM_TABLE[c.algorithm].compressed,
+     "{name} is not read by algorithm {c.algorithm!r}"),
+    (("delta_override",), lambda c: c.gamma == "auto" and c.gamma_grid is None,
+     "delta_override is read only with gamma 'auto' and no gamma_grid"),
+    (("x0_mode",), lambda c: c.x0_mode != "optimum" or c.problem["kind"] == "quadratic",
+     "x0_mode 'optimum' needs the quadratic problem"),
+    (("x0_scale",), lambda c: c.x0_mode == "gaussian",
+     "x0_scale is read only with x0_mode 'gaussian'"),
+    (("problem.samples", "problem.dim", "problem.input_dim", "problem.margin"),
+     lambda c: c.problem.get("csv") is None, "{name} is read only without problem.csv"),
+)
 
 
 class ConfigError(ValueError):
@@ -62,7 +80,7 @@ def _check(name, value, default):
     elif name in _MODES:
         ok, rule = isinstance(value, str) and value in _MODES[name], f"one of {_MODES[name]}"
     elif name == "problem.csv":
-        ok, rule = value is None or isinstance(value, str), "a string or null"
+        ok, rule = value is None or isinstance(value, str) and value, "a string or null, not empty"
     elif isinstance(default, bool):
         ok, rule = isinstance(value, bool), "true or false"
     elif isinstance(default, int):
@@ -106,22 +124,11 @@ class ExperimentConfig(OptimizerConfig):
             raise ConfigError(f"cannot read topology {self.topology}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not (isinstance(self.seeds, list) and self.seeds and all(map(is_integer, self.seeds))):
-            raise ConfigError("seeds must be a non-empty list of integers")
-        if min(self.seeds) < 0:
-            raise ConfigError("seeds must be non-negative integers")
+        if not (isinstance(self.seeds, list) and self.seeds
+                and all(is_integer(seed) and seed >= 0 for seed in self.seeds)):
+            raise ConfigError("seeds must be a non-empty list of non-negative integers")
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigError("seeds must be distinct")
-        # an option the algorithm's row never reads is refused, not ignored
-        unread = () if "velocity" in row.keeps else ("momentum_factor", "weight_decay", "nesterov")
-        unread += () if row.compressed else ("gamma", "delta_override", "gamma_grid")
-        for f in fields(self):
-            if f.name in unread and getattr(self, f.name) != f.default:
-                raise ConfigError(f"{f.name} is not read by algorithm {self.algorithm!r}")
-        # only the theory stepsize reads delta_override; a grid gives every sweep cell a number
-        numeric = self.gamma != "auto" or self.gamma_grid is not None
-        if self.delta_override is not None and numeric:
-            raise ConfigError("delta_override is read only with gamma 'auto' and no gamma_grid")
 
         if not isinstance(self.problem, dict) or "kind" not in self.problem:
             raise ConfigError("problem must be an object with a 'kind' key")
@@ -139,8 +146,13 @@ class ExperimentConfig(OptimizerConfig):
         if self._graph is not None and self._graph.n != self.problem["n"]:
             raise ConfigError(f"topology {self.topology} has {self._graph.n} nodes "
                               f"but problem.n is {self.problem['n']!r}")
-        if self.x0_mode == "optimum" and kind != "quadratic":
-            raise ConfigError("x0_mode 'optimum' needs the quadratic problem")
+        given = vars(self) | {f"problem.{k}": v for k, v in self.problem.items()}
+        unset = {f.name: f.default for f in fields(self)}
+        unset |= {f"problem.{k}": v for k, v in defaults.items()}
+        for names, reads, refusal in READ_IF:
+            off = [name for name in names if name in unset and given[name] != unset[name]]
+            if off and not reads(self):
+                raise ConfigError(refusal.format(name=off[0], c=self))
 
         # a grid value must pass its own field's rule
         for name in ("eta", "gamma"):

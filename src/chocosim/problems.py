@@ -80,15 +80,14 @@ class Partition:
     def shards(self, epoch=0):
         """List of index arrays, one per node, for the given epoch, each in
         increasing order: the order minibatch draws index and full-batch sums run in."""
-        if not is_integer(epoch):  # a float or bool is refused, never truncated
-            raise ValueError(f"epoch must be an integer, got {epoch!r}")
-        if self.mode == "fixed-split":
-            if self.by_label:
-                order = np.argsort(self.labels, kind="stable")
-            else:
-                order = np.arange(self.n_samples)
-        else:
+        if not (is_integer(epoch) and epoch >= 0):  # a float, bool or negative is refused
+            raise ValueError(f"epoch must be an integer >= 0, got {epoch!r}")
+        if self.mode == "iid-reshuffled":
             order = RandomStream(self.seed, 0, "shuffle").at(epoch).permutation(self.n_samples)
+        elif self.by_label:
+            order = np.argsort(self.labels, kind="stable")
+        else:
+            order = np.arange(self.n_samples)
         return [np.sort(chunk) for chunk in np.array_split(order, self.n_nodes)]
 
 
@@ -211,7 +210,7 @@ class QuadraticProblem:
         # basis, then x*, then the offsets, all from one set-up generator
         rng = RandomStream(seed, 0, "problem").generator()
         basis, _ = np.linalg.qr(rng.standard_normal(dim * dim).reshape(dim, dim))
-        spectrum = np.linspace(mu, l_smooth, dim)
+        spectrum = np.linspace(self.mu, self.l_smooth, self.dim)
         hessian = (basis * spectrum) @ basis.T  # basis @ diag(spectrum) @ basis.T, bit for bit
         self.hessian = 0.5 * (hessian + hessian.T)
         xstar = xstar_scale / np.sqrt(dim) * rng.standard_normal(dim)
@@ -359,11 +358,10 @@ class _DatasetProblem:
         return self._dealt[1]
 
     def _epoch(self, t):
-        if not is_integer(t):  # a float or bool is refused, never truncated
-            raise ValueError(f"iteration must be an integer, got {t!r}")
-        per_node = self._y.shape[0] // self.n
-        draws_per_epoch = max(1, per_node // self.batch)
-        return int(t) // draws_per_epoch
+        if not (is_integer(t) and t >= 0):  # a float, bool or negative is refused
+            raise ValueError(f"iteration must be an integer >= 0, got {t!r}")
+        # draws per epoch: the whole batches in a node's share of the samples, at least one
+        return int(t) // max(1, self._y.shape[0] // self.n // self.batch)
 
     def _minibatches(self, rng, t, nodes):
         """``(k, m)`` store rows, row r drawn from the shard of node

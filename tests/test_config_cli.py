@@ -27,21 +27,24 @@ from chocosim.topology import build_topology
 SOCIAL = Path(__file__).resolve().parents[1] / "demos" / "data" / "social32.txt"
 
 
+CONFIG = {"topology": "ring:4", "compressor": "sign", "algorithm": "choco", "eta": 0.05,
+          "iterations": 30, "seeds": [1], "problem": {"kind": "quadratic", "n": 4, "dim": 4}}
+
+
 def _write_config(tmp_path, **overrides):
-    data = {
-        "topology": "ring:4",
-        "compressor": "sign",
-        "algorithm": "choco",
-        "eta": 0.05,
-        "iterations": 30,
-        "seeds": [1],
-        "out": str(tmp_path / "runs"),
-        "problem": {"kind": "quadratic", "n": 4, "dim": 4},
-    }
-    data.update(overrides)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps({**CONFIG, "out": str(tmp_path / "runs"), **overrides}))
     return str(path)
+
+
+@pytest.fixture(autouse=True)
+def _serial(monkeypatch):
+    # cells run in this process; a test that opens a pool sets its own cap
+    monkeypatch.setenv("CHOCO_THREADS", "1")
+
+
+def _never(*args):
+    raise AssertionError("a problem or a graph was built")
 
 
 # ------------------------------------------------------------------- config
@@ -60,62 +63,10 @@ def test_defaults_are_filled_in():
     assert cfg.problem["dim"] == 10  # defaults merged into the problem dict
 
 
-def test_unknown_keys_are_rejected():
-    with pytest.raises(ConfigError, match="speed"):
-        ExperimentConfig.from_dict({"speed": 1.0})
-    with pytest.raises(ConfigError, match="rank"):
-        ExperimentConfig.from_dict({"problem": {"kind": "quadratic", "rank": 3}})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict([1, 2])
-
-
 def test_json_errors_carry_position(tmp_path):
     (tmp_path / "bad.json").write_text("{bad json")
     with pytest.raises(ConfigError, match="line 1 column"):
         ExperimentConfig.from_dict(read_config(tmp_path / "bad.json"))
-
-
-def test_field_validation():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"algorithm": "adam"})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"compressor": "gzip"})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"topology": "mesh:4"})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"seeds": []})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"seeds": [True]})
-    with pytest.raises(ConfigError, match="seeds must be non-negative"):
-        ExperimentConfig.from_dict({"seeds": [2, -1]})
-    for seed in (-1, 1.5, True):
-        with pytest.raises(ConfigError, match="problem.seed"):
-            ExperimentConfig.from_dict({"problem": {"kind": "quadratic", "seed": seed}})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"log_every": 0})
-    with pytest.raises(ConfigError, match="log_every"):
-        ExperimentConfig.from_dict({"log_every": True})
-    # booleans and non-numbers are rejected, never coerced
-    for key, value in (("delta_override", "x"), ("gamma", True), ("eta", True),
-                       ("eta", "0.05"), ("eta", float("nan")), ("momentum_factor", "0.5"),
-                       ("weight_decay", None), ("iterations", 2.5), ("iterations", True)):
-        with pytest.raises(ConfigError, match=key):
-            ExperimentConfig.from_dict({key: value})
-    # switches must be JSON booleans; "false", "no" or 0 are not read by truthiness
-    for key, value in (("nesterov", "false"), ("broadcast", "no"), ("per_layer", 0),
-                       ("nesterov", 1), ("per_layer", None)):
-        with pytest.raises(ConfigError, match=key):
-            ExperimentConfig.from_dict({key: value})
-    with pytest.raises(ConfigError, match="eta_grid"):
-        ExperimentConfig.from_dict({"eta_grid": [True]})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"eta_grid": []})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"gamma_grid": [-0.1]})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"problem": {"kind": "mlp"}, "x0_mode": "optimum"})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"problem": {"dim": 4}})
 
 
 def test_centralized_needs_no_topology():
@@ -128,16 +79,10 @@ def test_centralized_needs_no_topology():
     ("ring:16", 16), ("torus:9", 9), ("full:5", 5),
     pytest.param(f"edgelist:{SOCIAL}", 32, id="edgelist:social32.txt-32"),
 ])
-def test_topology_node_count_mismatch_exits_one(tmp_path, capsys, monkeypatch, topology, nodes):
-    def no_build(spec):
-        raise AssertionError("a problem was built")
-
-    monkeypatch.setattr(config_module, "build_problem", no_build)
-    path = _write_config(tmp_path, topology=topology)  # problem.n is 4
-    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert lines == [f"error: topology {topology} has {nodes} nodes but problem.n is 4"]
-    assert not (tmp_path / "o").exists()
+def test_topology_node_count_mismatch_exits_one(chocosim, monkeypatch, topology, nodes):
+    monkeypatch.setattr(config_module, "build_problem", _never)
+    assert chocosim({**CONFIG, "topology": topology}) == (  # problem.n is 4
+        1, f"error: topology {topology} has {nodes} nodes but problem.n is 4")
     # the coordinator baseline ignores the topology
     ExperimentConfig.from_dict({"algorithm": "centralized", "topology": topology})
     ExperimentConfig.from_dict({"algorithm": "centralized", "topology": "edgelist:missing.txt"})
@@ -153,36 +98,24 @@ def test_topology_node_count_mismatch_exits_one(tmp_path, capsys, monkeypatch, t
     # spectral gap, with a line that does not say what is wrong
     ("0 1\n2 3\n", "graph must be connected to average"),
 ], ids=["missing", "three-ids", "non-integer", "no-edges", "self-loop", "disconnected"])
-def test_an_unreadable_edge_list_exits_one_before_any_run(tmp_path, capsys, monkeypatch,
+def test_an_unreadable_edge_list_exits_one_before_any_run(chocosim, tmp_path, monkeypatch,
                                                           text, message):
-    def no_build(spec):
-        raise AssertionError("a problem was built")
-
-    monkeypatch.setattr(config_module, "build_problem", no_build)
+    monkeypatch.setattr(config_module, "build_problem", _never)
     edges = tmp_path / "g.txt"
     if text is not None:
         edges.write_text(text)
-    path = _write_config(tmp_path, topology=f"edgelist:{edges}")
     for command in ("run", "sweep"):
-        assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert lines == ["error: " + message.format(path=edges)]
-        assert not (tmp_path / "o").exists()
-
-
-def _no_graph(*args):
-    raise AssertionError("a graph was built")
+        assert chocosim({**CONFIG, "topology": f"edgelist:{edges}"}, command=command) == (
+            1, "error: " + message.format(path=edges))
 
 
 @pytest.mark.parametrize("topology, nodes", [("ring:16", 16), ("torus:9", 9), ("full:5", 5)])
-def test_a_config_counts_the_nodes_of_the_graph_it_builds(tmp_path, capsys, topology, nodes):
+def test_a_config_counts_the_nodes_of_the_graph_it_builds(chocosim, topology, nodes):
     cfg = ExperimentConfig.from_dict({"topology": topology,
                                       "problem": {"kind": "quadratic", "n": nodes}})
     assert cfg.problem["n"] == nodes
-    path = _write_config(tmp_path, topology=topology)  # problem.n is 4
-    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert lines == [f"error: topology {topology} has {nodes} nodes but problem.n is 4"]
+    assert chocosim({**CONFIG, "topology": topology}) == (  # problem.n is 4
+        1, f"error: topology {topology} has {nodes} nodes but problem.n is 4")
 
 
 @pytest.mark.parametrize("topology, message", [
@@ -192,12 +125,10 @@ def test_a_config_counts_the_nodes_of_the_graph_it_builds(tmp_path, capsys, topo
     ("torus:4", "torus needs side length >= 3 (wrap-around edges collide below that)"),
     ("full:0", "need n >= 1"),
 ])
-def test_a_bad_topology_size_exits_one_without_building(tmp_path, capsys, monkeypatch,
-                                                        topology, message):
-    monkeypatch.setattr(topology_module, "Graph", _no_graph)
-    path = _write_config(tmp_path, topology=topology)
-    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+def test_a_bad_topology_size_exits_one_without_building(chocosim, monkeypatch, topology,
+                                                        message):
+    monkeypatch.setattr(topology_module, "Graph", _never)
+    assert chocosim({**CONFIG, "topology": topology}) == (1, f"error: {message}")
     # the builders apply the same rule
     monkeypatch.undo()
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -206,36 +137,23 @@ def test_a_bad_topology_size_exits_one_without_building(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("topology", ["ring:1_6", "full:\u0663", "torus:\uff19", "ring:+1_6",
                                       "ring: 16", "full:4 "])
-def test_a_topology_size_is_a_plain_ascii_numeral(tmp_path, capsys, topology):
+def test_a_topology_size_is_a_plain_ascii_numeral(chocosim, capsys, topology):
     # int() reads these as 16, 3, 9, 16, 16 and 4; the spec refuses them
     message = f"bad topology size in {topology!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_topology(topology)
-    path = _write_config(tmp_path, topology=topology)
-    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+    assert chocosim({**CONFIG, "topology": topology}) == (1, f"error: {message}")
     assert cli.main(["topology", "--spec", topology]) == 1
     assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
 
 
-def test_a_set_up_too_big_for_memory_exits_one_with_one_line(tmp_path, capsys):
+def test_a_set_up_too_big_for_memory_exits_one_with_one_line(chocosim):
     # the 5e8 x 5e8 Hessian's 2e18 bytes lie far beyond any host's address
     # space and below NumPy's 2**63-byte limit: its allocation fails at once
-    path = _write_config(tmp_path, problem={"kind": "quadratic", "n": 4, "dim": 500_000_000})
+    config = {**CONFIG, "problem": {"kind": "quadratic", "n": 4, "dim": 500_000_000}}
     for command in ("run", "sweep"):
-        assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), lines
-        assert not (tmp_path / "o").exists()
-
-
-def test_a_compressor_argument_is_a_plain_ascii_numeral(tmp_path, capsys):
-    # int(), float() and a stripped spec read these as gsgd:16, gsgd:4, topk:0.1 and sign
-    for compressor in ("gsgd:1_6", "gsgd: 4", "topk:0.1 ", " sign"):
-        path = _write_config(tmp_path, compressor=compressor)
-        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err.startswith(f"error: bad compressor spec {compressor!r}")
-        assert not (tmp_path / "o").exists()
+        code, line = chocosim(config, command=command)
+        assert code == 1 and line.startswith("error: Unable to allocate"), line
 
 
 def test_importing_the_package_loads_no_process_pool():
@@ -284,22 +202,13 @@ def test_build_problem_dispatch(tmp_path, monkeypatch):
 @pytest.mark.parametrize("content", ["1.0,nan,1\n-1.0,0.5,0\n", "1.0,2.0,1\n-inf,0.5,0\n", "",
                                      "a,b,label\n", "1,2,1\n3,x,0\n", "1,2,1\n3,4\n"],
                          ids=["nan", "inf", "empty", "header-only", "bad-cell", "short-row"])
-def test_bad_csv_data_exits_one_with_one_line(tmp_path, content):
-    # in a fresh process, so that a traceback or a printed warning would show
+def test_bad_csv_data_exits_one_with_one_line(chocosim, tmp_path, content):
+    # a warning fails this test too: the suite turns every warning into an error
     csv = tmp_path / "d.csv"
     csv.write_text(content)
-    path = _write_config(tmp_path, topology="ring:2",
-                         problem={"kind": "logistic", "n": 2, "csv": str(csv)})
-    source = os.path.dirname(os.path.dirname(chocosim.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [source, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "chocosim.cli", "run", "--config", path,
-                           "--out", str(tmp_path / "o")], capture_output=True, text=True,
-                          env=env)
-    assert done.returncode == 1
-    lines = done.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
-    assert str(csv) in lines[0]
+    code, line = chocosim({**CONFIG, "topology": "ring:2",
+                           "problem": {"kind": "logistic", "n": 2, "csv": str(csv)}})
+    assert code == 1 and str(csv) in line, line
 
 
 def test_resolve_x0_modes():
@@ -348,8 +257,7 @@ def test_worker_cap_counts_the_cpus_this_process_may_use(monkeypatch):
     assert max_workers(8) == 1
 
 
-def test_execute_config_writes_all_outputs(tmp_path, monkeypatch):
-    monkeypatch.setenv("CHOCO_THREADS", "1")
+def test_execute_config_writes_all_outputs(tmp_path):
     cfg = ExperimentConfig.from_dict({
         "topology": "ring:4", "iterations": 20, "seeds": [1, 2],
         "out": str(tmp_path), "problem": {"kind": "quadratic", "n": 4, "dim": 3},
@@ -364,10 +272,9 @@ def test_execute_config_writes_all_outputs(tmp_path, monkeypatch):
     assert any(n.endswith("_summary.json") for n in names)
 
 
-def test_numpy_integers_run_as_the_python_ints_they_equal(tmp_path, monkeypatch):
+def test_numpy_integers_run_as_the_python_ints_they_equal(tmp_path):
     # a scripted grid hands NumPy integers over; they are echoed as JSON
     # numbers, and the run writes the files the Python ints write
-    monkeypatch.setenv("CHOCO_THREADS", "1")
     outputs = []
     for kind in (int, np.int64):
         cfg = ExperimentConfig.from_dict({
@@ -377,14 +284,8 @@ def test_numpy_integers_run_as_the_python_ints_they_equal(tmp_path, monkeypatch)
         })
         assert all(type(v) is int for v in (cfg.iterations, cfg.log_every, cfg.problem["n"],
                                             *cfg.seeds))
-        files = {}
-        for path in execute_config(cfg)[1]:
-            with open(path, "rb") as fh:
-                files[os.path.basename(path)] = fh.read()
-        # the summary's wall-clock times are all that may differ
-        summary = json.loads(files.pop(next(n for n in files if n.endswith("_summary.json"))))
-        del summary["elapsed_s"], summary["timings_s"]
-        outputs.append((files, summary))
+        execute_config(cfg)
+        outputs.append(_outputs(tmp_path))  # the summary's wall-clock times may differ
     assert outputs[0] == outputs[1]
 
 
@@ -450,7 +351,6 @@ def test_a_configs_set_up_is_built_once_for_all_its_seeds_and_cells(tmp_path, mo
     # the config check reads the edge list, checks it connected and parses the
     # compressor, and keeps both; set-up builds the problem and the mixing matrix
     # (which checks the graph again) once; a sweep cell is a copy of the checked config
-    monkeypatch.setenv("CHOCO_THREADS", "1")
     calls = dict.fromkeys(["build_problem", "mixing_matrix", "parse_compressor",
                            "load_edge_list", "is_connected", "fully_connected"], 0)
     for owner in (config_module, topology_module, topology_module.Graph):
@@ -553,13 +453,10 @@ def test_usage_errors_exit_one(capsys):
 @pytest.mark.parametrize("argv", [["--seed", "1_0"], ["--seed", " 2"], ["--seed", "x"],
                                   ["--seed", "1", "--log-every", "0_5"],
                                   ["--log-every", "5 "], ["--log-every", "\uff15"]])
-def test_a_seed_or_stride_flag_is_a_plain_ascii_numeral(tmp_path, capsys, argv):
+def test_a_seed_or_stride_flag_is_a_plain_ascii_numeral(chocosim, argv):
     # int() would read 10, 2, 5 and 5: each is refused as "x" is, before any run
-    path = _write_config(tmp_path)
-    out = tmp_path / "o"
-    assert cli.main(["run", "--config", path, "--out", str(out)] + argv) == 1
-    assert "invalid numeral value" in capsys.readouterr().err
-    assert not out.exists()
+    code, line = chocosim(CONFIG, *argv)
+    assert code == 1 and "invalid numeral value" in line
 
 
 def test_bad_config_exits_one(tmp_path, capsys):
@@ -604,25 +501,20 @@ def test_bad_config_exits_one(tmp_path, capsys):
     ({"x0_mode": "gaussian", "x0_scale": True}, [], "x0_scale"),
     ({"x0_mode": "gaussian", "x0_scale": [1]}, [], "x0_scale"),
 ])
-def test_negative_seeds_exit_one_naming_the_field(tmp_path, capsys, overrides, argv, field):
-    path = _write_config(tmp_path, **overrides)
-    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o"), *argv]) == 1
-    captured = capsys.readouterr()
-    lines = captured.err.strip().splitlines()
-    assert len(lines) == 1, captured.err
-    assert lines[0].startswith(f"error: {field} must be")
+def test_negative_seeds_exit_one_naming_the_field(chocosim, overrides, argv, field):
+    code, line = chocosim({**CONFIG, **overrides}, *argv)
+    assert code == 1 and line.startswith(f"error: {field} must be")
     # seeds are integers, the switches booleans, the problem sizes integers;
     # the other fields here are numbers
     if "seed" in field:
-        assert "non-negative" in lines[0]
+        assert "non-negative" in line
     elif field in ("nesterov", "broadcast", "per_layer"):
-        assert "true or false" in lines[0]
+        assert "true or false" in line
     elif field in ("problem.n", "problem.dim", "problem.samples", "problem.batch",
                    "problem.hidden", "problem.input_dim"):
-        assert lines[0].endswith("must be an integer")
+        assert line.endswith("must be an integer")
     else:
-        assert "number" in lines[0]
-    assert not (tmp_path / "o").exists()
+        assert "number" in line
 
 
 @pytest.mark.parametrize("problem, field, expected", [
@@ -636,19 +528,12 @@ def test_negative_seeds_exit_one_naming_the_field(tmp_path, capsys, overrides, a
     ({"kind": "mlp", "n": 4, "csv": ["data.csv"]}, "problem.csv", "a string or null"),
     ({"kind": "logistic", "n": 4, "mode": "shuffled"}, "problem.mode", "one of"),
 ])
-def test_bad_problem_switches_exit_one_naming_the_field(tmp_path, capsys, problem, field,
-                                                        expected):
-    path = _write_config(tmp_path, problem=problem)
-    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
-    captured = capsys.readouterr()
-    lines = captured.err.strip().splitlines()
-    assert len(lines) == 1, captured.err
-    assert lines[0].startswith(f"error: {field} must be {expected}")
-    assert not (tmp_path / "o").exists()
+def test_bad_problem_switches_exit_one_naming_the_field(chocosim, problem, field, expected):
+    code, line = chocosim({**CONFIG, "problem": problem})
+    assert code == 1 and line.startswith(f"error: {field} must be {expected}")
 
 
-def test_divergence_names_iteration_and_node_in_the_summary(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CHOCO_THREADS", "1")
+def test_divergence_names_iteration_and_node_in_the_summary(tmp_path, capsys):
     path = _write_config(tmp_path, eta=1e6, iterations=50)
     out = tmp_path / "d"
     assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
@@ -663,8 +548,7 @@ def test_divergence_names_iteration_and_node_in_the_summary(tmp_path, monkeypatc
     assert f"DIVERGED at t={record.diverged_at} (node {record.diverged_node})" in printed
 
 
-def test_summary_times_the_run_and_the_csv_does_not(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CHOCO_THREADS", "1")
+def test_summary_times_the_run_and_the_csv_does_not(tmp_path, capsys):
     path = _write_config(tmp_path, seeds=[1, 2])
     out = tmp_path / "t"
     assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
@@ -682,8 +566,7 @@ def test_summary_times_the_run_and_the_csv_does_not(tmp_path, monkeypatch, capsy
             assert header == "t,f_avg,grad_sq,consensus,psi,bits_busiest,wall_ms"
 
 
-def test_run_end_to_end_and_replay(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CHOCO_THREADS", "1")
+def test_run_end_to_end_and_replay(tmp_path, capsys):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     path = _write_config(tmp_path)
@@ -700,8 +583,7 @@ def test_run_end_to_end_and_replay(tmp_path, monkeypatch, capsys):
     assert bytes_a == bytes_b
 
 
-def test_run_seed_and_logging_overrides(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CHOCO_THREADS", "1")
+def test_run_seed_and_logging_overrides(tmp_path, capsys):
     path = _write_config(tmp_path, iterations=40)
     out = tmp_path / "o"
     code = cli.main(["run", "--config", path, "--out", str(out),
@@ -716,8 +598,7 @@ def test_run_seed_and_logging_overrides(tmp_path, monkeypatch, capsys):
     assert [int(r.split(",")[0]) for r in rows] == [15, 30, 40]
 
 
-def test_run_divergence_exits_two(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CHOCO_THREADS", "1")
+def test_run_divergence_exits_two(tmp_path, capsys):
     path = _write_config(tmp_path, algorithm="centralized", eta=5.0,
                          iterations=80, topology="full:4")
     assert cli.main(["run", "--config", path, "--out", str(tmp_path / "d")]) == 2
@@ -758,8 +639,7 @@ def _sweep_config(tmp_path, **overrides):
     return _write_config(tmp_path, **base)
 
 
-def test_sweep_finds_interior_optimum(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CHOCO_THREADS", "1")
+def test_sweep_finds_interior_optimum(tmp_path, capsys):
     # exact line search on 1/2 x^2: eta = 1 reaches the optimum in one step
     path = _sweep_config(tmp_path, eta_grid=[0.1, 1.0, 1.9])
     assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == 0
@@ -773,7 +653,6 @@ def test_sweep_finds_interior_optimum(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_file_is_written_whole(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CHOCO_THREADS", "1")
     path = _sweep_config(tmp_path, eta_grid=[0.5, 1.0])
     out = tmp_path / "s"
     written = []
@@ -795,16 +674,14 @@ def test_sweep_file_is_written_whole(tmp_path, monkeypatch, capsys):
     assert [cell["eta"] for cell in data["cells"]] == [0.5, 1.0]
 
 
-def test_sweep_warns_on_grid_boundary(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CHOCO_THREADS", "1")
+def test_sweep_warns_on_grid_boundary(tmp_path, capsys):
     path = _sweep_config(tmp_path, eta_grid=[0.1, 0.3, 0.5])
     assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == 0
     out = capsys.readouterr().out
     assert "boundary" in out
 
 
-def test_sweep_warns_when_the_best_eta_is_the_smallest(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CHOCO_THREADS", "1")
+def test_sweep_warns_when_the_best_eta_is_the_smallest(tmp_path, capsys):
     # exact line search on 1/2 x^2 is eta = 1, the low edge of this grid
     path = _sweep_config(tmp_path, eta_grid=[1.0, 1.5, 1.9])
     assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == 0
@@ -813,8 +690,7 @@ def test_sweep_warns_when_the_best_eta_is_the_smallest(tmp_path, monkeypatch, ca
     assert "warning: best stepsize lies on the grid boundary; widen eta_grid" in out
 
 
-def test_a_sweep_scores_every_cell_by_one_quantity(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CHOCO_THREADS", "1")
+def test_a_sweep_scores_every_cell_by_one_quantity(tmp_path, capsys):
     sweep = dict(topology="ring:8", iterations=200, seeds=[1, 2],
                  problem={"kind": "quadratic", "n": 8, "dim": 6})
     # an eta grid holding 0 beside positive values is scored by f_avg throughout:
@@ -839,8 +715,7 @@ def test_a_sweep_scores_every_cell_by_one_quantity(tmp_path, monkeypatch, capsys
         assert cell["metric"] == float(np.mean(psi)) > 0.0
 
 
-def test_sweep_all_diverged_exits_two(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CHOCO_THREADS", "1")
+def test_sweep_all_diverged_exits_two(tmp_path, capsys):
     path = _sweep_config(tmp_path, eta_grid=[3.0, 5.0], iterations=100,
                          problem={"kind": "quadratic", "n": 2, "dim": 1,
                                   "heterogeneity": 0.0, "noise_std": 0.0,
@@ -873,22 +748,17 @@ def test_verify_subcommand(capsys):
     ({"log_every": -1}, "log_every"),
 ])
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_bad_values_fail_before_any_run(tmp_path, capsys, monkeypatch, overrides, field,
-                                        command):
+def test_bad_values_fail_before_any_run(chocosim, monkeypatch, overrides, field, command):
     def no_build(spec):
         raise AssertionError("a problem was built")
 
     monkeypatch.setattr(config_module, "build_problem", no_build)
-    path = _write_config(tmp_path, **overrides)
     # a flag replaces the file's value before the one validation, so a bad
     # "out" is given by the file alone
-    argv = [] if field == "out" else ["--out", str(tmp_path / "o")]
-    assert cli.main([command, "--config", path, *argv]) == 1
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {field}"), lines
+    code, line = chocosim({**CONFIG, **overrides}, command=command)
+    assert code == 1 and line.startswith(f"error: {field}"), line
     if field.startswith("problem.") and field != "problem.kind":
-        assert lines[0].endswith(f"{field} must be >= 1")
-    assert not (tmp_path / "o").exists()
+        assert line.endswith(f"{field} must be >= 1")
 
 
 @pytest.mark.parametrize("overrides, argv", [
@@ -896,12 +766,10 @@ def test_bad_values_fail_before_any_run(tmp_path, capsys, monkeypatch, overrides
     ({"seeds": [3]}, ["--seed", "1", "--seed", "1"]),
 ])
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_repeated_seeds_exit_one_before_any_run(tmp_path, capsys, overrides, argv, command):
+def test_repeated_seeds_exit_one_before_any_run(chocosim, overrides, argv, command):
     # a repeated seed would be run, written and averaged twice
-    path = _write_config(tmp_path, **overrides)
-    assert cli.main([command, "--config", path, "--out", str(tmp_path / "o"), *argv]) == 1
-    assert capsys.readouterr().err.strip().splitlines() == ["error: seeds must be distinct"]
-    assert not (tmp_path / "o").exists()
+    assert chocosim({**CONFIG, **overrides}, *argv, command=command) == (
+        1, "error: seeds must be distinct")
 
 
 @pytest.mark.parametrize("name, value, reader, others", [
@@ -912,38 +780,27 @@ def test_repeated_seeds_exit_one_before_any_run(tmp_path, capsys, overrides, arg
     ("delta_override", 0.5, "choco-errorfeedback", ["centralized", "decentralized-exact"]),
     ("gamma_grid", [0.1, 0.2, 0.4], "choco-momentum", ["centralized", "decentralized-exact"]),
 ])
-def test_an_option_the_algorithm_never_reads_exits_one(tmp_path, capsys, name, value, reader,
-                                                       others):
+def test_an_option_the_algorithm_never_reads_exits_one(chocosim, name, value, reader, others):
     # its row in ALGORITHM_TABLE decides: momentum's options need a velocity,
     # gamma's a compressed algorithm; an option left at its default passes
     default = getattr(ExperimentConfig(), name)
     ExperimentConfig.from_dict({"algorithm": reader, name: value, "topology": "ring:4",
                                 "problem": {"kind": "quadratic", "n": 4}})
     for algorithm in others:
-        path = _write_config(tmp_path, algorithm=algorithm, **{name: default})
-        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
-        path = _write_config(tmp_path, algorithm=algorithm, **{name: value})
-        capsys.readouterr()
-        assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == 1
-        assert capsys.readouterr().err.strip().splitlines() == [
-            f"error: {name} is not read by algorithm {algorithm!r}"]
-    assert not (tmp_path / "s").exists()
+        assert chocosim({**CONFIG, "algorithm": algorithm, name: default})[0] == 0
+        assert chocosim({**CONFIG, "algorithm": algorithm, name: value}, command="sweep") == (
+            1, f"error: {name} is not read by algorithm {algorithm!r}")
 
 
 @pytest.mark.parametrize("overrides", [{"gamma": 0.3}, {"gamma_grid": [0.1, 0.2, 0.4]},
                                        {"gamma": 0.3, "gamma_grid": [0.2]}])
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_delta_override_without_the_theory_stepsize_exits_one(tmp_path, capsys, overrides,
-                                                              command):
+def test_delta_override_without_the_theory_stepsize_exits_one(chocosim, overrides, command):
     # a numeric gamma is used as given, and a grid gives every cell a numeric gamma
-    path = _write_config(tmp_path, algorithm="choco", delta_override=0.5)
-    assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 0
-    path = _write_config(tmp_path, algorithm="choco", delta_override=0.5, **overrides)
-    capsys.readouterr()
-    assert cli.main([command, "--config", path, "--out", str(tmp_path / "s")]) == 1
-    assert capsys.readouterr().err.strip().splitlines() == [
-        "error: delta_override is read only with gamma 'auto' and no gamma_grid"]
-    assert not (tmp_path / "s").exists()
+    config = {**CONFIG, "delta_override": 0.5}
+    assert chocosim(config, command=command)[0] == 0
+    assert chocosim({**config, **overrides}, command=command) == (
+        1, "error: delta_override is read only with gamma 'auto' and no gamma_grid")
 
 
 def test_a_sweep_cell_is_checked_as_any_config():
@@ -955,32 +812,19 @@ def test_a_sweep_cell_is_checked_as_any_config():
         replace(config, eta=-1.0)
 
 
-def test_a_zero_log_every_override_is_refused_not_dropped(tmp_path, capsys):
-    path = _write_config(tmp_path)
-    argv = ["run", "--config", path, "--out", str(tmp_path / "o"), "--log-every", "0"]
-    assert cli.main(argv) == 1
-    assert capsys.readouterr().err.strip().splitlines() == ["error: log_every must be >= 1"]
-    assert not (tmp_path / "o").exists()
-
-
 @pytest.mark.parametrize("problem, name", [
     ({"kind": "logistic", "n": 4, "reg": -0.5}, "reg"),
     ({"kind": "quadratic", "n": 4, "dim": 4, "xstar_scale": -1.0}, "xstar_scale"),
 ])
-def test_float_ranges_exit_one_naming_the_field(tmp_path, capsys, monkeypatch, problem, name):
-    monkeypatch.setenv("CHOCO_THREADS", "1")
-    path = _write_config(tmp_path, problem=problem)
-    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and name in lines[0], lines
-    assert not (tmp_path / "o").exists()
+def test_float_ranges_exit_one_naming_the_field(chocosim, problem, name):
+    code, line = chocosim({**CONFIG, "problem": problem})
+    assert code == 1 and name in line, line
 
 
 @pytest.mark.parametrize("kind, code", [("logistic", 2), ("mlp", 0)])
-def test_exp_overflow_is_not_reported(tmp_path, capfd, monkeypatch, kind, code):
+def test_exp_overflow_is_not_reported(tmp_path, capfd, kind, code):
     # exp of a huge margin is inf, the sigmoid's exact limit; the logistic
     # run then diverges, and the tanh network saturates without diverging
-    monkeypatch.setenv("CHOCO_THREADS", "1")
     path = _write_config(tmp_path, compressor="identity", topology="ring:8",
                          problem={"kind": kind, "n": 8}, eta=1e6)
     with warnings.catch_warnings(record=True) as caught:
@@ -997,11 +841,10 @@ def test_exp_overflow_is_not_reported(tmp_path, capfd, monkeypatch, kind, code):
     ({"problem": {"kind": "quadratic", "n": 8, "xstar_scale": 1e300}}, 2),
     ({"problem": {"kind": "quadratic", "n": 8, "heterogeneity": 1e308}}, 2),
 ], ids=["gsgd-600", "gsgd-1100", "eta", "xstar-scale", "heterogeneity"])
-def test_extreme_configs_exit_with_one_error_line_or_diverge_quietly(tmp_path, capfd,
-                                                                     monkeypatch, overrides, code):
+def test_extreme_configs_exit_with_one_error_line_or_diverge_quietly(tmp_path, capfd, overrides,
+                                                                     code):
     # a config error is one line; a run that overflows on its way to
     # divergence prints no NumPy warning
-    monkeypatch.setenv("CHOCO_THREADS", "1")
     ring8 = {"topology": "ring:8", "problem": {"kind": "quadratic", "n": 8}}
     path = _write_config(tmp_path, **{**ring8, **overrides})
     with warnings.catch_warnings(record=True) as caught:

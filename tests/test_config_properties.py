@@ -6,7 +6,6 @@ import json
 import math
 import os
 import re
-import shutil
 import warnings
 from dataclasses import fields
 
@@ -32,12 +31,22 @@ def _problem_field(name, default):
     if name == "mode":
         return st.sampled_from(PARTITION_MODES)
     if name == "csv":
-        return st.one_of(st.none(), st.text(max_size=8))
+        return st.one_of(st.none(), st.text(min_size=1, max_size=8))
     if isinstance(default, bool):
         return st.booleans()
     if isinstance(default, int):
         return st.integers(1, 10**6)
     return FINITE
+
+
+def _options(kind):
+    """Each field's valid values that both config strategies draw alike."""
+    return {"algorithm": st.sampled_from(ALGORITHMS), "eta": st.floats(0.0, 10.0),
+            "gamma": st.one_of(st.just("auto"), POSITIVE), "momentum_factor": st.floats(0.0, 0.99),
+            "weight_decay": st.floats(0.0, 1.0), "nesterov": st.booleans(),
+            "delta_override": st.one_of(st.none(), POSITIVE), "broadcast": st.booleans(),
+            "per_layer": st.booleans(), "x0_scale": FINITE,
+            "x0_mode": st.sampled_from(X0_MODES if kind == "quadratic" else ("zeros", "gaussian"))}
 
 
 @st.composite
@@ -49,25 +58,13 @@ def valid_configs(draw):
             problem[name] = draw(_problem_field(name, default))
     # parsing builds the graph; keep it small
     problem["n"] = n = draw(st.integers(2, 16))
-    data = {
-        "algorithm": draw(st.sampled_from(ALGORITHMS)),
+    data = {name: draw(values) for name, values in _options(kind).items()} | {
         "topology": draw(st.sampled_from([f"ring:{n}", f"full:{n}", f"edgelist:path{n}.txt"])),
         "compressor": draw(st.sampled_from(COMPRESSORS)),
-        "eta": draw(st.floats(0.0, 10.0)),
-        "gamma": draw(st.one_of(st.just("auto"), POSITIVE)),
-        "momentum_factor": draw(st.floats(0.0, 0.99)),
-        "weight_decay": draw(st.floats(0.0, 1.0)),
-        "nesterov": draw(st.booleans()),
         "iterations": draw(st.integers(1, 10**6)),
-        "delta_override": draw(st.one_of(st.none(), POSITIVE)),
         "seeds": draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=3, unique=True)),
         "log_every": draw(st.integers(1, 100)),
-        "broadcast": draw(st.booleans()),
-        "per_layer": draw(st.booleans()),
         "out": draw(st.text(max_size=8)),
-        "x0_mode": draw(st.sampled_from(X0_MODES if kind == "quadratic"
-                                        else ("zeros", "gaussian"))),
-        "x0_scale": draw(FINITE),
         "eta_grid": draw(st.one_of(st.none(), st.lists(st.floats(0.0, 10.0), min_size=1))),
         "gamma_grid": draw(st.one_of(st.none(), st.lists(POSITIVE, min_size=1))),
         "problem": problem,
@@ -84,6 +81,12 @@ def valid_configs(draw):
     gamma_grid = data["gamma_grid"] if "gamma_grid" in keep else None
     if "gamma" in keep and data["gamma"] != "auto" or gamma_grid is not None:
         keep.discard("delta_override")
+    # x0_scale only for a gaussian start, and a dataset's sizes only without a csv
+    if "x0_mode" not in keep or data["x0_mode"] != "gaussian":
+        keep.discard("x0_scale")
+    if problem.get("csv") is not None:
+        for name in ("samples", "dim", "input_dim", "margin"):
+            problem.pop(name, None)
     return {key: data[key] for key in keep | {"topology", "problem"}}
 
 
@@ -119,44 +122,26 @@ PROBLEM = [(kind, name) for kind in sorted(PROBLEM_FIELDS)
            for name in ("kind", *PROBLEM_FIELDS[kind])]
 
 
-def _fuzz(tmp_path, capsys, monkeypatch, field, substitute):
-    monkeypatch.chdir(tmp_path)  # an accepted "out" writes here
+def _fuzz(chocosim, monkeypatch, field, substitute):
     monkeypatch.setenv("CHOCO_THREADS", "1")
-    out = tmp_path / "o"
     for value in BAD_VALUES:
         config = {"topology": "ring:4", "compressor": "sign", "iterations": 3,
-                  "seeds": [1], "out": str(out), "problem": dict(BASE_PROBLEMS["quadratic"])}
+                  "seeds": [1], "problem": dict(BASE_PROBLEMS["quadratic"])}
         substitute(config, value)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        code = cli.main(["run", "--config", str(path)])
-        err = capsys.readouterr().err
-        if code == 0:  # the field accepts this value
-            shutil.rmtree(out, ignore_errors=True)
-            continue
-        lines = err.strip().splitlines()
-        assert code == 1, (field, value, code, err)
-        assert len(lines) == 1 and lines[0].startswith("error: "), (field, value, err)
-        assert re.search(rf"\b{field}\b", lines[0]), (field, value, lines[0])
-        assert not out.exists(), (field, value)
+        code, line = chocosim(config)
+        # the field accepts this value and runs, or refuses it in one line naming it
+        assert code == 0 or code == 1 and re.search(rf"\b{field}\b", line), (field, value, line)
 
 
 @pytest.mark.parametrize("field", TOP_LEVEL)
-def test_a_bad_top_level_value_exits_one_naming_the_field(tmp_path, capsys, monkeypatch,
-                                                          field):
-    def substitute(config, value):
-        config[field] = value
-
-    _fuzz(tmp_path, capsys, monkeypatch, field, substitute)
+def test_a_bad_top_level_value_exits_one_naming_the_field(chocosim, monkeypatch, field):
+    _fuzz(chocosim, monkeypatch, field, lambda config, value: config.update({field: value}))
 
 
 @pytest.mark.parametrize("kind, field", PROBLEM)
-def test_a_bad_problem_value_exits_one_naming_the_field(tmp_path, capsys, monkeypatch,
-                                                        kind, field):
-    def substitute(config, value):
-        config["problem"] = dict(BASE_PROBLEMS[kind], **{field: value})
-
-    _fuzz(tmp_path, capsys, monkeypatch, field, substitute)
+def test_a_bad_problem_value_exits_one_naming_the_field(chocosim, monkeypatch, kind, field):
+    _fuzz(chocosim, monkeypatch, field, lambda config, value: config.update(
+        problem=dict(BASE_PROBLEMS[kind], **{field: value})))
 
 
 # --------------------------------------------- generated configs over the CLI
@@ -202,30 +187,21 @@ def cli_configs(draw):
             else:
                 problem[name] = draw(RUNNABLE.get(name, _problem_field(name, default)))
     topologies = [f"ring:{n}", f"full:{n}", f"edgelist:path{n}.txt"] + ["torus:9"] * (n == 9)
-    data = {
-        "algorithm": st.sampled_from(ALGORITHMS),
+    data = _options(kind) | {
         # now and then a spec that names no graph, or one of another size
         "topology": st.sampled_from(topologies * 6 + ["ring:3", "torus:8", "torus:4", "full:0",
                                                       "edgelist:missing.txt", "star:4"]),
         "compressor": st.one_of(_compressor_specs(), _compressor_specs(),
                                 st.sampled_from(COMPRESSORS)),
-        "eta": st.floats(0.0, 10.0),
-        "gamma": st.one_of(st.just("auto"), POSITIVE),
-        "momentum_factor": st.floats(0.0, 0.99),
-        "weight_decay": st.floats(0.0, 1.0),
-        "nesterov": st.booleans(),
-        "delta_override": st.one_of(st.none(), POSITIVE),
         "seeds": st.lists(st.integers(0, 2**64), min_size=1, max_size=2),
         "log_every": st.integers(1, 4),
-        "broadcast": st.booleans(),
-        "per_layer": st.booleans(),
-        "x0_mode": st.sampled_from(X0_MODES if kind == "quadratic" else ("zeros", "gaussian")),
-        "x0_scale": FINITE,
         "eta_grid": st.one_of(st.none(), st.lists(st.floats(0.0, 10.0), min_size=1, max_size=2)),
         "gamma_grid": st.one_of(st.none(), st.lists(POSITIVE, min_size=1, max_size=2)),
     }
     keep = draw(st.sets(st.sampled_from(sorted(data))))
     config = {name: draw(data[name]) for name in sorted(keep | {"topology", "compressor"})}
+    if config.get("x0_mode") != "gaussian":  # x0_scale only for a gaussian start
+        config.pop("x0_scale", None)
     config.update(iterations=3, problem=problem)
     names = sorted(data) + ["problem"] + [f"problem.{name}" for name in PROBLEM_FIELDS[kind]]
     for name in draw(st.lists(st.sampled_from(names + ["problem.kind"]),

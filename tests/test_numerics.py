@@ -246,13 +246,6 @@ def test_at_iteration_range():
             stream.at(bad)
 
 
-def test_negative_seed_is_rejected():
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-        RandomStream(-1)
-    with pytest.raises(ValueError):
-        RandomStream(1, worker=-1)
-
-
 def test_is_integer_accepts_python_and_numpy_integers_only():
     for value in (0, -3, 2**70, np.int64(5), np.uint8(1), np.intp(-1)):
         assert is_integer(value)
